@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success / affirmative verdict, 1 negative verdict or suite
-failures, 2 usage or input error, 3 internal cross-check disagreement,
-4 enumeration resource cap exceeded.
+failures, 2 usage or input error, 3 internal cross-check disagreement or
+internal error, 4 enumeration resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -56,6 +56,11 @@ def _parse_ids(raw: str, g: MixedGraph, flag: str) -> frozenset:
     return frozenset(out)
 
 
+def _require_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise UsageError(f"{flag} must be at least {least}")
+
+
 def _emit(args, payload: dict, text_lines):
     if args.output == "json":
         print(json.dumps(payload))
@@ -89,6 +94,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    _require_at_least("--trials", args.trials, 1)
     g = _load_graph(args.graph)
     A = _parse_ids(args.A, g, "--A")
     B = _parse_ids(args.B, g, "--B")
@@ -203,6 +209,9 @@ def cmd_treks(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_at_least("--graphs", args.graphs, 1)
+    _require_at_least("--max-vertices", args.max_vertices, 2)
+    _require_at_least("--trials", args.trials, 1)
     cfg = verify.SuiteConfig(seed=args.seed, max_vertices=args.max_vertices,
                              graph_count=args.graphs,
                              trials_per_instance=args.trials)
@@ -302,6 +311,9 @@ def main(argv=None) -> int:
     except treks.CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except separation.InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_DISAGREE
 
 
 def entry() -> None:

@@ -218,10 +218,14 @@ def topological_order(g: MixedGraph) -> List[int]:
     return order
 
 
+def _require_vertex(g: MixedGraph, v: int) -> None:
+    if v not in g.vertices:
+        raise ValueError(f"vertex {v} out of range [1,{g.m}]")
+
+
 def ancestors(g: MixedGraph, v: int) -> FrozenSet[int]:
     """Vertices with a directed path into v, including v itself."""
-    if v not in set(g.vertices):
-        raise ValueError(f"vertex {v} out of range [1,{g.m}]")
+    _require_vertex(g, v)
     seen = {v}
     stack = [v]
     while stack:
@@ -235,6 +239,7 @@ def ancestors(g: MixedGraph, v: int) -> FrozenSet[int]:
 
 def descendants(g: MixedGraph, v: int) -> FrozenSet[int]:
     """Vertices reachable from v by directed edges, including v."""
+    _require_vertex(g, v)
     seen = {v}
     stack = [v]
     while stack:

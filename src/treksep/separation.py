@@ -1,35 +1,40 @@
 """t-separation, minimum separators via vertex min-cut, and CI queries.
 
-The workhorse is a three-layer auxiliary flow network: for each vertex v
-there are nodes v' (carrying the left directed path, traversed against the
-edge directions), v'' (carrying undirected middle travel) and plain v
-(carrying the right directed path).  Source-to-sink paths correspond to
-treks from A to B, and unit vertex capacities turn minimum blocking sets
-into minimum cuts (Menger).  Bidirected edges are removed up front by the
-bidirected subdivision; the fresh subdivision vertices are made uncuttable
-so certificates only ever mention original vertices.
+The workhorse is the three-layer trek network.  Each vertex v has a left
+level (the directed path into A, walked against the edge directions), a
+middle level (undirected travel) and a right level (the directed path into
+B), and each level is split into an in-node and an out-node joined by a
+split arc.  Nodes are ints: level l of v (left 0, middle 1, right 2) has
+in-node 2*(3*(v-1)+l) and out-node one more; the source is 6m and the sink
+6m+1.  Arcs live in paired lists `head` and `cap` (residual capacity), arc
+e ^ 1 being the reverse of arc e.  The split arcs come first, so the split
+arc of a level has the number of its in-node.
+
+Source-to-sink paths are the treks from A to B, and unit split capacities
+turn minimum blocking sets into minimum cuts (Menger).  Every other arc
+has capacity m+1, more than any flow, so each breadth-first augmenting
+path carries one unit and at most min(|A|, |B|) + 1 searches run.  The
+certificate is the set of split arcs leaving what the last search reaches:
+the unique minimal source-side minimum cut, whichever paths were augmented.
+Bidirected edges are removed up front by the bidirected subdivision; the
+fresh subdivision vertices are made uncuttable so certificates only ever
+mention original vertices.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, List, NamedTuple, Optional, Tuple
 
-from .graph import (DAG, MixedGraph, bidirected_subdivision, descendants,
-                    graph_class)
-
-PRIMED = "primed"
-DOUBLEPRIMED = "doubleprimed"
-PLAIN = "plain"
-_LEVEL_RANK = {PRIMED: 0, DOUBLEPRIMED: 1, PLAIN: 2}
-
-_SOURCE = ("source",)
-_SINK = ("sink",)
+from .graph import DAG, MixedGraph, bidirected_subdivision, graph_class
 
 
 class NotADAGError(Exception):
     """Operation requires a purely directed acyclic graph."""
+
+
+class InternalError(RuntimeError):
+    """A max-flow invariant failed: a bug in this module, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -57,32 +62,28 @@ class RankResult:
     flow_value: int
 
 
-@dataclass
-class FlowNetwork:
-    """Vertex-split flow network over the three-layer auxiliary graph."""
+class TrekNetwork(NamedTuple):
+    """The trek network of one (A, B) query; node numbering in the module doc."""
 
-    nodes: List[tuple]
-    arcs: Dict[tuple, Dict[tuple, int]]
-    source: tuple
-    sink: tuple
-    infinity: int
+    head: List[int]       # node that arc e enters; arc e ^ 1 is its reverse
+    cap: List[int]        # residual capacity of arc e
+    out: List[List[int]]  # arcs leaving node u, reverse arcs included
 
+    @property
+    def source(self) -> int:
+        return len(self.out) - 2
 
-def _node_key(node):
-    if node == _SOURCE:
-        return (0, 0, 0, 0)
-    if node == _SINK:
-        return (2, 0, 0, 0)
-    v, level, side = node
-    return (1, v, _LEVEL_RANK[level], 0 if side == "in" else 1)
+    @property
+    def sink(self) -> int:
+        return len(self.out) - 1
 
 
-def build_auxiliary_graph(g: MixedGraph, A, B,
-                          uncuttable: FrozenSet[int] = frozenset()) -> FlowNetwork:
-    """Auxiliary network whose source->sink paths are the treks from A to B.
+def trek_network(g: MixedGraph, A, B,
+                 uncuttable: FrozenSet[int] = frozenset()) -> TrekNetwork:
+    """Network whose source->sink paths are the treks from A to B.
 
     Requires a graph without bidirected edges.  Vertices in `uncuttable`
-    get infinite internal capacity and can never appear in a minimum cut.
+    get infinite split capacity and can never appear in a minimum cut.
     """
     if g.bidirected_edges:
         raise ValueError("bidirected edges present; apply bidirected_subdivision first")
@@ -94,110 +95,65 @@ def build_auxiliary_graph(g: MixedGraph, A, B,
         if not 1 <= v <= g.m:
             raise ValueError(f"vertex {v} out of range [1,{g.m}]")
 
-    inf = g.m + 1
-    arcs: Dict[tuple, Dict[tuple, int]] = {}
-
-    def add(u, x, c):
-        arcs.setdefault(u, {})[x] = c
-
-    for v in g.vertices:
-        split = inf if v in uncuttable else 1
-        for level in (PRIMED, DOUBLEPRIMED, PLAIN):
-            add((v, level, "in"), (v, level, "out"), split)
-        add((v, PRIMED, "out"), (v, DOUBLEPRIMED, "in"), inf)
-        add((v, DOUBLEPRIMED, "out"), (v, PLAIN, "in"), inf)
-    for i, j in g.directed_edges:
-        add((i, PLAIN, "out"), (j, PLAIN, "in"), inf)
-        add((j, PRIMED, "out"), (i, PRIMED, "in"), inf)
+    m = g.m
+    inf = m + 1
+    # Vertex v owns nodes 6v-6 .. 6v-1: left in/out, middle in/out, right
+    # in/out.  Arc k runs tails[k] -> heads[k]; the 3m split arcs come first.
+    tails = list(range(0, 6 * m, 2))
+    heads = list(range(1, 6 * m, 2))
+    # a trek turns left -> middle -> right at its top vertex
+    tails += range(1, 6 * m, 6)
+    heads += range(2, 6 * m, 6)
+    tails += range(3, 6 * m, 6)
+    heads += range(4, 6 * m, 6)
+    # the right path runs along i -> j, the left path against it
+    tails += [6 * i - 1 for i, _ in g.directed_edges]
+    heads += [6 * j - 2 for _, j in g.directed_edges]
+    tails += [6 * j - 5 for _, j in g.directed_edges]
+    heads += [6 * i - 6 for i, _ in g.directed_edges]
     for i, j in g.undirected_edges:
-        add((i, DOUBLEPRIMED, "out"), (j, DOUBLEPRIMED, "in"), inf)
-        add((j, DOUBLEPRIMED, "out"), (i, DOUBLEPRIMED, "in"), inf)
-    for a in A:
-        add(_SOURCE, (a, PRIMED, "in"), inf)
-    for b in B:
-        add((b, PLAIN, "out"), _SINK, inf)
+        tails += (6 * i - 3, 6 * j - 3)
+        heads += (6 * j - 4, 6 * i - 4)
+    tails += [6 * m] * len(A)
+    heads += [6 * a - 6 for a in A]
+    tails += [6 * b - 1 for b in B]
+    heads += [6 * m + 1] * len(B)
 
-    nodes = [_SOURCE, _SINK]
-    for v in g.vertices:
-        for level in (PRIMED, DOUBLEPRIMED, PLAIN):
-            nodes.append((v, level, "in"))
-            nodes.append((v, level, "out"))
-    nodes.sort(key=_node_key)
-    return FlowNetwork(nodes=nodes, arcs=arcs, source=_SOURCE, sink=_SINK,
-                       infinity=inf)
+    head = [0] * (2 * len(tails))
+    head[0::2] = heads
+    head[1::2] = tails
+    cap = [0] * len(head)
+    cap[0::2] = [1] * (3 * m) + [inf] * (len(tails) - 3 * m)
+    for v in uncuttable:
+        cap[6 * v - 6:6 * v:2] = (inf, inf, inf)
+    out: List[List[int]] = [[] for _ in range(6 * m + 2)]
+    for e, x in enumerate(head):
+        out[x].append(e ^ 1)  # arc e ^ 1 leaves the node arc e enters
+    return TrekNetwork(head, cap, out)
 
 
-def _max_flow_min_cut(net: FlowNetwork):
-    """Edmonds-Karp with a deterministic lowest-node-first augmenting order.
+def _search(net: TrekNetwork):
+    """Breadth-first search of the residual network from the source.
 
-    Returns (flow value, cut) where cut lists the (vertex, level) pairs whose
-    internal split arc crosses the canonical source-side minimum cut.
+    Returns (via, order): via[x] is the arc that first reached node x (-1
+    if unreached, -2 for the source) and order lists the reached nodes.
+    Stops as soon as the sink is reached.
     """
-    index = {node: i for i, node in enumerate(net.nodes)}
-    n = len(net.nodes)
-    cap: Dict[Tuple[int, int], int] = {}
-    adj: List[set] = [set() for _ in range(n)]
-    for u, outs in net.arcs.items():
-        ui = index[u]
-        for x, c in outs.items():
-            xi = index[x]
-            cap[(ui, xi)] = cap.get((ui, xi), 0) + c
-            adj[ui].add(xi)
-            adj[xi].add(ui)
-    adj = [sorted(s) for s in adj]
-    flow: Dict[Tuple[int, int], int] = {}
-
-    def residual(u, x):
-        return cap.get((u, x), 0) - flow.get((u, x), 0)
-
-    s, t = index[net.source], index[net.sink]
-    value = 0
-    while True:
-        parent = [-1] * n
-        parent[s] = s
-        queue = deque([s])
-        while queue and parent[t] == -1:
-            u = queue.popleft()
-            for x in adj[u]:
-                if parent[x] == -1 and residual(u, x) > 0:
-                    parent[x] = u
-                    queue.append(x)
-        if parent[t] == -1:
-            break
-        bottleneck = None
-        x = t
-        while x != s:
-            u = parent[x]
-            r = residual(u, x)
-            bottleneck = r if bottleneck is None else min(bottleneck, r)
-            x = u
-        x = t
-        while x != s:
-            u = parent[x]
-            flow[(u, x)] = flow.get((u, x), 0) + bottleneck
-            flow[(x, u)] = flow.get((x, u), 0) - bottleneck
-            x = u
-        value += bottleneck
-
-    reachable = [False] * n
-    reachable[s] = True
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for x in adj[u]:
-            if not reachable[x] and residual(u, x) > 0:
-                reachable[x] = True
-                queue.append(x)
-
-    cut = []
-    for u, outs in net.arcs.items():
-        for x in outs:
-            if reachable[index[u]] and not reachable[index[x]]:
-                # finite min cuts consist purely of internal split arcs
-                assert len(u) == 3 and u[0] == x[0] and u[1] == x[1]
-                cut.append((u[0], u[1]))
-    cut.sort()
-    return value, cut
+    head, cap, out = net
+    sink = len(out) - 1
+    via = [-1] * len(out)
+    via[sink - 1] = -2
+    order = [sink - 1]
+    for u in order:
+        for e in out[u]:
+            if cap[e]:
+                x = head[e]
+                if via[x] == -1:
+                    via[x] = e
+                    if x == sink:
+                        return via, order
+                    order.append(x)
+    return via, order
 
 
 def _subdivided(g: MixedGraph):
@@ -210,14 +166,32 @@ def _subdivided(g: MixedGraph):
 def min_t_separator(g: MixedGraph, A, B) -> RankResult:
     """Minimum t-separating triple and its size, by max-flow min-cut."""
     g2, fresh = _subdivided(g)
-    net = build_auxiliary_graph(g2, A, B, uncuttable=fresh)
-    value, cut = _max_flow_min_cut(net)
-    cert = SeparationTriple.of(
-        cl=(v for v, level in cut if level == PRIMED),
-        cm=(v for v, level in cut if level == DOUBLEPRIMED),
-        cr=(v for v, level in cut if level == PLAIN),
-    )
-    assert cert.size() == value
+    net = trek_network(g2, A, B, uncuttable=fresh)
+    head, cap, out = net
+    source = net.source
+    value = 0
+    while True:
+        via, order = _search(net)
+        x = net.sink
+        if via[x] == -1:
+            break
+        while x != source:  # every augmenting path carries one unit
+            e = via[x]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            x = head[e ^ 1]
+        value += 1
+
+    cut = sorted(e for u in order for e in out[u]
+                 if not e & 1 and via[head[e]] == -1)
+    if cut and cut[-1] >= 6 * g.m:
+        raise InternalError("minimum cut crosses an arc other than an original split arc")
+    levels: Tuple[List[int], ...] = ([], [], [])
+    for e in cut:
+        levels[e % 6 // 2].append(e // 6 + 1)
+    cert = SeparationTriple.of(*levels)
+    if cert.size() != value:
+        raise InternalError(f"certificate size {cert.size()} differs from flow value {value}")
     return RankResult(rank=value, certificate=cert, flow_value=value)
 
 
@@ -234,22 +208,12 @@ def is_t_separating(g: MixedGraph, A, B, c: SeparationTriple) -> bool:
         if not 1 <= v <= g.m:
             raise ValueError(f"vertex {v} out of range [1,{g.m}]")
     g2, fresh = _subdivided(g)
-    net = build_auxiliary_graph(g2, A, B, uncuttable=fresh)
-    blocked = ({(v, PRIMED) for v in c.c_left}
-               | {(v, DOUBLEPRIMED) for v in c.c_mid}
-               | {(v, PLAIN) for v in c.c_right})
-    seen = {net.source}
-    stack = [net.source]
-    while stack:
-        u = stack.pop()
-        for x in net.arcs.get(u, ()):
-            if x in seen:
-                continue
-            if len(u) == 3 and u[2] == "in" and (u[0], u[1]) in blocked:
-                continue  # the split arc of a deleted node
-            seen.add(x)
-            stack.append(x)
-    return net.sink not in seen
+    net = trek_network(g2, A, B, uncuttable=fresh)
+    for level, members in enumerate((c.c_left, c.c_mid, c.c_right)):
+        for v in members:
+            net.cap[6 * v - 6 + 2 * level] = 0  # the split arc of a deleted node
+    via, _ = _search(net)
+    return via[net.sink] == -1
 
 
 def _require_dag(g: MixedGraph):

@@ -9,7 +9,7 @@ its config and returns a CheckResult; run_suite aggregates them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Dict, List, Optional
 
@@ -124,6 +124,24 @@ def _sample_set(rng: random.Random, n: int, max_size: int, exclude=frozenset(),
     return frozenset(rng.sample(pool, size))
 
 
+def _menger_ok(g: MixedGraph, A, B, res: separation.RankResult) -> bool:
+    """Flow value == certificate size == rank, certificate separating and minimal.
+
+    Minimal: no member of the triple can be dropped with the rest still
+    separating A from B.
+    """
+    cert = res.certificate
+    if not (res.flow_value == cert.size() == res.rank
+            and separation.is_t_separating(g, A, B, cert)):
+        return False
+    for level in ("c_left", "c_mid", "c_right"):
+        for v in getattr(cert, level):
+            weakened = replace(cert, **{level: getattr(cert, level) - {v}})
+            if separation.is_t_separating(g, A, B, weakened):
+                return False
+    return True
+
+
 def cross_check_rank(g: MixedGraph, A, B, seed: int, trials: int = 5) -> dict:
     """Min-cut rank vs algebraic oracle, plus Menger duality on the certificate.
 
@@ -138,18 +156,7 @@ def cross_check_rank(g: MixedGraph, A, B, seed: int, trials: int = 5) -> dict:
               "oracle_rank": oracle, "seed": seed}
     ok = rank == oracle
     if res is not None:
-        cert = res.certificate
-        menger = (res.flow_value == cert.size()
-                  and separation.is_t_separating(g, A, B, cert))
-        for level, members in (("c_left", cert.c_left), ("c_mid", cert.c_mid),
-                               ("c_right", cert.c_right)):
-            for v in members:
-                weakened = separation.SeparationTriple(
-                    cert.c_left - {v} if level == "c_left" else cert.c_left,
-                    cert.c_mid - {v} if level == "c_mid" else cert.c_mid,
-                    cert.c_right - {v} if level == "c_right" else cert.c_right)
-                if separation.is_t_separating(g, A, B, weakened):
-                    menger = False
+        menger = _menger_ok(g, A, B, res)
         detail["menger_ok"] = menger
         ok = ok and menger
     if res is not None and g.m <= 5:
@@ -363,19 +370,8 @@ def criterion_menger(cfg: SuiteConfig) -> CheckResult:
             B = _sample_set(rng, g.m, 3)
             rng.getrandbits(48)  # keep the stream aligned with _criterion_rank
             res = separation.min_t_separator(g, A, B)
-            cert = res.certificate
-            ok = (res.flow_value == cert.size() == res.rank
-                  and separation.is_t_separating(g, A, B, cert))
-            for level in ("c_left", "c_mid", "c_right"):
-                for v in getattr(cert, level):
-                    weakened = separation.SeparationTriple(
-                        cert.c_left - {v} if level == "c_left" else cert.c_left,
-                        cert.c_mid - {v} if level == "c_mid" else cert.c_mid,
-                        cert.c_right - {v} if level == "c_right" else cert.c_right)
-                    if separation.is_t_separating(g, A, B, weakened):
-                        ok = False
-            out.record(ok, g, {"check": "menger_duality", "A": sorted(A),
-                               "B": sorted(B)})
+            out.record(_menger_ok(g, A, B, res), g,
+                       {"check": "menger_duality", "A": sorted(A), "B": sorted(B)})
     return out
 
 

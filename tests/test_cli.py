@@ -148,3 +148,37 @@ def test_verify_small_run(capsys):
 def test_usage_error_exit_code():
     assert main(["rank"]) == 2
     assert main([]) == 2
+
+
+def test_rank_oracle_zero_trials_is_usage_error(choke_file, capsys):
+    assert main(["rank", choke_file, "--A", "1,2", "--B", "5",
+                 "--oracle", "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --trials must be at least 1\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--graphs", "0"], "--graphs must be at least 1"),
+    (["--max-vertices", "1"], "--max-vertices must be at least 2"),
+    (["--trials", "0"], "--trials must be at least 1"),
+])
+def test_verify_bad_counts_are_usage_errors(flags, message, capsys):
+    assert main(["verify", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_internal_error_exits_3(choke_file, capsys, monkeypatch):
+    from treksep import separation
+
+    def broken(*args, **kwargs):
+        raise separation.InternalError("certificate size 0 differs from flow value 1")
+
+    monkeypatch.setattr(separation, "min_t_separator", broken)
+    assert main(["rank", choke_file, "--A", "1", "--B", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: certificate size 0 differs "
+                            "from flow value 1\n")

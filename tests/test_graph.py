@@ -89,6 +89,13 @@ def test_ancestors_descendants():
     assert ancestors(make_graph(3), 2) == {2}
 
 
+@pytest.mark.parametrize("v", [0, 6, 99])
+def test_ancestors_descendants_reject_out_of_range(v):
+    for walk in (ancestors, descendants):
+        with pytest.raises(ValueError, match=r"vertex \d+ out of range \[1,5\]"):
+            walk(choke_graph(), v)
+
+
 def test_subdivision_single_edge():
     g = make_graph(2, bidirected=[(1, 2)])
     g2 = bidirected_subdivision(g)

@@ -1,24 +1,30 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import treksep
 from treksep.graph import DAG, MIXED, UNDIRECTED, make_graph
 from treksep.instances import (CHOKE_A, CHOKE_B, SPIDER_A, SPIDER_B,
                                choke_graph, spider_graph)
-from treksep.separation import (NotADAGError, SeparationTriple,
-                                build_auxiliary_graph, ci_implied,
+from treksep.separation import (NotADAGError, SeparationTriple, ci_implied,
                                 d_sep_via_t_sep, d_separates, generic_rank,
                                 is_t_separating, min_t_separator,
-                                vanishing_tetrad)
+                                trek_network, vanishing_tetrad)
 from treksep.verify import random_graph
 
 
-def _reachable(net, removed=frozenset()):
+def _reachable(net):
     seen = {net.source}
     stack = [net.source]
     while stack:
         u = stack.pop()
-        for x in net.arcs.get(u, ()):
-            if x not in seen:
+        for e in net.out[u]:
+            x = net.head[e]
+            if net.cap[e] > 0 and x not in seen:
                 seen.add(x)
                 stack.append(x)
     return seen
@@ -26,26 +32,62 @@ def _reachable(net, removed=frozenset()):
 
 def test_aux_graph_simple_dag():
     g = make_graph(2, directed=[(1, 2)])
-    net = build_auxiliary_graph(g, {1}, {2})
-    assert len(net.nodes) == 2 + 6 * 2
+    net = trek_network(g, {1}, {2})
+    assert len(net.out) == 2 + 6 * 2
     assert net.sink in _reachable(net)
 
 
 def test_aux_graph_no_treks():
-    net = build_auxiliary_graph(make_graph(2), {1}, {2})
+    net = trek_network(make_graph(2), {1}, {2})
     assert net.sink not in _reachable(net)
 
 
 def test_aux_graph_undirected_middle():
     g = make_graph(3, undirected=[(1, 2), (2, 3)])
-    net = build_auxiliary_graph(g, {1}, {3})
+    net = trek_network(g, {1}, {3})
     assert net.sink in _reachable(net)
 
 
 def test_aux_graph_rejects_bidirected():
     g = make_graph(2, bidirected=[(1, 2)])
     with pytest.raises(ValueError, match="bidirected"):
-        build_auxiliary_graph(g, {1}, {2})
+        trek_network(g, {1}, {2})
+
+
+_OPTIMIZED_QUERIES = """
+import sys
+from treksep import separation
+from treksep.instances import CHOKE_A, CHOKE_B, choke_graph
+print(sys.flags.optimize)
+g = choke_graph()
+res = separation.min_t_separator(g, CHOKE_A, CHOKE_B)
+print(res.rank, sorted(res.certificate.c_right))
+print(separation.is_t_separating(g, CHOKE_A, CHOKE_B,
+                                 separation.SeparationTriple.of(cr={5})))
+real = separation.trek_network
+
+def doubled(*args, **kwargs):  # split capacity 2 breaks flow value == cut size
+    net = real(*args, **kwargs)
+    net.cap[0:len(net.out) - 2:2] = [2] * ((len(net.out) - 2) // 2)
+    return net
+
+separation.trek_network = doubled
+try:
+    separation.min_t_separator(g, CHOKE_A, CHOKE_B)
+except separation.InternalError as exc:
+    print("InternalError:", exc)
+"""
+
+
+def test_flow_invariants_hold_under_python_O():
+    src = str(Path(treksep.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_QUERIES],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "1", "1 [4]", "False",
+        "InternalError: certificate size 1 differs from flow value 2"]
 
 
 def test_tsep_choke():
