@@ -2,11 +2,12 @@
 
 Computes rk(Sigma_{A,B}) for the model of a mixed graph as the size of a
 minimum trek-separating set (a vertex min-cut on an auxiliary network) and
-cross-checks every answer against an exact-rational algebraic oracle.
+cross-checks every answer against an exact algebraic oracle over a prime
+field.
 """
 
 from .algebra import (ParamAssignment, RationalMatrix, TrekRuleContext,
-                      build_covariance, exact_rank, generic_rank_oracle,
+                      build_covariance, generic_rank_oracle,
                       sample_parameters, simple_trek_rule_covariance,
                       trek_rule_covariance)
 from .graph import (DAG, MIXED, UNDIRECTED, GraphError, InvalidGraphError,
@@ -35,7 +36,7 @@ __all__ = [
     "is_t_separating", "d_separates", "d_sep_via_t_sep", "ci_implied",
     "vanishing_tetrad",
     "RationalMatrix", "ParamAssignment", "TrekRuleContext",
-    "sample_parameters", "build_covariance", "exact_rank",
+    "sample_parameters", "build_covariance",
     "generic_rank_oracle", "trek_rule_covariance",
     "simple_trek_rule_covariance",
     "SuiteConfig", "SuiteReport", "random_graph", "cross_check_rank",

@@ -12,8 +12,7 @@ import json
 import sys
 
 from . import algebra, separation, treks, verify
-from .graph import (DAG, GraphError, MixedGraph, graph_class, parse_graph,
-                    validate)
+from .graph import DAG, GraphError, MixedGraph, graph_class, parse_graph
 
 EXIT_OK = 0
 EXIT_FALSE = 1

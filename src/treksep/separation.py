@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .graph import DAG, MixedGraph, bidirected_subdivision, graph_class
+from .treks import CapExceededError
 
 
 class NotADAGError(Exception):
@@ -286,12 +287,18 @@ def _dag_pair_t_separates(g: MixedGraph, A, B, c_a, c_b) -> bool:
 
 
 def d_sep_via_t_sep(g: MixedGraph, A, B, C) -> bool:
-    """d-separation decided by searching partitions C = C_A | C_B."""
+    """d-separation decided by searching partitions C = C_A | C_B.
+
+    Raises CapExceededError when C has more than 20 vertices, since the
+    search visits all 2^|C| partitions.
+    """
     _require_dag(g)
     _require_disjoint(A, B, C)
     C = sorted(set(C))
     if len(C) > 20:
-        raise ValueError("partition search over more than 20 conditioning vertices")
+        raise CapExceededError(
+            20, f"partition search over {len(C)} conditioning vertices "
+                "exceeds the cap of 20")
     AC = set(A) | set(C)
     BC = set(B) | set(C)
     for mask in range(1 << len(C)):

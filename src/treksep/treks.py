@@ -25,9 +25,9 @@ _KIND_RANK = {None: 0, MIDDLE_UNDIRECTED: 1, MIDDLE_BIDIRECTED: 2}
 class CapExceededError(Exception):
     """Enumeration outgrew its cap; the instance is too large for brute force."""
 
-    def __init__(self, cap: int):
+    def __init__(self, cap: int, message: str = ""):
         self.cap = cap
-        super().__init__(f"enumeration cap of {cap} exceeded")
+        super().__init__(message or f"enumeration cap of {cap} exceeded")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 from . import algebra, instances, separation, treks
 from .graph import (DAG, MIXED, UNDIRECTED, MixedGraph, bidirected_subdivision,
-                    graph_class, make_graph, serialize)
+                    make_graph, serialize)
 
 DEFAULT_SEED = 31415
 
@@ -385,12 +385,12 @@ ALL_CRITERIA = (
     criterion_subdivision,
     criterion_dsep_equivalence,
     criterion_canonical,
+    criterion_menger,
 )
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
-    """Run every check; deterministic given cfg. Menger duality is asserted
-    per instance inside the three rank criteria via cross_check_rank."""
+    """Run every check, the ten acceptance criteria; deterministic given cfg."""
     checks = {}
     failures = []
     for criterion in ALL_CRITERIA:

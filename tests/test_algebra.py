@@ -1,26 +1,29 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treksep import algebra
 from treksep.algebra import (RationalMatrix, build_covariance,
-                             cauchy_binet_two_ways, exact_rank,
+                             cauchy_binet_two_ways,
                              generic_rank_oracle, gvl_minor_two_ways,
                              lambda_inverse, sample_parameters,
                              simple_trek_rule_covariance, submatrix_for,
                              translate_subdivision_parameters,
                              trek_rule_context, trek_rule_covariance,
                              undirected_minor_check)
-from treksep.graph import DAG, bidirected_subdivision, make_graph
+from treksep.graph import DAG, MIXED, UNDIRECTED, bidirected_subdivision, make_graph
 from treksep.instances import choke_graph, spider_graph
+from treksep.separation import min_t_separator
 from treksep.verify import random_graph
 
 
 def test_rational_matrix_basics():
     m = RationalMatrix.from_rows([[1, 2], [2, 4]])
-    assert exact_rank(m) == 1
+    assert m.rank() == 1
     assert m.det() == 0
-    assert exact_rank(RationalMatrix.zeros(3, 3)) == 0
+    assert RationalMatrix.zeros(3, 3).rank() == 0
     m2 = RationalMatrix.from_rows([[2, 1], [1, 1]])
     assert m2.det() == 1
     inv = m2.inverse()
@@ -101,6 +104,72 @@ def test_oracle_on_canonical_instances():
     assert generic_rank_oracle(spider_graph(), {1, 2, 3}, {4, 5, 6}, 1) == 2
     g = choke_graph()
     assert generic_rank_oracle(g, set(g.vertices), set(g.vertices), 1) == g.m
+
+
+def fraction_rank_reference(g, A, B, seed, trials=5):
+    """The rank oracle over Q: the whole Sigma from build_covariance, the
+    exact rank of its A x B block, the largest over `trials` samples."""
+    if not A or not B:
+        return 0
+    return max(submatrix_for(build_covariance(g, sample_parameters(g, seed + t)),
+                             A, B).rank()
+               for t in range(trials))
+
+
+def _small_queries(cls, count, seed):
+    rng = random.Random(f"{cls}/{seed}")
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        g = random_graph(cls, n, rng.getrandbits(32), 0.5)
+        A = frozenset(rng.sample(range(1, n + 1), rng.randint(1, min(3, n))))
+        B = frozenset(rng.sample(range(1, n + 1), rng.randint(1, min(3, n))))
+        yield g, A, B, rng.getrandbits(32)
+
+
+@pytest.mark.parametrize("cls", [DAG, UNDIRECTED, MIXED])
+def test_oracle_matches_fraction_reference_and_min_cut(cls):
+    for g, A, B, seed in _small_queries(cls, 60, 1):
+        rank = min_t_separator(g, A, B).rank
+        assert generic_rank_oracle(g, A, B, seed) == \
+            fraction_rank_reference(g, A, B, seed) == rank, (g, A, B, seed)
+        # Sigma is symmetric, so the transposed block has the same rank.
+        assert generic_rank_oracle(g, B, A, seed) == rank, (g, A, B, seed)
+
+
+def test_oracle_same_seed_same_answer(monkeypatch):
+    # Mod 5 one trial often falls short, so the answer visibly depends on
+    # the seed; it must depend on nothing else.
+    monkeypatch.setattr(algebra, "PRIME", 5)
+    g = random_graph(MIXED, 8, 5, 0.6)
+    A, B = {1, 2, 7}, {3, 6, 8}
+    answers = [generic_rank_oracle(g, A, B, seed, trials=1) for seed in range(40)]
+    assert len(set(answers)) > 1
+    assert answers == [generic_rank_oracle(g, A, B, seed, trials=1)
+                       for seed in range(40)]
+
+
+def test_oracle_small_prime_is_one_sided(monkeypatch):
+    # Mod 5, K is often singular and minors often vanish by accident: the
+    # oracle must redraw K rather than raise, and never exceed the min cut.
+    monkeypatch.setattr(algebra, "PRIME", 5)
+    events = []  # S: singular K, K: K solved, R: rank of the block
+    row_reduce = algebra._row_reduce
+
+    def recording(rows, width):
+        rank = row_reduce(rows, width)
+        if len(rows[0]) > width:  # K augmented with the B columns
+            events.append("K" if rank == width else "S")
+        else:
+            events.append("R")
+        return rank
+
+    monkeypatch.setattr(algebra, "_row_reduce", recording)
+    for cls in (UNDIRECTED, MIXED, DAG):
+        for g, A, B, seed in _small_queries(cls, 60, 2):
+            assert generic_rank_oracle(g, A, B, seed) <= \
+                min_t_separator(g, A, B).rank, (g, A, B, seed)
+    trace = "".join(events)
+    assert "S" in trace and "SR" not in trace
 
 
 def test_trek_rule_single_edge():

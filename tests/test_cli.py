@@ -111,6 +111,18 @@ def test_dsep_rejects_overlap(tmp_path, capsys):
     assert main(["dsep", str(chain), "--A", "1", "--B", "1"]) == 2
 
 
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_dsep_conditioning_cap_exits_4(tmp_path, capsys, output):
+    empty = tmp_path / "empty.graph"
+    empty.write_text("v 23\n")
+    assert main(["dsep", str(empty), "--A", "1", "--B", "2",
+                 "--C", ",".join(map(str, range(3, 24))), "--output", output]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: partition search over 21 conditioning "
+                            "vertices exceeds the cap of 20\n")
+
+
 def test_ci(choke_file, capsys):
     assert main(["ci", choke_file, "--A", "1", "--B", "5", "--C", "4"]) == 0
     assert main(["ci", choke_file, "--A", "1", "--B", "5"]) == 1

@@ -62,6 +62,7 @@ def test_run_suite_small_deterministic():
         "trek_rule_identity", "gvl_identity", "cauchy_binet",
         "rank_directed", "rank_undirected", "rank_mixed",
         "subdivision_invariance", "dsep_equivalence", "canonical_instances",
+        "menger_duality",
     }
 
 
