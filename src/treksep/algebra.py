@@ -18,7 +18,7 @@ from typing import List, Mapping, Tuple
 
 from .graph import DAG, UNDIRECTED, MixedGraph, graph_class, topological_order
 from .treks import (DEFAULT_CAP, CapExceededError, _directed_paths_into,
-                    enumerate_simple_treks)
+                    _undirected_middles, enumerate_simple_treks)
 
 DEFAULT_SCALE = 10**6
 PRIME = 2**61 - 1
@@ -385,20 +385,6 @@ def simple_trek_rule_covariance(g: MixedGraph, p: ParamAssignment,
     return total
 
 
-def _directed_paths_between(g: MixedGraph, start: int, end: int):
-    out = []
-    stack = [(start,)]
-    while stack:
-        path = stack.pop()
-        if path[-1] == end:
-            out.append(path)
-            continue
-        for c in g.children[path[-1]]:
-            if c not in path:
-                stack.append(path + (c,))
-    return out
-
-
 def _perm_sign(perm) -> int:
     sign = 1
     seen = [False] * len(perm)
@@ -427,7 +413,8 @@ def gvl_minor_two_ways(g: MixedGraph, p: ParamAssignment, R, S,
         raise ValueError("R and S must have equal size")
     det_side = submatrix_for(lambda_inverse(g, p), Rs, Ss).det()
 
-    paths = {(r, s): _directed_paths_between(g, r, s) for r in Rs for s in Ss}
+    into = {s: _directed_paths_into(g, s) for s in Ss}
+    paths = {(r, s): into[s].get(r, []) for r in Rs for s in Ss}
     ell = len(Rs)
     total = Fraction(0)
     budget = [cap]
@@ -472,21 +459,6 @@ def cauchy_binet_two_ways(g: MixedGraph, p: ParamAssignment, A, B
     return lhs, rhs
 
 
-def _undirected_simple_paths(g: MixedGraph, start: int, end: int):
-    # Includes the zero-length path when start == end.
-    out = []
-    stack = [(start,)]
-    while stack:
-        path = stack.pop()
-        if path[-1] == end:
-            out.append(path)
-            continue
-        for n in g.undirected_neighbors[path[-1]]:
-            if n not in path:
-                stack.append(path + (n,))
-    return out
-
-
 def undirected_minor_check(g: MixedGraph, p: ParamAssignment, A, B,
                            cap: int = DEFAULT_CAP) -> Tuple[Fraction, bool]:
     """Exact minor of Sigma = K^{-1} plus a combinatorial zero/nonzero verdict.
@@ -503,7 +475,9 @@ def undirected_minor_check(g: MixedGraph, p: ParamAssignment, A, B,
     sigma = build_covariance(g, p)
     minor = submatrix_for(sigma, As, Bs).det()
 
-    paths = {(a, b): _undirected_simple_paths(g, a, b) for a in As for b in Bs}
+    middles = _undirected_middles(g)
+    paths = {(a, b): [(a,)] if a == b else middles.get((a, b), [])
+             for a in As for b in Bs}
     ell = len(As)
     budget = [cap]
 

@@ -12,7 +12,8 @@ import json
 import sys
 
 from . import algebra, separation, treks, verify
-from .graph import DAG, GraphError, MixedGraph, graph_class, parse_graph
+from .graph import (DAG, GraphError, InvalidGraphError, MixedGraph, ParseError,
+                    graph_class, parse_graph)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -25,12 +26,16 @@ class UsageError(Exception):
     pass
 
 
-def _load_graph(path: str) -> MixedGraph:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _load_graph(path: str) -> MixedGraph:
+    text = _read_text(path)
     try:
         return parse_graph(text)
     except GraphError as exc:
@@ -73,18 +78,11 @@ def _fmt_set(s) -> str:
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.graph, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read {args.graph}: {exc.strerror}", file=sys.stderr)
-        return EXIT_USAGE
-    from .graph import InvalidGraphError, ParseError
+    text = _read_text(args.graph)
     try:
         parse_graph(text)
     except ParseError as exc:
-        print(f"error: {args.graph}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"{args.graph}: {exc}") from exc
     except InvalidGraphError as exc:
         for violation in exc.violations:
             print(violation)
@@ -242,6 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a graph file")
     p.add_argument("graph")
+    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("rank", help="generic rank of Sigma_{A,B}")
     common(p)
@@ -300,8 +299,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if args.command == "validate":
-        return cmd_validate(args)
     try:
         return args.func(args)
     except UsageError as exc:

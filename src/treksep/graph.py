@@ -18,6 +18,10 @@ DAG = "DAG"
 UNDIRECTED = "Undirected"
 MIXED = "Mixed"
 
+# Largest vertex count `parse_graph` accepts: a graph costs memory in
+# proportion to its vertex count, so a one-line file must not ask for more.
+MAX_VERTICES = 10**6
+
 
 class GraphError(Exception):
     """Base class for graph construction failures."""
@@ -174,32 +178,23 @@ def validate(g: MixedGraph) -> List[str]:
         if i in g.w_set and j in g.u_set:
             out.append(f"U->W direction violated: directed edge {i} -> {j} points from W into U")
 
-    cycle = _find_directed_cycle(g)
-    if cycle is not None:
-        out.append("directed cycle: " + ",".join(str(v) for v in cycle))
+    order = _kahn(g)
+    if len(order) != g.m:
+        reached = set(order)
+        out.append("directed cycle: " + ",".join(str(v) for v in g.vertices if v not in reached))
     return out
-
-
-def _find_directed_cycle(g: MixedGraph):
-    indeg = {v: 0 for v in g.vertices}
-    for _, j in g.directed_edges:
-        indeg[j] += 1
-    ready = [v for v in g.vertices if indeg[v] == 0]
-    seen = 0
-    while ready:
-        v = ready.pop()
-        seen += 1
-        for c in g.children[v]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
-    if seen == g.m:
-        return None
-    return sorted(v for v in g.vertices if indeg[v] > 0)
 
 
 def topological_order(g: MixedGraph) -> List[int]:
     """Kahn's procedure with a lowest-id-first tie-break."""
+    order = _kahn(g)
+    if len(order) != g.m:
+        raise InvalidGraphError(["directed cycle detected"])
+    return order
+
+
+def _kahn(g: MixedGraph) -> List[int]:
+    """Kahn's pass, lowest id first; it misses every vertex on or below a directed cycle."""
     indeg = {v: 0 for v in g.vertices}
     for _, j in g.directed_edges:
         indeg[j] += 1
@@ -213,8 +208,6 @@ def topological_order(g: MixedGraph) -> List[int]:
             indeg[c] -= 1
             if indeg[c] == 0:
                 heapq.heappush(heap, c)
-    if len(order) != g.m:
-        raise InvalidGraphError(["directed cycle detected"])
     return order
 
 
@@ -313,6 +306,8 @@ def parse_graph(text: str) -> MixedGraph:
                 raise ParseError(line_no, f"bad vertex count {tokens[1]!r}") from None
             if m < 1:
                 raise ParseError(line_no, f"vertex count must be positive, got {m}")
+            if m > MAX_VERTICES:
+                raise ParseError(line_no, f"vertex count {m} exceeds the limit of {MAX_VERTICES}")
             continue
         if kind == "v":
             raise ParseError(line_no, "duplicate `v` directive")

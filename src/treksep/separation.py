@@ -10,15 +10,18 @@ in-node 2*(3*(v-1)+l) and out-node one more; the source is 6m and the sink
 e ^ 1 being the reverse of arc e.  The split arcs come first, so the split
 arc of a level has the number of its in-node.
 
+A bidirected edge i <-> j, a latent common parent of i and j, is the
+middle of the treks whose left path climbs to i or j and whose right path
+starts at i or j: four arcs from the left out-nodes of i and j to the
+right in-nodes of i and j.  The arcs i -> i and j -> j matter, since a
+trek i <- (latent) -> i does not pass the middle level of i.
+
 Source-to-sink paths are the treks from A to B, and unit split capacities
 turn minimum blocking sets into minimum cuts (Menger).  Every other arc
 has capacity m+1, more than any flow, so each breadth-first augmenting
 path carries one unit and at most min(|A|, |B|) + 1 searches run.  The
 certificate is the set of split arcs leaving what the last search reaches:
 the unique minimal source-side minimum cut, whichever paths were augmented.
-Bidirected edges are removed up front by the bidirected subdivision; the
-fresh subdivision vertices are made uncuttable so certificates only ever
-mention original vertices.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, List, NamedTuple, Optional, Tuple
 
-from .graph import DAG, MixedGraph, bidirected_subdivision, graph_class
+from .graph import DAG, MixedGraph, graph_class
 from .treks import CapExceededError
 
 
@@ -79,15 +82,8 @@ class TrekNetwork(NamedTuple):
         return len(self.out) - 1
 
 
-def trek_network(g: MixedGraph, A, B,
-                 uncuttable: FrozenSet[int] = frozenset()) -> TrekNetwork:
-    """Network whose source->sink paths are the treks from A to B.
-
-    Requires a graph without bidirected edges.  Vertices in `uncuttable`
-    get infinite split capacity and can never appear in a minimum cut.
-    """
-    if g.bidirected_edges:
-        raise ValueError("bidirected edges present; apply bidirected_subdivision first")
+def trek_network(g: MixedGraph, A, B) -> TrekNetwork:
+    """Network whose source->sink paths are the treks from A to B."""
     A = frozenset(A)
     B = frozenset(B)
     if not A or not B:
@@ -115,6 +111,10 @@ def trek_network(g: MixedGraph, A, B,
     for i, j in g.undirected_edges:
         tails += (6 * i - 3, 6 * j - 3)
         heads += (6 * j - 4, 6 * i - 4)
+    # a bidirected middle runs from the left path of i or j to the right path
+    for i, j in g.bidirected_edges:
+        tails += (6 * i - 5, 6 * i - 5, 6 * j - 5, 6 * j - 5)
+        heads += (6 * i - 2, 6 * j - 2, 6 * i - 2, 6 * j - 2)
     tails += [6 * m] * len(A)
     heads += [6 * a - 6 for a in A]
     tails += [6 * b - 1 for b in B]
@@ -125,8 +125,6 @@ def trek_network(g: MixedGraph, A, B,
     head[1::2] = tails
     cap = [0] * len(head)
     cap[0::2] = [1] * (3 * m) + [inf] * (len(tails) - 3 * m)
-    for v in uncuttable:
-        cap[6 * v - 6:6 * v:2] = (inf, inf, inf)
     out: List[List[int]] = [[] for _ in range(6 * m + 2)]
     for e, x in enumerate(head):
         out[x].append(e ^ 1)  # arc e ^ 1 leaves the node arc e enters
@@ -157,17 +155,9 @@ def _search(net: TrekNetwork):
     return via, order
 
 
-def _subdivided(g: MixedGraph):
-    if not g.bidirected_edges:
-        return g, frozenset()
-    g2 = bidirected_subdivision(g)
-    return g2, frozenset(range(g.m + 1, g2.m + 1))
-
-
 def min_t_separator(g: MixedGraph, A, B) -> RankResult:
     """Minimum t-separating triple and its size, by max-flow min-cut."""
-    g2, fresh = _subdivided(g)
-    net = trek_network(g2, A, B, uncuttable=fresh)
+    net = trek_network(g, A, B)
     head, cap, out = net
     source = net.source
     value = 0
@@ -208,8 +198,7 @@ def is_t_separating(g: MixedGraph, A, B, c: SeparationTriple) -> bool:
     for v in sorted(c.c_left | c.c_mid | c.c_right):
         if not 1 <= v <= g.m:
             raise ValueError(f"vertex {v} out of range [1,{g.m}]")
-    g2, fresh = _subdivided(g)
-    net = trek_network(g2, A, B, uncuttable=fresh)
+    net = trek_network(g, A, B)
     for level, members in enumerate((c.c_left, c.c_mid, c.c_right)):
         for v in members:
             net.cap[6 * v - 6 + 2 * level] = 0  # the split arc of a deleted node

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from treksep import graph
 from treksep.cli import main
 from treksep.instances import CHOKE_TEXT, SPIDER_TEXT
 
@@ -40,6 +41,21 @@ def test_validate_parse_error(tmp_path):
     path = tmp_path / "bad.graph"
     path.write_text("e 1 -> 2\n")
     assert main(["validate", str(path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["rank", "--A", "1", "--B", "2"]])
+def test_vertex_count_above_limit_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(graph, "make_graph", no_build)
+    path = tmp_path / "huge.graph"
+    path.write_text(f"v {10**18}\n")
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: line 1: vertex count {10**18} "
+                            "exceeds the limit of 1000000\n")
 
 
 def test_rank_text(choke_file, capsys):

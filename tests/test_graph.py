@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from treksep import graph
 from treksep.graph import (DAG, MIXED, UNDIRECTED, InvalidGraphError,
                            MixedGraph, ParseError, ancestors,
                            bidirected_subdivision, descendants, graph_class,
@@ -51,6 +52,18 @@ def test_parse_errors(text, fragment):
         parse_graph(text)
 
 
+def test_parse_rejects_vertex_count_above_limit(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(graph, "make_graph", no_build)
+    with pytest.raises(ParseError, match="exceeds the limit of 1000000") as exc:
+        parse_graph(f"v {10**18}\ne 1 -> 2\n")
+    assert exc.value.line_no == 1
+    with pytest.raises(ParseError, match="exceeds the limit"):
+        parse_graph(f"v {graph.MAX_VERTICES + 1}\n")
+
+
 def test_parse_error_reports_line_number():
     with pytest.raises(ParseError) as exc:
         parse_graph("v 3\ne 1 -> 2\ne 9 -> 3")
@@ -61,6 +74,15 @@ def test_validate_cycle():
     g = MixedGraph(2, frozenset(), frozenset({1, 2}),
                    frozenset({(1, 2), (2, 1)}), frozenset(), frozenset())
     assert any("directed cycle: 1,2" in v for v in validate(g))
+
+
+def test_validate_cycle_reports_vertices_on_and_below_it():
+    g = MixedGraph(5, frozenset(), frozenset(range(1, 6)),
+                   frozenset({(5, 1), (1, 2), (2, 3), (3, 2), (3, 4)}),
+                   frozenset(), frozenset())
+    assert validate(g) == ["directed cycle: 2,3,4"]
+    with pytest.raises(InvalidGraphError, match="directed cycle detected"):
+        topological_order(g)
 
 
 def test_validate_direction_rule():

@@ -48,10 +48,14 @@ def test_aux_graph_undirected_middle():
     assert net.sink in _reachable(net)
 
 
-def test_aux_graph_rejects_bidirected():
+def test_aux_graph_bidirected_middle():
     g = make_graph(2, bidirected=[(1, 2)])
-    with pytest.raises(ValueError, match="bidirected"):
-        trek_network(g, {1}, {2})
+    net = trek_network(g, {1}, {2})
+    assert len(net.out) == 2 + 6 * 2
+    assert net.sink in _reachable(net)
+    # a middle cut at 1 leaves the trek 1 <- (latent) -> 1 open
+    assert not is_t_separating(g, {1}, {1}, SeparationTriple.of(cm={1}))
+    assert is_t_separating(make_graph(2), {1}, {1}, SeparationTriple.of(cm={1}))
 
 
 _OPTIMIZED_QUERIES = """
