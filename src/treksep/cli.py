@@ -174,15 +174,12 @@ def cmd_ci(args) -> int:
 
 
 def cmd_treks(args) -> int:
+    _require_at_least("--cap", args.cap, 1)
     g = _load_graph(args.graph)
     for flag, v in (("--i", args.i), ("--j", args.j)):
         if not 1 <= v <= g.m:
             raise UsageError(f"{flag}: vertex {v} out of range [1,{g.m}]")
-    try:
-        found = treks.enumerate_simple_treks(g, args.i, args.j, args.cap)
-    except treks.CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    found = treks.enumerate_simple_treks(g, args.i, args.j, args.cap)
     payload = {"count": len(found), "treks": []}
     lines = []
     for t in found:

@@ -1,14 +1,14 @@
 """t-separation, minimum separators via vertex min-cut, and CI queries.
 
-The workhorse is the three-layer trek network.  Each vertex v has a left
-level (the directed path into A, walked against the edge directions), a
-middle level (undirected travel) and a right level (the directed path into
-B), and each level is split into an in-node and an out-node joined by a
-split arc.  Nodes are ints: level l of v (left 0, middle 1, right 2) has
-in-node 2*(3*(v-1)+l) and out-node one more; the source is 6m and the sink
-6m+1.  Arcs live in paired lists `head` and `cap` (residual capacity), arc
-e ^ 1 being the reverse of arc e.  The split arcs come first, so the split
-arc of a level has the number of its in-node.
+The workhorse is the three-layer trek network of a graph.  Each vertex v
+has a left level (the directed path into A, walked against the edge
+directions), a middle level (undirected travel) and a right level (the
+directed path into B), and each level is split into an in-node and an
+out-node joined by a split arc.  Nodes are ints: level l of v (left 0,
+middle 1, right 2) has in-node 2*(3*(v-1)+l) and out-node one more, 6m
+nodes in all.  Arcs live in paired lists `head` and `cap` (residual
+capacity), arc e ^ 1 being the reverse of arc e.  The split arcs come
+first, so the split arc of a level has the number of its in-node.
 
 A bidirected edge i <-> j, a latent common parent of i and j, is the
 middle of the treks whose left path climbs to i or j and whose right path
@@ -16,12 +16,16 @@ starts at i or j: four arcs from the left out-nodes of i and j to the
 right in-nodes of i and j.  The arcs i -> i and j -> j matter, since a
 trek i <- (latent) -> i does not pass the middle level of i.
 
-Source-to-sink paths are the treks from A to B, and unit split capacities
+The network has no source or sink: paths from a left in-node of A to a
+right out-node of B are the treks from A to B, and unit split capacities
 turn minimum blocking sets into minimum cuts (Menger).  Every other arc
-has capacity m+1, more than any flow, so each breadth-first augmenting
-path carries one unit and at most min(|A|, |B|) + 1 searches run.  The
-certificate is the set of split arcs leaving what the last search reaches:
-the unique minimal source-side minimum cut, whichever paths were augmented.
+has capacity m+1, more than any flow, so each augmenting path, found by
+one breadth-first search from all of A, carries one unit and at most
+min(|A|, |B|) + 1 searches run.  The certificate is the set of split arcs
+leaving what the last search reaches: the unique minimal source-side
+minimum cut, whichever paths were augmented.  The network depends on the
+graph alone: it is kept for the last graph queried, and each query works
+on its own copy of `cap`.
 """
 
 from __future__ import annotations
@@ -67,33 +71,16 @@ class RankResult:
 
 
 class TrekNetwork(NamedTuple):
-    """The trek network of one (A, B) query; node numbering in the module doc."""
+    """The trek network of one graph; node numbering in the module doc."""
 
     head: List[int]       # node that arc e enters; arc e ^ 1 is its reverse
     cap: List[int]        # residual capacity of arc e
     out: List[List[int]]  # arcs leaving node u, reverse arcs included
 
-    @property
-    def source(self) -> int:
-        return len(self.out) - 2
 
-    @property
-    def sink(self) -> int:
-        return len(self.out) - 1
-
-
-def trek_network(g: MixedGraph, A, B) -> TrekNetwork:
-    """Network whose source->sink paths are the treks from A to B."""
-    A = frozenset(A)
-    B = frozenset(B)
-    if not A or not B:
-        raise ValueError("A and B must be nonempty")
-    for v in sorted(A | B):
-        if not 1 <= v <= g.m:
-            raise ValueError(f"vertex {v} out of range [1,{g.m}]")
-
+def trek_network(g: MixedGraph) -> TrekNetwork:
+    """Network whose paths from left in-nodes to right out-nodes are treks."""
     m = g.m
-    inf = m + 1
     # Vertex v owns nodes 6v-6 .. 6v-1: left in/out, middle in/out, right
     # in/out.  Arc k runs tails[k] -> heads[k]; the 3m split arcs come first.
     tails = list(range(0, 6 * m, 2))
@@ -115,58 +102,75 @@ def trek_network(g: MixedGraph, A, B) -> TrekNetwork:
     for i, j in g.bidirected_edges:
         tails += (6 * i - 5, 6 * i - 5, 6 * j - 5, 6 * j - 5)
         heads += (6 * i - 2, 6 * j - 2, 6 * i - 2, 6 * j - 2)
-    tails += [6 * m] * len(A)
-    heads += [6 * a - 6 for a in A]
-    tails += [6 * b - 1 for b in B]
-    heads += [6 * m + 1] * len(B)
 
     head = [0] * (2 * len(tails))
     head[0::2] = heads
     head[1::2] = tails
     cap = [0] * len(head)
-    cap[0::2] = [1] * (3 * m) + [inf] * (len(tails) - 3 * m)
-    out: List[List[int]] = [[] for _ in range(6 * m + 2)]
+    cap[0::2] = [1] * (3 * m) + [m + 1] * (len(tails) - 3 * m)
+    out: List[List[int]] = [[] for _ in range(6 * m)]
     for e, x in enumerate(head):
         out[x].append(e ^ 1)  # arc e ^ 1 leaves the node arc e enters
     return TrekNetwork(head, cap, out)
 
 
-def _search(net: TrekNetwork):
-    """Breadth-first search of the residual network from the source.
+_last = (None, None)  # the last graph queried and its trek network
 
-    Returns (via, order): via[x] is the arc that first reached node x (-1
-    if unreached, -2 for the source) and order lists the reached nodes.
-    Stops as soon as the sink is reached.
+
+def _network(g: MixedGraph, A, B) -> TrekNetwork:
+    """Check the query (A, B); the network of g, with its own `cap`.
+
+    Built only if g is not the last graph queried, after dropping the old
+    network, so that one at most is alive and the build reuses its memory.
+    """
+    global _last
+    if not A or not B:
+        raise ValueError("A and B must be nonempty")
+    for v in sorted(A | B):
+        if not 1 <= v <= g.m:
+            raise ValueError(f"vertex {v} out of range [1,{g.m}]")
+    last = _last  # read once: another thread may replace it
+    if last[0] is not g:
+        _last = last = (None, None)
+        _last = last = (g, trek_network(g))
+    return last[1]._replace(cap=list(last[1].cap))
+
+
+def _search(net: TrekNetwork, A, B):
+    """Breadth-first search of the residual network from the left in-nodes of A.
+
+    Returns (via, order, end): via[x] is the arc that first reached node x
+    (-1 if unreached, -2 for a left in-node of A), order lists the reached
+    nodes and end is the right out-node of B that stopped the search, or -1.
     """
     head, cap, out = net
-    sink = len(out) - 1
+    ends = {6 * b - 1 for b in B}
     via = [-1] * len(out)
-    via[sink - 1] = -2
-    order = [sink - 1]
+    order = [6 * a - 6 for a in A]
+    for x in order:
+        via[x] = -2
     for u in order:
         for e in out[u]:
             if cap[e]:
                 x = head[e]
                 if via[x] == -1:
                     via[x] = e
-                    if x == sink:
-                        return via, order
+                    if x in ends:
+                        return via, order, x
                     order.append(x)
-    return via, order
+    return via, order, -1
 
 
 def min_t_separator(g: MixedGraph, A, B) -> RankResult:
     """Minimum t-separating triple and its size, by max-flow min-cut."""
-    net = trek_network(g, A, B)
-    head, cap, out = net
-    source = net.source
+    A, B = frozenset(A), frozenset(B)
+    head, cap, out = net = _network(g, A, B)
     value = 0
     while True:
-        via, order = _search(net)
-        x = net.sink
-        if via[x] == -1:
+        via, order, x = _search(net, A, B)
+        if x == -1:
             break
-        while x != source:  # every augmenting path carries one unit
+        while via[x] != -2:  # every augmenting path carries one unit
             e = via[x]
             cap[e] -= 1
             cap[e ^ 1] += 1
@@ -188,9 +192,7 @@ def min_t_separator(g: MixedGraph, A, B) -> RankResult:
 
 def generic_rank(g: MixedGraph, A, B) -> int:
     """Generic rank of the covariance submatrix with rows A and columns B."""
-    if not A or not B:
-        return 0
-    return min_t_separator(g, A, B).rank
+    return min_t_separator(g, A, B).rank if A and B else 0
 
 
 def is_t_separating(g: MixedGraph, A, B, c: SeparationTriple) -> bool:
@@ -198,12 +200,12 @@ def is_t_separating(g: MixedGraph, A, B, c: SeparationTriple) -> bool:
     for v in sorted(c.c_left | c.c_mid | c.c_right):
         if not 1 <= v <= g.m:
             raise ValueError(f"vertex {v} out of range [1,{g.m}]")
-    net = trek_network(g, A, B)
+    A, B = frozenset(A), frozenset(B)
+    net = _network(g, A, B)
     for level, members in enumerate((c.c_left, c.c_mid, c.c_right)):
         for v in members:
             net.cap[6 * v - 6 + 2 * level] = 0  # the split arc of a deleted node
-    via, _ = _search(net)
-    return via[net.sink] == -1
+    return _search(net, A, B)[2] == -1
 
 
 def _require_dag(g: MixedGraph):

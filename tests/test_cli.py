@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import treksep
 from treksep import graph
 from treksep.cli import main
 from treksep.instances import CHOKE_TEXT, SPIDER_TEXT
@@ -164,6 +169,16 @@ def test_treks_cap(choke_file, capsys):
     assert main(["treks", choke_file, "--i", "1", "--j", "4", "--cap", "1"]) == 4
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_treks_cap_below_one_is_usage_error(choke_file, capsys, cap, output):
+    assert main(["treks", choke_file, "--i", "1", "--j", "4",
+                 "--cap", cap, "--output", output]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --cap must be at least 1\n"
+
+
 def test_verify_small_run(capsys):
     assert main(["verify", "--graphs", "3", "--max-vertices", "4",
                  "--seed", "1", "--output", "json"]) == 0
@@ -210,3 +225,15 @@ def test_internal_error_exits_3(choke_file, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == ("internal error: certificate size 0 differs "
                             "from flow value 1\n")
+
+
+@pytest.mark.parametrize("exists, code", [(True, 0), (False, 2)])
+def test_python_m_treksep(choke_file, tmp_path, exists, code):
+    src = str(Path(treksep.__file__).resolve().parents[1])
+    path = choke_file if exists else str(tmp_path / "missing.graph")
+    done = subprocess.run([sys.executable, "-m", "treksep", "validate", path],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == code, done.stderr
+    assert done.stdout == ""
+    assert (done.stderr == "") == exists

@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import treksep
+from treksep import separation
 from treksep.graph import DAG, MIXED, UNDIRECTED, make_graph
 from treksep.instances import (CHOKE_A, CHOKE_B, SPIDER_A, SPIDER_B,
                                choke_graph, spider_graph)
@@ -17,9 +19,10 @@ from treksep.separation import (NotADAGError, SeparationTriple, ci_implied,
 from treksep.verify import random_graph
 
 
-def _reachable(net):
-    seen = {net.source}
-    stack = [net.source]
+def _reachable(net, A):
+    """Nodes reached from the left in-nodes of A along arcs with capacity."""
+    seen = {6 * a - 6 for a in A}
+    stack = list(seen)
     while stack:
         u = stack.pop()
         for e in net.out[u]:
@@ -30,32 +33,138 @@ def _reachable(net):
     return seen
 
 
+def _right_out(B):
+    return {6 * b - 1 for b in B}
+
+
 def test_aux_graph_simple_dag():
     g = make_graph(2, directed=[(1, 2)])
-    net = trek_network(g, {1}, {2})
-    assert len(net.out) == 2 + 6 * 2
-    assert net.sink in _reachable(net)
+    net = trek_network(g)
+    assert len(net.out) == 6 * 2
+    assert _reachable(net, {1}) & _right_out({2})
 
 
 def test_aux_graph_no_treks():
-    net = trek_network(make_graph(2), {1}, {2})
-    assert net.sink not in _reachable(net)
+    net = trek_network(make_graph(2))
+    assert not _reachable(net, {1}) & _right_out({2})
 
 
 def test_aux_graph_undirected_middle():
     g = make_graph(3, undirected=[(1, 2), (2, 3)])
-    net = trek_network(g, {1}, {3})
-    assert net.sink in _reachable(net)
+    net = trek_network(g)
+    assert _reachable(net, {1}) & _right_out({3})
 
 
 def test_aux_graph_bidirected_middle():
     g = make_graph(2, bidirected=[(1, 2)])
-    net = trek_network(g, {1}, {2})
-    assert len(net.out) == 2 + 6 * 2
-    assert net.sink in _reachable(net)
+    net = trek_network(g)
+    assert len(net.out) == 6 * 2
+    assert _reachable(net, {1}) & _right_out({2})
     # a middle cut at 1 leaves the trek 1 <- (latent) -> 1 open
     assert not is_t_separating(g, {1}, {1}, SeparationTriple.of(cm={1}))
     assert is_t_separating(make_graph(2), {1}, {1}, SeparationTriple.of(cm={1}))
+
+
+def test_bidirected_endpoint_trek_skips_its_middle_level():
+    # the trek i <- (latent) -> i of a bidirected edge at i runs on the left
+    # and right levels of i only, through the arc left-out(i) -> right-in(i)
+    endpoints = 0
+    for seed in range(40):
+        g = random_graph(MIXED, 3 + seed % 6, seed, 0.5)
+        for i in sorted({v for edge in g.bidirected_edges for v in edge}):
+            endpoints += 1
+            assert not is_t_separating(g, {i}, {i}, SeparationTriple.of(cm={i}))
+            assert is_t_separating(g, {i}, {i}, SeparationTriple.of(cl={i}))
+            assert min_t_separator(g, {i}, {i}).rank == 1
+    assert endpoints >= 40
+
+
+_CACHE_QUERIES = [
+    ({1, 3}, {4, 5}, SeparationTriple.of(cr={4})),
+    ({1}, {5}, SeparationTriple.of(cl={2})),
+    ({2, 3}, {4, 5}, SeparationTriple.of(cm={1})),
+    ({1, 2, 3}, {3, 4, 5}, SeparationTriple.of(cl={1}, cr={4, 5})),
+]
+
+
+def _cache_answers(g, i):
+    A, B, c = _CACHE_QUERIES[i]
+    res = min_t_separator(g, A, B)
+    return res.rank, res.certificate, is_t_separating(g, A, B, c)
+
+
+def test_network_cache_alternating_graphs():
+    g1 = choke_graph()
+    g2 = make_graph(5, directed=[(1, 2), (2, 3), (3, 4), (1, 5), (4, 5)])
+    g3 = choke_graph()  # equal to g1, but another object
+    assert g3 == g1 and g3 is not g1
+    alone = {id(g): [_cache_answers(g, i) for i in range(len(_CACHE_QUERIES))]
+             for g in (g1, g2, g3)}
+    assert alone[id(g1)] != alone[id(g2)]
+    for i in range(len(_CACHE_QUERIES)):
+        for g in (g1, g2, g1, g3, g2, g3):
+            assert _cache_answers(g, i) == alone[id(g)][i]
+
+
+def test_network_cache_is_never_mutated():
+    g = spider_graph()
+    fresh = trek_network(g)
+    min_t_separator(g, SPIDER_A, SPIDER_B)
+    is_t_separating(g, SPIDER_A, SPIDER_B, SeparationTriple.of(cl={7}))
+    with pytest.raises(ValueError, match="out of range"):
+        min_t_separator(g, {1}, {8})
+    with pytest.raises(ValueError, match="nonempty"):
+        is_t_separating(g, set(), {1}, SeparationTriple())
+    cached_graph, net = separation._last
+    assert cached_graph is g
+    assert (net.head, net.cap, net.out) == (fresh.head, fresh.cap, fresh.out)
+
+
+def test_network_built_once_per_graph_after_dropping_the_last(monkeypatch):
+    built = []
+
+    def counted(g):
+        assert separation._last == (None, None)  # the old network is gone
+        built.append(g)
+        return trek_network(g)
+
+    monkeypatch.setattr(separation, "trek_network", counted)
+    g1, g2 = choke_graph(), spider_graph()
+    for g, A, B in [(g1, CHOKE_A, CHOKE_B)] * 3 + [(g2, SPIDER_A, SPIDER_B)] * 2 \
+            + [(g1, CHOKE_A, CHOKE_B)]:
+        min_t_separator(g, A, B)
+        is_t_separating(g, A, B, SeparationTriple.of(cl=A))
+    assert [g is g1 for g in built] == [True, False, True]
+
+
+def test_network_cache_shared_by_threads():
+    # every thread queries its own graph; a query must never see the
+    # network of another thread's graph
+    graphs = [random_graph(MIXED, 5 + k, k, 0.5) for k in range(4)]
+    A, B = {1, 2, 3}, {3, 4, 5}
+    expected = [min_t_separator(g, A, B) for g in graphs]
+    wrong = []
+
+    def worker(k):
+        for _ in range(2000):
+            try:
+                if min_t_separator(graphs[k], A, B) != expected[k]:
+                    wrong.append(k)
+            except Exception as exc:  # reported by the main thread
+                wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 _OPTIMIZED_QUERIES = """
@@ -72,12 +181,13 @@ real = separation.trek_network
 
 def doubled(*args, **kwargs):  # split capacity 2 breaks flow value == cut size
     net = real(*args, **kwargs)
-    net.cap[0:len(net.out) - 2:2] = [2] * ((len(net.out) - 2) // 2)
-    return net
+    cap = list(net.cap)
+    cap[0:len(net.out):2] = [2] * (len(net.out) // 2)
+    return net._replace(cap=cap)
 
 separation.trek_network = doubled
-try:
-    separation.min_t_separator(g, CHOKE_A, CHOKE_B)
+try:  # a new graph object, since the network of g is kept
+    separation.min_t_separator(choke_graph(), CHOKE_A, CHOKE_B)
 except separation.InternalError as exc:
     print("InternalError:", exc)
 """
