@@ -12,14 +12,15 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterable, List, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 DAG = "DAG"
 UNDIRECTED = "Undirected"
 MIXED = "Mixed"
 
-# Largest vertex count `parse_graph` accepts: a graph costs memory in
-# proportion to its vertex count, so a one-line file must not ask for more.
+# Largest vertex count `make_graph` and `parse_graph` accept: a graph costs
+# memory in proportion to its vertex count, so a one-line file must not ask
+# for more.
 MAX_VERTICES = 10**6
 
 
@@ -71,11 +72,27 @@ class MixedGraph:
         return {v: tuple(sorted(ps)) for v, ps in par.items()}
 
     @cached_property
+    def parent_mask(self) -> Tuple[int, ...]:
+        """parent_mask[v] has bit p set for each parent p of v (entry 0 unused)."""
+        mask = [0] * (self.m + 1)
+        for i, j in self.directed_edges:
+            mask[j] |= 1 << i
+        return tuple(mask)
+
+    @cached_property
     def children(self):
         ch = {v: [] for v in self.vertices}
         for i, j in self.directed_edges:
             ch[i].append(j)
         return {v: tuple(sorted(cs)) for v, cs in ch.items()}
+
+    @cached_property
+    def child_mask(self) -> Tuple[int, ...]:
+        """child_mask[v] has bit c set for each child c of v (entry 0 unused)."""
+        mask = [0] * (self.m + 1)
+        for i, j in self.directed_edges:
+            mask[i] |= 1 << j
+        return tuple(mask)
 
     @cached_property
     def undirected_neighbors(self):
@@ -99,6 +116,15 @@ def _norm_pair(i, j):
     return (i, j) if i < j else (j, i)
 
 
+def _vertex_count_problem(m: int) -> Optional[str]:
+    """Why m is not an acceptable vertex count, or None if it is."""
+    if m < 1:
+        return f"vertex count must be positive, got {m}"
+    if m > MAX_VERTICES:
+        return f"vertex count {m} exceeds the limit of {MAX_VERTICES}"
+    return None
+
+
 def make_graph(m, directed=(), undirected=(), bidirected=(), u=None, w=None) -> MixedGraph:
     """Build and validate a MixedGraph, inferring the U/W partition.
 
@@ -106,8 +132,12 @@ def make_graph(m, directed=(), undirected=(), bidirected=(), u=None, w=None) -> 
     vertices) seed U; U is then closed under directed ancestors so that no
     directed edge can point from W into U.  Everything else lands in W,
     which matches the pure-DAG convention of a diagonal Phi over all
-    vertices.  Raises InvalidGraphError on any rule violation.
+    vertices.  Raises InvalidGraphError on any rule violation, and before
+    building anything when m is not in 1..MAX_VERTICES.
     """
+    problem = _vertex_count_problem(m)
+    if problem:
+        raise InvalidGraphError([problem])
     directed = frozenset((int(i), int(j)) for i, j in directed)
     undirected = frozenset(_norm_pair(int(i), int(j)) for i, j in undirected)
     bidirected = frozenset(_norm_pair(int(i), int(j)) for i, j in bidirected)
@@ -304,10 +334,9 @@ def parse_graph(text: str) -> MixedGraph:
                 m = int(tokens[1])
             except ValueError:
                 raise ParseError(line_no, f"bad vertex count {tokens[1]!r}") from None
-            if m < 1:
-                raise ParseError(line_no, f"vertex count must be positive, got {m}")
-            if m > MAX_VERTICES:
-                raise ParseError(line_no, f"vertex count {m} exceeds the limit of {MAX_VERTICES}")
+            problem = _vertex_count_problem(m)
+            if problem:
+                raise ParseError(line_no, problem)
             continue
         if kind == "v":
             raise ParseError(line_no, "duplicate `v` directive")

@@ -26,6 +26,20 @@ leaving what the last search reaches: the unique minimal source-side
 minimum cut, whichever paths were augmented.  The network depends on the
 graph alone: it is kept for the last graph queried, and each query works
 on its own copy of `cap`.
+
+A CI query X_A _||_ X_B | X_C holds generically iff rank Sigma_{A+C, B+C}
+= |C|, and that rank is at least |C|: the trivial treks c - c, one per c
+in C, share no node.  `ci_implied` pushes them straight into its copy of
+`cap`, five arcs each (the left, middle and right split arcs of c and the
+two links between them), and runs one search.  By Ford-Fulkerson this
+flow of |C| units is maximum iff no augmenting path is left, so the query
+is decided without a full min-cut and no certificate is built.
+
+The two d-separation deciders, Bayes-ball (`d_separates`) and the search
+over partitions C = C_A | C_B (`d_sep_via_t_sep`), work on int masks of
+vertices (bit v for vertex v) read from the graph's parent and child
+masks.  Neither calls the other or the network code, so criterion 8's
+three-way comparison stays a real cross-check.
 """
 
 from __future__ import annotations
@@ -133,7 +147,8 @@ def _network(g: MixedGraph, A, B) -> TrekNetwork:
     if last[0] is not g:
         _last = last = (None, None)
         _last = last = (g, trek_network(g))
-    return last[1]._replace(cap=list(last[1].cap))
+    head, cap, out = last[1]
+    return TrekNetwork(head, list(cap), out)
 
 
 def _search(net: TrekNetwork, A, B):
@@ -219,62 +234,91 @@ def _require_disjoint(A, B, C):
         raise ValueError("A, B and C must be pairwise disjoint")
 
 
+def _mask(vertices) -> int:
+    """The int mask of a vertex set: bit v for vertex v."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 def d_separates(g: MixedGraph, A, B, C) -> bool:
     """Classic d-separation via Bayes-ball reachability.
 
     Deliberately independent of the t-separation machinery so that the
-    equivalence between the two criteria is a real cross-check.
+    equivalence between the two criteria is a real cross-check.  Vertex
+    sets are int masks, visited a whole frontier at a time.
     """
     _require_dag(g)
     _require_disjoint(A, B, C)
-    C = set(C)
-    anc_c = set()
-    stack = list(C)
-    while stack:
-        v = stack.pop()
-        if v in anc_c:
-            continue
-        anc_c.add(v)
-        stack.extend(g.parents[v])
-
-    reachable = set()
-    visited = set()
-    frontier = [(a, "up") for a in A]
+    pmask, cmask = g.parent_mask, g.child_mask
+    c_set, b_set = _mask(C), _mask(B)
+    anc_c = frontier = c_set
     while frontier:
-        v, direction = frontier.pop()
-        if (v, direction) in visited:
-            continue
-        visited.add((v, direction))
-        if direction == "up" and v not in C:
-            reachable.add(v)
-            frontier.extend((p, "up") for p in g.parents[v])
-            frontier.extend((c, "down") for c in g.children[v])
-        elif direction == "down":
-            if v not in C:
-                reachable.add(v)
-                frontier.extend((c, "down") for c in g.children[v])
-            if v in anc_c:
-                frontier.extend((p, "up") for p in g.parents[v])
-    return reachable.isdisjoint(B)
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= pmask[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~anc_c
+        anc_c |= frontier
+
+    # the ball leaves a vertex outside C upward to its parents and downward
+    # to its children, passes a vertex outside C downward, and bounces from
+    # down to up at a vertex with a descendant in C
+    up = new_up = _mask(A)
+    down = new_down = 0
+    while new_up or new_down:
+        if (new_up | new_down) & b_set:
+            return False
+        next_up = next_down = 0
+        frontier = new_up & ~c_set
+        while frontier:
+            low = frontier & -frontier
+            v = low.bit_length() - 1
+            next_up |= pmask[v]
+            next_down |= cmask[v]
+            frontier ^= low
+        frontier = new_down & ~c_set
+        while frontier:
+            low = frontier & -frontier
+            next_down |= cmask[low.bit_length() - 1]
+            frontier ^= low
+        frontier = new_down & anc_c
+        while frontier:
+            low = frontier & -frontier
+            next_up |= pmask[low.bit_length() - 1]
+            frontier ^= low
+        new_up = next_up & ~up
+        new_down = next_down & ~down
+        up |= new_up
+        down |= new_down
+    return True
 
 
-def _dag_pair_t_separates(g: MixedGraph, A, B, c_a, c_b) -> bool:
-    """DAG pair view of t-separation: no trek avoids C_A on the left and C_B on the right."""
+def _dag_pair_t_separates(pmask, ac, bc, c_a, c_b) -> bool:
+    """DAG pair view of t-separation: no trek avoids C_A on the left and C_B on the right.
 
-    def sided_sources(targets, blockers):
-        grown = {t for t in targets if t not in blockers}
-        stack = list(grown)
-        while stack:
-            v = stack.pop()
-            for p in g.parents[v]:
-                if p not in blockers and p not in grown:
-                    grown.add(p)
-                    stack.append(p)
-        return grown
-
-    left = sided_sources(set(A), set(c_a))
-    right = sided_sources(set(B), set(c_b))
-    return left.isdisjoint(right)
+    The sets are int masks and pmask[v] is the parent mask of v.  Each side
+    is closed upward around its blocked vertices, a frontier at a time: the
+    left one from A+C around C_A, then the right one from B+C around C_B,
+    which stops as soon as it meets the left one.
+    """
+    left = 0
+    for targets, blocked in ((ac, c_a), (bc, c_b)):
+        grown = frontier = targets & ~blocked
+        while frontier:
+            if frontier & left:
+                return False
+            step = 0
+            while frontier:
+                low = frontier & -frontier
+                step |= pmask[low.bit_length() - 1]
+                frontier ^= low
+            frontier = step & ~blocked & ~grown
+            grown |= frontier
+        left = grown
+    return True
 
 
 def d_sep_via_t_sep(g: MixedGraph, A, B, C) -> bool:
@@ -285,24 +329,40 @@ def d_sep_via_t_sep(g: MixedGraph, A, B, C) -> bool:
     """
     _require_dag(g)
     _require_disjoint(A, B, C)
-    C = sorted(set(C))
+    C = set(C)
     if len(C) > 20:
         raise CapExceededError(
             20, f"partition search over {len(C)} conditioning vertices "
                 "exceeds the cap of 20")
-    AC = set(A) | set(C)
-    BC = set(B) | set(C)
-    for mask in range(1 << len(C)):
-        c_a = {C[i] for i in range(len(C)) if mask >> i & 1}
-        c_b = set(C) - c_a
-        if _dag_pair_t_separates(g, AC, BC, c_a, c_b):
+    c_all = _mask(C)
+    ac, bc = _mask(A) | c_all, _mask(B) | c_all
+    pmask = g.parent_mask
+    c_a = 0
+    while True:  # every C_A within C, in increasing order of its mask
+        if _dag_pair_t_separates(pmask, ac, bc, c_a, c_all ^ c_a):
             return True
-    return False
+        c_a = (c_a - c_all) & c_all
+        if not c_a:
+            return False
 
 
 def ci_implied(g: MixedGraph, A, B, C) -> bool:
-    """Generic conditional independence of X_A and X_B given X_C."""
-    return generic_rank(g, set(A) | set(C), set(B) | set(C)) == len(set(C))
+    """Generic conditional independence of X_A and X_B given X_C.
+
+    True iff rank Sigma_{A+C, B+C} = |C|, decided by one residual search
+    after pushing the |C| trivial treks c - c (see the module doc).
+    """
+    C = frozenset(C)
+    AC, BC = frozenset(A) | C, frozenset(B) | C
+    if not AC or not BC:
+        return True  # C is empty as well: rank 0 = |C|
+    net = _network(g, AC, BC)
+    m, cap = g.m, net.cap
+    for c in C:
+        for e in (6 * c - 6, 2 * (3 * m + c - 1), 6 * c - 4, 2 * (4 * m + c - 1), 6 * c - 2):
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+    return _search(net, AC, BC)[2] == -1
 
 
 @dataclass(frozen=True)

@@ -221,14 +221,6 @@ class TrekSystem:
         if len(set(a)) != len(a) or len(set(b)) != len(b):
             raise ValueError("trek system endpoints must be pairwise distinct")
 
-    @property
-    def a_endpoints(self) -> Tuple[int, ...]:
-        return tuple(t.sink_left for t in self.treks)
-
-    @property
-    def b_endpoints(self) -> Tuple[int, ...]:
-        return tuple(t.sink_right for t in self.treks)
-
 
 def _middle_tokens(t: Trek):
     # A bidirected middle behaves like its subdivision vertex: two bidirected

@@ -64,6 +64,19 @@ def test_parse_rejects_vertex_count_above_limit(monkeypatch):
         parse_graph(f"v {graph.MAX_VERTICES + 1}\n")
 
 
+@pytest.mark.parametrize("m,message", [
+    (0, "vertex count must be positive, got 0"),
+    (-1, "vertex count must be positive, got -1"),
+    (graph.MAX_VERTICES + 1, "vertex count 1000001 exceeds the limit of 1000000"),
+])
+def test_make_graph_rejects_vertex_count_out_of_range(m, message):
+    with pytest.raises(InvalidGraphError) as exc:
+        make_graph(m)
+    assert exc.value.violations == [message]
+    with pytest.raises(ParseError, match=message):
+        parse_graph(f"v {m}\n")
+
+
 def test_parse_error_reports_line_number():
     with pytest.raises(ParseError) as exc:
         parse_graph("v 3\ne 1 -> 2\ne 9 -> 3")

@@ -1,6 +1,8 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and no module-level private function or class goes unreferenced.
 
-`__init__.py` is exempt, since its imports are the package's re-exports.
+`__init__.py` is exempt from the import check, since its imports are the
+package's re-exports.
 """
 
 import ast
@@ -10,8 +12,8 @@ import pytest
 
 import treksep
 
-MODULES = sorted(p for p in Path(treksep.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(treksep.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -28,11 +30,55 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _names_used(node) -> set:
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            used.update(alias.name for alias in sub.names)
+    return used
+
+
+def unreferenced_private(sources: dict) -> list:
+    """(module, name) of each module-level `_private` function or class that
+    no code of the given modules, outside its own definition, refers to."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = _names_used(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.discard(node.name)
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append((module, node.name))
+            used |= names
+    return sorted((module, name) for module, name in defined if name not in used)
+
+
 def test_checker_flags_an_unused_import():
     assert unused_imports("import os\nfrom typing import Dict, List\nx: List = []\n") \
         == [(1, "os"), (2, "Dict")]
 
 
+def test_checker_flags_an_unreferenced_private_definition():
+    sources = {
+        "a": "def _dead(n):\n    return _dead(n - 1)\n\n"
+             "def _used():\n    pass\n\nclass _Gone:\n    pass\n\n"
+             "def public():\n    return _used()\n",
+        "b": "from .a import public\n\ndef _imported():\n    pass\n\n"
+             "def _via_attr():\n    pass\n\nX = _imported\n",
+        "c": "from . import b\n\nY = b._via_attr\n",
+    }
+    assert unreferenced_private(sources) == [("a", "_Gone"), ("a", "_dead")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unreferenced_private(sources) == []

@@ -1,7 +1,9 @@
 import os
+import random
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,10 +14,12 @@ from treksep import separation
 from treksep.graph import DAG, MIXED, UNDIRECTED, make_graph
 from treksep.instances import (CHOKE_A, CHOKE_B, SPIDER_A, SPIDER_B,
                                choke_graph, spider_graph)
-from treksep.separation import (NotADAGError, SeparationTriple, ci_implied,
+from treksep.separation import (NotADAGError, SeparationTriple, _require_dag,
+                                _require_disjoint, ci_implied,
                                 d_sep_via_t_sep, d_separates, generic_rank,
                                 is_t_separating, min_t_separator,
                                 trek_network, vanishing_tetrad)
+from treksep.treks import CapExceededError
 from treksep.verify import random_graph
 
 
@@ -291,6 +295,161 @@ def test_ci_examples():
     assert ci_implied(choke_graph(), {1}, {5}, {4})
     und = make_graph(3, undirected=[(1, 2), (2, 3)])
     assert ci_implied(und, {1}, {3}, {2})
+
+
+def _sample(rng, n, low, high):
+    return set(rng.sample(range(1, n + 1), rng.randint(low, min(high, n))))
+
+
+@pytest.mark.parametrize("cls", [DAG, UNDIRECTED, MIXED])
+def test_ci_implied_matches_rank_test(cls):
+    # ci_implied pushes the |C| trivial treks and searches once; the rank
+    # test runs the full min-cut on (A+C, B+C)
+    rng = random.Random(f"ci-guard/{cls}")
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        g = random_graph(cls, n, rng.randrange(10**6), rng.choice((0.2, 0.4, 0.6)))
+        A, B, C = _sample(rng, n, 0, 3), _sample(rng, n, 1, 3), _sample(rng, n, 0, 4)
+        verdict = ci_implied(g, A, B, C)
+        assert verdict == (generic_rank(g, A | C, B | C) == len(C)), (A, B, C)
+        seen[verdict] += 1
+        seen["A&B"] += bool(A & B)
+        seen["A&C"] += bool(A & C)
+        seen["no C"] += not C
+    assert min(seen.values()) >= 20, seen
+
+
+def test_ci_implied_edge_cases():
+    g = choke_graph()
+    assert ci_implied(g, set(), {1}, set())
+    with pytest.raises(ValueError, match="out of range"):
+        ci_implied(g, {1}, {6}, set())
+    with pytest.raises(ValueError, match="out of range"):
+        ci_implied(g, {1}, {5}, {0})
+
+
+def test_criterion_8_deciders_are_independent(monkeypatch):
+    # none of d_separates, d_sep_via_t_sep and ci_implied calls another, and
+    # ci_implied runs one residual search and no min-cut
+    deciders = {"d_separates": d_separates, "d_sep_via_t_sep": d_sep_via_t_sep,
+                "ci_implied": ci_implied}
+    searches = []
+    real_search = separation._search
+
+    def counted_search(*args):
+        searches.append(args)
+        return real_search(*args)
+
+    def forbidden(*args):
+        raise AssertionError("a decider called another decider or a min-cut")
+
+    for name in (*deciders, "min_t_separator", "generic_rank"):
+        monkeypatch.setattr(separation, name, forbidden)
+    monkeypatch.setattr(separation, "_search", counted_search)
+    rng = random.Random("independence")
+    for _ in range(100):
+        n = rng.randint(3, 8)
+        g = random_graph(DAG, n, rng.randrange(10**6), 0.4)
+        vs = rng.sample(range(1, n + 1), n)
+        A, B, C = {vs[0]}, {vs[1]}, set(vs[2:2 + rng.randint(0, 3)])
+        assert deciders["d_separates"](g, A, B, C) \
+            == deciders["d_sep_via_t_sep"](g, A, B, C)
+        assert not searches
+        deciders["ci_implied"](g, A, B, C)
+        assert len(searches) == 1
+        searches.clear()
+
+
+# The set-based deciders that the mask-based ones replaced, kept verbatim as
+# references.
+
+def d_separates_reference(g, A, B, C) -> bool:
+    _require_dag(g)
+    _require_disjoint(A, B, C)
+    C = set(C)
+    anc_c = set()
+    stack = list(C)
+    while stack:
+        v = stack.pop()
+        if v in anc_c:
+            continue
+        anc_c.add(v)
+        stack.extend(g.parents[v])
+
+    reachable = set()
+    visited = set()
+    frontier = [(a, "up") for a in A]
+    while frontier:
+        v, direction = frontier.pop()
+        if (v, direction) in visited:
+            continue
+        visited.add((v, direction))
+        if direction == "up" and v not in C:
+            reachable.add(v)
+            frontier.extend((p, "up") for p in g.parents[v])
+            frontier.extend((c, "down") for c in g.children[v])
+        elif direction == "down":
+            if v not in C:
+                reachable.add(v)
+                frontier.extend((c, "down") for c in g.children[v])
+            if v in anc_c:
+                frontier.extend((p, "up") for p in g.parents[v])
+    return reachable.isdisjoint(B)
+
+
+def _dag_pair_t_separates_reference(g, A, B, c_a, c_b) -> bool:
+
+    def sided_sources(targets, blockers):
+        grown = {t for t in targets if t not in blockers}
+        stack = list(grown)
+        while stack:
+            v = stack.pop()
+            for p in g.parents[v]:
+                if p not in blockers and p not in grown:
+                    grown.add(p)
+                    stack.append(p)
+        return grown
+
+    left = sided_sources(set(A), set(c_a))
+    right = sided_sources(set(B), set(c_b))
+    return left.isdisjoint(right)
+
+
+def d_sep_via_t_sep_reference(g, A, B, C) -> bool:
+    _require_dag(g)
+    _require_disjoint(A, B, C)
+    C = sorted(set(C))
+    if len(C) > 20:
+        raise CapExceededError(
+            20, f"partition search over {len(C)} conditioning vertices "
+                "exceeds the cap of 20")
+    AC = set(A) | set(C)
+    BC = set(B) | set(C)
+    for mask in range(1 << len(C)):
+        c_a = {C[i] for i in range(len(C)) if mask >> i & 1}
+        c_b = set(C) - c_a
+        if _dag_pair_t_separates_reference(g, AC, BC, c_a, c_b):
+            return True
+    return False
+
+
+def test_dsep_deciders_match_set_based_references():
+    # beyond the reach of criterion 8: n 7..14 and |C| up to 6
+    rng = random.Random("dsep-reference")
+    verdicts = Counter()
+    for _ in range(600):
+        n = rng.randint(7, 14)
+        g = random_graph(DAG, n, rng.randrange(10**6), rng.choice((0.15, 0.3, 0.5)))
+        vs = rng.sample(range(1, n + 1), n)
+        a, b = rng.randint(1, 3), rng.randint(1, 3)
+        c = rng.randint(0, min(6, n - a - b))
+        A, B, C = set(vs[:a]), set(vs[a:a + b]), set(vs[a + b:a + b + c])
+        d = d_separates(g, A, B, C)
+        assert d == d_separates_reference(g, A, B, C), (A, B, C)
+        assert d_sep_via_t_sep(g, A, B, C) == d_sep_via_t_sep_reference(g, A, B, C), (A, B, C)
+        verdicts[d, len(C) >= 4] += 1
+    assert len(verdicts) == 4 and min(verdicts.values()) >= 20, verdicts
 
 
 def test_vanishing_tetrad_choke():
