@@ -1,9 +1,9 @@
 """Generic ranks of Gaussian graphical model covariance submatrices.
 
 Computes rk(Sigma_{A,B}) for the model of a mixed graph as the size of a
-minimum trek-separating set (a vertex min-cut on an auxiliary network) and
-cross-checks every answer against an exact algebraic oracle over a prime
-field.
+minimum trek-separating set (a vertex min-cut on the three-layer trek
+network, searched on the graph's own adjacency lists) and cross-checks
+every answer against an exact algebraic oracle over a prime field.
 """
 
 from .algebra import (ParamAssignment, RationalMatrix, TrekRuleContext,

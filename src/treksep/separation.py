@@ -1,39 +1,55 @@
 """t-separation, minimum separators via vertex min-cut, and CI queries.
 
-The workhorse is the three-layer trek network of a graph.  Each vertex v
+The workhorse is the three-layer trek network of a graph, read off the
+graph's adjacency and never built as arcs with capacities.  Each vertex v
 has a left level (the directed path into A, walked against the edge
 directions), a middle level (undirected travel) and a right level (the
 directed path into B), and each level is split into an in-node and an
-out-node joined by a split arc.  Nodes are ints: level l of v (left 0,
-middle 1, right 2) has in-node 2*(3*(v-1)+l) and out-node one more, 6m
-nodes in all.  Arcs live in paired lists `head` and `cap` (residual
-capacity), arc e ^ 1 being the reverse of arc e.  The split arcs come
-first, so the split arc of a level has the number of its in-node.
+out-node joined by a split arc of capacity 1.  Nodes are ints: level l of
+v (left 0, middle 1, right 2) has in-node 2*(3*(v-1)+l) and out-node one
+more, 6m nodes in all.  Split arc e is in-node e.  The other arcs leave an
+out-node, and `_adjacency` lists them per out-node, as the in-nodes they
+enter: from the left out-node of v the middle in-node of v (a trek turns
+at its top vertex), the left in-nodes of the parents (up) and the right
+in-nodes of the bidirected neighbours and of v itself (over); from the
+middle out-node the right in-node of v and the middle in-nodes of the
+undirected neighbours (across); from the right out-node the right in-nodes
+of the children (down).
 
 A bidirected edge i <-> j, a latent common parent of i and j, is the
 middle of the treks whose left path climbs to i or j and whose right path
-starts at i or j: four arcs from the left out-nodes of i and j to the
-right in-nodes of i and j.  The arcs i -> i and j -> j matter, since a
-trek i <- (latent) -> i does not pass the middle level of i.
+starts at i or j, hence the entries i -> i and j -> j of over: a trek
+i <- (latent) -> i does not pass the middle level of i.
 
 The network has no source or sink: paths from a left in-node of A to a
 right out-node of B are the treks from A to B, and unit split capacities
-turn minimum blocking sets into minimum cuts (Menger).  Every other arc
-has capacity m+1, more than any flow, so each augmenting path, found by
-one breadth-first search from all of A, carries one unit and at most
-min(|A|, |B|) + 1 searches run.  The certificate is the set of split arcs
-leaving what the last search reaches: the unique minimal source-side
-minimum cut, whichever paths were augmented.  The network depends on the
-graph alone: it is kept for the last graph queried, and each query works
-on its own copy of `cap`.
+turn minimum blocking sets into minimum cuts (Menger).  The other arcs are
+never saturated, so each augmenting path, found by one breadth-first
+search from all of A, carries one unit and at most min(|A|, |B|) + 1
+searches run.  An in-node's only arc out is its split arc, so it carries at
+most one unit, which came in by one arc, and the whole flow is one int per
+in-node, `prv[e // 2]` for in-node e:
+
+  -1      no unit: the split arc is free;
+  p >= 0  the unit came from out-node p, and the only residual arc goes
+          back to p;
+  -2      the unit comes from a source: a seed of A, or a trivial trek;
+  -3      the split arc is deleted (`is_t_separating`).
+
+An out-node always has its forward arcs, and its split arc back only while
+its in-node carries a unit.  The certificate is the set of split arcs
+leaving what the last search reaches, that is the reached in-nodes whose
+out-node is not reached: the unique minimal source-side minimum cut,
+whichever paths were augmented.  The adjacency depends on the graph alone:
+it is kept for the last graph queried, and queries never change it.
 
 A CI query X_A _||_ X_B | X_C holds generically iff rank Sigma_{A+C, B+C}
 = |C|, and that rank is at least |C|: the trivial treks c - c, one per c
-in C, share no node.  `ci_implied` pushes them straight into its copy of
-`cap`, five arcs each (the left, middle and right split arcs of c and the
-two links between them), and runs one search.  By Ford-Fulkerson this
-flow of |C| units is maximum iff no augmenting path is left, so the query
-is decided without a full min-cut and no certificate is built.
+in C, share no node.  `ci_implied` pushes them straight into its `prv`,
+the left in-node of c fed by a source and the middle and right ones by the
+out-node below, and runs one search.  By Ford-Fulkerson this flow of |C|
+units is maximum iff no augmenting path is left, so the query is decided
+without a full min-cut and no certificate is built.
 
 The two d-separation deciders, Bayes-ball (`d_separates`) and the search
 over partitions C = C_A | C_B (`d_sep_via_t_sep`), work on int masks of
@@ -45,7 +61,7 @@ three-way comparison stays a real cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from .graph import DAG, MixedGraph, graph_class
 from .treks import CapExceededError
@@ -84,58 +100,32 @@ class RankResult:
     flow_value: int
 
 
-class TrekNetwork(NamedTuple):
-    """The trek network of one graph; node numbering in the module doc."""
+def _adjacency(g: MixedGraph) -> List[List[int]]:
+    """The arcs of the trek network of g: entry i lists the in-nodes out-node 2i+1 enters.
 
-    head: List[int]       # node that arc e enters; arc e ^ 1 is its reverse
-    cap: List[int]        # residual capacity of arc e
-    out: List[List[int]]  # arcs leaving node u, reverse arcs included
-
-
-def trek_network(g: MixedGraph) -> TrekNetwork:
-    """Network whose paths from left in-nodes to right out-nodes are treks."""
-    m = g.m
-    # Vertex v owns nodes 6v-6 .. 6v-1: left in/out, middle in/out, right
-    # in/out.  Arc k runs tails[k] -> heads[k]; the 3m split arcs come first.
-    tails = list(range(0, 6 * m, 2))
-    heads = list(range(1, 6 * m, 2))
-    # a trek turns left -> middle -> right at its top vertex
-    tails += range(1, 6 * m, 6)
-    heads += range(2, 6 * m, 6)
-    tails += range(3, 6 * m, 6)
-    heads += range(4, 6 * m, 6)
-    # the right path runs along i -> j, the left path against it
-    tails += [6 * i - 1 for i, _ in g.directed_edges]
-    heads += [6 * j - 2 for _, j in g.directed_edges]
-    tails += [6 * j - 5 for _, j in g.directed_edges]
-    heads += [6 * i - 6 for i, _ in g.directed_edges]
+    The lists start with the level step, left to middle and middle to right.
+    """
+    arcs = [[e + 2] if e % 6 != 4 else [] for e in range(0, 6 * g.m, 2)]
+    for i, j in g.directed_edges:
+        arcs[3 * j - 3].append(6 * i - 6)
+        arcs[3 * i - 1].append(6 * j - 2)
     for i, j in g.undirected_edges:
-        tails += (6 * i - 3, 6 * j - 3)
-        heads += (6 * j - 4, 6 * i - 4)
-    # a bidirected middle runs from the left path of i or j to the right path
+        arcs[3 * i - 2].append(6 * j - 4)
+        arcs[3 * j - 2].append(6 * i - 4)
     for i, j in g.bidirected_edges:
-        tails += (6 * i - 5, 6 * i - 5, 6 * j - 5, 6 * j - 5)
-        heads += (6 * i - 2, 6 * j - 2, 6 * i - 2, 6 * j - 2)
-
-    head = [0] * (2 * len(tails))
-    head[0::2] = heads
-    head[1::2] = tails
-    cap = [0] * len(head)
-    cap[0::2] = [1] * (3 * m) + [m + 1] * (len(tails) - 3 * m)
-    out: List[List[int]] = [[] for _ in range(6 * m)]
-    for e, x in enumerate(head):
-        out[x].append(e ^ 1)  # arc e ^ 1 leaves the node arc e enters
-    return TrekNetwork(head, cap, out)
+        arcs[3 * i - 3] += (6 * i - 2, 6 * j - 2)
+        arcs[3 * j - 3] += (6 * i - 2, 6 * j - 2)
+    return arcs
 
 
-_last = (None, None)  # the last graph queried and its trek network
+_last = (None, None)  # the last graph queried and its adjacency
 
 
-def _network(g: MixedGraph, A, B) -> TrekNetwork:
-    """Check the query (A, B); the network of g, with its own `cap`.
+def _query(g: MixedGraph, A, B):
+    """Check the query (A, B); the adjacency of g and a flow state with no units.
 
-    Built only if g is not the last graph queried, after dropping the old
-    network, so that one at most is alive and the build reuses its memory.
+    The adjacency is built only if g is not the last graph queried, after
+    dropping the old one, so that one at most is alive.
     """
     global _last
     if not A or not B:
@@ -146,59 +136,68 @@ def _network(g: MixedGraph, A, B) -> TrekNetwork:
     last = _last  # read once: another thread may replace it
     if last[0] is not g:
         _last = last = (None, None)
-        _last = last = (g, trek_network(g))
-    head, cap, out = last[1]
-    return TrekNetwork(head, list(cap), out)
+        _last = last = (g, _adjacency(g))
+    return last[1], [-1] * (3 * g.m)
 
 
-def _search(net: TrekNetwork, A, B):
+def _search(arcs, prv, A, B):
     """Breadth-first search of the residual network from the left in-nodes of A.
 
-    Returns (via, order, end): via[x] is the arc that first reached node x
+    arcs is the adjacency of the graph and prv the flow (module doc).
+    Returns (via, order, end): via[x] is the node that first reached node x
     (-1 if unreached, -2 for a left in-node of A), order lists the reached
     nodes and end is the right out-node of B that stopped the search, or -1.
     """
-    head, cap, out = net
     ends = {6 * b - 1 for b in B}
-    via = [-1] * len(out)
+    via = [-1] * (2 * len(prv))
     order = [6 * a - 6 for a in A]
-    for x in order:
-        via[x] = -2
     for u in order:
-        for e in out[u]:
-            if cap[e]:
-                x = head[e]
+        via[u] = -2
+    for u in order:
+        unit = prv[u >> 1]
+        if u & 1:  # an out-node: its arcs, and its split arc back if its in-node
+            # carries a unit (the out-node of a deleted split arc is never reached)
+            if unit != -1 and via[u - 1] == -1:
+                via[u - 1] = u
+                order.append(u - 1)
+            for x in arcs[u >> 1]:
                 if via[x] == -1:
-                    via[x] = e
-                    if x in ends:
-                        return via, order, x
+                    via[x] = u
                     order.append(x)
+            continue
+        # an in-node: its free split arc, or back to where its unit came from
+        x = u + 1 if unit == -1 else unit
+        if x >= 0 and via[x] == -1:
+            via[x] = u
+            if x in ends:
+                return via, order, x
+            order.append(x)
     return via, order, -1
 
 
 def min_t_separator(g: MixedGraph, A, B) -> RankResult:
     """Minimum t-separating triple and its size, by max-flow min-cut."""
     A, B = frozenset(A), frozenset(B)
-    head, cap, out = net = _network(g, A, B)
+    arcs, prv = _query(g, A, B)
     value = 0
     while True:
-        via, order, x = _search(net, A, B)
+        via, order, x = _search(arcs, prv, A, B)
         if x == -1:
             break
-        while via[x] != -2:  # every augmenting path carries one unit
-            e = via[x]
-            cap[e] -= 1
-            cap[e ^ 1] += 1
-            x = head[e ^ 1]
+        while x != -2:  # every augmenting path carries one unit
+            u = via[x]
+            if not x & 1:
+                prv[x >> 1] = -1 if u == x + 1 else u
+            x = u
         value += 1
 
-    cut = sorted(e for u in order for e in out[u]
-                 if not e & 1 and via[head[e]] == -1)
-    if cut and cut[-1] >= 6 * g.m:
-        raise InternalError("minimum cut crosses an arc other than an original split arc")
+    fed = prv.count(-2)
+    if fed != value:
+        raise InternalError(f"{fed} in-nodes are fed by a source, but the flow value is {value}")
     levels: Tuple[List[int], ...] = ([], [], [])
-    for e in cut:
-        levels[e % 6 // 2].append(e // 6 + 1)
+    for x in order:  # the cut: split arcs from a reached in-node to an unreached out-node
+        if not x & 1 and via[x + 1] == -1:
+            levels[x % 6 // 2].append(x // 6 + 1)
     cert = SeparationTriple.of(*levels)
     if cert.size() != value:
         raise InternalError(f"certificate size {cert.size()} differs from flow value {value}")
@@ -216,11 +215,11 @@ def is_t_separating(g: MixedGraph, A, B, c: SeparationTriple) -> bool:
         if not 1 <= v <= g.m:
             raise ValueError(f"vertex {v} out of range [1,{g.m}]")
     A, B = frozenset(A), frozenset(B)
-    net = _network(g, A, B)
+    arcs, prv = _query(g, A, B)
     for level, members in enumerate((c.c_left, c.c_mid, c.c_right)):
         for v in members:
-            net.cap[6 * v - 6 + 2 * level] = 0  # the split arc of a deleted node
-    return _search(net, A, B)[2] == -1
+            prv[3 * v - 3 + level] = -3  # the split arc of a deleted node
+    return _search(arcs, prv, A, B)[2] == -1
 
 
 def _require_dag(g: MixedGraph):
@@ -253,19 +252,10 @@ def d_separates(g: MixedGraph, A, B, C) -> bool:
     _require_disjoint(A, B, C)
     pmask, cmask = g.parent_mask, g.child_mask
     c_set, b_set = _mask(C), _mask(B)
-    anc_c = frontier = c_set
-    while frontier:
-        step = 0
-        while frontier:
-            low = frontier & -frontier
-            step |= pmask[low.bit_length() - 1]
-            frontier ^= low
-        frontier = step & ~anc_c
-        anc_c |= frontier
-
     # the ball leaves a vertex outside C upward to its parents and downward
     # to its children, passes a vertex outside C downward, and bounces from
-    # down to up at a vertex with a descendant in C
+    # down to up at a vertex of C (Shachter): a ball passing down through an
+    # ancestor of C reaches C, bounces, and climbs back up through it
     up = new_up = _mask(A)
     down = new_down = 0
     while new_up or new_down:
@@ -284,7 +274,7 @@ def d_separates(g: MixedGraph, A, B, C) -> bool:
             low = frontier & -frontier
             next_down |= cmask[low.bit_length() - 1]
             frontier ^= low
-        frontier = new_down & anc_c
+        frontier = new_down & c_set
         while frontier:
             low = frontier & -frontier
             next_up |= pmask[low.bit_length() - 1]
@@ -356,13 +346,12 @@ def ci_implied(g: MixedGraph, A, B, C) -> bool:
     AC, BC = frozenset(A) | C, frozenset(B) | C
     if not AC or not BC:
         return True  # C is empty as well: rank 0 = |C|
-    net = _network(g, AC, BC)
-    m, cap = g.m, net.cap
-    for c in C:
-        for e in (6 * c - 6, 2 * (3 * m + c - 1), 6 * c - 4, 2 * (4 * m + c - 1), 6 * c - 2):
-            cap[e] -= 1
-            cap[e ^ 1] += 1
-    return _search(net, AC, BC)[2] == -1
+    arcs, prv = _query(g, AC, BC)
+    for c in C:  # c - c: a source feeds the left level of c, each level the next
+        prv[3 * c - 3] = -2
+        prv[3 * c - 2] = 6 * c - 5
+        prv[3 * c - 1] = 6 * c - 3
+    return _search(arcs, prv, AC, BC)[2] == -1
 
 
 @dataclass(frozen=True)

@@ -237,3 +237,116 @@ def test_python_m_treksep(choke_file, tmp_path, exists, code):
     assert done.returncode == code, done.stderr
     assert done.stdout == ""
     assert (done.stderr == "") == exists
+
+
+# One row per subcommand and error class: (subcommand, error class, argv,
+# exit code, the one stderr line).  {choke}, {bad}, {missing} and {wide} are
+# graph paths; "internal" rows run with a flow search that raises.
+_ERROR_ROWS = [
+    ("validate", "missing file", ["{missing}"], 2,
+     "error: cannot read {missing}: No such file or directory"),
+    ("validate", "parse error", ["{bad}"], 2,
+     "error: {bad}: line 1: first directive must be `v <m>`"),
+    ("rank", "missing file", ["{missing}", "--A", "1", "--B", "4"], 2,
+     "error: cannot read {missing}: No such file or directory"),
+    ("rank", "parse error", ["{bad}", "--A", "1", "--B", "4"], 2,
+     "error: {bad}: line 1: first directive must be `v <m>`"),
+    ("rank", "out-of-range id", ["{choke}", "--A", "1,9", "--B", "4"], 2,
+     "error: --A: vertex 9 out of range [1,5]"),
+    ("rank", "empty set", ["{choke}", "--A", "", "--B", "4"], 2,
+     "error: --A and --B must be nonempty"),
+    ("rank", "count below minimum",
+     ["{choke}", "--A", "1", "--B", "4", "--oracle", "--trials", "0"], 2,
+     "error: --trials must be at least 1"),
+    ("rank", "internal error", ["{choke}", "--A", "1", "--B", "4"], 3,
+     "internal error: injected"),
+    ("tsep", "missing file", ["{missing}", "--A", "1", "--B", "4"], 2,
+     "error: cannot read {missing}: No such file or directory"),
+    ("tsep", "parse error", ["{bad}", "--A", "1", "--B", "4"], 2,
+     "error: {bad}: line 1: first directive must be `v <m>`"),
+    ("tsep", "out-of-range id", ["{choke}", "--A", "1", "--B", "4", "--CR", "9"], 2,
+     "error: --CR: vertex 9 out of range [1,5]"),
+    ("tsep", "empty set", ["{choke}", "--A", "1", "--B", ""], 2,
+     "error: --A and --B must be nonempty"),
+    ("tsep", "internal error", ["{choke}", "--A", "1", "--B", "4"], 3,
+     "internal error: injected"),
+    ("dsep", "missing file", ["{missing}", "--A", "1", "--B", "4"], 2,
+     "error: cannot read {missing}: No such file or directory"),
+    ("dsep", "parse error", ["{bad}", "--A", "1", "--B", "4"], 2,
+     "error: {bad}: line 1: first directive must be `v <m>`"),
+    ("dsep", "out-of-range id", ["{choke}", "--A", "1", "--B", "4", "--C", "9"], 2,
+     "error: --C: vertex 9 out of range [1,5]"),
+    ("dsep", "empty set", ["{choke}", "--A", "1", "--B", ""], 2,
+     "error: --A and --B must be nonempty"),
+    ("dsep", "overlapping sets", ["{choke}", "--A", "1", "--B", "4", "--C", "4"], 2,
+     "error: --A, --B and --C must be pairwise disjoint"),
+    ("dsep", "cap exceeded",
+     ["{wide}", "--A", "1", "--B", "2", "--C", ",".join(map(str, range(3, 24)))], 4,
+     "error: partition search over 21 conditioning vertices exceeds the cap of 20"),
+    ("ci", "missing file", ["{missing}", "--A", "1", "--B", "4"], 2,
+     "error: cannot read {missing}: No such file or directory"),
+    ("ci", "parse error", ["{bad}", "--A", "1", "--B", "4"], 2,
+     "error: {bad}: line 1: first directive must be `v <m>`"),
+    ("ci", "out-of-range id", ["{choke}", "--A", "1", "--B", "9"], 2,
+     "error: --B: vertex 9 out of range [1,5]"),
+    ("ci", "empty set", ["{choke}", "--A", "", "--B", "4"], 2,
+     "error: --A and --B must be nonempty"),
+    ("ci", "overlapping sets", ["{choke}", "--A", "1", "--B", "1"], 2,
+     "error: --A, --B and --C must be pairwise disjoint"),
+    ("ci", "internal error", ["{choke}", "--A", "1", "--B", "4"], 3,
+     "internal error: injected"),
+    ("treks", "missing file", ["{missing}", "--i", "1", "--j", "4"], 2,
+     "error: cannot read {missing}: No such file or directory"),
+    ("treks", "parse error", ["{bad}", "--i", "1", "--j", "4"], 2,
+     "error: {bad}: line 1: first directive must be `v <m>`"),
+    ("treks", "out-of-range id", ["{choke}", "--i", "9", "--j", "4"], 2,
+     "error: --i: vertex 9 out of range [1,5]"),
+    ("treks", "cap exceeded", ["{choke}", "--i", "1", "--j", "4", "--cap", "1"], 4,
+     "error: enumeration cap of 1 exceeded"),
+    ("treks", "count below minimum", ["{choke}", "--i", "1", "--j", "4", "--cap", "0"], 2,
+     "error: --cap must be at least 1"),
+    ("verify", "count below minimum", ["--graphs", "0"], 2,
+     "error: --graphs must be at least 1"),
+    ("verify", "internal error", ["--graphs", "1", "--max-vertices", "2"], 3,
+     "internal error: injected"),
+]
+
+
+def _error_cases():
+    for command, kind, argv, code, line in _ERROR_ROWS:
+        # validate has no --output option: it reports in text only
+        for output in ("text",) if command == "validate" else ("text", "json"):
+            yield pytest.param(command, kind, argv, code, line, output,
+                               id=f"{command}-{kind.replace(' ', '-')}-{output}")
+
+
+def test_error_table_covers_every_subcommand_and_class():
+    assert {row[0] for row in _ERROR_ROWS} \
+        == {"validate", "rank", "tsep", "dsep", "ci", "treks", "verify"}
+    assert {row[1] for row in _ERROR_ROWS} == {
+        "missing file", "parse error", "out-of-range id", "empty set",
+        "overlapping sets", "cap exceeded", "count below minimum", "internal error"}
+
+
+@pytest.mark.parametrize("command, kind, argv, code, line, output", _error_cases())
+def test_error_ends_in_one_stderr_line(tmp_path, capsys, monkeypatch,
+                                       command, kind, argv, code, line, output):
+    from treksep import separation
+
+    paths = {"choke": tmp_path / "choke.graph", "bad": tmp_path / "bad.graph",
+             "missing": tmp_path / "missing.graph", "wide": tmp_path / "wide.graph"}
+    paths["choke"].write_text(CHOKE_TEXT)
+    paths["bad"].write_text("e 1 -> 2\n")
+    paths["wide"].write_text("v 23\n")
+    if kind == "internal error":
+        def broken(*args, **kwargs):
+            raise separation.InternalError("injected")
+
+        monkeypatch.setattr(separation, "_search", broken)
+    argv = [command, *(arg.format(**paths) for arg in argv)]
+    if output == "json":
+        argv += ["--output", "json"]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line.format(**paths) + "\n"

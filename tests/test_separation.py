@@ -18,52 +18,35 @@ from treksep.separation import (NotADAGError, SeparationTriple, _require_dag,
                                 _require_disjoint, ci_implied,
                                 d_sep_via_t_sep, d_separates, generic_rank,
                                 is_t_separating, min_t_separator,
-                                trek_network, vanishing_tetrad)
+                                vanishing_tetrad)
 from treksep.treks import CapExceededError
 from treksep.verify import random_graph
 
 
-def _reachable(net, A):
-    """Nodes reached from the left in-nodes of A along arcs with capacity."""
-    seen = {6 * a - 6 for a in A}
-    stack = list(seen)
-    while stack:
-        u = stack.pop()
-        for e in net.out[u]:
-            x = net.head[e]
-            if net.cap[e] > 0 and x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return seen
-
-
-def _right_out(B):
-    return {6 * b - 1 for b in B}
+def _reachable(g, A, B):
+    """Does some trek run from A to B, that is does the empty triple fail to separate?"""
+    return not is_t_separating(g, A, B, SeparationTriple())
 
 
 def test_aux_graph_simple_dag():
     g = make_graph(2, directed=[(1, 2)])
-    net = trek_network(g)
-    assert len(net.out) == 6 * 2
-    assert _reachable(net, {1}) & _right_out({2})
+    assert len(separation._adjacency(g)) == 3 * 2  # one arc list per out-node
+    assert _reachable(g, {1}, {2})
 
 
 def test_aux_graph_no_treks():
-    net = trek_network(make_graph(2))
-    assert not _reachable(net, {1}) & _right_out({2})
+    assert not _reachable(make_graph(2), {1}, {2})
 
 
 def test_aux_graph_undirected_middle():
     g = make_graph(3, undirected=[(1, 2), (2, 3)])
-    net = trek_network(g)
-    assert _reachable(net, {1}) & _right_out({3})
+    assert _reachable(g, {1}, {3})
 
 
 def test_aux_graph_bidirected_middle():
     g = make_graph(2, bidirected=[(1, 2)])
-    net = trek_network(g)
-    assert len(net.out) == 6 * 2
-    assert _reachable(net, {1}) & _right_out({2})
+    assert len(separation._adjacency(g)) == 3 * 2
+    assert _reachable(g, {1}, {2})
     # a middle cut at 1 leaves the trek 1 <- (latent) -> 1 open
     assert not is_t_separating(g, {1}, {1}, SeparationTriple.of(cm={1}))
     assert is_t_separating(make_graph(2), {1}, {1}, SeparationTriple.of(cm={1}))
@@ -112,27 +95,28 @@ def test_network_cache_alternating_graphs():
 
 def test_network_cache_is_never_mutated():
     g = spider_graph()
-    fresh = trek_network(g)
+    fresh = separation._adjacency(g)
     min_t_separator(g, SPIDER_A, SPIDER_B)
     is_t_separating(g, SPIDER_A, SPIDER_B, SeparationTriple.of(cl={7}))
     with pytest.raises(ValueError, match="out of range"):
         min_t_separator(g, {1}, {8})
     with pytest.raises(ValueError, match="nonempty"):
         is_t_separating(g, set(), {1}, SeparationTriple())
-    cached_graph, net = separation._last
+    cached_graph, arcs = separation._last
     assert cached_graph is g
-    assert (net.head, net.cap, net.out) == (fresh.head, fresh.cap, fresh.out)
+    assert arcs == fresh
 
 
 def test_network_built_once_per_graph_after_dropping_the_last(monkeypatch):
     built = []
 
     def counted(g):
-        assert separation._last == (None, None)  # the old network is gone
+        assert separation._last == (None, None)  # the old adjacency is gone
         built.append(g)
-        return trek_network(g)
+        return real(g)
 
-    monkeypatch.setattr(separation, "trek_network", counted)
+    real = separation._adjacency
+    monkeypatch.setattr(separation, "_adjacency", counted)
     g1, g2 = choke_graph(), spider_graph()
     for g, A, B in [(g1, CHOKE_A, CHOKE_B)] * 3 + [(g2, SPIDER_A, SPIDER_B)] * 2 \
             + [(g1, CHOKE_A, CHOKE_B)]:
@@ -181,17 +165,15 @@ res = separation.min_t_separator(g, CHOKE_A, CHOKE_B)
 print(res.rank, sorted(res.certificate.c_right))
 print(separation.is_t_separating(g, CHOKE_A, CHOKE_B,
                                  separation.SeparationTriple.of(cr={5})))
-real = separation.trek_network
+real = separation._search
 
-def doubled(*args, **kwargs):  # split capacity 2 breaks flow value == cut size
-    net = real(*args, **kwargs)
-    cap = list(net.cap)
-    cap[0:len(net.out):2] = [2] * (len(net.out) // 2)
-    return net._replace(cap=cap)
+def forgetful(arcs, prv, A, B):  # loses the units that a source feeds
+    prv[:] = [-1 if unit == -2 else unit for unit in prv]
+    return real(arcs, prv, A, B)
 
-separation.trek_network = doubled
-try:  # a new graph object, since the network of g is kept
-    separation.min_t_separator(choke_graph(), CHOKE_A, CHOKE_B)
+separation._search = forgetful
+try:
+    separation.min_t_separator(g, CHOKE_A, CHOKE_B)
 except separation.InternalError as exc:
     print("InternalError:", exc)
 """
@@ -205,7 +187,24 @@ def test_flow_invariants_hold_under_python_O():
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "1", "1 [4]", "False",
-        "InternalError: certificate size 1 differs from flow value 2"]
+        "InternalError: 0 in-nodes are fed by a source, but the flow value is 1"]
+
+
+def test_cut_wider_than_the_flow_raises(monkeypatch):
+    # a last search that leaves one more out-node unreached widens the cut
+    real = separation._search
+
+    def widened(arcs, prv, A, B):
+        via, order, end = real(arcs, prv, A, B)
+        if end == -1:
+            x = next(x for x in order if not x & 1 and via[x + 1] != -1)
+            via[x + 1] = -1
+        return via, order, end
+
+    monkeypatch.setattr(separation, "_search", widened)
+    with pytest.raises(separation.InternalError,
+                       match="certificate size 2 differs from flow value 1"):
+        min_t_separator(choke_graph(), CHOKE_A, CHOKE_B)
 
 
 def test_tsep_choke():
