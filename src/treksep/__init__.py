@@ -6,10 +6,9 @@ network, searched on the graph's own adjacency lists) and cross-checks
 every answer against an exact algebraic oracle over a prime field.
 """
 
-from .algebra import (ParamAssignment, RationalMatrix, TrekRuleContext,
-                      build_covariance, generic_rank_oracle,
-                      sample_parameters, simple_trek_rule_covariance,
-                      trek_rule_covariance)
+from .algebra import (ParamAssignment, RationalMatrix, build_covariance,
+                      generic_rank_oracle, sample_parameters,
+                      simple_trek_rule_covariance, trek_rule_covariance)
 from .graph import (DAG, MIXED, UNDIRECTED, GraphError, InvalidGraphError,
                     MixedGraph, ParseError, ancestors, bidirected_subdivision,
                     graph_class, make_graph, parse_graph, serialize,
@@ -35,7 +34,7 @@ __all__ = [
     "SeparationTriple", "RankResult", "min_t_separator", "generic_rank",
     "is_t_separating", "d_separates", "d_sep_via_t_sep", "ci_implied",
     "vanishing_tetrad",
-    "RationalMatrix", "ParamAssignment", "TrekRuleContext",
+    "RationalMatrix", "ParamAssignment",
     "sample_parameters", "build_covariance",
     "generic_rank_oracle", "trek_rule_covariance",
     "simple_trek_rule_covariance",

@@ -6,6 +6,11 @@ identities (trek rule, simple trek rule, path determinants, Cauchy-Binet,
 the subdivision translation) demand exact rational equality, so they run
 over `fractions.Fraction`, on large random integer parameters.  No floating
 point is involved anywhere.
+
+Over Q, rank, det and inverse share one Gauss-Jordan, `_gauss_jordan`.  The
+simple trek rule reads a_v = sigma_vv off the covariance it is given, and
+the path-system sides of the determinant expansions come from
+`treks._disjoint_systems`.
 """
 
 from __future__ import annotations
@@ -13,11 +18,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import List, Mapping, Tuple
 
 from .graph import DAG, UNDIRECTED, MixedGraph, graph_class, topological_order
-from .treks import (DEFAULT_CAP, CapExceededError, _directed_paths_into,
+from .treks import (DEFAULT_CAP, _directed_paths_into, _disjoint_systems,
                     _undirected_middles, enumerate_simple_treks)
 
 DEFAULT_SCALE = 10**6
@@ -55,18 +60,15 @@ class RationalMatrix:
     def __getitem__(self, rc):
         return self.entries[rc[0]][rc[1]]
 
-    def __eq__(self, other):
-        return (isinstance(other, RationalMatrix)
-                and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
-
     def transpose(self):
         return RationalMatrix(self.cols, self.rows,
                               [[self.entries[i][j] for i in range(self.rows)]
                                for j in range(self.cols)])
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        assert self.cols == other.rows
+        if self.cols != other.rows:
+            raise ValueError(f"cannot multiply a {self.rows}x{self.cols} matrix "
+                             f"by a {other.rows}x{other.cols} matrix")
         out = RationalMatrix.zeros(self.rows, other.cols)
         for i in range(self.rows):
             row = self.entries[i]
@@ -89,59 +91,53 @@ class RationalMatrix:
                 and all(self.entries[i][j] == self.entries[j][i]
                         for i in range(self.rows) for j in range(i)))
 
-    def _eliminate(self):
-        """Row echelon by exact elimination; returns (echelon rows, rank, det-ish).
-
-        The third component is the determinant when the matrix is square and
-        of full rank, and 0 otherwise.
-        """
-        a = [row[:] for row in self.entries]
-        rank = 0
-        det = Fraction(1)
-        sign = 1
-        for col in range(self.cols):
-            pivot = next((r for r in range(rank, self.rows) if a[r][col]), None)
-            if pivot is None:
-                continue
-            if pivot != rank:
-                a[rank], a[pivot] = a[pivot], a[rank]
-                sign = -sign
-            pv = a[rank][col]
-            det *= pv
-            for r in range(rank + 1, self.rows):
-                if a[r][col]:
-                    f = a[r][col] / pv
-                    for c in range(col, self.cols):
-                        a[r][c] -= f * a[rank][c]
-            rank += 1
-        if self.rows != self.cols or rank < self.rows:
-            det = Fraction(0)
-        return a, rank, det * sign
+    def _side(self) -> int:
+        if self.rows != self.cols:
+            raise ValueError(f"a {self.rows}x{self.cols} matrix is not square")
+        return self.rows
 
     def rank(self) -> int:
-        return self._eliminate()[1]
+        return _gauss_jordan([row[:] for row in self.entries], self.cols)[0]
 
     def det(self) -> Fraction:
-        assert self.rows == self.cols
-        return self._eliminate()[2]
+        return _gauss_jordan([row[:] for row in self.entries], self._side())[1]
 
     def inverse(self) -> "RationalMatrix":
-        assert self.rows == self.cols
-        n = self.rows
+        n = self._side()
         a = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
              for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col]), None)
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular")
-            a[col], a[pivot] = a[pivot], a[col]
-            pv = a[col][col]
-            a[col] = [x / pv for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+        if _gauss_jordan(a, n)[0] < n:
+            raise SingularMatrixError("matrix is singular")
         return RationalMatrix.from_rows([row[n:] for row in a])
+
+
+def _gauss_jordan(rows: List[List[Fraction]], width: int) -> Tuple[int, Fraction]:
+    """Exact Gauss-Jordan on the first `width` columns of rows, in place.
+
+    Returns (rank, det): det is the determinant when the rows form a
+    width x width matrix of full rank, and 0 otherwise.  Columns past
+    `width` are carried along, so [M | I] reduces to [I | M^{-1}].
+    """
+    rank = 0
+    det = Fraction(1)
+    for col in range(width):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = -det
+        pv = rows[rank][col]
+        det *= pv
+        # Left of col the pivot row is zero, so only its tail is touched.
+        tail = [x / pv for x in rows[rank][col:]]
+        rows[rank][col:] = tail
+        for r, row in enumerate(rows):
+            f = row[col]
+            if r != rank and f:
+                row[col:] = [x - f * y for x, y in zip(row[col:], tail)]
+        rank += 1
+    return rank, det if rank == len(rows) == width else Fraction(0)
 
 
 def submatrix_for(matrix: RationalMatrix, A, B) -> RationalMatrix:
@@ -361,45 +357,19 @@ def trek_rule_covariance(g: MixedGraph, p: ParamAssignment, i: int, j: int) -> F
     return total
 
 
-@dataclass(frozen=True)
-class TrekRuleContext:
-    """Alternate per-vertex parameters a_v = sigma_vv for the simple trek rule."""
-
-    a: Mapping[int, Fraction]
-
-
-def trek_rule_context(g: MixedGraph, p: ParamAssignment) -> TrekRuleContext:
-    sigma = build_covariance(g, p)
-    return TrekRuleContext(a={v: sigma.entries[v - 1][v - 1] for v in g.vertices})
-
-
 def simple_trek_rule_covariance(g: MixedGraph, p: ParamAssignment,
-                                ctx: TrekRuleContext, i: int, j: int,
+                                sigma: RationalMatrix, i: int, j: int,
                                 cap: int = DEFAULT_CAP) -> Fraction:
-    """Covariance entry as the sum over simple treks with a_top weights."""
+    """Covariance entry as the sum over simple treks, the trek with top v
+    weighted by a_v = sigma_vv, the variance read off the covariance sigma."""
     if graph_class(g) != DAG:
         raise ValueError("the simple trek rule is defined for DAGs")
     total = Fraction(0)
     for t in enumerate_simple_treks(g, i, j, cap):
-        total += ctx.a[t.middle[0]] * _path_weight(p, t.left) * _path_weight(p, t.right)
+        top = t.middle[0] - 1
+        total += (sigma.entries[top][top] * _path_weight(p, t.left)
+                  * _path_weight(p, t.right))
     return total
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def gvl_minor_two_ways(g: MixedGraph, p: ParamAssignment, R, S,
@@ -414,27 +384,15 @@ def gvl_minor_two_ways(g: MixedGraph, p: ParamAssignment, R, S,
     det_side = submatrix_for(lambda_inverse(g, p), Rs, Ss).det()
 
     into = {s: _directed_paths_into(g, s) for s in Ss}
-    paths = {(r, s): into[s].get(r, []) for r in Rs for s in Ss}
-    ell = len(Rs)
+    options = {(r, s): [(path, frozenset(path)) for path in into[s].get(r, [])]
+               for r in Rs for s in Ss}
     total = Fraction(0)
-    budget = [cap]
-
-    def extend(perm, k, used, acc):
-        nonlocal total
-        if k == ell:
-            total += _perm_sign(perm) * acc
-            return
-        for path in paths[(Rs[k], Ss[perm[k]])]:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise CapExceededError(cap)
-            pv = set(path)
-            if pv & used:
-                continue
-            extend(perm, k + 1, used | pv, acc * _path_weight(p, path))
-
-    for perm in permutations(range(ell)):
-        extend(perm, 0, set(), Fraction(1))
+    for system in _disjoint_systems([Rs], Ss, options, cap):
+        cols = [s for s, _ in system]  # the permutation's sign: -1 per inversion
+        weight = Fraction((-1) ** sum(x > y for x, y in combinations(cols, 2)))
+        for _, path in system:
+            weight *= _path_weight(p, path)
+        total += weight
     return det_side, total
 
 
@@ -476,26 +434,10 @@ def undirected_minor_check(g: MixedGraph, p: ParamAssignment, A, B,
     minor = submatrix_for(sigma, As, Bs).det()
 
     middles = _undirected_middles(g)
-    paths = {(a, b): [(a,)] if a == b else middles.get((a, b), [])
-             for a in As for b in Bs}
-    ell = len(As)
-    budget = [cap]
-
-    def extend(perm, k, used):
-        if k == ell:
-            return True
-        for path in paths[(As[k], Bs[perm[k]])]:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise CapExceededError(cap)
-            pv = set(path)
-            if pv & used:
-                continue
-            if extend(perm, k + 1, used | pv):
-                return True
-        return False
-
-    verdict = any(extend(perm, 0, set()) for perm in permutations(range(ell)))
+    options = {(a, b): [(path, frozenset(path))
+                        for path in ([(a,)] if a == b else middles.get((a, b), []))]
+               for a in As for b in Bs}
+    verdict = next(_disjoint_systems([As], Bs, options, cap), None) is not None
     return minor, verdict
 
 

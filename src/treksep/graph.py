@@ -153,14 +153,7 @@ def make_graph(m, directed=(), undirected=(), bidirected=(), u=None, w=None) -> 
     par = {}
     for i, j in directed:
         par.setdefault(j, []).append(i)
-    closure = set(u0)
-    stack = list(u0)
-    while stack:
-        v = stack.pop()
-        for p in par.get(v, ()):
-            if p not in closure:
-                closure.add(p)
-                stack.append(p)
+    closure = _closure(u0, lambda v: par.get(v, ()))
 
     violations = []
     for v in sorted(closure & w0):
@@ -241,37 +234,36 @@ def _kahn(g: MixedGraph) -> List[int]:
     return order
 
 
-def _require_vertex(g: MixedGraph, v: int) -> None:
-    if v not in g.vertices:
-        raise ValueError(f"vertex {v} out of range [1,{g.m}]")
+def _require_vertices(g: MixedGraph, vertices) -> None:
+    """Raise ValueError for the first of vertices, in the order given, outside 1..m."""
+    m = g.m
+    for v in vertices:
+        if not 1 <= v <= m:
+            raise ValueError(f"vertex {v} out of range [1,{m}]")
+
+
+def _closure(start, step) -> set:
+    """The vertices of start and every vertex reached from them by step(v)."""
+    seen = set(start)
+    stack = list(seen)
+    while stack:
+        for x in step(stack.pop()):
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+    return seen
 
 
 def ancestors(g: MixedGraph, v: int) -> FrozenSet[int]:
     """Vertices with a directed path into v, including v itself."""
-    _require_vertex(g, v)
-    seen = {v}
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        for p in g.parents[x]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return frozenset(seen)
+    _require_vertices(g, (v,))
+    return frozenset(_closure((v,), g.parents.__getitem__))
 
 
 def descendants(g: MixedGraph, v: int) -> FrozenSet[int]:
     """Vertices reachable from v by directed edges, including v."""
-    _require_vertex(g, v)
-    seen = {v}
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        for c in g.children[x]:
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    return frozenset(seen)
+    _require_vertices(g, (v,))
+    return frozenset(_closure((v,), g.children.__getitem__))
 
 
 def bidirected_subdivision(g: MixedGraph) -> MixedGraph:

@@ -63,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
-from .graph import DAG, MixedGraph, graph_class
+from .graph import DAG, MixedGraph, _require_vertices, graph_class
 from .treks import CapExceededError
 
 
@@ -130,9 +130,7 @@ def _query(g: MixedGraph, A, B):
     global _last
     if not A or not B:
         raise ValueError("A and B must be nonempty")
-    for v in sorted(A | B):
-        if not 1 <= v <= g.m:
-            raise ValueError(f"vertex {v} out of range [1,{g.m}]")
+    _require_vertices(g, sorted(A | B))
     last = _last  # read once: another thread may replace it
     if last[0] is not g:
         _last = last = (None, None)
@@ -211,9 +209,7 @@ def generic_rank(g: MixedGraph, A, B) -> int:
 
 def is_t_separating(g: MixedGraph, A, B, c: SeparationTriple) -> bool:
     """Does deleting c (layer by layer) block every trek from A to B?"""
-    for v in sorted(c.c_left | c.c_mid | c.c_right):
-        if not 1 <= v <= g.m:
-            raise ValueError(f"vertex {v} out of range [1,{g.m}]")
+    _require_vertices(g, sorted(c.c_left | c.c_mid | c.c_right))
     A, B = frozenset(A), frozenset(B)
     arcs, prv = _query(g, A, B)
     for level, members in enumerate((c.c_left, c.c_mid, c.c_right)):

@@ -5,15 +5,20 @@ paths into i and j plus a middle segment joining their sources.  The middle
 is trivial (the shared source), an undirected path, or a single bidirected
 edge.  Simple treks have self-avoiding segments that overlap only at the
 two sources.
+
+One capped backtracking search, `_disjoint_systems`, finds the trek systems
+with no sided intersection here and the vertex-disjoint path systems of the
+path-determinant expansions in `algebra`.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import combinations
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .graph import MixedGraph
+from .graph import MixedGraph, _require_vertices
 
 DEFAULT_CAP = 100_000
 
@@ -115,9 +120,7 @@ def enumerate_simple_treks(g: MixedGraph, i: int, j: int,
     Raises CapExceededError if there are more than `cap` of them, and
     ValueError for out-of-range endpoints.
     """
-    for v in (i, j):
-        if not 1 <= v <= g.m:
-            raise ValueError(f"vertex {v} out of range [1,{g.m}]")
+    _require_vertices(g, (i, j))
     paths_i = _directed_paths_into(g, i)
     paths_j = _directed_paths_into(g, j)
 
@@ -222,26 +225,56 @@ class TrekSystem:
             raise ValueError("trek system endpoints must be pairwise distinct")
 
 
-def _middle_tokens(t: Trek):
-    # A bidirected middle behaves like its subdivision vertex: two bidirected
-    # middles intersect only when they are the same edge, and never intersect
-    # a vertex-valued middle.
+def _sided_tokens(t: Trek) -> FrozenSet[Tuple[str, object]]:
+    """The (side, vertex) pairs of a trek, side "left", "middle" or "right".
+
+    Two treks have a sided intersection iff their token sets meet.  A
+    bidirected middle i <-> j is one latent token, ("middle", (i, j)): it is
+    shared only by treks on the same edge and meets no vertex of another
+    middle.
+    """
     if t.middle_kind == MIDDLE_BIDIRECTED:
-        return frozenset({("edge",) + tuple(sorted(t.middle))})
-    return frozenset(t.middle)
+        middle = {("middle", tuple(sorted(t.middle)))}
+    else:
+        middle = {("middle", v) for v in t.middle}
+    return frozenset(middle | {("left", v) for v in t.left}
+                     | {("right", v) for v in t.right})
 
 
 def has_sided_intersection(sys: TrekSystem) -> bool:
     """Two treks sharing a vertex on the same side (left, middle or right)."""
-    treks = sys.treks
-    lefts = [frozenset(t.left) for t in treks]
-    mids = [_middle_tokens(t) for t in treks]
-    rights = [frozenset(t.right) for t in treks]
-    for a in range(len(treks)):
-        for b in range(a + 1, len(treks)):
-            if lefts[a] & lefts[b] or mids[a] & mids[b] or rights[a] & rights[b]:
-                return True
-    return False
+    tokens = [_sided_tokens(t) for t in sys.treks]
+    return any(a & b for a, b in combinations(tokens, 2))
+
+
+def _disjoint_systems(row_sets, cols, options, cap: int):
+    """Each system joining the rows of a row set to distinct columns by options
+    with pairwise disjoint tokens, as a tuple of (col, item), one per row.
+
+    Row by row, a row takes a free column, in the order of cols, then one of
+    options[(row, col)], a list of (item, tokens).  Each option tried costs
+    one unit of `cap`, shared by all row sets, before its tokens are tested;
+    CapExceededError is raised once the budget is spent.
+    """
+    budget = cap
+
+    def extend(rows, chosen, free, used):
+        nonlocal budget
+        if len(chosen) == len(rows):
+            yield chosen
+            return
+        row = rows[len(chosen)]
+        for col in free:
+            for item, tokens in options[(row, col)]:
+                budget -= 1
+                if budget < 0:
+                    raise CapExceededError(cap)
+                if not tokens & used:
+                    yield from extend(rows, chosen + ((col, item),),
+                                      [c for c in free if c != col], used | tokens)
+
+    for rows in row_sets:
+        yield from extend(rows, (), list(cols), frozenset())
 
 
 def exists_noncrossing_system(g: MixedGraph, A, B, r: int,
@@ -253,34 +286,8 @@ def exists_noncrossing_system(g: MixedGraph, A, B, r: int,
         raise ValueError("r must be positive")
     if r > min(len(A), len(B)):
         raise ValueError("r exceeds min(#A, #B)")
-
-    table = {}
-    for a in A:
-        for b in B:
-            table[(a, b)] = enumerate_simple_treks(g, a, b, cap)
-
-    from itertools import combinations
-
-    budget = [cap]
-
-    def extend(chosen_a, k, free_b, used_l, used_m, used_r):
-        if k == r:
-            return True
-        a = chosen_a[k]
-        for b in free_b:
-            for t in table[(a, b)]:
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise CapExceededError(cap)
-                lv, mv, rv = frozenset(t.left), _middle_tokens(t), frozenset(t.right)
-                if lv & used_l or mv & used_m or rv & used_r:
-                    continue
-                if extend(chosen_a, k + 1, [x for x in free_b if x != b],
-                          used_l | lv, used_m | mv, used_r | rv):
-                    return True
-        return False
-
-    for chosen_a in combinations(A, r):
-        if extend(chosen_a, 0, B, frozenset(), frozenset(), frozenset()):
-            return True
-    return False
+    options = {(a, b): [(t, _sided_tokens(t))
+                        for t in enumerate_simple_treks(g, a, b, cap)]
+               for a in A for b in B}
+    systems = _disjoint_systems(combinations(A, r), B, options, cap)
+    return next(systems, None) is not None

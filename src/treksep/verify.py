@@ -187,13 +187,13 @@ def criterion_trek_rule(cfg: SuiteConfig) -> CheckResult:
     for g, rng in _graph_stream(DAG, cfg, cfg.graph_count, "trek_rule"):
         p = algebra.sample_parameters(g, rng.getrandbits(48))
         sigma = algebra.build_covariance(g, p)
-        ctx = algebra.trek_rule_context(g, p)
         ok = True
         for i in range(1, g.m + 1):
             for j in range(i, g.m + 1):
                 entry = sigma.entries[i - 1][j - 1]
                 if (algebra.trek_rule_covariance(g, p, i, j) != entry
-                        or algebra.simple_trek_rule_covariance(g, p, ctx, i, j) != entry):
+                        or algebra.simple_trek_rule_covariance(g, p, sigma, i, j)
+                        != entry):
                     ok = False
         out.record(ok, g, {"check": "trek_rule_identity"})
     return out
@@ -255,7 +255,7 @@ def criterion_rank_mixed(cfg: SuiteConfig) -> CheckResult:
     return _criterion_rank(cfg, MIXED, "rank_mixed")
 
 
-def _force_bidirected(g: MixedGraph, rng) -> MixedGraph:
+def _force_bidirected(g: MixedGraph) -> MixedGraph:
     if g.bidirected_edges:
         return g
     w = sorted(g.w_set)
@@ -272,7 +272,7 @@ def criterion_subdivision(cfg: SuiteConfig) -> CheckResult:
     out = CheckResult("subdivision_invariance")
     count = max(1, cfg.graph_count // 2)
     for g, rng in _graph_stream(MIXED, cfg, count, "subdivision", min_n=4):
-        g = _force_bidirected(g, rng)
+        g = _force_bidirected(g)
         g2 = bidirected_subdivision(g)
         A = _sample_set(rng, g.m, 3)
         B = _sample_set(rng, g.m, 3)

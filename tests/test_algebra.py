@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +15,7 @@ from treksep.algebra import (RationalMatrix, build_covariance,
                              lambda_inverse, sample_parameters,
                              simple_trek_rule_covariance, submatrix_for,
                              translate_subdivision_parameters,
-                             trek_rule_context, trek_rule_covariance,
+                             trek_rule_covariance,
                              undirected_minor_check)
 from treksep.graph import DAG, MIXED, UNDIRECTED, bidirected_subdivision, make_graph
 from treksep.instances import choke_graph, spider_graph
@@ -195,12 +199,9 @@ def test_trek_rule_rejects_undirected():
 def test_simple_trek_rule_diagonal():
     g = make_graph(3, directed=[(1, 2), (2, 3)])
     p = sample_parameters(g, 23)
-    ctx = trek_rule_context(g, p)
     sigma = build_covariance(g, p)
-    for v in (1, 2, 3):
-        assert ctx.a[v] == sigma.entries[v - 1][v - 1]
-    assert simple_trek_rule_covariance(g, p, ctx, 1, 3) == \
-        ctx.a[1] * p.lam[(1, 2)] * p.lam[(2, 3)]
+    assert simple_trek_rule_covariance(g, p, sigma, 1, 3) == \
+        sigma.entries[0][0] * p.lam[(1, 2)] * p.lam[(2, 3)]
 
 
 def test_gvl_identity_and_trivial_case():
@@ -259,12 +260,11 @@ def test_trek_rules_match_factorization(case):
     g = random_graph(DAG, n, seed, 0.5)
     p = sample_parameters(g, seed + 1)
     sigma = build_covariance(g, p)
-    ctx = trek_rule_context(g, p)
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             entry = sigma.entries[i - 1][j - 1]
             assert trek_rule_covariance(g, p, i, j) == entry
-            assert simple_trek_rule_covariance(g, p, ctx, i, j) == entry
+            assert simple_trek_rule_covariance(g, p, sigma, i, j) == entry
 
 
 @settings(max_examples=25, deadline=None)
@@ -276,6 +276,34 @@ def test_oracle_seed_invariance(case, other_seed):
     B = {n, max(1, n - 1)}
     assert generic_rank_oracle(g, A, B, seed) == \
         generic_rank_oracle(g, A, B, other_seed)
+
+
+_OPTIMIZED_SHAPES = """
+import sys
+from treksep.algebra import RationalMatrix
+print(sys.flags.optimize)
+wide = RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+for call in (lambda: RationalMatrix.from_rows([[1, 2]]).matmul(
+                 RationalMatrix.from_rows([[1], [2], [3]])),
+             wide.det, wide.inverse):
+    try:
+        print("returned", call())
+    except ValueError as exc:
+        print("ValueError:", exc)
+"""
+
+
+def test_shape_checks_hold_under_python_O():
+    src = str(Path(algebra.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_SHAPES],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "1",
+        "ValueError: cannot multiply a 1x2 matrix by a 3x1 matrix",
+        "ValueError: a 2x3 matrix is not square",
+        "ValueError: a 2x3 matrix is not square"]
 
 
 def test_submatrix_for_orders_rows():

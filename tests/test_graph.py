@@ -8,6 +8,9 @@ from treksep.graph import (DAG, MIXED, UNDIRECTED, InvalidGraphError,
                            make_graph, parse_graph, serialize,
                            topological_order, validate)
 from treksep.instances import CHOKE_TEXT, choke_graph
+from treksep.separation import (SeparationTriple, ci_implied, is_t_separating,
+                                min_t_separator)
+from treksep.treks import enumerate_simple_treks
 from treksep.verify import random_graph
 
 
@@ -129,6 +132,30 @@ def test_ancestors_descendants_reject_out_of_range(v):
     for walk in (ancestors, descendants):
         with pytest.raises(ValueError, match=r"vertex \d+ out of range \[1,5\]"):
             walk(choke_graph(), v)
+
+
+_RANGE_CHECKED = {
+    "min_t_separator": lambda g, v: min_t_separator(g, {1}, {v}),
+    "is_t_separating": lambda g, v: is_t_separating(
+        g, {1}, {2}, SeparationTriple.of(cm={v})),
+    "ci_implied": lambda g, v: ci_implied(g, {v}, {2}, {3}),
+    "enumerate_simple_treks": lambda g, v: enumerate_simple_treks(g, 1, v),
+    "ancestors": ancestors,
+    "descendants": descendants,
+}
+
+
+@pytest.mark.parametrize("v", [0, 6], ids=["0", "m+1"])
+@pytest.mark.parametrize("entry", sorted(_RANGE_CHECKED))
+def test_every_entry_point_reports_an_out_of_range_vertex(entry, v):
+    with pytest.raises(ValueError) as caught:
+        _RANGE_CHECKED[entry](choke_graph(), v)
+    assert str(caught.value) == f"vertex {v} out of range [1,5]"
+
+
+def test_is_t_separating_reports_a_bad_triple_member_before_a_bad_query_vertex():
+    with pytest.raises(ValueError, match=r"^vertex 7 out of range \[1,5\]$"):
+        is_t_separating(choke_graph(), {0}, {1}, SeparationTriple.of(cr={7}))
 
 
 def test_subdivision_single_edge():

@@ -1,5 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no module-level private function or class goes unreferenced.
+no module-level private function or class goes unreferenced, no
+module-level private function has a parameter it never reads, and no
+module uses an `assert` statement, which `python -O` strips.
 
 `__init__.py` is exempt from the import check, since its imports are the
 package's re-exports.
@@ -57,6 +59,28 @@ def unreferenced_private(sources: dict) -> list:
     return sorted((module, name) for module, name in defined if name not in used)
 
 
+def unread_parameters(source: str) -> list:
+    """(function, parameter) of each parameter that a module-level `_private`
+    function never reads."""
+    out = []
+    for node in ast.parse(source).body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_") and not node.name.startswith("__")):
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            out.extend((node.name, p) for p in params if p not in read)
+    return sorted(out)
+
+
+def assert_lines(source: str) -> list:
+    """Line of each `assert` statement."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
 def test_checker_flags_an_unused_import():
     assert unused_imports("import os\nfrom typing import Dict, List\nx: List = []\n") \
         == [(1, "os"), (2, "Dict")]
@@ -82,3 +106,26 @@ def test_no_unused_imports(path):
 def test_no_unreferenced_private_definitions():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert unreferenced_private(sources) == []
+
+
+def test_checker_flags_an_unread_parameter():
+    source = ("def _f(a, b, *rest, c, **opts):\n    b = a\n    return b\n\n"
+              "def _g(x):\n    def inner():\n        return x\n    return inner\n\n"
+              "def public(unused):\n    pass\n\n"
+              "class _C:\n    def _m(self, unused):\n        pass\n")
+    assert unread_parameters(source) == [("_f", "c"), ("_f", "opts"), ("_f", "rest")]
+
+
+def test_checker_flags_an_assert_statement():
+    source = "def f(x):\n    assert x > 0\n    return x\n\nassert f(1)\nok = 'assert'\n"
+    assert assert_lines(source) == [2, 5]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unread_parameters_of_private_functions(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_lines(path.read_text(encoding="utf-8")) == []
