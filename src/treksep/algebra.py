@@ -1,11 +1,13 @@
 """Exact algebra: the generic rank oracle and the trek-rule identities.
 
 `generic_rank_oracle` works over F_p, p = PRIME = 2^61 - 1, and builds only
-the block Sigma_{A,B}; its error is one-sided (see its docstring).  The
-identities (trek rule, simple trek rule, path determinants, Cauchy-Binet,
-the subdivision translation) demand exact rational equality, so they run
-over `fractions.Fraction`, on large random integer parameters.  No floating
-point is involved anywhere.
+the block Sigma_{A,B}, touching only what it depends on: the columns of
+Lambda^{-1} over the ancestors of A and B, and one sparse elimination mod
+PRIME, `_eliminate`, for both the K solve and the rank.  Its error is
+one-sided (see its docstring).  The identities (trek rule, simple trek
+rule, path determinants, Cauchy-Binet, the subdivision translation) demand
+exact rational equality, so they run over `fractions.Fraction`, on large
+random integer parameters.  No floating point is involved anywhere.
 
 Over Q, rank, det and inverse share one Gauss-Jordan, `_gauss_jordan`.  The
 simple trek rule reads a_v = sigma_vv off the covariance it is given, and
@@ -19,9 +21,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from .graph import DAG, UNDIRECTED, MixedGraph, graph_class, topological_order
+from .graph import (DAG, UNDIRECTED, MixedGraph, _require_vertices, ancestors,
+                    graph_class, topological_order)
 from .treks import (DEFAULT_CAP, _directed_paths_into, _disjoint_systems,
                     _undirected_middles, enumerate_simple_treks)
 
@@ -55,7 +58,11 @@ class RationalMatrix:
     @classmethod
     def from_rows(cls, rows):
         rows = [[Fraction(x) for x in row] for row in rows]
-        return cls(len(rows), len(rows[0]) if rows else 0, rows)
+        cols = len(rows[0]) if rows else 0
+        for i, row in enumerate(rows):
+            if len(row) != cols:
+                raise ValueError(f"row {i} has {len(row)} entries, row 0 has {cols}")
+        return cls(len(rows), cols, rows)
 
     def __getitem__(self, rc):
         return self.entries[rc[0]][rc[1]]
@@ -237,18 +244,34 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
     """Generic rank of Sigma_{A,B}: the largest rank mod PRIME over `trials`
     models whose parameters are drawn uniformly from 1..PRIME-1.
 
-    Only the block is built: the columns of Lambda^{-1} for A and B, the
-    inner matrix K^{-1} (+) Phi applied to the B columns (K is solved mod
-    PRIME, never inverted), and Sigma_{A,B} = X_A^T (M X_B).  A minor that
-    vanishes identically over Q vanishes mod PRIME, so no trial exceeds the
-    generic rank, and by Schwartz-Zippel a trial falls short with
-    probability at most deg/PRIME.  Trials stop once the rank is
-    min(|A|, |B|), which no trial can exceed.
+    Only the block is built.  Column v of Lambda^{-1} sums the directed paths
+    into v, so it vanishes outside an(v): it is computed by a sweep over
+    an(v) alone, in reverse topological order, and Sigma_{A,B} =
+    X_A^T (M X_B) takes its dot products over an(a).  The inner matrix
+    M = K^{-1} (+) Phi is applied to the B columns.  K is never inverted:
+    it is solved mod PRIME by one sparse elimination, `_eliminate`, which
+    pivots on the sparsest remaining row (on its diagonal when that is
+    nonzero) and back-substitutes; a K that is singular mod PRIME empties
+    a row and is drawn again.  The rank of the block comes from the same
+    elimination.
+
+    A minor that vanishes identically over Q vanishes mod PRIME, so no trial
+    exceeds the generic rank, and by Schwartz-Zippel a trial falls short
+    with probability at most deg/PRIME.  Trials stop once the rank is
+    min(|A|, |B|), which no trial can exceed.  A vertex outside 1..m raises
+    ValueError; an empty A or B answers 0.
     """
     p = PRIME
+    vertices = sorted(set(A) | set(B))
+    _require_vertices(g, vertices)
     As, Bs = sorted(set(A)), sorted(set(B))
     full = min(len(As), len(Bs))
-    reverse_order = topological_order(g)[::-1]
+    position = {v: k for k, v in enumerate(topological_order(g))}
+    walks = {}  # v -> (i, children of i in an(v)) for i in an(v) - v, sinks first
+    for v in vertices:
+        anc = ancestors(g, v)
+        walks[v] = [(i, [c for c in g.children[i] if c in anc])
+                    for i in sorted(anc - {v}, key=position.__getitem__, reverse=True)]
     u_vs = sorted(g.u_set)
     best = 0
     for t in range(trials):
@@ -258,34 +281,29 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
         lam = {e: rng.randrange(1, p) for e in sorted(g.directed_edges)}
         phi = {e: rng.randrange(1, p) for e in sorted(g.bidirected_edges)}
         phi.update({(w, w): rng.randrange(1, p) for w in sorted(g.w_set)})
-        x = {v: _lambda_inverse_column(g, reverse_order, lam, v)
-             for v in sorted(set(As) | set(Bs))}
+        x = {}  # column v of Lambda^{-1} mod p, keyed by the vertices of an(v)
+        for v, walk in walks.items():
+            col = x[v] = {v: 1}
+            for i, children in walk:
+                col[i] = sum(lam[(i, c)] * col[c] for c in children) % p
         y = {b: [0] * (g.m + 1) for b in Bs}
         for b in Bs:
             for (i, j), val in phi.items():
-                y[b][i] += val * x[b][j]
+                y[b][i] += val * x[b].get(j, 0)
                 if i != j:
-                    y[b][j] += val * x[b][i]
+                    y[b][j] += val * x[b].get(i, 0)
         if u_vs:
-            solution = _solve_k(g, rng, u_vs, [[x[b][u] for b in Bs] for u in u_vs])
+            solution = _solve_k(g, rng, u_vs,
+                                [[x[b].get(u, 0) for b in Bs] for u in u_vs])
             for u, row in zip(u_vs, solution):
                 for b, val in zip(Bs, row):
                     y[b][u] = val
-        sigma = [[sum(xa * yb for xa, yb in zip(x[a], y[b])) % p for b in Bs]
-                 for a in As]
-        best = max(best, _row_reduce(sigma, len(Bs)))
+        sigma = []  # Sigma_{A,B} mod p, one dict row per a
+        for a in As:
+            dots = (sum(xa * y[b][i] for i, xa in x[a].items()) % p for b in Bs)
+            sigma.append({k: s for k, s in enumerate(dots) if s})
+        best = max(best, _eliminate(sigma)[0])
     return best
-
-
-def _lambda_inverse_column(g: MixedGraph, reverse_order, lam, a: int) -> List[int]:
-    """Column a of Lambda^{-1} mod PRIME, indexed by vertex id: entry i sums
-    the weights of the directed paths from i to a."""
-    x = [0] * (g.m + 1)
-    x[a] = 1
-    for i in reverse_order:
-        if g.children[i]:
-            x[i] = (x[i] + sum(lam[(i, c)] * x[c] for c in g.children[i])) % PRIME
-    return x
 
 
 def _solve_k(g: MixedGraph, rng: random.Random, u_vs, rhs) -> List[List[int]]:
@@ -295,37 +313,74 @@ def _solve_k(g: MixedGraph, rng: random.Random, u_vs, rhs) -> List[List[int]]:
     so the result depends on the generator's state alone.
     """
     pos = {u: i for i, u in enumerate(u_vs)}
-    size = len(u_vs)
     while True:
-        rows = [[0] * size + row for row in rhs]
+        rows: List[Dict[int, int]] = [{} for _ in u_vs]
         for i, j in sorted(g.undirected_edges):
             rows[pos[i]][pos[j]] = rows[pos[j]][pos[i]] = rng.randrange(1, PRIME)
-        for i in range(size):
-            rows[i][i] = rng.randrange(1, PRIME)
-        if _row_reduce(rows, size) == size:
-            return [row[size:] for row in rows]
+        for i, row in enumerate(rows):
+            row[i] = rng.randrange(1, PRIME)
+        solution = _eliminate(rows, rhs)[1]
+        if solution is not None:
+            return solution
 
 
-def _row_reduce(rows, width: int) -> int:
-    """Gauss-Jordan mod PRIME on the first `width` columns, in place; returns
-    the rank.  Entries must already be reduced mod PRIME."""
+def _eliminate(rows: List[Dict[int, int]], rhs=None
+               ) -> Tuple[int, Optional[List[List[int]]]]:
+    """Sparse Gaussian elimination mod PRIME; returns (rank, solution).
+
+    rows are dicts column -> entry, nonzero and reduced mod PRIME, and are
+    eliminated in place.  Each step pivots on the sparsest remaining row
+    (lowest index on ties), on its diagonal entry (column = row index) if
+    that is nonzero and otherwise on its first entry, and eliminates the
+    pivot column from the remaining rows; a row that empties takes no pivot.
+
+    With rhs, one list of entries per row, the rows must form a square
+    matrix: solution[c] is row c of the solution X of rows X = rhs, by back
+    substitution.  The first row that empties shows the matrix singular,
+    and elimination stops there with solution None.
+    """
     p = PRIME
-    rank = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
+    rhs = None if rhs is None else list(rhs)
+    remaining = list(range(len(rows)))
+    pivots = []
+    while remaining:
+        r = min(remaining, key=lambda k: len(rows[k]))
+        remaining.remove(r)
+        prow = rows[r]
+        if not prow:
+            if rhs is not None:
+                return len(pivots), None
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        # Left of col the pivot row is zero, so only its tail is touched.
-        inv = pow(rows[rank][col], -1, p)
-        tail = [x * inv % p for x in rows[rank][col:]]
-        rows[rank][col:] = tail
-        for r, row in enumerate(rows):
-            f = row[col]
-            if r != rank and f:
-                row[col:] = [(x - f * y) % p for x, y in zip(row[col:], tail)]
-        rank += 1
-    return rank
+        c = r if r in prow else next(iter(prow))
+        inv = pow(prow[c], -1, p)
+        for k in prow:
+            prow[k] = prow[k] * inv % p
+        if rhs is not None:
+            rhs[r] = [z * inv % p for z in rhs[r]]
+        pivots.append((r, c))
+        for s in remaining:
+            row = rows[s]
+            f = row.get(c)
+            if f is None:
+                continue
+            for k, v in prow.items():
+                val = (row.get(k, 0) - f * v) % p
+                if val:
+                    row[k] = val
+                else:
+                    del row[k]
+            if rhs is not None:
+                rhs[s] = [(z - f * w) % p for z, w in zip(rhs[s], rhs[r])]
+    if rhs is None:
+        return len(pivots), None
+    solution: List[List[int]] = [[]] * len(rows)
+    for r, c in reversed(pivots):
+        acc = rhs[r]
+        for k, v in rows[r].items():
+            if k != c:
+                acc = [z - v * w for z, w in zip(acc, solution[k])]
+        solution[c] = [z % p for z in acc]
+    return len(pivots), solution
 
 
 def _path_weight(p: ParamAssignment, path) -> Fraction:

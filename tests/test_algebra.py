@@ -23,6 +23,17 @@ from treksep.separation import min_t_separator
 from treksep.verify import random_graph
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[1], [2, 5]], "row 1 has 2 entries, row 0 has 1"),
+    ([[1, 2], [3]], "row 1 has 1 entries, row 0 has 2"),
+    ([[1, 2], [3, 4], []], "row 2 has 0 entries, row 0 has 2"),
+])
+def test_from_rows_rejects_ragged_rows(rows, message):
+    with pytest.raises(ValueError) as exc:
+        RationalMatrix.from_rows(rows)
+    assert str(exc.value) == message
+
+
 def test_rational_matrix_basics():
     m = RationalMatrix.from_rows([[1, 2], [2, 4]])
     assert m.rank() == 1
@@ -157,23 +168,50 @@ def test_oracle_small_prime_is_one_sided(monkeypatch):
     # oracle must redraw K rather than raise, and never exceed the min cut.
     monkeypatch.setattr(algebra, "PRIME", 5)
     events = []  # S: singular K, K: K solved, R: rank of the block
-    row_reduce = algebra._row_reduce
+    eliminate = algebra._eliminate
 
-    def recording(rows, width):
-        rank = row_reduce(rows, width)
-        if len(rows[0]) > width:  # K augmented with the B columns
-            events.append("K" if rank == width else "S")
+    def recording(rows, rhs=None):
+        rank, solution = eliminate(rows, rhs)
+        if rhs is not None:  # K with the B columns as right-hand sides
+            events.append("K" if solution is not None else "S")
         else:
             events.append("R")
-        return rank
+        return rank, solution
 
-    monkeypatch.setattr(algebra, "_row_reduce", recording)
+    monkeypatch.setattr(algebra, "_eliminate", recording)
     for cls in (UNDIRECTED, MIXED, DAG):
         for g, A, B, seed in _small_queries(cls, 60, 2):
             assert generic_rank_oracle(g, A, B, seed) <= \
                 min_t_separator(g, A, B).rank, (g, A, B, seed)
     trace = "".join(events)
     assert "S" in trace and "SR" not in trace
+
+
+ORACLE_RANGE_TABLE = [  # (A, B, message), on the path 1 -> 2 -> 3
+    ({0}, {1}, "vertex 0 out of range [1,3]"),
+    ({-1}, {1}, "vertex -1 out of range [1,3]"),
+    ({1}, {4}, "vertex 4 out of range [1,3]"),
+    ({2}, {4, 0}, "vertex 0 out of range [1,3]"),
+    (set(), {4}, "vertex 4 out of range [1,3]"),
+]
+
+
+@pytest.mark.parametrize("A, B, message", ORACLE_RANGE_TABLE)
+def test_oracle_rejects_vertices_out_of_range(A, B, message):
+    g = make_graph(3, directed=[(1, 2), (2, 3)])
+    with pytest.raises(ValueError) as exc:
+        generic_rank_oracle(g, A, B, 0)
+    assert str(exc.value) == message
+    if A and B:
+        with pytest.raises(ValueError) as sep_exc:
+            min_t_separator(g, A, B)
+        assert str(sep_exc.value) == message
+
+
+def test_oracle_empty_side_answers_zero():
+    g = make_graph(3, directed=[(1, 2), (2, 3)])
+    assert generic_rank_oracle(g, set(), {1, 3}, 0) == 0
+    assert generic_rank_oracle(g, {2}, [], 0) == 0
 
 
 def test_trek_rule_single_edge():
@@ -285,7 +323,8 @@ print(sys.flags.optimize)
 wide = RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
 for call in (lambda: RationalMatrix.from_rows([[1, 2]]).matmul(
                  RationalMatrix.from_rows([[1], [2], [3]])),
-             wide.det, wide.inverse):
+             wide.det, wide.inverse,
+             lambda: RationalMatrix.from_rows([[1, 2], [3]]).rank()):
     try:
         print("returned", call())
     except ValueError as exc:
@@ -303,7 +342,8 @@ def test_shape_checks_hold_under_python_O():
         "1",
         "ValueError: cannot multiply a 1x2 matrix by a 3x1 matrix",
         "ValueError: a 2x3 matrix is not square",
-        "ValueError: a 2x3 matrix is not square"]
+        "ValueError: a 2x3 matrix is not square",
+        "ValueError: row 1 has 1 entries, row 0 has 2"]
 
 
 def test_submatrix_for_orders_rows():
