@@ -1,9 +1,10 @@
 """Exact algebra: the generic rank oracle and the trek-rule identities.
 
-`generic_rank_oracle` works over F_p, p = PRIME = 2^61 - 1, and builds only
-the block Sigma_{A,B}, touching only what it depends on: the columns of
-Lambda^{-1} over the ancestors of A and B, and one sparse elimination mod
-PRIME, `_eliminate`, for both the K solve and the rank.  Its error is
+`generic_rank_oracle` works over F_p, p = PRIME = 2^61 - 1, and touches
+only what Sigma_{A,B} depends on: the columns of Lambda^{-1} over the
+ancestors of A and B.  It never solves K: Sigma_{A,B} is the Schur
+complement of K in a sparse matrix N, so each trial ranks N by one sparse
+elimination mod PRIME, `_eliminate`, and subtracts |U|.  Its error is
 one-sided (see its docstring).  The identities (trek rule, simple trek
 rule, path determinants, Cauchy-Binet, the subdivision translation) demand
 exact rational equality, so they run over `fractions.Fraction`, on large
@@ -21,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .graph import (DAG, UNDIRECTED, MixedGraph, _require_vertices, ancestors,
                     graph_class, topological_order)
@@ -244,23 +245,26 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
     """Generic rank of Sigma_{A,B}: the largest rank mod PRIME over `trials`
     models whose parameters are drawn uniformly from 1..PRIME-1.
 
-    Only the block is built.  Column v of Lambda^{-1} sums the directed paths
-    into v, so it vanishes outside an(v): it is computed by a sweep over
-    an(v) alone, in reverse topological order, and Sigma_{A,B} =
-    X_A^T (M X_B) takes its dot products over an(a).  The inner matrix
-    M = K^{-1} (+) Phi is applied to the B columns.  K is never inverted:
-    it is solved mod PRIME by one sparse elimination, `_eliminate`, which
-    pivots on the sparsest remaining row (on its diagonal when that is
-    nonzero) and back-substitutes; a K that is singular mod PRIME empties
-    a row and is drawn again.  The rank of the block comes from the same
-    elimination.
+    With X = Lambda^{-1}, Sigma_{A,B} = X_{U,A}^T K^{-1} X_{U,B} +
+    X_{W,A}^T Phi X_{W,B}, the Schur complement of K in
 
-    A minor that vanishes identically over Q vanishes mod PRIME, so no trial
-    exceeds the generic rank, and by Schwartz-Zippel a trial falls short
-    with probability at most deg/PRIME.  Trials stop once the rank is
-    min(|A|, |B|), which no trial can exceed.  A vertex outside 1..m raises
-    ValueError; an empty A or B answers 0.
+        N = [[K, X_{U,B}], [-X_{U,A}^T, X_{W,A}^T Phi X_{W,B}]],
+
+    so rank Sigma_{A,B} = rank N - |U| (Guttman's rank additivity) and K is
+    never solved.  Column v of X sums the directed paths into v, so it
+    vanishes outside an(v): it is computed by a sweep over an(v) alone, in
+    reverse topological order, and the dot products of the last block run
+    over an(a).  Each trial ranks N by one sparse elimination, `_eliminate`.
+
+    N's entries are polynomials in the parameters and its generic rank is
+    |U| + rk Sigma_{A,B}, so no trial exceeds the generic rank, even when K
+    is singular mod PRIME, and by Schwartz-Zippel a trial falls short with
+    probability at most deg/PRIME.  Trials stop once the rank is
+    min(|A|, |B|), which no trial can exceed.  A vertex outside 1..m, or
+    fewer than one trial, raises ValueError; an empty A or B answers 0.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     p = PRIME
     vertices = sorted(set(A) | set(B))
     _require_vertices(g, vertices)
@@ -272,7 +276,8 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
         anc = ancestors(g, v)
         walks[v] = [(i, [c for c in g.children[i] if c in anc])
                     for i in sorted(anc - {v}, key=position.__getitem__, reverse=True)]
-    u_vs = sorted(g.u_set)
+    pos = {u: i for i, u in enumerate(sorted(g.u_set))}
+    width = len(pos)  # column width + k of N belongs to Bs[k]
     best = 0
     for t in range(trials):
         if best == full:
@@ -286,101 +291,63 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
             col = x[v] = {v: 1}
             for i, children in walk:
                 col[i] = sum(lam[(i, c)] * col[c] for c in children) % p
-        y = {b: [0] * (g.m + 1) for b in Bs}
-        for b in Bs:
+        rows: List[Dict[int, int]] = [{} for _ in pos]  # K, then X_{U,B}
+        for i, j in sorted(g.undirected_edges):
+            rows[pos[i]][pos[j]] = rows[pos[j]][pos[i]] = rng.randrange(1, p)
+        for i, row in enumerate(rows):
+            row[i] = rng.randrange(1, p)
+        phi_x = {b: [0] * (g.m + 1) for b in Bs}  # column b of Phi X, by vertex
+        for k, b in enumerate(Bs):
+            for u, val in x[b].items():
+                if u in pos and val:
+                    rows[pos[u]][width + k] = val
             for (i, j), val in phi.items():
-                y[b][i] += val * x[b].get(j, 0)
+                phi_x[b][i] += val * x[b].get(j, 0)
                 if i != j:
-                    y[b][j] += val * x[b].get(i, 0)
-        if u_vs:
-            solution = _solve_k(g, rng, u_vs,
-                                [[x[b].get(u, 0) for b in Bs] for u in u_vs])
-            for u, row in zip(u_vs, solution):
-                for b, val in zip(Bs, row):
-                    y[b][u] = val
-        sigma = []  # Sigma_{A,B} mod p, one dict row per a
-        for a in As:
-            dots = (sum(xa * y[b][i] for i, xa in x[a].items()) % p for b in Bs)
-            sigma.append({k: s for k, s in enumerate(dots) if s})
-        best = max(best, _eliminate(sigma)[0])
+                    phi_x[b][j] += val * x[b].get(i, 0)
+        for a in As:  # -X_{U,A}^T, then X_{W,A}^T Phi X_{W,B}
+            row = {pos[u]: p - val for u, val in x[a].items() if u in pos and val}
+            for k, b in enumerate(Bs):
+                s = sum(xa * phi_x[b][i] for i, xa in x[a].items()) % p
+                if s:
+                    row[width + k] = s
+            rows.append(row)
+        best = max(best, _eliminate(rows) - width)
     return best
 
 
-def _solve_k(g: MixedGraph, rng: random.Random, u_vs, rhs) -> List[List[int]]:
-    """K^{-1} rhs mod PRIME for K drawn from rng on the undirected part.
+def _eliminate(rows: List[Dict[int, int]]) -> int:
+    """Rank mod PRIME of dict rows, by sparse Gaussian elimination in place.
 
-    A K that is singular mod PRIME is drawn again from the same generator,
-    so the result depends on the generator's state alone.
-    """
-    pos = {u: i for i, u in enumerate(u_vs)}
-    while True:
-        rows: List[Dict[int, int]] = [{} for _ in u_vs]
-        for i, j in sorted(g.undirected_edges):
-            rows[pos[i]][pos[j]] = rows[pos[j]][pos[i]] = rng.randrange(1, PRIME)
-        for i, row in enumerate(rows):
-            row[i] = rng.randrange(1, PRIME)
-        solution = _eliminate(rows, rhs)[1]
-        if solution is not None:
-            return solution
-
-
-def _eliminate(rows: List[Dict[int, int]], rhs=None
-               ) -> Tuple[int, Optional[List[List[int]]]]:
-    """Sparse Gaussian elimination mod PRIME; returns (rank, solution).
-
-    rows are dicts column -> entry, nonzero and reduced mod PRIME, and are
-    eliminated in place.  Each step pivots on the sparsest remaining row
-    (lowest index on ties), on its diagonal entry (column = row index) if
-    that is nonzero and otherwise on its first entry, and eliminates the
-    pivot column from the remaining rows; a row that empties takes no pivot.
-
-    With rhs, one list of entries per row, the rows must form a square
-    matrix: solution[c] is row c of the solution X of rows X = rhs, by back
-    substitution.  The first row that empties shows the matrix singular,
-    and elimination stops there with solution None.
+    rows map column -> entry, nonzero and reduced mod PRIME.  Each step
+    pivots on the sparsest remaining row (lowest index on ties), on its
+    diagonal entry (column = row index) if that is nonzero and otherwise on
+    its first entry, and eliminates the pivot column from the remaining
+    rows; a row that empties takes no pivot.
     """
     p = PRIME
-    rhs = None if rhs is None else list(rhs)
     remaining = list(range(len(rows)))
-    pivots = []
+    rank = 0
     while remaining:
         r = min(remaining, key=lambda k: len(rows[k]))
         remaining.remove(r)
         prow = rows[r]
         if not prow:
-            if rhs is not None:
-                return len(pivots), None
             continue
+        rank += 1
         c = r if r in prow else next(iter(prow))
         inv = pow(prow[c], -1, p)
-        for k in prow:
-            prow[k] = prow[k] * inv % p
-        if rhs is not None:
-            rhs[r] = [z * inv % p for z in rhs[r]]
-        pivots.append((r, c))
         for s in remaining:
             row = rows[s]
-            f = row.get(c)
-            if f is None:
-                continue
-            for k, v in prow.items():
-                val = (row.get(k, 0) - f * v) % p
-                if val:
-                    row[k] = val
-                else:
-                    del row[k]
-            if rhs is not None:
-                rhs[s] = [(z - f * w) % p for z, w in zip(rhs[s], rhs[r])]
-    if rhs is None:
-        return len(pivots), None
-    solution: List[List[int]] = [[]] * len(rows)
-    for r, c in reversed(pivots):
-        acc = rhs[r]
-        for k, v in rows[r].items():
-            if k != c:
-                acc = [z - v * w for z, w in zip(acc, solution[k])]
-        solution[c] = [z % p for z in acc]
-    return len(pivots), solution
+            if c in row:
+                f = row[c] * inv % p
+                for k, v in prow.items():
+                    val = (row.get(k, 0) - f * v) % p
+                    if val:
+                        row[k] = val
+                    else:
+                        del row[k]
+    return rank
 
 
 def _path_weight(p: ParamAssignment, path) -> Fraction:

@@ -33,6 +33,8 @@ class SuiteConfig:
             raise ValueError("max_vertices must be at least 2")
         if self.graph_count < 1:
             raise ValueError("graph_count must be at least 1")
+        if self.trials_per_instance < 1:
+            raise ValueError("trials_per_instance must be at least 1")
         if not 0 < self.edge_density <= 1:
             raise ValueError("edge_density must lie in (0, 1]")
 

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle_reference
+from oracle_reference import _row_reduce_reference
 from treksep import algebra
 from treksep.algebra import (RationalMatrix, build_covariance,
                              cauchy_binet_two_ways,
@@ -163,28 +165,79 @@ def test_oracle_same_seed_same_answer(monkeypatch):
                        for seed in range(40)]
 
 
+def singular_k_trials(g, seed, trials):
+    """The trials t < `trials` whose K, replayed from the oracle's generator
+    seed + t (after Lambda and Phi), is singular mod PRIME, ranked by the
+    dense reference elimination."""
+    p = algebra.PRIME
+    pos = {u: i for i, u in enumerate(sorted(g.u_set))}
+    singular = []
+    for t in range(trials):
+        rng = random.Random(seed + t)
+        for _ in range(len(g.directed_edges) + len(g.bidirected_edges) + len(g.w_set)):
+            rng.randrange(1, p)
+        k = [[0] * len(pos) for _ in pos]
+        for i, j in sorted(g.undirected_edges):
+            k[pos[i]][pos[j]] = k[pos[j]][pos[i]] = rng.randrange(1, p)
+        for i, row in enumerate(k):
+            row[i] = rng.randrange(1, p)
+        if _row_reduce_reference(k, len(pos)) < len(pos):
+            singular.append(t)
+    return singular
+
+
 def test_oracle_small_prime_is_one_sided(monkeypatch):
     # Mod 5, K is often singular and minors often vanish by accident: the
-    # oracle must redraw K rather than raise, and never exceed the min cut.
+    # oracle must rank N all the same, one elimination per trial, and never
+    # exceed the min cut.
     monkeypatch.setattr(algebra, "PRIME", 5)
-    events = []  # S: singular K, K: K solved, R: rank of the block
+    monkeypatch.setattr(oracle_reference, "PRIME", 5)
+    calls = []
     eliminate = algebra._eliminate
-
-    def recording(rows, rhs=None):
-        rank, solution = eliminate(rows, rhs)
-        if rhs is not None:  # K with the B columns as right-hand sides
-            events.append("K" if solution is not None else "S")
-        else:
-            events.append("R")
-        return rank, solution
-
-    monkeypatch.setattr(algebra, "_eliminate", recording)
+    monkeypatch.setattr(algebra, "_eliminate", lambda rows: calls.append(rows) or eliminate(rows))
+    singular = 0
     for cls in (UNDIRECTED, MIXED, DAG):
         for g, A, B, seed in _small_queries(cls, 60, 2):
-            assert generic_rank_oracle(g, A, B, seed) <= \
-                min_t_separator(g, A, B).rank, (g, A, B, seed)
-    trace = "".join(events)
-    assert "S" in trace and "SR" not in trace
+            calls.clear()
+            answer = generic_rank_oracle(g, A, B, seed)
+            assert answer <= min_t_separator(g, A, B).rank, (g, A, B, seed)
+            # Trials stop early only at full rank.
+            assert len(calls) == 5 or 0 < len(calls) and answer == min(len(A), len(B))
+            singular += bool(singular_k_trials(g, seed, len(calls)))
+    assert singular
+
+
+def test_oracle_rejects_zero_trials():
+    g = make_graph(3, directed=[(1, 2), (2, 3)])
+    for trials in (0, -1):
+        with pytest.raises(ValueError) as exc:
+            generic_rank_oracle(g, {1}, {3}, 0, trials)
+        assert str(exc.value) == "trials must be at least 1"
+
+
+@pytest.mark.parametrize("shape, p", [
+    ((1, 1), 5), ((6, 6), 5), ((4, 9), 5), ((9, 4), 5), ((12, 12), 5),
+    ((6, 6), algebra.PRIME), ((5, 11), algebra.PRIME), ((11, 5), algebra.PRIME),
+    ((20, 20), algebra.PRIME),
+])
+def test_eliminate_matches_dense_reference(monkeypatch, shape, p):
+    monkeypatch.setattr(algebra, "PRIME", p)
+    monkeypatch.setattr(oracle_reference, "PRIME", p)
+    rows_n, cols_n = shape
+    rng = random.Random(f"eliminate/{shape}/{p}")
+    ranks = set()
+    for density in (0.1, 0.3, 0.7):
+        for _ in range(15):
+            dense = [[rng.randrange(1, p) if rng.random() < density else 0
+                      for _ in range(cols_n)] for _ in range(rows_n)]
+            if rows_n > 1 and rng.random() < 0.5:  # the last row a multiple of another
+                f, j = rng.randrange(p), rng.randrange(rows_n - 1)
+                dense[-1] = [f * x % p for x in dense[j]]
+            sparse = [{c: x for c, x in enumerate(row) if x} for row in dense]
+            rank = algebra._eliminate(sparse)
+            assert rank == _row_reduce_reference(dense, cols_n), (shape, p, dense)
+            ranks.add(rank)
+    assert min(shape) in ranks and min(ranks) < min(shape)
 
 
 ORACLE_RANGE_TABLE = [  # (A, B, message), on the path 1 -> 2 -> 3

@@ -2,10 +2,13 @@
 min cut at scale.
 
 `tests/oracle_reference.py` keeps the oracle as it stood when every column
-of Lambda^{-1} swept all m vertices and K was solved by dense Gauss-Jordan.
-Both draw the same parameters from the same generators, so their K
-solutions, the draws they consume and their answers must agree exactly,
-also under small primes, where K is often singular and drawn again.
+of Lambda^{-1} swept all m vertices, K was solved by dense Gauss-Jordan and
+a K singular mod PRIME was drawn again.  The oracle never solves K: it ranks
+the matrix N whose Schur complement of K is Sigma_{A,B}.  Both draw the
+same parameters from the same generators, so their answers must agree
+exactly whenever every trial draws a K that is nonsingular mod PRIME, as at
+PRIME = 2^61 - 1.  Under small primes K is often singular; the oracle's
+answer then stays one-sided, never above the min cut.
 """
 
 import os
@@ -17,10 +20,10 @@ from pathlib import Path
 import pytest
 
 import oracle_reference
-from oracle_reference import _solve_k_reference, generic_rank_oracle_reference
-from test_algebra import ORACLE_RANGE_TABLE
+from oracle_reference import generic_rank_oracle_reference
+from test_algebra import ORACLE_RANGE_TABLE, singular_k_trials
 from treksep import algebra
-from treksep.algebra import _solve_k, generic_rank_oracle
+from treksep.algebra import generic_rank_oracle
 from treksep.graph import DAG, MIXED, UNDIRECTED, make_graph
 from treksep.separation import min_t_separator
 from treksep.verify import random_graph
@@ -39,55 +42,38 @@ def _queries(cls, count, seed, max_n=60):
         yield g, A, B, rng.getrandbits(32)
 
 
-def _k_cases(count, seed):
-    """(graph, right-hand sides, generator seed) on graphs with an undirected part."""
-    for cls in (UNDIRECTED, MIXED):
-        for g, _, B, s in _queries(cls, count, seed):
-            if g.u_set:
-                rng = random.Random(s)
-                rhs = [[rng.randrange(algebra.PRIME) if rng.random() < 0.5 else 0
-                        for _ in B] for _ in g.u_set]
-                yield g, rhs, s
-
-
-def _compare_k(count, seed) -> int:
-    """Check the K solutions and the draws consumed; return the number of
-    cases where K was drawn more than once."""
-    redrawn = 0
-    for g, rhs, s in _k_cases(count, seed):
-        u_vs = sorted(g.u_set)
-        new, ref = random.Random(s), random.Random(s)
-        assert _solve_k(g, new, u_vs, rhs) == _solve_k_reference(g, ref, u_vs, rhs), (g, s)
-        assert new.getstate() == ref.getstate(), (g, s)
-        once = random.Random(s)  # one draw of K: its edges, then its diagonal
-        for _ in range(len(g.undirected_edges) + len(g.u_set)):
-            once.randrange(1, algebra.PRIME)
-        redrawn += once.getstate() != new.getstate()
-    return redrawn
-
-
-def _compare_oracle(count, seed):
+def _compare_oracle(count, seed) -> int:
+    """Check the oracle against the reference on seeded queries, trials 1
+    and 5: equal when every trial draws a K that is nonsingular mod PRIME,
+    and otherwise at most the reference and the min cut.  Return the number
+    of answers where some trial drew a singular K."""
+    singular = 0
     for cls in CLASSES:
         for g, A, B, s in _queries(cls, count, seed):
             for trials in (1, 5):
-                assert generic_rank_oracle(g, A, B, s, trials) == \
-                    generic_rank_oracle_reference(g, A, B, s, trials), (g, A, B, s, trials)
-
-
-def test_k_solutions_match_dense_reference():
-    assert _compare_k(25, 1) == 0
+                new = generic_rank_oracle(g, A, B, s, trials)
+                ref = generic_rank_oracle_reference(g, A, B, s, trials)
+                if singular_k_trials(g, s, trials):
+                    singular += 1
+                    # The min cut, the generic rank, bounds every trial; on
+                    # these queries the reference's redrawn K bounds it too.
+                    assert new <= min(ref, min_t_separator(g, A, B).rank), \
+                        (g, A, B, s, trials)
+                else:
+                    assert new == ref, (g, A, B, s, trials)
+    return singular
 
 
 def test_oracle_matches_dense_reference():
-    _compare_oracle(25, 2)
+    assert _compare_oracle(25, 2) == 0
 
 
 @pytest.mark.parametrize("prime", [5, 7, 11])
 def test_small_prime_matches_dense_reference(monkeypatch, prime):
     monkeypatch.setattr(algebra, "PRIME", prime)
     monkeypatch.setattr(oracle_reference, "PRIME", prime)
-    assert _compare_k(12, prime) > 0  # singular draws and redraws happen
-    _compare_oracle(12, prime)
+    singular = _compare_oracle(12, prime)
+    assert 0 < singular < 3 * 12 * 2  # both kinds of answer occur
 
 
 def _bottleneck_graph(cls, n, density, seed, k=6):
@@ -129,7 +115,6 @@ def test_oracle_equals_min_cut_at_scale(cls, n, density, seed):
 
 
 _OPTIMIZED_ORACLE = """
-import random
 import sys
 import oracle_reference
 import test_oracle_differential as t
@@ -139,12 +124,6 @@ from treksep.graph import make_graph
 
 for prime in (5, 7, 11):
     algebra.PRIME = oracle_reference.PRIME = prime
-    for g, rhs, s in t._k_cases(2, prime):
-        u_vs = sorted(g.u_set)
-        new, ref = random.Random(s), random.Random(s)
-        print("K", prime, algebra._solve_k(g, new, u_vs, rhs)
-              == oracle_reference._solve_k_reference(g, ref, u_vs, rhs),
-              new.getstate() == ref.getstate())
     for cls in t.CLASSES:
         for g, A, B, s in t._queries(cls, 3, prime, max_n=12):
             print("oracle", prime, algebra.generic_rank_oracle(g, A, B, s, 1),
@@ -172,8 +151,6 @@ def test_oracle_checks_hold_under_python_O():
     plain, optimized = outputs
     assert (plain[-1], optimized[-1]) == ("optimize 0", "optimize 1")
     assert plain[:-1] == optimized[:-1]
-    k_lines = [line.split() for line in plain if line.startswith("K ")]
-    assert k_lines and all(words[2:] == ["True", "True"] for words in k_lines)
     oracle_lines = [line.split() for line in plain if line.startswith("oracle ")]
     assert len(oracle_lines) == 27 and all(w[2] == w[3] for w in oracle_lines)
     assert [line for line in plain if line.startswith(("ValueError", "returned"))] == \

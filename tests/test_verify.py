@@ -37,6 +37,8 @@ def test_config_validation():
         SuiteConfig(max_vertices=1)
     with pytest.raises(ValueError):
         SuiteConfig(edge_density=0)
+    with pytest.raises(ValueError, match="trials_per_instance must be at least 1"):
+        SuiteConfig(trials_per_instance=0)
 
 
 def test_cross_check_rank_canonical():
