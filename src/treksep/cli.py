@@ -13,7 +13,7 @@ import sys
 
 from . import algebra, separation, treks, verify
 from .graph import (DAG, GraphError, InvalidGraphError, MixedGraph, ParseError,
-                    graph_class, parse_graph)
+                    _require_vertices, graph_class, parse_graph)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -32,6 +32,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_graph(path: str) -> MixedGraph:
@@ -54,10 +56,17 @@ def _parse_ids(raw: str, g: MixedGraph, flag: str) -> frozenset:
             v = int(tok)
         except ValueError:
             raise UsageError(f"{flag}: {tok!r} is not a vertex id") from None
-        if not 1 <= v <= g.m:
-            raise UsageError(f"{flag}: vertex {v} out of range [1,{g.m}]")
+        _require_flag_vertex(g, flag, v)
         out.add(v)
     return frozenset(out)
+
+
+def _require_flag_vertex(g: MixedGraph, flag: str, v: int) -> None:
+    """graph._require_vertices for one vertex, its error a UsageError that names the flag."""
+    try:
+        _require_vertices(g, (v,))
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 def _require_at_least(flag: str, value: int, least: int) -> None:
@@ -176,9 +185,8 @@ def cmd_ci(args) -> int:
 def cmd_treks(args) -> int:
     _require_at_least("--cap", args.cap, 1)
     g = _load_graph(args.graph)
-    for flag, v in (("--i", args.i), ("--j", args.j)):
-        if not 1 <= v <= g.m:
-            raise UsageError(f"{flag}: vertex {v} out of range [1,{g.m}]")
+    _require_flag_vertex(g, "--i", args.i)
+    _require_flag_vertex(g, "--j", args.j)
     found = treks.enumerate_simple_treks(g, args.i, args.j, args.cap)
     payload = {"count": len(found), "treks": []}
     lines = []

@@ -5,6 +5,25 @@ bidirected block W.  Undirected edges live inside U, bidirected edges inside
 W, directed edges never point from W into U, and the directed part is
 acyclic.  A vertex pair may carry a directed edge alongside an undirected or
 bidirected one.
+
+Where each check lives:
+
+- `parse_graph` reads a file in one pass and raises ParseError, with the
+  line number, for its syntax: the `v <m>` header and the range of m, each
+  id's form and range, the edge operator, a repeated edge (either
+  orientation for `--` and `<->`) and ids listed under both `u` and `w`.
+- `make_graph` turns the pairs an outside caller gives into ints, stores
+  undirected and bidirected pairs as i < j, and checks the range of m
+  before building anything.
+- `_build`, behind both, infers U (declared U vertices and the ends of
+  undirected edges, closed under directed ancestors) and W (the rest), and
+  reports a vertex that lands in both.
+- `validate` checks a built graph: U and W partition 1..m; no self-loop
+  and no id out of range; undirected edges inside U, bidirected edges inside
+  W; no directed edge from W into U; no directed cycle.
+
+`_build` and `validate` run each check on whole sets; only a check that
+fails sorts its edges, to list its violations in edge order.
 """
 
 from __future__ import annotations
@@ -12,6 +31,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, starmap
+from operator import eq, lt
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 DAG = "DAG"
@@ -112,6 +133,10 @@ def graph_class(g: MixedGraph) -> str:
     return MIXED
 
 
+# The edge operators of the file format and the kinds they stand for.
+_EDGE_KINDS = {"->": "directed", "--": "undirected", "<->": "bidirected"}
+
+
 def _norm_pair(i, j):
     return (i, j) if i < j else (j, i)
 
@@ -138,26 +163,28 @@ def make_graph(m, directed=(), undirected=(), bidirected=(), u=None, w=None) -> 
     problem = _vertex_count_problem(m)
     if problem:
         raise InvalidGraphError([problem])
-    directed = frozenset((int(i), int(j)) for i, j in directed)
-    undirected = frozenset(_norm_pair(int(i), int(j)) for i, j in undirected)
-    bidirected = frozenset(_norm_pair(int(i), int(j)) for i, j in bidirected)
+    return _build(m, frozenset((int(i), int(j)) for i, j in directed),
+                  frozenset(_norm_pair(int(i), int(j)) for i, j in undirected),
+                  frozenset(_norm_pair(int(i), int(j)) for i, j in bidirected), u, w)
 
+
+def _build(m, directed, undirected, bidirected, u, w) -> MixedGraph:
+    """make_graph's work on edge frozensets of ints, with undirected and bidirected pairs i < j."""
     u0 = set(u or ())
     w0 = set(w or ())
-    for i, j in undirected:
-        u0.update((i, j))
-    for i, j in bidirected:
-        w0.update((i, j))
+    u0.update(*undirected)
+    w0.update(*bidirected)
 
-    # ancestral closure of U under directed edges
-    par = {}
-    for i, j in directed:
-        par.setdefault(j, []).append(i)
-    closure = _closure(u0, lambda v: par.get(v, ()))
+    # ancestral closure of U under directed edges, walked only if U lacks a parent of its own
+    if all(i in u0 for i, j in directed if j in u0):
+        closure = set(u0)  # the copy _closure would return
+    else:
+        par = {}
+        for i, j in directed:
+            par.setdefault(j, []).append(i)
+        closure = _closure(u0, lambda v: par.get(v, ()))
 
-    violations = []
-    for v in sorted(closure & w0):
-        violations.append(f"vertex {v} cannot be in both U and W")
+    violations = [f"vertex {v} cannot be in both U and W" for v in sorted(closure & w0)]
     u_set = frozenset(closure - w0)
     w_set = frozenset(set(range(1, m + 1)) - u_set)
 
@@ -172,34 +199,34 @@ def validate(g: MixedGraph) -> List[str]:
     """Return a list of invariant violations; an empty list means valid."""
     out = []
     universe = set(g.vertices)
-    if set(g.u_set) | set(g.w_set) != universe or (set(g.u_set) & set(g.w_set)):
+    u_set, w_set = g.u_set, g.w_set
+    if u_set | w_set != universe or not u_set.isdisjoint(w_set):
         out.append("U and W do not partition the vertex set")
 
-    def check_ids(kind, edges):
-        for i, j in sorted(edges):
-            if i == j:
-                out.append(f"{kind} self-loop at vertex {i}")
-            for v in (i, j):
-                if v not in universe:
-                    out.append(f"{kind} edge ({i},{j}): vertex {v} out of range [1,{g.m}]")
-
-    check_ids("directed", g.directed_edges)
-    check_ids("undirected", g.undirected_edges)
-    check_ids("bidirected", g.bidirected_edges)
+    for kind, edges in (("directed", g.directed_edges), ("undirected", g.undirected_edges),
+                        ("bidirected", g.bidirected_edges)):
+        if any(starmap(eq, edges)) or not universe.issuperset(chain.from_iterable(edges)):
+            for i, j in sorted(edges):
+                if i == j:
+                    out.append(f"{kind} self-loop at vertex {i}")
+                for v in (i, j):
+                    if v not in universe:
+                        out.append(f"{kind} edge ({i},{j}): vertex {v} out of range [1,{g.m}]")
     if out:
         return out
 
-    for i, j in sorted(g.undirected_edges):
-        for v in (i, j):
-            if v not in g.u_set:
-                out.append(f"undirected edge {i} -- {j}: endpoint {v} is not in U")
-    for i, j in sorted(g.bidirected_edges):
-        for v in (i, j):
-            if v not in g.w_set:
-                out.append(f"bidirected edge {i} <-> {j}: endpoint {v} is not in W")
-    for i, j in sorted(g.directed_edges):
-        if i in g.w_set and j in g.u_set:
-            out.append(f"U->W direction violated: directed edge {i} -> {j} points from W into U")
+    for kind, edges, block, name, link in (
+            ("undirected", g.undirected_edges, u_set, "U", "--"),
+            ("bidirected", g.bidirected_edges, w_set, "W", "<->")):
+        if not block.issuperset(chain.from_iterable(edges)):
+            for i, j in sorted(edges):
+                for v in (i, j):
+                    if v not in block:
+                        out.append(f"{kind} edge {i} {link} {j}: endpoint {v} is not in {name}")
+    if any(i in w_set and j in u_set for i, j in g.directed_edges):
+        for i, j in sorted(g.directed_edges):
+            if i in w_set and j in u_set:
+                out.append(f"U->W direction violated: directed edge {i} -> {j} points from W into U")
 
     order = _kahn(g)
     if len(order) != g.m:
@@ -218,18 +245,19 @@ def topological_order(g: MixedGraph) -> List[int]:
 
 def _kahn(g: MixedGraph) -> List[int]:
     """Kahn's pass, lowest id first; it misses every vertex on or below a directed cycle."""
-    indeg = {v: 0 for v in g.vertices}
+    if all(starmap(lt, g.directed_edges)):  # every edge climbs, so the pass takes 1..m in turn
+        return list(g.vertices)
+    indeg = [0] * (g.m + 1)
     for _, j in g.directed_edges:
         indeg[j] += 1
-    heap = [v for v in g.vertices if indeg[v] == 0]
-    heapq.heapify(heap)
+    heap = [v for v in g.vertices if not indeg[v]]  # ascending, hence a heap
     order = []
     while heap:
         v = heapq.heappop(heap)
         order.append(v)
         for c in g.children[v]:
             indeg[c] -= 1
-            if indeg[c] == 0:
+            if not indeg[c]:
                 heapq.heappush(heap, c)
     return order
 
@@ -300,7 +328,7 @@ def parse_graph(text: str) -> MixedGraph:
     """
     m = None
     explicit_u, explicit_w = set(), set()
-    directed, undirected, bidirected = set(), set(), set()
+    edge_sets = {op: set() for op in _EDGE_KINDS}
 
     def want_id(tok, line_no):
         try:
@@ -312,10 +340,11 @@ def parse_graph(text: str) -> MixedGraph:
         return v
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         kind = tokens[0]
         if m is None:
             if kind != "v":
@@ -330,6 +359,24 @@ def parse_graph(text: str) -> MixedGraph:
             if problem:
                 raise ParseError(line_no, problem)
             continue
+        if kind == "e":
+            if len(tokens) != 4:
+                raise ParseError(line_no, "edge lines look like `e <i> <op> <j>`")
+            _, a, op, b = tokens
+            try:
+                i, j = int(a), int(b)
+            except ValueError:
+                i = j = 0
+            if not (0 < i <= m and 0 < j <= m):  # want_id raises for the first bad id
+                i, j = want_id(a, line_no), want_id(b, line_no)
+            edges = edge_sets.get(op)
+            if edges is None:
+                raise ParseError(line_no, f"unknown edge kind {op!r}")
+            size = len(edges)  # undirected and bidirected pairs are stored with i < j
+            edges.add((j, i) if j < i and op != "->" else (i, j))
+            if len(edges) == size:
+                raise ParseError(line_no, f"duplicate {_EDGE_KINDS[op]} edge {i} {op} {j}")
+            continue
         if kind == "v":
             raise ParseError(line_no, "duplicate `v` directive")
         if kind in ("u", "w"):
@@ -339,27 +386,6 @@ def parse_graph(text: str) -> MixedGraph:
             for tok in tokens[1:]:
                 target.add(want_id(tok, line_no))
             continue
-        if kind == "e":
-            if len(tokens) != 4:
-                raise ParseError(line_no, "edge lines look like `e <i> <op> <j>`")
-            i = want_id(tokens[1], line_no)
-            j = want_id(tokens[3], line_no)
-            op = tokens[2]
-            if op == "->":
-                if (i, j) in directed:
-                    raise ParseError(line_no, f"duplicate directed edge {i} -> {j}")
-                directed.add((i, j))
-            elif op == "--":
-                if _norm_pair(i, j) in undirected:
-                    raise ParseError(line_no, f"duplicate undirected edge {i} -- {j}")
-                undirected.add(_norm_pair(i, j))
-            elif op == "<->":
-                if _norm_pair(i, j) in bidirected:
-                    raise ParseError(line_no, f"duplicate bidirected edge {i} <-> {j}")
-                bidirected.add(_norm_pair(i, j))
-            else:
-                raise ParseError(line_no, f"unknown edge kind {op!r}")
-            continue
         raise ParseError(line_no, f"unknown directive {kind!r}")
 
     if m is None:
@@ -368,7 +394,10 @@ def parse_graph(text: str) -> MixedGraph:
     if both:
         raise ParseError(1, "vertices listed under both `u` and `w`: "
                          + ",".join(str(v) for v in sorted(both)))
-    return make_graph(m, directed, undirected, bidirected, u=explicit_u, w=explicit_w)
+    # iter(): a frozenset built from a set copies its table, but the edge
+    # order _adjacency reads is that of a frozenset built pair by pair
+    directed, undirected, bidirected = (frozenset(iter(edge_sets[op])) for op in _EDGE_KINDS)
+    return _build(m, directed, undirected, bidirected, explicit_u, explicit_w)
 
 
 def serialize(g: MixedGraph) -> str:

@@ -100,10 +100,13 @@ class RankResult:
     flow_value: int
 
 
-def _adjacency(g: MixedGraph) -> List[List[int]]:
+def _adjacency(g: MixedGraph) -> List[Tuple[int, ...]]:
     """The arcs of the trek network of g: entry i lists the in-nodes out-node 2i+1 enters.
 
-    The lists start with the level step, left to middle and middle to right.
+    The entries start with the level step, left to middle and middle to
+    right.  They are tuples of ints, which the garbage collector stops
+    tracking the first time it sees them, so a cached adjacency adds
+    nothing to later collections.
     """
     arcs = [[e + 2] if e % 6 != 4 else [] for e in range(0, 6 * g.m, 2)]
     for i, j in g.directed_edges:
@@ -115,7 +118,7 @@ def _adjacency(g: MixedGraph) -> List[List[int]]:
     for i, j in g.bidirected_edges:
         arcs[3 * i - 3] += (6 * i - 2, 6 * j - 2)
         arcs[3 * j - 3] += (6 * i - 2, 6 * j - 2)
-    return arcs
+    return list(map(tuple, arcs))
 
 
 _last = (None, None)  # the last graph queried and its adjacency

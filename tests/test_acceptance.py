@@ -2,10 +2,15 @@
 
 Everything is deterministic given the default suite seed.  Exact rational
 equality throughout; the rank cross-checks demand 100% agreement between
-the min-cut pipeline and the algebraic oracle.
+the min-cut pipeline and the algebraic oracle.  The last test runs the
+criteria at a small configuration, and the tests of the library's input and
+invariant checks, under `python -O`, which strips `assert` statements.
 """
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from treksep import verify
 from treksep.verify import SuiteConfig
@@ -71,3 +76,28 @@ def test_criterion_10_menger_duality():
     # flow value == certificate size, certificate separating and minimal,
     # on every instance seen by criteria 4-6
     _report(verify.criterion_menger)
+
+
+_OPTIMIZED_GATE = """
+import sys
+import pytest
+from treksep import verify
+report = verify.run_suite(verify.SuiteConfig(graph_count=20, max_vertices=5))
+print("optimize", sys.flags.optimize, "checks", len(report.checks),
+      "failures", report.total_failures, flush=True)
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[1:]]))
+"""
+
+# The tests of the checks the library raises on bad input or a broken invariant.
+_INVARIANT_MODULES = ("test_graph.py", "test_separation.py", "test_treks.py", "test_verify.py")
+
+
+def test_gate_and_invariant_tests_pass_under_python_O(tmp_path):
+    tests = Path(__file__).resolve().parent
+    src = str(Path(verify.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_GATE,
+                           *(str(tests / name) for name in _INVARIANT_MODULES)],
+                          capture_output=True, text=True, timeout=300, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr
+    assert done.stdout.splitlines()[0] == "optimize 1 checks 10 failures 0"

@@ -49,11 +49,22 @@ def test_validate_parse_error(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["validate"], ["rank", "--A", "1", "--B", "2"]])
+def test_non_utf8_file_is_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "bin.g"
+    path.write_bytes(b"v 2\ne 1 -> 2\n\xff\n")
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot read {path}: 'utf-8' codec can't decode "
+                            "byte 0xff in position 13: invalid start byte\n")
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["rank", "--A", "1", "--B", "2"]])
 def test_vertex_count_above_limit_is_usage_error(tmp_path, capsys, monkeypatch, argv):
     def no_build(*args, **kwargs):
         raise AssertionError("a graph was built")
 
-    monkeypatch.setattr(graph, "make_graph", no_build)
+    monkeypatch.setattr(graph, "_build", no_build)  # make_graph and parse_graph build here
     path = tmp_path / "huge.graph"
     path.write_text(f"v {10**18}\n")
     assert main([argv[0], str(path), *argv[1:]]) == 2

@@ -59,12 +59,14 @@ def test_parse_rejects_vertex_count_above_limit(monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("a graph was built")
 
-    monkeypatch.setattr(graph, "make_graph", no_build)
+    monkeypatch.setattr(graph, "_build", no_build)  # make_graph and parse_graph build here
     with pytest.raises(ParseError, match="exceeds the limit of 1000000") as exc:
         parse_graph(f"v {10**18}\ne 1 -> 2\n")
     assert exc.value.line_no == 1
     with pytest.raises(ParseError, match="exceeds the limit"):
         parse_graph(f"v {graph.MAX_VERTICES + 1}\n")
+    with pytest.raises(AssertionError, match="a graph was built"):
+        parse_graph("v 2\n")  # a valid count does reach the patched builder
 
 
 @pytest.mark.parametrize("m,message", [
