@@ -32,7 +32,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, starmap
-from operator import eq, lt
+from operator import eq
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 DAG = "DAG"
@@ -175,14 +175,11 @@ def _build(m, directed, undirected, bidirected, u, w) -> MixedGraph:
     u0.update(*undirected)
     w0.update(*bidirected)
 
-    # ancestral closure of U under directed edges, walked only if U lacks a parent of its own
-    if all(i in u0 for i, j in directed if j in u0):
-        closure = set(u0)  # the copy _closure would return
-    else:
-        par = {}
-        for i, j in directed:
-            par.setdefault(j, []).append(i)
-        closure = _closure(u0, lambda v: par.get(v, ()))
+    # ancestral closure of U under directed edges
+    par = {}
+    for i, j in directed:
+        par.setdefault(j, []).append(i)
+    closure = _closure(u0, lambda v: par.get(v, ()))
 
     violations = [f"vertex {v} cannot be in both U and W" for v in sorted(closure & w0)]
     u_set = frozenset(closure - w0)
@@ -245,8 +242,6 @@ def topological_order(g: MixedGraph) -> List[int]:
 
 def _kahn(g: MixedGraph) -> List[int]:
     """Kahn's pass, lowest id first; it misses every vertex on or below a directed cycle."""
-    if all(starmap(lt, g.directed_edges)):  # every edge climbs, so the pass takes 1..m in turn
-        return list(g.vertices)
     indeg = [0] * (g.m + 1)
     for _, j in g.directed_edges:
         indeg[j] += 1

@@ -104,21 +104,21 @@ def _adjacency(g: MixedGraph) -> List[Tuple[int, ...]]:
     """The arcs of the trek network of g: entry i lists the in-nodes out-node 2i+1 enters.
 
     The entries start with the level step, left to middle and middle to
-    right.  They are tuples of ints, which the garbage collector stops
-    tracking the first time it sees them, so a cached adjacency adds
-    nothing to later collections.
+    right.  They are tuples of ints, built by concatenation with no list
+    in between; the garbage collector stops tracking such a tuple the first
+    time it sees it, so a cached adjacency adds nothing to later collections.
     """
-    arcs = [[e + 2] if e % 6 != 4 else [] for e in range(0, 6 * g.m, 2)]
+    arcs = [(e + 2,) if e % 6 != 4 else () for e in range(0, 6 * g.m, 2)]
     for i, j in g.directed_edges:
-        arcs[3 * j - 3].append(6 * i - 6)
-        arcs[3 * i - 1].append(6 * j - 2)
+        arcs[3 * j - 3] += (6 * i - 6,)
+        arcs[3 * i - 1] += (6 * j - 2,)
     for i, j in g.undirected_edges:
-        arcs[3 * i - 2].append(6 * j - 4)
-        arcs[3 * j - 2].append(6 * i - 4)
+        arcs[3 * i - 2] += (6 * j - 4,)
+        arcs[3 * j - 2] += (6 * i - 4,)
     for i, j in g.bidirected_edges:
         arcs[3 * i - 3] += (6 * i - 2, 6 * j - 2)
         arcs[3 * j - 3] += (6 * i - 2, 6 * j - 2)
-    return list(map(tuple, arcs))
+    return arcs
 
 
 _last = (None, None)  # the last graph queried and its adjacency
