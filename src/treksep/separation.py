@@ -49,13 +49,25 @@ in C, share no node.  `ci_implied` pushes them straight into its `prv`,
 the left in-node of c fed by a source and the middle and right ones by the
 out-node below, and runs one search.  By Ford-Fulkerson this flow of |C|
 units is maximum iff no augmenting path is left, so the query is decided
-without a full min-cut and no certificate is built.
+without a full min-cut and no certificate is built.  That search needs B
+only at its ends: the right out-node of c in C is never reached, since its
+right in-node carries a unit and no unit came from that out-node, so the
+ends B+C reduce to B.  `_ci_reached` runs the search from A+C to its end,
+with no end to stop it, and gives the vertices whose right out-node it
+reached; CI holds iff they miss B.
 
 The two d-separation deciders, Bayes-ball (`d_separates`) and the search
 over partitions C = C_A | C_B (`d_sep_via_t_sep`), work on int masks of
 vertices (bit v for vertex v) read from the graph's parent and child
 masks.  Neither calls the other or the network code, so criterion 8's
-three-way comparison stays a real cross-check.
+three-way comparison stays a real cross-check.  Each does most of its work
+from (A, C) alone, and B enters only a last test.  `_bayes_ball` gives the
+vertices the ball visits, d-separated iff they miss B.  `_left_closures`
+gives, for every C_A within C, the left closure of A+C around C_A, and
+`_some_partition_separates` grows, per B, the right closure of B+C around
+C_B = C - C_A until it meets that left closure.  Each public decider is its
+input checks and then those two parts; criterion 8 computes the (A, C)
+parts once per pair on each graph.
 """
 
 from __future__ import annotations
@@ -240,17 +252,20 @@ def _mask(vertices) -> int:
     return mask
 
 
-def d_separates(g: MixedGraph, A, B, C) -> bool:
-    """Classic d-separation via Bayes-ball reachability.
-
-    Deliberately independent of the t-separation machinery so that the
-    equivalence between the two criteria is a real cross-check.  Vertex
-    sets are int masks, visited a whole frontier at a time.
-    """
+def _require_dsep_query(g: MixedGraph, A, B, C):
     _require_dag(g)
+    _require_vertices(g, sorted({*A, *B, *C}))
     _require_disjoint(A, B, C)
+
+
+def _bayes_ball(g: MixedGraph, A, C) -> int:
+    """The mask of the vertices a ball from A visits given C (Bayes-ball).
+
+    Sets are int masks, visited a whole frontier at a time.  A vertex set B
+    disjoint from A and C is d-separated from A given C iff the mask misses B.
+    """
     pmask, cmask = g.parent_mask, g.child_mask
-    c_set, b_set = _mask(C), _mask(B)
+    c_set = _mask(C)
     # the ball leaves a vertex outside C upward to its parents and downward
     # to its children, passes a vertex outside C downward, and bounces from
     # down to up at a vertex of C (Shachter): a ball passing down through an
@@ -258,8 +273,6 @@ def d_separates(g: MixedGraph, A, B, C) -> bool:
     up = new_up = _mask(A)
     down = new_down = 0
     while new_up or new_down:
-        if (new_up | new_down) & b_set:
-            return False
         next_up = next_down = 0
         frontier = new_up & ~c_set
         while frontier:
@@ -282,32 +295,64 @@ def d_separates(g: MixedGraph, A, B, C) -> bool:
         new_down = next_down & ~down
         up |= new_up
         down |= new_down
-    return True
+    return up | down
 
 
-def _dag_pair_t_separates(pmask, ac, bc, c_a, c_b) -> bool:
-    """DAG pair view of t-separation: no trek avoids C_A on the left and C_B on the right.
+def d_separates(g: MixedGraph, A, B, C) -> bool:
+    """Classic d-separation via Bayes-ball reachability.
 
-    The sets are int masks and pmask[v] is the parent mask of v.  Each side
-    is closed upward around its blocked vertices, a frontier at a time: the
-    left one from A+C around C_A, then the right one from B+C around C_B,
-    which stops as soon as it meets the left one.
+    Deliberately independent of the t-separation machinery so that the
+    equivalence between the two criteria is a real cross-check.
     """
-    left = 0
-    for targets, blocked in ((ac, c_a), (bc, c_b)):
-        grown = frontier = targets & ~blocked
+    _require_dsep_query(g, A, B, C)
+    return not _bayes_ball(g, A, C) & _mask(B)
+
+
+def _closed_up(pmask, start, blocked, stop=0) -> int:
+    """The mask start reaches going up through pmask without entering blocked.
+
+    Grows a frontier at a time and gives -1 as soon as it meets stop.
+    """
+    grown = frontier = start & ~blocked
+    while frontier:
+        if frontier & stop:
+            return -1
+        step = 0
         while frontier:
-            if frontier & left:
-                return False
-            step = 0
-            while frontier:
-                low = frontier & -frontier
-                step |= pmask[low.bit_length() - 1]
-                frontier ^= low
-            frontier = step & ~blocked & ~grown
-            grown |= frontier
-        left = grown
-    return True
+            low = frontier & -frontier
+            step |= pmask[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~blocked & ~grown
+        grown |= frontier
+    return grown
+
+
+def _left_closures(g: MixedGraph, A, C) -> List[Tuple[int, int, int]]:
+    """(C_A, C_B, left closure) for every partition C = C_A | C_B, as int masks.
+
+    The left closure grows from A+C upward around C_A.  C_A runs through the
+    subsets of C in increasing order of its mask.
+    """
+    pmask = g.parent_mask
+    c_all = _mask(C)
+    ac = _mask(A) | c_all
+    out = []
+    c_a = 0
+    while True:
+        out.append((c_a, c_all ^ c_a, _closed_up(pmask, ac, c_a)))
+        c_a = (c_a - c_all) & c_all
+        if not c_a:
+            return out
+
+
+def _some_partition_separates(pmask, lefts, b) -> bool:
+    """Does some partition of C t-separate A+C from B+C in the DAG pair view?
+
+    lefts comes from `_left_closures(g, A, C)` and b is the mask of B.  The
+    right closure grows from B+C upward around C_B and fails as soon as it
+    meets the left closure: a trek avoids C_A on the left and C_B on the right.
+    """
+    return any(_closed_up(pmask, b | c_a, c_b, left) != -1 for c_a, c_b, left in lefts)
 
 
 def d_sep_via_t_sep(g: MixedGraph, A, B, C) -> bool:
@@ -316,23 +361,29 @@ def d_sep_via_t_sep(g: MixedGraph, A, B, C) -> bool:
     Raises CapExceededError when C has more than 20 vertices, since the
     search visits all 2^|C| partitions.
     """
-    _require_dag(g)
-    _require_disjoint(A, B, C)
+    _require_dsep_query(g, A, B, C)
     C = set(C)
     if len(C) > 20:
         raise CapExceededError(
             20, f"partition search over {len(C)} conditioning vertices "
                 "exceeds the cap of 20")
-    c_all = _mask(C)
-    ac, bc = _mask(A) | c_all, _mask(B) | c_all
-    pmask = g.parent_mask
-    c_a = 0
-    while True:  # every C_A within C, in increasing order of its mask
-        if _dag_pair_t_separates(pmask, ac, bc, c_a, c_all ^ c_a):
-            return True
-        c_a = (c_a - c_all) & c_all
-        if not c_a:
-            return False
+    return _some_partition_separates(g.parent_mask, _left_closures(g, A, C), _mask(B))
+
+
+def _ci_reached(g: MixedGraph, AC, C) -> int:
+    """The mask of the vertices whose right out-node the CI search from A+C reaches.
+
+    The |C| trivial treks c - c are pushed first, and one full search runs,
+    stopped by no end.  The right out-node of c in C is never reached, as its
+    right in-node carries a unit, so CI holds iff the mask misses B.
+    """
+    arcs, prv = _query(g, AC, AC)  # the query has no B yet: check A+C alone
+    for c in C:  # c - c: a source feeds the left level of c, each level the next
+        prv[3 * c - 3] = -2
+        prv[3 * c - 2] = 6 * c - 5
+        prv[3 * c - 1] = 6 * c - 3
+    via = _search(arcs, prv, AC, ())[0]
+    return _mask(k + 1 for k, x in enumerate(via[5::6]) if x != -1)
 
 
 def ci_implied(g: MixedGraph, A, B, C) -> bool:
@@ -345,12 +396,8 @@ def ci_implied(g: MixedGraph, A, B, C) -> bool:
     AC, BC = frozenset(A) | C, frozenset(B) | C
     if not AC or not BC:
         return True  # C is empty as well: rank 0 = |C|
-    arcs, prv = _query(g, AC, BC)
-    for c in C:  # c - c: a source feeds the left level of c, each level the next
-        prv[3 * c - 3] = -2
-        prv[3 * c - 2] = 6 * c - 5
-        prv[3 * c - 1] = 6 * c - 3
-    return _search(arcs, prv, AC, BC)[2] == -1
+    _require_vertices(g, sorted(AC | BC))
+    return not _ci_reached(g, AC, C) & _mask(B)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ from treksep.graph import (DAG, MIXED, UNDIRECTED, InvalidGraphError,
                            make_graph, parse_graph, serialize,
                            topological_order, validate)
 from treksep.instances import CHOKE_TEXT, choke_graph
-from treksep.separation import (SeparationTriple, ci_implied, is_t_separating,
-                                min_t_separator)
+from treksep.separation import (SeparationTriple, ci_implied, d_sep_via_t_sep,
+                                d_separates, is_t_separating, min_t_separator)
 from treksep.treks import enumerate_simple_treks
 from treksep.verify import random_graph
 
@@ -141,6 +141,8 @@ _RANGE_CHECKED = {
     "is_t_separating": lambda g, v: is_t_separating(
         g, {1}, {2}, SeparationTriple.of(cm={v})),
     "ci_implied": lambda g, v: ci_implied(g, {v}, {2}, {3}),
+    "d_separates": lambda g, v: d_separates(g, {1}, {v}, {3}),
+    "d_sep_via_t_sep": lambda g, v: d_sep_via_t_sep(g, {1}, {2}, {v}),
     "enumerate_simple_treks": lambda g, v: enumerate_simple_treks(g, 1, v),
     "ancestors": ancestors,
     "descendants": descendants,

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treksep
+from separation_reference import ci_implied_reference
 from treksep import separation
 from treksep.graph import DAG, MIXED, UNDIRECTED, make_graph
 from treksep.instances import (CHOKE_A, CHOKE_B, SPIDER_A, SPIDER_B,
@@ -20,7 +21,7 @@ from treksep.separation import (NotADAGError, SeparationTriple, _require_dag,
                                 is_t_separating, min_t_separator,
                                 vanishing_tetrad)
 from treksep.treks import CapExceededError
-from treksep.verify import random_graph
+from treksep.verify import _dsep_verdicts, random_graph
 
 
 def _reachable(g, A, B):
@@ -280,6 +281,20 @@ def test_dsep_requires_dag_and_disjoint():
         d_separates(chain, {1}, {1}, set())
 
 
+@pytest.mark.parametrize("decider", [d_separates, d_sep_via_t_sep])
+def test_dsep_deciders_range_check_vertices(decider):
+    chain = make_graph(3, directed=[(1, 2), (2, 3)])
+    for A, B, C, v in [({0}, {3}, set(), 0), ({1}, {9}, set(), 9),
+                       ({1}, {3}, {7}, 7), ({1}, {3}, {-1, 2}, -1)]:
+        with pytest.raises(ValueError, match=rf"vertex {v} out of range \[1,3\]"):
+            decider(chain, A, B, C)
+    # the DAG check comes first, the disjointness check last
+    with pytest.raises(NotADAGError):
+        decider(make_graph(2, undirected=[(1, 2)]), {1}, {9}, set())
+    with pytest.raises(ValueError, match="vertex 9 out of range"):
+        decider(chain, {1}, {1}, {9})
+
+
 def test_dsep_via_tsep_matches_on_examples():
     chain = make_graph(3, directed=[(1, 2), (2, 3)])
     assert d_sep_via_t_sep(chain, {1}, {3}, {2})
@@ -448,6 +463,41 @@ def test_dsep_deciders_match_set_based_references():
         assert d == d_separates_reference(g, A, B, C), (A, B, C)
         assert d_sep_via_t_sep(g, A, B, C) == d_sep_via_t_sep_reference(g, A, B, C), (A, B, C)
         verdicts[d, len(C) >= 4] += 1
+    assert len(verdicts) == 4 and min(verdicts.values()) >= 20, verdicts
+
+
+def _shared_pair_triples(rng, n):
+    """12 (A, C) pairs on n vertices, |C| <= 5, each with 3 draws of B."""
+    triples = []
+    for _ in range(12):
+        vs = rng.sample(range(1, n + 1), n)
+        a = rng.randint(1, min(2, n - 1))
+        A, rest = frozenset(vs[:a]), vs[a:]
+        C = frozenset(rng.sample(rest, rng.randint(0, min(5, len(rest) - 1))))
+        rest = [v for v in rest if v not in C]
+        for _ in range(3):
+            B = frozenset(rng.sample(rest, rng.randint(1, min(2, len(rest)))))
+            triples.append((A, B, C))
+    return triples
+
+
+def test_shared_dsep_verdicts_match_public_and_reference_deciders():
+    # criterion 8 computes the (A, C) parts once per pair on each graph; the
+    # same pairs recur across these graphs, so parts kept from one graph to
+    # the next would give some triple the verdicts of another graph
+    rng = random.Random("shared-dsep")
+    verdicts = Counter()
+    for _ in range(60):
+        n = rng.randint(2, 10)
+        g = random_graph(DAG, n, rng.randrange(10**6), rng.choice((0.2, 0.4, 0.6)))
+        for A, B, C, d, t, ci in _dsep_verdicts(g, _shared_pair_triples(rng, n)):
+            expected = d_separates_reference(g, A, B, C)
+            assert (d, t, ci) == (expected,) * 3, (g, A, B, C)
+            assert d_separates(g, A, B, C) == d_sep_via_t_sep(g, A, B, C) \
+                == ci_implied(g, A, B, C) == d_sep_via_t_sep_reference(g, A, B, C) \
+                == ci_implied_reference(g, A, B, C) == expected, (g, A, B, C)
+            verdicts[d, len(C) >= 4] += 1
+    assert sum(verdicts.values()) == 60 * 36
     assert len(verdicts) == 4 and min(verdicts.values()) >= 20, verdicts
 
 
