@@ -253,8 +253,9 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
     so rank Sigma_{A,B} = rank N - |U| (Guttman's rank additivity) and K is
     never solved.  Column v of X sums the directed paths into v, so it
     vanishes outside an(v): it is computed by a sweep over an(v) alone, in
-    reverse topological order, and the dot products of the last block run
-    over an(a).  Each trial ranks N by one sparse elimination, `_eliminate`.
+    reverse topological order, that pushes each entry up to the parents of
+    its vertex, and the dot products of the last block run over an(a).
+    Each trial ranks N by one sparse elimination, `_eliminate`.
 
     N's entries are polynomials in the parameters and its generic rank is
     |U| + rk Sigma_{A,B}, so no trial exceeds the generic rank, even when K
@@ -271,11 +272,10 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
     As, Bs = sorted(set(A)), sorted(set(B))
     full = min(len(As), len(Bs))
     position = {v: k for k, v in enumerate(topological_order(g))}
-    walks = {}  # v -> (i, children of i in an(v)) for i in an(v) - v, sinks first
+    walks = {}  # v -> (j, parents of j) for j in an(v), v first, sinks first
     for v in vertices:
-        anc = ancestors(g, v)
-        walks[v] = [(i, [c for c in g.children[i] if c in anc])
-                    for i in sorted(anc - {v}, key=position.__getitem__, reverse=True)]
+        walks[v] = [(j, g.parents[j])
+                    for j in sorted(ancestors(g, v), key=position.__getitem__, reverse=True)]
     pos = {u: i for i, u in enumerate(sorted(g.u_set))}
     width = len(pos)  # column width + k of N belongs to Bs[k]
     best = 0
@@ -288,9 +288,16 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
         phi.update({(w, w): rng.randrange(1, p) for w in sorted(g.w_set)})
         x = {}  # column v of Lambda^{-1} mod p, keyed by the vertices of an(v)
         for v, walk in walks.items():
-            col = x[v] = {v: 1}
-            for i, children in walk:
-                col[i] = sum(lam[(i, c)] * col[c] for c in children) % p
+            # x_v[i] sums lam_ij x_v[j] over the children j of i in an(v);
+            # sinks first, each x_v[j] is complete when j is reached and is
+            # pushed up to the parents of j, which all lie in an(v)
+            col = x[v] = {j: 0 for j, _ in walk}
+            col[v] = 1
+            for j, parents in walk:
+                xj = col[j] = col[j] % p
+                if xj:
+                    for i in parents:
+                        col[i] += lam[(i, j)] * xj
         rows: List[Dict[int, int]] = [{} for _ in pos]  # K, then X_{U,B}
         for i, j in sorted(g.undirected_edges):
             rows[pos[i]][pos[j]] = rows[pos[j]][pos[i]] = rng.randrange(1, p)

@@ -16,14 +16,19 @@ Where each check lives:
   undirected and bidirected pairs as i < j, and checks the range of m
   before building anything.
 - `_build`, behind both, infers U (declared U vertices and the ends of
-  undirected edges, closed under directed ancestors) and W (the rest), and
-  reports a vertex that lands in both.
+  undirected edges, closed under directed ancestors) and W (the rest of
+  1..m, plus any declared W id outside it).  U is closed under directed
+  ancestors, so most invariants hold by construction; `_build` checks each
+  of the others once, on whole sets, and returns the graph when they all
+  pass.
 - `validate` checks a built graph: U and W partition 1..m; no self-loop
   and no id out of range; undirected edges inside U, bidirected edges inside
-  W; no directed edge from W into U; no directed cycle.
+  W; no directed edge from W into U; no directed cycle.  `_build` runs it
+  only to list the violations of a graph that failed its checks, after the
+  vertices that land in both U and W.
 
-`_build` and `validate` run each check on whole sets; only a check that
-fails sorts its edges, to list its violations in edge order.
+Only a check that fails sorts its edges, to list its violations in edge
+order.
 """
 
 from __future__ import annotations
@@ -171,9 +176,9 @@ def make_graph(m, directed=(), undirected=(), bidirected=(), u=None, w=None) -> 
 def _build(m, directed, undirected, bidirected, u, w) -> MixedGraph:
     """make_graph's work on edge frozensets of ints, with undirected and bidirected pairs i < j."""
     u0 = set(u or ())
-    w0 = set(w or ())
+    declared_w = set(w or ())
     u0.update(*undirected)
-    w0.update(*bidirected)
+    w0 = declared_w.union(*bidirected)
 
     # ancestral closure of U under directed edges
     par = {}
@@ -181,14 +186,28 @@ def _build(m, directed, undirected, bidirected, u, w) -> MixedGraph:
         par.setdefault(j, []).append(i)
     closure = _closure(u0, lambda v: par.get(v, ()))
 
-    violations = [f"vertex {v} cannot be in both U and W" for v in sorted(closure & w0)]
+    universe = set(range(1, m + 1))
+    stray_w = declared_w - universe
     u_set = frozenset(closure - w0)
-    w_set = frozenset(set(range(1, m + 1)) - u_set)
+    w_set = universe - u_set
+    w_set.update(stray_w)  # kept, so that validate reports them as it does for U
+    g = MixedGraph(m, u_set, frozenset(w_set), directed, undirected, bidirected)
 
-    g = MixedGraph(m, u_set, w_set, directed, undirected, bidirected)
-    violations.extend(validate(g))
-    if violations:
-        raise InvalidGraphError(violations)
+    # When these checks pass, validate would find nothing, so it runs only to
+    # list what failed.  U is then the closure, inside 1..m, and W the rest
+    # of 1..m, so they partition it.  Undirected ends seed U; bidirected ends
+    # lie in 1..m outside U, hence in W.  U is closed under directed
+    # ancestors, so no directed edge enters U from W.  Kahn's pass reaching
+    # every vertex rules out a directed cycle, a directed self-loop included;
+    # the other edges are checked for loops here.
+    if not (closure.isdisjoint(w0) and not stray_w and universe.issuperset(closure)
+            and universe.issuperset(chain.from_iterable(chain(directed, undirected, bidirected)))
+            and not any(starmap(eq, chain(undirected, bidirected)))
+            and len(_kahn(g)) == m):
+        violations = [f"vertex {v} cannot be in both U and W" for v in sorted(closure & w0)]
+        violations.extend(validate(g))
+        if violations:
+            raise InvalidGraphError(violations)
     return g
 
 
@@ -243,14 +262,16 @@ def topological_order(g: MixedGraph) -> List[int]:
 def _kahn(g: MixedGraph) -> List[int]:
     """Kahn's pass, lowest id first; it misses every vertex on or below a directed cycle."""
     indeg = [0] * (g.m + 1)
-    for _, j in g.directed_edges:
+    children = [[] for _ in indeg]
+    for i, j in g.directed_edges:
+        children[i].append(j)
         indeg[j] += 1
     heap = [v for v in g.vertices if not indeg[v]]  # ascending, hence a heap
     order = []
-    while heap:
+    while heap:  # the heap pops lowest id first, whatever order children come in
         v = heapq.heappop(heap)
         order.append(v)
-        for c in g.children[v]:
+        for c in children[v]:
             indeg[c] -= 1
             if not indeg[c]:
                 heapq.heappush(heap, c)

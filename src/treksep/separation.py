@@ -219,7 +219,10 @@ def min_t_separator(g: MixedGraph, A, B) -> RankResult:
 
 def generic_rank(g: MixedGraph, A, B) -> int:
     """Generic rank of the covariance submatrix with rows A and columns B."""
-    return min_t_separator(g, A, B).rank if A and B else 0
+    if A and B:
+        return min_t_separator(g, A, B).rank
+    _require_vertices(g, sorted(set(A) | set(B)))
+    return 0
 
 
 def is_t_separating(g: MixedGraph, A, B, c: SeparationTriple) -> bool:
@@ -394,9 +397,9 @@ def ci_implied(g: MixedGraph, A, B, C) -> bool:
     """
     C = frozenset(C)
     AC, BC = frozenset(A) | C, frozenset(B) | C
+    _require_vertices(g, sorted(AC | BC))
     if not AC or not BC:
         return True  # C is empty as well: rank 0 = |C|
-    _require_vertices(g, sorted(AC | BC))
     return not _ci_reached(g, AC, C) & _mask(B)
 
 

@@ -8,8 +8,10 @@ from treksep.graph import (DAG, MIXED, UNDIRECTED, InvalidGraphError,
                            make_graph, parse_graph, serialize,
                            topological_order, validate)
 from treksep.instances import CHOKE_TEXT, choke_graph
+from treksep.algebra import generic_rank_oracle
 from treksep.separation import (SeparationTriple, ci_implied, d_sep_via_t_sep,
-                                d_separates, is_t_separating, min_t_separator)
+                                d_separates, generic_rank, is_t_separating,
+                                min_t_separator)
 from treksep.treks import enumerate_simple_treks
 from treksep.verify import random_graph
 
@@ -82,6 +84,14 @@ def test_make_graph_rejects_vertex_count_out_of_range(m, message):
         parse_graph(f"v {m}\n")
 
 
+@pytest.mark.parametrize("v", [0, 9])
+@pytest.mark.parametrize("block", ["u", "w"])
+def test_make_graph_reports_a_declared_block_id_out_of_range(block, v):
+    with pytest.raises(InvalidGraphError) as exc:
+        make_graph(3, directed=[(1, 2)], **{block: {v}})
+    assert exc.value.violations == ["U and W do not partition the vertex set"]
+
+
 def test_parse_error_reports_line_number():
     with pytest.raises(ParseError) as exc:
         parse_graph("v 3\ne 1 -> 2\ne 9 -> 3")
@@ -141,6 +151,11 @@ _RANGE_CHECKED = {
     "is_t_separating": lambda g, v: is_t_separating(
         g, {1}, {2}, SeparationTriple.of(cm={v})),
     "ci_implied": lambda g, v: ci_implied(g, {v}, {2}, {3}),
+    "ci_implied_empty_side": lambda g, v: ci_implied(g, [], [v], []),
+    "generic_rank": lambda g, v: generic_rank(g, {1}, {v}),
+    "generic_rank_empty_side": lambda g, v: generic_rank(g, [], [v]),
+    "generic_rank_oracle": lambda g, v: generic_rank_oracle(g, {1}, {v}, 1),
+    "generic_rank_oracle_empty_side": lambda g, v: generic_rank_oracle(g, [], [v], 1),
     "d_separates": lambda g, v: d_separates(g, {1}, {v}, {3}),
     "d_sep_via_t_sep": lambda g, v: d_sep_via_t_sep(g, {1}, {2}, {v}),
     "enumerate_simple_treks": lambda g, v: enumerate_simple_treks(g, 1, v),

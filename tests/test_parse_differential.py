@@ -19,8 +19,8 @@ import pytest
 from graph_reference import (_kahn_reference, make_graph_reference,
                              parse_graph_reference, validate_reference)
 from treksep.graph import (DAG, MIXED, UNDIRECTED, InvalidGraphError,
-                           MixedGraph, ParseError, make_graph, parse_graph,
-                           topological_order, validate)
+                           MixedGraph, ParseError, _norm_pair, make_graph,
+                           parse_graph, topological_order, validate)
 from treksep.verify import random_graph
 
 _OPS = {"directed": "->", "undirected": "--", "bidirected": "<->"}
@@ -36,9 +36,18 @@ def _outcome(build, *args, **kwargs):
             list(g.bidirected_edges), list(g.u_set), list(g.w_set))
 
 
+def _check_built(got):
+    """A graph the library returned is valid, and Kahn's pass orders it as before."""
+    g = got[0]
+    if isinstance(g, MixedGraph):
+        assert validate(g) == [], g
+        assert topological_order(g) == _kahn_reference(g), g
+
+
 def _same_parse(text):
     got = _outcome(parse_graph, text)
     assert got == _outcome(parse_graph_reference, text), text
+    _check_built(got)
     return got
 
 
@@ -46,8 +55,11 @@ def _sep(rng):
     return rng.choice((" ", " ", "  ", "\t", " \t "))
 
 
-def _lines(g, rng):
-    """g's file lines in a random order, with pairs in either orientation."""
+def _lines(g, rng, declared_u=None):
+    """g's file lines in a random order, with pairs in either orientation.
+
+    The u lines list declared_u, by default all of U.
+    """
     s = _sep(rng)
     lines = []
     for kind, edges in (("directed", g.directed_edges), ("undirected", g.undirected_edges),
@@ -56,7 +68,9 @@ def _lines(g, rng):
             if kind != "directed" and rng.random() < 0.5:
                 i, j = j, i
             lines.append(f"e{s}{i}{s}{_OPS[kind]}{s}{j}")
-    u = rng.sample(sorted(g.u_set), len(g.u_set))  # all of U, on one or two lines
+    if declared_u is None:
+        declared_u = g.u_set
+    u = rng.sample(sorted(declared_u), len(declared_u))  # on one or two lines
     cut = rng.randint(1, len(u)) if u else 0
     w = rng.sample(sorted(g.w_set), rng.randint(0, len(g.w_set)))  # some of W
     for name, ids in (("u", u[:cut]), ("u", u[cut:]), ("w", w)):
@@ -166,6 +180,34 @@ def _cycle(lines, m, rng):
     return lines
 
 
+def _relabelled(g, rng):
+    """g with its ids permuted at random: directed edges no longer run low to high."""
+    ids = list(g.vertices)
+    rng.shuffle(ids)
+    new = dict(zip(g.vertices, ids))
+
+    def pairs(edges, ordered=False):
+        return frozenset((new[i], new[j]) if ordered else _norm_pair(new[i], new[j])
+                         for i, j in edges)
+
+    return MixedGraph(g.m, frozenset(map(new.get, g.u_set)), frozenset(map(new.get, g.w_set)),
+                      pairs(g.directed_edges, ordered=True), pairs(g.undirected_edges),
+                      pairs(g.bidirected_edges))
+
+
+def _u_sinks(g):
+    """The U vertices with no child in U: the builder's closure adds the rest of U."""
+    return g.u_set - {i for i, j in g.directed_edges if j in g.u_set}
+
+
+def _same_relabelled_parse(g, rng):
+    """Parse a relabelled g, declaring only the sinks of U, as the reference does."""
+    h = _relabelled(g, rng)
+    got = _same_parse("\n".join(_decorate(_lines(h, rng, _u_sinks(h)), rng)))
+    assert got[0] == h
+    return h
+
+
 _MUTATIONS = (_duplicate_edge, _self_loop, _bad_id, _unknown_word, _bad_shape,
               _bad_header, _membership_conflict, _w_into_u, _cycle)
 
@@ -210,12 +252,14 @@ def test_texts_parse_as_before():
     seen, messages = Counter(), set()
     for cls in (DAG, UNDIRECTED, MIXED):
         rng = random.Random(f"parse-differential/{cls}")
+        relabel_rng = random.Random(f"parse-differential/relabel/{cls}")
         for _ in range(150):
             n = rng.randint(1, 12)
             g = random_graph(cls, n, rng.randrange(10**6), rng.choice((0.2, 0.4, 0.7)))
             lines = _lines(g, rng)
             got = _same_parse("\n".join(_decorate(lines, rng)) + rng.choice(("", "\n", "\r\n")))
             assert got[0] == g
+            _same_relabelled_parse(g, relabel_rng)
             for mutate in _MUTATIONS:
                 got = _same_parse("\n".join(_decorate(mutate(list(lines), n, rng), rng)))
                 seen[got[0] if isinstance(got[0], type) else MixedGraph] += 1
@@ -235,24 +279,34 @@ def test_large_texts_parse_as_before():
     assert got[0].m == 1000 and len(got[1]) == 1800 and len(got[2]) == len(got[3]) == 600
     for mutate in (_duplicate_edge, _self_loop, _bad_id, _cycle, _w_into_u):
         _same_parse("\n".join(mutate(list(lines), 1000, rng)) + "\n")
+    h = _same_relabelled_parse(got[0], random.Random("parse-differential/large/relabel"))
+    assert any(i > j for i, j in h.directed_edges) and _u_sinks(h) < h.u_set
 
 
 def test_make_graph_builds_as_before():
-    rng = random.Random("parse-differential/make_graph")
-    for _ in range(400):
-        m = rng.randint(1, 9)
+    out_of_range = 0
+    # the second seed draws edge ids from 0..m+1: about 30% of all cases
+    for seed, cases, wide in (("parse-differential/make_graph", 400, False),
+                              ("parse-differential/make_graph/ids", 170, True)):
+        rng = random.Random(seed)
+        for _ in range(cases):
+            m = rng.randint(1, 9)
+            lo, hi = (0, m + 1) if wide else (1, m)
 
-        def pairs(count):
-            return [(rng.randint(1, m), rng.randint(1, m)) for _ in range(count)]
+            def pairs(count):
+                return [(rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(count)]
 
-        kwargs = dict(directed=pairs(rng.randint(0, 8)), undirected=pairs(rng.randint(0, 3)),
-                      bidirected=pairs(rng.randint(0, 3)))
-        if rng.random() < 0.3:
-            kwargs["u"] = set(rng.sample(range(1, m + 1), rng.randint(0, m)))
-        if rng.random() < 0.3:
-            kwargs["w"] = set(rng.sample(range(1, m + 1), rng.randint(0, m)))
-        got = _outcome(make_graph, m, **kwargs)
-        assert got == _outcome(make_graph_reference, m, **kwargs), (m, kwargs)
+            kwargs = dict(directed=pairs(rng.randint(0, 8)), undirected=pairs(rng.randint(0, 3)),
+                          bidirected=pairs(rng.randint(0, 3)))
+            if rng.random() < 0.3:
+                kwargs["u"] = set(rng.sample(range(1, m + 1), rng.randint(0, m)))
+            if rng.random() < 0.3:
+                kwargs["w"] = set(rng.sample(range(1, m + 1), rng.randint(0, m)))
+            got = _outcome(make_graph, m, **kwargs)
+            assert got == _outcome(make_graph_reference, m, **kwargs), (m, kwargs)
+            _check_built(got)
+            out_of_range += got[0] is InvalidGraphError and "out of range" in got[1]
+    assert out_of_range >= 100, out_of_range
     assert _outcome(make_graph, 3, directed=[("1", "2")], undirected=[(3, "1")]) \
         == _outcome(make_graph_reference, 3, directed=[("1", "2")], undirected=[(3, "1")])
 
