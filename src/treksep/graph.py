@@ -14,13 +14,14 @@ Where each check lives:
   orientation for `--` and `<->`) and ids listed under both `u` and `w`.
 - `make_graph` turns the pairs an outside caller gives into ints, stores
   undirected and bidirected pairs as i < j, and checks the range of m
-  before building anything.
+  before building anything and then, on the whole set, the range of the
+  edge ids.
 - `_build`, behind both, infers U (declared U vertices and the ends of
   undirected edges, closed under directed ancestors) and W (the rest of
   1..m, plus any declared W id outside it).  U is closed under directed
   ancestors, so most invariants hold by construction; `_build` checks each
   of the others once, on whole sets, and returns the graph when they all
-  pass.
+  pass and the edge ids were in range.
 - `validate` checks a built graph: U and W partition 1..m; no self-loop
   and no id out of range; undirected edges inside U, bidirected edges inside
   W; no directed edge from W into U; no directed cycle.  `_build` runs it
@@ -168,13 +169,18 @@ def make_graph(m, directed=(), undirected=(), bidirected=(), u=None, w=None) -> 
     problem = _vertex_count_problem(m)
     if problem:
         raise InvalidGraphError([problem])
-    return _build(m, frozenset((int(i), int(j)) for i, j in directed),
-                  frozenset(_norm_pair(int(i), int(j)) for i, j in undirected),
-                  frozenset(_norm_pair(int(i), int(j)) for i, j in bidirected), u, w)
+    edges = (frozenset((int(i), int(j)) for i, j in directed),
+             frozenset(_norm_pair(int(i), int(j)) for i, j in undirected),
+             frozenset(_norm_pair(int(i), int(j)) for i, j in bidirected))
+    in_range = set(range(1, m + 1)).issuperset(chain.from_iterable(chain(*edges)))
+    return _build(m, *edges, u, w, in_range)
 
 
-def _build(m, directed, undirected, bidirected, u, w) -> MixedGraph:
-    """make_graph's work on edge frozensets of ints, with undirected and bidirected pairs i < j."""
+def _build(m, directed, undirected, bidirected, u, w, in_range) -> MixedGraph:
+    """make_graph's work on edge frozensets of ints, with undirected and bidirected pairs i < j.
+
+    in_range tells whether every edge id is known to lie in 1..m.
+    """
     u0 = set(u or ())
     declared_w = set(w or ())
     u0.update(*undirected)
@@ -200,8 +206,7 @@ def _build(m, directed, undirected, bidirected, u, w) -> MixedGraph:
     # ancestors, so no directed edge enters U from W.  Kahn's pass reaching
     # every vertex rules out a directed cycle, a directed self-loop included;
     # the other edges are checked for loops here.
-    if not (closure.isdisjoint(w0) and not stray_w and universe.issuperset(closure)
-            and universe.issuperset(chain.from_iterable(chain(directed, undirected, bidirected)))
+    if not (in_range and closure.isdisjoint(w0) and not stray_w and universe.issuperset(closure)
             and not any(starmap(eq, chain(undirected, bidirected)))
             and len(_kahn(g)) == m):
         violations = [f"vertex {v} cannot be in both U and W" for v in sorted(closure & w0)]
@@ -413,7 +418,8 @@ def parse_graph(text: str) -> MixedGraph:
     # iter(): a frozenset built from a set copies its table, but the edge
     # order _adjacency reads is that of a frozenset built pair by pair
     directed, undirected, bidirected = (frozenset(iter(edge_sets[op])) for op in _EDGE_KINDS)
-    return _build(m, directed, undirected, bidirected, explicit_u, explicit_w)
+    # each edge id was range-checked on its line
+    return _build(m, directed, undirected, bidirected, explicit_u, explicit_w, True)
 
 
 def serialize(g: MixedGraph) -> str:

@@ -43,6 +43,19 @@ out-node is not reached: the unique minimal source-side minimum cut,
 whichever paths were augmented.  The adjacency depends on the graph alone:
 it is kept for the last graph queried, and queries never change it.
 
+A trek ends in a directed path down into B, so its right half lies in
+an(B), the ancestors of B; `_blank` finds an(B) by walking the left-level
+arcs up from the left in-nodes of B.  The right levels of the other
+vertices are dead ends: their arcs lead only down to the right levels of
+children, outside an(B) again, so no path from them reaches B, no unit of
+flow ever enters them and none of their residual arcs goes back.  A query
+with B therefore starts each search from a `via` in which the right
+in-node of every vertex outside an(B) is -3, a node never to enter.  No
+live node is first reached from a pruned one, so the live nodes get the
+same `via`, the same augmenting paths and the same cut as with no
+pruning.  `_ci_reached` has no B and needs its full reach: it prunes
+nothing.
+
 A CI query X_A _||_ X_B | X_C holds generically iff rank Sigma_{A+C, B+C}
 = |C|, and that rank is at least |C|: the trivial treks c - c, one per c
 in C, share no node.  `ci_implied` pushes them straight into its `prv`,
@@ -153,16 +166,39 @@ def _query(g: MixedGraph, A, B):
     return last[1], [-1] * (3 * g.m)
 
 
-def _search(arcs, prv, A, B):
+def _blank(arcs, B):
+    """The `via` of a search towards B that has reached nothing yet.
+
+    It is -1 everywhere but at the right in-nodes of the vertices outside
+    an(B), which hold -3 so that no search enters them (module doc).  an(B)
+    is the set of vertices whose left in-node the left-level arcs reach
+    from the left in-nodes of B: the arcs from a left out-node that enter
+    a left in-node go up to the parents.
+    """
+    via = [-1, -1, -1, -1, -3, -1] * (len(arcs) // 3)
+    up = [6 * b - 6 for b in B]
+    for x in up:  # left in-node x of v; x + 4 is the right in-node of v
+        via[x + 4] = -1
+    for x in up:
+        for y in arcs[x >> 1]:
+            if not y % 6 and via[y + 4] == -3:
+                via[y + 4] = -1
+                up.append(y)
+    return via
+
+
+def _search(arcs, prv, A, B, blank):
     """Breadth-first search of the residual network from the left in-nodes of A.
 
-    arcs is the adjacency of the graph and prv the flow (module doc).
-    Returns (via, order, end): via[x] is the node that first reached node x
-    (-1 if unreached, -2 for a left in-node of A), order lists the reached
-    nodes and end is the right out-node of B that stopped the search, or -1.
+    arcs is the adjacency of the graph, prv the flow and blank the `via` to
+    start from, which is not changed (module doc).  Returns (via, order,
+    end): via[x] is the node that first reached node x (-1 if unreached, -2
+    for a left in-node of A, -3 for a node never to enter), order lists the
+    reached nodes and end is the right out-node of B that stopped the
+    search, or -1.
     """
     ends = {6 * b - 1 for b in B}
-    via = [-1] * (2 * len(prv))
+    via = blank.copy()
     order = [6 * a - 6 for a in A]
     for u in order:
         via[u] = -2
@@ -192,9 +228,10 @@ def min_t_separator(g: MixedGraph, A, B) -> RankResult:
     """Minimum t-separating triple and its size, by max-flow min-cut."""
     A, B = frozenset(A), frozenset(B)
     arcs, prv = _query(g, A, B)
+    blank = _blank(arcs, B)
     value = 0
     while True:
-        via, order, x = _search(arcs, prv, A, B)
+        via, order, x = _search(arcs, prv, A, B, blank)
         if x == -1:
             break
         while x != -2:  # every augmenting path carries one unit
@@ -233,7 +270,7 @@ def is_t_separating(g: MixedGraph, A, B, c: SeparationTriple) -> bool:
     for level, members in enumerate((c.c_left, c.c_mid, c.c_right)):
         for v in members:
             prv[3 * v - 3 + level] = -3  # the split arc of a deleted node
-    return _search(arcs, prv, A, B)[2] == -1
+    return _search(arcs, prv, A, B, _blank(arcs, B))[2] == -1
 
 
 def _require_dag(g: MixedGraph):
@@ -385,7 +422,7 @@ def _ci_reached(g: MixedGraph, AC, C) -> int:
         prv[3 * c - 3] = -2
         prv[3 * c - 2] = 6 * c - 5
         prv[3 * c - 1] = 6 * c - 3
-    via = _search(arcs, prv, AC, ())[0]
+    via = _search(arcs, prv, AC, (), [-1] * (6 * g.m))[0]
     return _mask(k + 1 for k, x in enumerate(via[5::6]) if x != -1)
 
 
@@ -415,11 +452,15 @@ def vanishing_tetrad(g: MixedGraph, ij, kl) -> Optional[ChokePoint]:
     Returns a vertex c with a side such that ({c}, {}) or ({}, {c})
     t-separates {i,j} from {k,l}; None when the minor is generically
     nonzero (rank 2).  If the two blocks have no treks at all, any vertex
-    works and the smallest row vertex is reported.
+    works and the smallest row vertex is reported.  Raises ValueError unless
+    ij and kl are two distinct vertices each.
     """
     _require_dag(g)
+    ij, kl = tuple(ij), tuple(kl)
     A = frozenset(ij)
     B = frozenset(kl)
+    if not len(ij) == len(A) == len(kl) == len(B) == 2:
+        raise ValueError("a tetrad needs two distinct rows and two distinct columns")
     res = min_t_separator(g, A, B)
     if res.rank >= 2:
         return None

@@ -86,3 +86,51 @@ def test_large_graphs_match_the_network():
             A, B, C = _sample(rng, g.m, 1, 12), _sample(rng, g.m, 1, 12), _sample(rng, g.m, 0, 6)
             ranks.append(_same_answers(g, A, B, C, rng)[0])
     assert max(ranks) >= 3, ranks
+
+
+def _relabelled(g, rng):
+    """g with its ids permuted at random, and the map from old ids to new.
+
+    Directed edges then point both ways in id, and U is no longer 1..u.
+    """
+    ids = list(g.vertices)
+    rng.shuffle(ids)
+    new = dict(zip(g.vertices, ids))
+
+    def pairs(edges):
+        return [(new[i], new[j]) for i, j in edges]
+
+    h = make_graph(g.m, pairs(g.directed_edges), pairs(g.undirected_edges),
+                   pairs(g.bidirected_edges), u=[new[v] for v in g.u_set])
+    assert h.u_set == {new[v] for v in g.u_set}
+    return h, new
+
+
+def _same_relabelled_answers(g, A, B, C, rng):
+    """The answers on a relabelled g are the reference's, and the ranks and verdict are g's."""
+    h, new = _relabelled(g, rng)
+    A2, B2, C2 = ({new[v] for v in S} for S in (A, B, C))
+    expected = min_t_separator(g, A, B).rank, ci_implied(g, A, B, C)
+    assert _same_answers(h, A2, B2, C2, rng) == expected, (A, B, C)
+    return h
+
+
+@pytest.mark.parametrize("cls", [DAG, MIXED])
+def test_relabelled_small_queries_match_the_network(cls):
+    rng = random.Random(f"differential/relabelled/{cls}")
+    downward = 0
+    for _ in range(200):
+        n = rng.randint(2, 14)
+        g = random_graph(cls, n, rng.randrange(10**6), rng.choice((0.2, 0.4, 0.6)))
+        A, B, C = _sample(rng, n, 1, 4), _sample(rng, n, 1, 4), _sample(rng, n, 0, 4)
+        h = _same_relabelled_answers(g, A, B, C, rng)
+        downward += any(i > j for i, j in h.directed_edges)
+    assert downward >= 100, downward
+
+
+def test_relabelled_large_graph_matches_the_network():
+    rng = random.Random("differential/relabelled/large")
+    g = _large_graph(rng)
+    for _ in range(8):
+        A, B, C = _sample(rng, g.m, 1, 12), _sample(rng, g.m, 1, 12), _sample(rng, g.m, 0, 6)
+        _same_relabelled_answers(g, A, B, C, rng)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import treksep
 from separation_reference import ci_implied_reference
 from treksep import separation
-from treksep.graph import DAG, MIXED, UNDIRECTED, make_graph
+from treksep.graph import DAG, MIXED, UNDIRECTED, ancestors, make_graph
 from treksep.instances import (CHOKE_A, CHOKE_B, SPIDER_A, SPIDER_B,
                                choke_graph, spider_graph)
 from treksep.separation import (NotADAGError, SeparationTriple, _require_dag,
@@ -168,9 +168,9 @@ print(separation.is_t_separating(g, CHOKE_A, CHOKE_B,
                                  separation.SeparationTriple.of(cr={5})))
 real = separation._search
 
-def forgetful(arcs, prv, A, B):  # loses the units that a source feeds
+def forgetful(arcs, prv, *rest):  # loses the units that a source feeds
     prv[:] = [-1 if unit == -2 else unit for unit in prv]
-    return real(arcs, prv, A, B)
+    return real(arcs, prv, *rest)
 
 separation._search = forgetful
 try:
@@ -195,8 +195,8 @@ def test_cut_wider_than_the_flow_raises(monkeypatch):
     # a last search that leaves one more out-node unreached widens the cut
     real = separation._search
 
-    def widened(arcs, prv, A, B):
-        via, order, end = real(arcs, prv, A, B)
+    def widened(*args):
+        via, order, end = real(*args)
         if end == -1:
             x = next(x for x in order if not x & 1 and via[x + 1] != -1)
             via[x + 1] = -1
@@ -206,6 +206,36 @@ def test_cut_wider_than_the_flow_raises(monkeypatch):
     with pytest.raises(separation.InternalError,
                        match="certificate size 2 differs from flow value 1"):
         min_t_separator(choke_graph(), CHOKE_A, CHOKE_B)
+
+
+def test_searches_enter_no_right_level_outside_the_ancestors_of_b(monkeypatch):
+    # a trek ends in a directed path down into B, so the right in-node
+    # 6v - 2 of a vertex v outside an(B) leads to no end of the search
+    orders = []
+    real = separation._search
+
+    def recorded(*args):
+        via, order, end = real(*args)
+        orders.append(order)
+        return via, order, end
+
+    monkeypatch.setattr(separation, "_search", recorded)
+    rng = random.Random("pruned right levels")
+    chain = make_graph(8, directed=[(v, v + 1) for v in range(1, 8)])
+    cases = [(chain, {1, 5}, {3})]
+    for seed in range(30):  # low ids form U, and directed edges point up in id
+        g = random_graph(MIXED, 12, seed, 0.3)
+        cases.append((g, set(rng.sample(range(1, 13), 3)), set(rng.sample(range(1, 5), 2))))
+    pruned = 0
+    for g, A, B in cases:
+        an_b = set().union(*(ancestors(g, b) for b in B))
+        outside = {6 * v - 2 for v in g.vertices if v not in an_b}
+        pruned += len(outside)
+        orders.clear()
+        min_t_separator(g, A, B)
+        is_t_separating(g, A, B, SeparationTriple())
+        assert orders and not any(outside.intersection(order) for order in orders), (A, B)
+    assert pruned >= 200
 
 
 def test_tsep_choke():
@@ -521,6 +551,14 @@ def test_vanishing_tetrad_overlapping_pairs():
     # collider: sigma_12 = 0 but the off-diagonal entries keep rank 2
     collider = make_graph(3, directed=[(1, 3), (2, 3)])
     assert vanishing_tetrad(collider, (1, 3), (2, 3)) is None
+
+
+@pytest.mark.parametrize("ij, kl", [((1, 1), (4, 5)), ((1, 2, 3), (4, 5)), ((1,), (4, 5)),
+                                    ((1, 3), (5, 5)), ((1, 3), (2, 4, 5)), ((1, 3), ())])
+def test_vanishing_tetrad_needs_two_distinct_rows_and_columns(ij, kl):
+    with pytest.raises(ValueError, match="^a tetrad needs two distinct rows and two "
+                                         "distinct columns$"):
+        vanishing_tetrad(choke_graph(), ij, kl)
 
 
 graph_cases = st.tuples(st.sampled_from([DAG, UNDIRECTED, MIXED]),
