@@ -30,6 +30,11 @@ Where each check lives:
 
 Only a check that fails sorts its edges, to list its violations in edge
 order.
+
+A graph keeps the parent lists of `_build`'s closure pass and the child
+lists of Kahn's pass as its index of the directed edges (`_parent_lists`,
+`_child_lists`), which `separation` reads; a graph made directly through
+`MixedGraph(...)` computes them from its directed edges on first read.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, starmap
 from operator import eq
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 DAG = "DAG"
 UNDIRECTED = "Undirected"
@@ -91,12 +96,25 @@ class MixedGraph:
     def vertices(self) -> range:
         return range(1, self.m + 1)
 
+    # The index of the directed edges (module doc).
+
+    @cached_property
+    def _parent_lists(self) -> Dict[int, List[int]]:
+        """Each vertex with a parent -> the list of its parents (`_build` stores its own)."""
+        return _list_parents(self.directed_edges)
+
+    @cached_property
+    def _child_lists(self) -> List[List[int]]:
+        """_child_lists[v] lists the children of v (entry 0 unused)."""
+        children = [[] for _ in range(self.m + 1)]
+        for i, j in self.directed_edges:
+            children[i].append(j)
+        return children
+
     @cached_property
     def parents(self):
-        par = {v: [] for v in self.vertices}
-        for i, j in self.directed_edges:
-            par[j].append(i)
-        return {v: tuple(sorted(ps)) for v, ps in par.items()}
+        par = self._parent_lists
+        return {v: tuple(sorted(par.get(v, ()))) for v in self.vertices}
 
     @cached_property
     def parent_mask(self) -> Tuple[int, ...]:
@@ -108,10 +126,8 @@ class MixedGraph:
 
     @cached_property
     def children(self):
-        ch = {v: [] for v in self.vertices}
-        for i, j in self.directed_edges:
-            ch[i].append(j)
-        return {v: tuple(sorted(cs)) for v, cs in ch.items()}
+        ch = self._child_lists
+        return {v: tuple(sorted(ch[v])) for v in self.vertices}
 
     @cached_property
     def child_mask(self) -> Tuple[int, ...]:
@@ -186,11 +202,8 @@ def _build(m, directed, undirected, bidirected, u, w, in_range) -> MixedGraph:
     u0.update(*undirected)
     w0 = declared_w.union(*bidirected)
 
-    # ancestral closure of U under directed edges
-    par = {}
-    for i, j in directed:
-        par.setdefault(j, []).append(i)
-    closure = _closure(u0, lambda v: par.get(v, ()))
+    par = _list_parents(directed)
+    closure = _closure(u0, lambda v: par.get(v, ()))  # ancestral closure of U
 
     universe = set(range(1, m + 1))
     stray_w = declared_w - universe
@@ -198,6 +211,7 @@ def _build(m, directed, undirected, bidirected, u, w, in_range) -> MixedGraph:
     w_set = universe - u_set
     w_set.update(stray_w)  # kept, so that validate reports them as it does for U
     g = MixedGraph(m, u_set, frozenset(w_set), directed, undirected, bidirected)
+    object.__setattr__(g, "_parent_lists", par)  # the graph keeps it as its index
 
     # When these checks pass, validate would find nothing, so it runs only to
     # list what failed.  U is then the closure, inside 1..m, and W the rest
@@ -264,13 +278,20 @@ def topological_order(g: MixedGraph) -> List[int]:
     return order
 
 
+def _list_parents(directed) -> Dict[int, List[int]]:
+    """Each head of a directed edge -> the list of its tails, in edge order."""
+    par = {}
+    for i, j in directed:
+        par.setdefault(j, []).append(i)
+    return par
+
+
 def _kahn(g: MixedGraph) -> List[int]:
     """Kahn's pass, lowest id first; it misses every vertex on or below a directed cycle."""
+    children = g._child_lists
     indeg = [0] * (g.m + 1)
-    children = [[] for _ in indeg]
-    for i, j in g.directed_edges:
-        children[i].append(j)
-        indeg[j] += 1
+    for v, ps in g._parent_lists.items():
+        indeg[v] = len(ps)
     heap = [v for v in g.vertices if not indeg[v]]  # ascending, hence a heap
     order = []
     while heap:  # the heap pops lowest id first, whatever order children come in

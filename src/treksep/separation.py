@@ -8,17 +8,18 @@ directed path into B), and each level is split into an in-node and an
 out-node joined by a split arc of capacity 1.  Nodes are ints: level l of
 v (left 0, middle 1, right 2) has in-node 2*(3*(v-1)+l) and out-node one
 more, 6m nodes in all.  Split arc e is in-node e.  The other arcs leave an
-out-node, and `_adjacency` lists them per out-node, as the in-nodes they
-enter: from the left out-node of v the middle in-node of v (a trek turns
-at its top vertex), the left in-nodes of the parents (up) and the right
-in-nodes of the bidirected neighbours and of v itself (over); from the
-middle out-node the right in-node of v and the middle in-nodes of the
-undirected neighbours (across); from the right out-node the right in-nodes
-of the children (down).
+out-node, and `_Arcs` lists them per out-node, as the in-nodes they enter,
+each once: from the left out-node of v the middle in-node of v (a trek
+turns at its top vertex), the left in-nodes of the parents (up) and, if v
+has a bidirected edge, the right in-nodes of v and of its bidirected
+neighbours (over); from the middle out-node the right in-node of v and the
+middle in-nodes of the undirected neighbours (across); from the right
+out-node the right in-nodes of the children (down).  The parent and child
+lists are the graph's own, kept since it was built.
 
 A bidirected edge i <-> j, a latent common parent of i and j, is the
 middle of the treks whose left path climbs to i or j and whose right path
-starts at i or j, hence the entries i -> i and j -> j of over: a trek
+starts at i or j, hence the arcs i -> i and j -> j of over: a trek
 i <- (latent) -> i does not pass the middle level of i.
 
 The network has no source or sink: paths from a left in-node of A to a
@@ -40,15 +41,18 @@ An out-node always has its forward arcs, and its split arc back only while
 its in-node carries a unit.  The certificate is the set of split arcs
 leaving what the last search reaches, that is the reached in-nodes whose
 out-node is not reached: the unique minimal source-side minimum cut,
-whichever paths were augmented.  The adjacency depends on the graph alone:
-it is kept for the last graph queried, and queries never change it.
+whichever paths were augmented, and so in whatever order the arcs are
+listed.  The arcs depend on the graph alone.  Those of the last graph
+queried are kept, and each entry is listed the first time a search reads
+it, so a query on a large graph lists only the few out-nodes it reaches;
+once listed, an entry never changes.
 
 A trek ends in a directed path down into B, so its right half lies in
-an(B), the ancestors of B; `_blank` finds an(B) by walking the left-level
-arcs up from the left in-nodes of B.  The right levels of the other
-vertices are dead ends: their arcs lead only down to the right levels of
-children, outside an(B) again, so no path from them reaches B, no unit of
-flow ever enters them and none of their residual arcs goes back.  A query
+an(B), the ancestors of B; `_blank` finds an(B) by climbing the graph's
+parent lists from B.  The right levels of the other vertices are dead
+ends: their arcs lead only down to the right levels of children, outside
+an(B) again, so no path from them reaches B, no unit of flow ever enters
+them and none of their residual arcs goes back.  A query
 with B therefore starts each search from a `via` in which the right
 in-node of every vertex outside an(B) is -3, a node never to enter.  No
 live node is first reached from a pruned one, so the live nodes get the
@@ -125,35 +129,65 @@ class RankResult:
     flow_value: int
 
 
-def _adjacency(g: MixedGraph) -> List[Tuple[int, ...]]:
-    """The arcs of the trek network of g: entry i lists the in-nodes out-node 2i+1 enters.
+def _neighbours(m, edges) -> List[Tuple[int, ...]]:
+    """nbr[v] holds the neighbours of v along edges, a set of pairs (entry 0 unused).
 
-    The entries start with the level step, left to middle and middle to
-    right.  They are tuples of ints, built by concatenation with no list
-    in between; the garbage collector stops tracking such a tuple the first
-    time it sees it, so a cached adjacency adds nothing to later collections.
+    Tuples, not lists: the garbage collector stops tracking them, which on
+    a large graph saves more than growing them costs.
     """
-    arcs = [(e + 2,) if e % 6 != 4 else () for e in range(0, 6 * g.m, 2)]
-    for i, j in g.directed_edges:
-        arcs[3 * j - 3] += (6 * i - 6,)
-        arcs[3 * i - 1] += (6 * j - 2,)
-    for i, j in g.undirected_edges:
-        arcs[3 * i - 2] += (6 * j - 4,)
-        arcs[3 * j - 2] += (6 * i - 4,)
-    for i, j in g.bidirected_edges:
-        arcs[3 * i - 3] += (6 * i - 2, 6 * j - 2)
-        arcs[3 * j - 3] += (6 * i - 2, 6 * j - 2)
-    return arcs
+    nbr = [()] * (m + 1)
+    for i, j in edges:
+        nbr[i] += (j,)
+        nbr[j] += (i,)
+    return nbr
 
 
-_last = (None, None)  # the last graph queried and its adjacency
+class _Arcs(dict):
+    """The arcs of a trek network: entry k lists the in-nodes out-node 2k+1 enters.
+
+    An entry is listed the first time it is read, from the graph's parent
+    and child lists and its undirected and bidirected neighbours, then kept
+    as it is.  It starts with the level step, left to middle and middle to
+    right.  Entries are tuples of ints, which the garbage collector stops
+    tracking the first time it sees them, so kept entries add nothing to
+    later collections.
+    """
+
+    def __init__(self, parents, children, undirected, bidirected):
+        super().__init__()
+        self.lists = parents, children, undirected, bidirected
+
+    def __missing__(self, k):
+        parents, children, undirected, bidirected = self.lists
+        v = k // 3 + 1
+        level = k % 3
+        if level == 0:  # to the middle of v, up to the parents, over to the right
+            arcs = (6 * v - 4, *[6 * p - 6 for p in parents.get(v, ())])
+            over = bidirected[v]
+            if over:
+                arcs += (6 * v - 2, *[6 * j - 2 for j in over])
+        elif level == 1:  # to the right of v, across to the undirected neighbours
+            arcs = (6 * v - 2, *[6 * j - 4 for j in undirected[v]])
+        else:  # down to the children
+            arcs = tuple([6 * c - 2 for c in children[v]])
+        self[k] = arcs
+        return arcs
+
+
+def _adjacency(g: MixedGraph) -> _Arcs:
+    """The arcs of the trek network of g, with no entry listed yet."""
+    return _Arcs(g._parent_lists, g._child_lists,
+                 _neighbours(g.m, g.undirected_edges), _neighbours(g.m, g.bidirected_edges))
+
+
+_last = (None, None)  # the last graph queried and its arcs
 
 
 def _query(g: MixedGraph, A, B):
-    """Check the query (A, B); the adjacency of g and a flow state with no units.
+    """Check the query (A, B); the arcs of g and a flow state with no units.
 
-    The adjacency is built only if g is not the last graph queried, after
-    dropping the old one, so that one at most is alive.
+    The arcs are made anew only if g is not the last graph queried, after
+    dropping the old ones, so that those of one graph at most are alive.
     """
     global _last
     if not A or not B:
@@ -166,31 +200,30 @@ def _query(g: MixedGraph, A, B):
     return last[1], [-1] * (3 * g.m)
 
 
-def _blank(arcs, B):
+def _blank(g: MixedGraph, B):
     """The `via` of a search towards B that has reached nothing yet.
 
     It is -1 everywhere but at the right in-nodes of the vertices outside
     an(B), which hold -3 so that no search enters them (module doc).  an(B)
-    is the set of vertices whose left in-node the left-level arcs reach
-    from the left in-nodes of B: the arcs from a left out-node that enter
-    a left in-node go up to the parents.
+    is found by climbing the parent lists of g from B.
     """
-    via = [-1, -1, -1, -1, -3, -1] * (len(arcs) // 3)
-    up = [6 * b - 6 for b in B]
-    for x in up:  # left in-node x of v; x + 4 is the right in-node of v
-        via[x + 4] = -1
-    for x in up:
-        for y in arcs[x >> 1]:
-            if not y % 6 and via[y + 4] == -3:
-                via[y + 4] = -1
-                up.append(y)
+    via = [-1, -1, -1, -1, -3, -1] * g.m
+    parents = g._parent_lists
+    up = list(B)
+    for v in up:  # 6v - 2 is the right in-node of v
+        via[6 * v - 2] = -1
+    for v in up:
+        for p in parents.get(v, ()):
+            if via[6 * p - 2] == -3:
+                via[6 * p - 2] = -1
+                up.append(p)
     return via
 
 
 def _search(arcs, prv, A, B, blank):
     """Breadth-first search of the residual network from the left in-nodes of A.
 
-    arcs is the adjacency of the graph, prv the flow and blank the `via` to
+    arcs holds the arcs of the graph, prv the flow and blank the `via` to
     start from, which is not changed (module doc).  Returns (via, order,
     end): via[x] is the node that first reached node x (-1 if unreached, -2
     for a left in-node of A, -3 for a node never to enter), order lists the
@@ -228,7 +261,7 @@ def min_t_separator(g: MixedGraph, A, B) -> RankResult:
     """Minimum t-separating triple and its size, by max-flow min-cut."""
     A, B = frozenset(A), frozenset(B)
     arcs, prv = _query(g, A, B)
-    blank = _blank(arcs, B)
+    blank = _blank(g, B)
     value = 0
     while True:
         via, order, x = _search(arcs, prv, A, B, blank)
@@ -270,7 +303,7 @@ def is_t_separating(g: MixedGraph, A, B, c: SeparationTriple) -> bool:
     for level, members in enumerate((c.c_left, c.c_mid, c.c_right)):
         for v in members:
             prv[3 * v - 3 + level] = -3  # the split arc of a deleted node
-    return _search(arcs, prv, A, B, _blank(arcs, B))[2] == -1
+    return _search(arcs, prv, A, B, _blank(g, B))[2] == -1
 
 
 def _require_dag(g: MixedGraph):

@@ -4,9 +4,10 @@
 `is_t_separating` and `ci_implied` as they stood before the search ran on
 the graph's adjacency lists, copied verbatim apart from the `_reference`
 suffix, so that the differential tests compare the library against code it
-shares nothing with but the result types.  Nodes are numbered as in
-`treksep.separation`: level l of vertex v has in-node 2*(3*(v-1)+l) and
-out-node one more.
+shares nothing with but the result types.  `forward_arcs_reference`,
+added since, reads that network's arcs per out-node.  Nodes are numbered
+as in `treksep.separation`: level l of vertex v has in-node
+2*(3*(v-1)+l) and out-node one more.
 """
 
 from __future__ import annotations
@@ -169,3 +170,9 @@ def ci_implied_reference(g: MixedGraph, A, B, C) -> bool:
             cap[e ^ 1] += 1
     return _search_reference(net, AC, BC)[2] == -1
 
+
+
+def forward_arcs_reference(g: MixedGraph) -> List[List[int]]:
+    """Entry k: the in-nodes that the forward arcs of out-node 2k+1 enter in g's network."""
+    head, _, out = trek_network_reference(g)
+    return [[head[e] for e in out[2 * k + 1] if not e & 1] for k in range(3 * g.m)]

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -227,3 +230,59 @@ def test_topological_order_respects_edges(case):
     assert sorted(order) == list(g.vertices)
     pos = {v: i for i, v in enumerate(order)}
     assert all(pos[i] < pos[j] for i, j in g.directed_edges)
+
+
+def _relabelled_text(g, rng):
+    """The file text of g with its ids permuted at random."""
+    ids = list(g.vertices)
+    rng.shuffle(ids)
+    new = dict(zip(g.vertices, ids))
+    lines = [f"v {g.m}", "u " + " ".join(str(new[v]) for v in g.u_set)] if g.u_set else [f"v {g.m}"]
+    for op, edges in (("->", g.directed_edges), ("--", g.undirected_edges),
+                      ("<->", g.bidirected_edges)):
+        lines += [f"e {new[i]} {op} {new[j]}" for i, j in edges]
+    return "\n".join(lines) + "\n"
+
+
+def test_directed_index_lists_the_directed_edges(monkeypatch):
+    # the parent and child lists separation reads hold exactly the directed
+    # edges; a built graph keeps the lists made while building it, so the
+    # parent lists are made once, and any other graph lists them on first read
+    listed = []
+
+    def counted(directed):
+        listed.append(directed)
+        return real(directed)
+
+    real = graph._list_parents
+    monkeypatch.setattr(graph, "_list_parents", counted)
+    rng = random.Random("directed index")
+    kinds = Counter()
+    for seed in range(60):
+        g = random_graph((DAG, UNDIRECTED, MIXED)[seed % 3], 2 + seed % 13, seed, 0.4)
+        listed.clear()
+        built = [parse_graph(serialize(g)), parse_graph(_relabelled_text(g, rng)),
+                 make_graph(g.m, g.directed_edges, g.undirected_edges,
+                            g.bidirected_edges, u=g.u_set)]
+        assert len(listed) == len(built)
+        direct = [bidirected_subdivision(g),
+                  MixedGraph(g.m, g.u_set, g.w_set, g.directed_edges, g.undirected_edges,
+                             g.bidirected_edges)]
+        for h, kept in [(h, True) for h in built] + [(h, False) for h in direct]:
+            assert ({"_parent_lists", "_child_lists"} <= vars(h).keys()) == kept
+            edges = Counter(h.directed_edges)
+            parents, children = h._parent_lists, h._child_lists
+            assert Counter((p, v) for v, ps in parents.items() for p in ps) == edges
+            assert len(children) == h.m + 1
+            assert Counter((v, c) for v, cs in enumerate(children) for c in cs) == edges
+            assert h.parents == {v: tuple(sorted(i for i, j in h.directed_edges if j == v))
+                                 for v in h.vertices}
+            assert h.children == {v: tuple(sorted(j for i, j in h.directed_edges if i == v))
+                                  for v in h.vertices}
+            fresh = MixedGraph(h.m, h.u_set, h.w_set, h.directed_edges, h.undirected_edges,
+                               h.bidirected_edges)
+            assert fresh == h and hash(fresh) == hash(h)
+            assert parse_graph(serialize(h)) == h
+            kinds["kept" if kept else "on first read"] += 1
+        assert built[0] == g and hash(built[0]) == hash(g) and built[2] == g
+    assert min(kinds.values()) >= 100, kinds

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treksep
-from separation_reference import ci_implied_reference
+from separation_reference import ci_implied_reference, forward_arcs_reference
+from test_differential import _large_graph, _relabelled
 from treksep import separation
-from treksep.graph import DAG, MIXED, UNDIRECTED, ancestors, make_graph
+from treksep.graph import (DAG, MIXED, UNDIRECTED, ancestors, make_graph, parse_graph,
+                           serialize)
 from treksep.instances import (CHOKE_A, CHOKE_B, SPIDER_A, SPIDER_B,
                                choke_graph, spider_graph)
 from treksep.separation import (NotADAGError, SeparationTriple, _require_dag,
@@ -31,7 +33,8 @@ def _reachable(g, A, B):
 
 def test_aux_graph_simple_dag():
     g = make_graph(2, directed=[(1, 2)])
-    assert len(separation._adjacency(g)) == 3 * 2  # one arc list per out-node
+    arcs = separation._adjacency(g)  # entry k: the in-nodes out-node 2k+1 enters
+    assert [arcs[k] for k in range(3 * 2)] == [(2,), (4,), (10,), (8, 0), (10,), ()]
     assert _reachable(g, {1}, {2})
 
 
@@ -46,7 +49,8 @@ def test_aux_graph_undirected_middle():
 
 def test_aux_graph_bidirected_middle():
     g = make_graph(2, bidirected=[(1, 2)])
-    assert len(separation._adjacency(g)) == 3 * 2
+    arcs = separation._adjacency(g)  # over: the right in-nodes of 1 and 2, each once
+    assert [arcs[k] for k in range(3 * 2)] == [(2, 4, 10), (4,), (), (8, 10, 4), (10,), ()]
     assert _reachable(g, {1}, {2})
     # a middle cut at 1 leaves the trek 1 <- (latent) -> 1 open
     assert not is_t_separating(g, {1}, {1}, SeparationTriple.of(cm={1}))
@@ -94,18 +98,69 @@ def test_network_cache_alternating_graphs():
             assert _cache_answers(g, i) == alone[id(g)][i]
 
 
-def test_network_cache_is_never_mutated():
+def test_arc_entries_never_change_once_read():
+    # entries are listed on first read, so a later query only adds entries
     g = spider_graph()
-    fresh = separation._adjacency(g)
     min_t_separator(g, SPIDER_A, SPIDER_B)
+    cached_graph, arcs = separation._last
+    first = dict(arcs)
+    assert cached_graph is g and first
     is_t_separating(g, SPIDER_A, SPIDER_B, SeparationTriple.of(cl={7}))
     with pytest.raises(ValueError, match="out of range"):
         min_t_separator(g, {1}, {8})
     with pytest.raises(ValueError, match="nonempty"):
         is_t_separating(g, set(), {1}, SeparationTriple())
-    cached_graph, arcs = separation._last
-    assert cached_graph is g
-    assert arcs == fresh
+    ci_implied(g, {1, 2}, {5}, {7})
+    min_t_separator(g, set(g.vertices), set(g.vertices))
+    assert separation._last == (g, arcs)
+    assert len(arcs) > len(first)
+    assert all(arcs[k] is entry for k, entry in first.items())
+    reference = forward_arcs_reference(g)
+    assert all(set(entry) == set(reference[k]) for k, entry in arcs.items())
+
+
+def _check_entries_read(g, queries):
+    """Run the queries on g; each arc entry they read names every in-node once
+    and, as a set, is the reference network's forward arcs from that out-node.
+
+    Returns the number of entries read and how many of them list an in-node
+    more than once in the reference, as a vertex with two bidirected edges does.
+    """
+    for A, B, C in queries:
+        res = min_t_separator(g, A, B)
+        is_t_separating(g, A, B, res.certificate)
+        ci_implied(g, A, B, C)
+    graph, arcs = separation._last
+    assert graph is g
+    reference = forward_arcs_reference(g)
+    for k, entry in arcs.items():
+        assert len(set(entry)) == len(entry), (k, entry)
+        assert set(entry) == set(reference[k]), (k, entry, reference[k])
+    return len(arcs), sum(len(set(reference[k])) < len(reference[k]) for k in arcs)
+
+
+@pytest.mark.parametrize("cls", [DAG, UNDIRECTED, MIXED])
+def test_arc_entries_read_match_the_network_without_repeats(cls):
+    rng = random.Random(f"differential/{cls}")
+    read = repeated = 0
+    for _ in range(300):
+        n = rng.randint(2, 14)
+        g = random_graph(cls, n, rng.randrange(10**6), rng.choice((0.2, 0.4, 0.6)))
+        queries = [(_sample(rng, n, 1, 4), _sample(rng, n, 1, 4), _sample(rng, n, 0, 4))]
+        counts = _check_entries_read(g, queries)
+        read += counts[0]
+        repeated += counts[1]
+    assert read >= 1000
+    assert repeated >= (50 if cls == MIXED else 0), repeated
+
+
+def test_arc_entries_read_on_a_relabelled_large_graph_match_the_network():
+    rng = random.Random("differential/relabelled/entries")
+    h, _ = _relabelled(_large_graph(rng), rng)
+    queries = [(_sample(rng, h.m, 1, 12), _sample(rng, h.m, 1, 12), _sample(rng, h.m, 0, 6))
+               for _ in range(8)]
+    read, repeated = _check_entries_read(h, queries)
+    assert read >= 300 and repeated >= 20, (read, repeated)
 
 
 def test_network_built_once_per_graph_after_dropping_the_last(monkeypatch):
@@ -154,6 +209,67 @@ def test_network_cache_shared_by_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def test_threads_fill_the_entries_of_one_fresh_graph():
+    # four threads query the same graph while its entries are being listed;
+    # each round starts on a fresh graph, equal to the last but another object
+    text = serialize(random_graph(MIXED, 40, 7, 0.15))
+    rng = random.Random("concurrent filling")
+    queries = [(set(rng.sample(range(1, 41), 4)), set(rng.sample(range(1, 41), 4)))
+               for _ in range(8)]
+    expected = [min_t_separator(parse_graph(text), A, B) for A, B in queries]
+    rounds = [parse_graph(text) for _ in range(60)]
+    start = threading.Barrier(4)
+    wrong, finished = [], []
+
+    def worker(k):
+        order = list(range(len(queries)))
+        random.Random(k).shuffle(order)
+        for g in rounds:
+            start.wait(timeout=60)
+            for q in order:
+                try:
+                    if min_t_separator(g, *queries[q]) != expected[q]:
+                        wrong.append((k, q))
+                except Exception as exc:  # reported by the main thread
+                    wrong.append(exc)
+        finished.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(finished) == [0, 1, 2, 3]
+    assert wrong == []
+    assert len({res.rank for res in expected}) >= 2
+
+
+def test_a_query_on_a_large_sparse_graph_lists_few_arc_entries():
+    rng = random.Random("sparse graph")
+    n, u = 200_000, 80_000
+
+    def pairs(lo, hi, count):  # directed edges point up in id
+        chosen = set()
+        while len(chosen) < count:
+            i, j = rng.randint(lo, hi), rng.randint(lo, hi)
+            if i != j:
+                chosen.add((i, j) if i < j else (j, i))
+        return chosen
+
+    g = make_graph(n, directed=pairs(1, n, 100_000), undirected=pairs(1, u, 40_000),
+                   bidirected=pairs(u + 1, n, 40_000), u=range(1, u + 1))
+    A = rng.sample(range(1, n + 1), 8)
+    B = A[:4] + rng.sample(range(1, n + 1), 4)
+    assert min_t_separator(g, A, B).rank >= 4
+    graph, arcs = separation._last
+    assert graph is g and 0 < len(arcs) < 0.01 * 3 * n, len(arcs)
 
 
 _OPTIMIZED_QUERIES = """
