@@ -98,7 +98,7 @@ def test_network_cache_alternating_graphs():
             assert _cache_answers(g, i) == alone[id(g)][i]
 
 
-def test_arc_entries_never_change_once_read():
+def test_network_cache_is_never_mutated():
     # entries are listed on first read, so a later query only adds entries
     g = spider_graph()
     min_t_separator(g, SPIDER_A, SPIDER_B)
