@@ -3,12 +3,16 @@
 `generic_rank_oracle` works over F_p, p = PRIME = 2^61 - 1, and touches
 only what Sigma_{A,B} depends on: the columns of Lambda^{-1} over the
 ancestors of A and B.  It never solves K: Sigma_{A,B} is the Schur
-complement of K in a sparse matrix N, so each trial ranks N by one sparse
-elimination mod PRIME, `_eliminate`, and subtracts |U|.  Its error is
-one-sided (see its docstring).  The identities (trek rule, simple trek
-rule, path determinants, Cauchy-Binet, the subdivision translation) demand
-exact rational equality, so they run over `fractions.Fraction`, on large
-random integer parameters.  No floating point is involved anywhere.
+complement of K in a sparse matrix N, so each trial ranks N mod PRIME and
+subtracts |U|.  N's pattern depends on the graph, A and B alone: each call
+plans the sparse elimination once (`_plan`), and each trial draws its
+parameters (`_draws`), fills N and runs the planned steps (`_eliminate`),
+which hand the rows left after a pivot that vanishes mod PRIME to a plan
+made from their own entries.  Its error is one-sided (see its docstring).
+The identities (trek rule, simple trek rule, path determinants,
+Cauchy-Binet, the subdivision translation) demand exact rational equality,
+so they run over `fractions.Fraction`, on large random integer parameters.
+No floating point is involved anywhere.
 
 Over Q, rank, det and inverse share one Gauss-Jordan, `_gauss_jordan`.  The
 simple trek rule reads a_v = sigma_vv off the covariance it is given, and
@@ -254,8 +258,16 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
     never solved.  Column v of X sums the directed paths into v, so it
     vanishes outside an(v): it is computed by a sweep over an(v) alone, in
     reverse topological order, that pushes each entry up to the parents of
-    its vertex, and the dot products of the last block run over an(a).
-    Each trial ranks N by one sparse elimination, `_eliminate`.
+    its vertex.  Entry (a, b) of the last block sums over the i in an(a)
+    where column b of Phi X can be nonzero: i in an(b) & W, or i a
+    bidirected neighbour of such a vertex.
+
+    N's pattern depends on (g, A, B) alone, so it is built once per call,
+    with the sorted edge lists, the walks and a symbolic elimination plan
+    (`_plan`).  Each trial then draws its parameters, fills N and runs the
+    planned steps (`_eliminate`); a pivot that vanishes mod PRIME hands the
+    rows left to a plan made from their own entries, so every trial's
+    answer is the exact rank of N mod PRIME.
 
     N's entries are polynomials in the parameters and its generic rank is
     |U| + rk Sigma_{A,B}, so no trial exceeds the generic rank, even when K
@@ -267,25 +279,60 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
     if trials < 1:
         raise ValueError("trials must be at least 1")
     p = PRIME
-    vertices = sorted(set(A) | set(B))
-    _require_vertices(g, vertices)
-    As, Bs = sorted(set(A)), sorted(set(B))
+    A, B = set(A), set(B)
+    _require_vertices(g, sorted(A | B))
+    As, Bs = sorted(A), sorted(B)
     full = min(len(As), len(Bs))
-    position = {v: k for k, v in enumerate(topological_order(g))}
-    walks = {}  # v -> (j, parents of j) for j in an(v), v first, sinks first
-    for v in vertices:
-        walks[v] = [(j, g.parents[j])
-                    for j in sorted(ancestors(g, v), key=position.__getitem__, reverse=True)]
+    if not full:
+        return 0
+    # A trial draws lam, then phi (bidirected edges, then W's diagonal), then
+    # K (its off-diagonal edges, then its diagonal): draw t of a trial is
+    # the value of the t-th parameter in that order.
+    lam_at = {e: t for t, e in enumerate(sorted(g.directed_edges))}
+    phi_at = {}  # w -> (i, draw of phi_iw) for each entry of Phi's column w
+    for t, (i, j) in enumerate(sorted(g.bidirected_edges), len(lam_at)):
+        phi_at.setdefault(i, []).append((j, t))
+        phi_at.setdefault(j, []).append((i, t))
+    w_at = len(lam_at) + len(g.bidirected_edges)
+    for t, w in enumerate(sorted(g.w_set), w_at):
+        phi_at.setdefault(w, []).append((w, t))
+    k_at = w_at + len(g.w_set)
     pos = {u: i for i, u in enumerate(sorted(g.u_set))}
     width = len(pos)  # column width + k of N belongs to Bs[k]
+    k_edges = [(pos[i], pos[j]) for i, j in sorted(g.undirected_edges)]
+    count = k_at + len(k_edges) + width  # draws per trial
+    position = {v: k for k, v in enumerate(topological_order(g))}
+    walks = {}  # v -> (j, (parent i of j, draw of lam_ij)) for j in an(v), v first, sinks first
+    for v in sorted(A | B):
+        walks[v] = [(j, [(i, lam_at[(i, j)]) for i in g.parents[j]])
+                    for j in sorted(ancestors(g, v), key=position.__getitem__, reverse=True)]
+    u_in = {v: [(u, pos[u]) for u, _ in walk if u in pos] for v, walk in walks.items()}
+    # for Bs[k]: (i, draw of phi_ij, j) with (Phi X)_{i,b} += phi_ij x_b[j]
+    phi_terms = [[(i, t, j) for j, _ in walks[b] if j in phi_at for i, t in phi_at[j]]
+                 for b in Bs]
+    supports = [{i for i, _, _ in terms} for terms in phi_terms]
+    patterns = [[i] for i in range(width)]  # K, then X_{U,B}
+    for i, j in k_edges:
+        patterns[i].append(j)
+        patterns[j].append(i)
+    for k, b in enumerate(Bs):
+        for _, i in u_in[b]:
+            patterns[i].append(width + k)
+    s_sums = []  # for As[r]: (k, the i in an(a) where (Phi X)_{i,Bs[k]} can be nonzero)
+    for a in As:  # -X_{U,A}^T, then X_{W,A}^T Phi X_{W,B}
+        sums = []
+        for k, support in enumerate(supports):
+            over = [j for j, _ in walks[a] if j in support]
+            if over:
+                sums.append((k, over))
+        s_sums.append(sums)
+        patterns.append([i for _, i in u_in[a]] + [width + k for k, _ in sums])
+    plan = _plan(patterns)
     best = 0
     for t in range(trials):
         if best == full:
             break
-        rng = random.Random(seed + t)
-        lam = {e: rng.randrange(1, p) for e in sorted(g.directed_edges)}
-        phi = {e: rng.randrange(1, p) for e in sorted(g.bidirected_edges)}
-        phi.update({(w, w): rng.randrange(1, p) for w in sorted(g.w_set)})
+        d = _draws(random.Random(seed + t), p, count)
         x = {}  # column v of Lambda^{-1} mod p, keyed by the vertices of an(v)
         for v, walk in walks.items():
             # x_v[i] sums lam_ij x_v[j] over the children j of i in an(v);
@@ -296,65 +343,128 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
             for j, parents in walk:
                 xj = col[j] = col[j] % p
                 if xj:
-                    for i in parents:
-                        col[i] += lam[(i, j)] * xj
-        rows: List[Dict[int, int]] = [{} for _ in pos]  # K, then X_{U,B}
-        for i, j in sorted(g.undirected_edges):
-            rows[pos[i]][pos[j]] = rows[pos[j]][pos[i]] = rng.randrange(1, p)
-        for i, row in enumerate(rows):
-            row[i] = rng.randrange(1, p)
-        phi_x = {b: [0] * (g.m + 1) for b in Bs}  # column b of Phi X, by vertex
+                    for i, e in parents:
+                        col[i] += d[e] * xj
+        rows = [dict.fromkeys(cols, 0) for cols in plan[1]]
+        for (i, j), val in zip(k_edges, d[k_at:]):
+            rows[i][j] = rows[j][i] = val
+        for i, val in enumerate(d[k_at + len(k_edges):]):
+            rows[i][i] = val
+        phi_x = []  # column Bs[k] of Phi X, by vertex
         for k, b in enumerate(Bs):
-            for u, val in x[b].items():
-                if u in pos and val:
-                    rows[pos[u]][width + k] = val
-            for (i, j), val in phi.items():
-                phi_x[b][i] += val * x[b].get(j, 0)
-                if i != j:
-                    phi_x[b][j] += val * x[b].get(i, 0)
-        for a in As:  # -X_{U,A}^T, then X_{W,A}^T Phi X_{W,B}
-            row = {pos[u]: p - val for u, val in x[a].items() if u in pos and val}
-            for k, b in enumerate(Bs):
-                s = sum(xa * phi_x[b][i] for i, xa in x[a].items()) % p
-                if s:
-                    row[width + k] = s
-            rows.append(row)
-        best = max(best, _eliminate(rows) - width)
+            xb = x[b]
+            for u, i in u_in[b]:
+                rows[i][width + k] = xb[u]
+            acc = dict.fromkeys(supports[k], 0)
+            for i, e, j in phi_terms[k]:
+                acc[i] += d[e] * xb[j]
+            phi_x.append(acc)
+        for row, a, sums in zip(rows[width:], As, s_sums):
+            xa = x[a]
+            for u, i in u_in[a]:
+                row[i] = -xa[u] % p
+            for k, over in sums:
+                acc = phi_x[k]
+                row[width + k] = sum(xa[i] * acc[i] for i in over) % p
+        best = max(best, _eliminate(rows, plan) - width)
     return best
 
 
-def _eliminate(rows: List[Dict[int, int]]) -> int:
-    """Rank mod PRIME of dict rows, by sparse Gaussian elimination in place.
+def _draws(rng: random.Random, p: int, count: int) -> List[int]:
+    """The next `count` values of rng.randrange(1, p), drawn as randrange
+    draws them: getrandbits of the bit length of p - 1, redrawn while at
+    least p - 1."""
+    n = p - 1
+    k = n.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        out.append(r + 1)
+    return out
 
-    rows map column -> entry, nonzero and reduced mod PRIME.  Each step
+
+def _plan(patterns) -> Tuple[list, List[list]]:
+    """Symbolic elimination of rows whose entries lie in `patterns`.
+
+    patterns[r] lists the columns where row r may be nonzero.  Each step
     pivots on the sparsest remaining row (lowest index on ties), on its
-    diagonal entry (column = row index) if that is nonzero and otherwise on
-    its first entry, and eliminates the pivot column from the remaining
-    rows; a row that empties takes no pivot.
+    diagonal (column = row index) if present and otherwise on its lowest
+    column, and adds the pivot row's columns to every remaining row that has
+    the pivot column, which then loses it; a row that empties takes no
+    pivot.  Returns (steps, filled): steps lists (pivot row, pivot column,
+    the pivot row's columns, the rows it reaches), and filled[r] lists every
+    column row r holds at some step, fill included.
+    """
+    live = [set(cols) for cols in patterns]
+    filled = [set(cols) for cols in patterns]
+    remaining = list(range(len(live)))
+    steps = []
+    while remaining:
+        r = min(remaining, key=lambda s: len(live[s]))
+        remaining.remove(r)
+        pivot_row = live[r]
+        if not pivot_row:
+            continue
+        c = r if r in pivot_row else min(pivot_row)
+        targets = []
+        for s in remaining:
+            row = live[s]
+            if c in row:
+                row |= pivot_row
+                row.discard(c)
+                filled[s] |= pivot_row
+                targets.append(s)
+        steps.append((r, c, sorted(pivot_row), targets))
+    return steps, [sorted(cols) for cols in filled]
+
+
+def _eliminate(rows: List[Dict[int, int]], plan=None) -> int:
+    """Rank mod PRIME of dict rows (column -> entry), by sparse Gaussian
+    elimination in place.
+
+    With a plan from `_plan`, each row holds a key, possibly with entry 0,
+    for every column of its `filled` list, and the steps run as planned.
+    Without one, rows hold nonzero entries only, reduced mod PRIME, and the
+    plan is made from them.  Entries are reduced only where they are read:
+    a pivot row's entries, and a target row's entry in the pivot column.  A
+    planned pivot that is 0 mod PRIME stops the plan: the rows not yet
+    pivoted keep their entries that are nonzero mod PRIME and are ranked by
+    a plan made from those, whose first pivot is nonzero, so every round
+    makes progress.
     """
     p = PRIME
-    remaining = list(range(len(rows)))
     rank = 0
-    while remaining:
-        r = min(remaining, key=lambda k: len(rows[k]))
-        remaining.remove(r)
-        prow = rows[r]
-        if not prow:
-            continue
-        rank += 1
-        c = r if r in prow else next(iter(prow))
-        inv = pow(prow[c], -1, p)
-        for s in remaining:
-            row = rows[s]
-            if c in row:
-                f = row[c] * inv % p
-                for k, v in prow.items():
-                    val = (row.get(k, 0) - f * v) % p
-                    if val:
-                        row[k] = val
-                    else:
-                        del row[k]
-    return rank
+    while True:
+        if plan is None:
+            plan = _plan([row.keys() for row in rows])
+            for row, cols in zip(rows, plan[1]):
+                for k in cols:
+                    row.setdefault(k, 0)
+        steps = plan[0]
+        for done, (r, c, cols, targets) in enumerate(steps):
+            pivot_row = rows[r]
+            pivot = pivot_row[c] % p
+            if not pivot:
+                break
+            if targets:
+                inv = pow(pivot, -1, p)
+                pairs = [(k, pivot_row[k] % p) for k in cols]
+                for s in targets:
+                    row = rows[s]
+                    f = row[c] % p * inv % p
+                    if f:
+                        for k, v in pairs:
+                            row[k] -= f * v
+        else:
+            return rank + len(steps)
+        rank += done
+        pivoted = {r for r, _, _, _ in steps[:done]}
+        rows = [{k: v % p for k, v in row.items() if v % p}
+                for s, row in enumerate(rows) if s not in pivoted]
+        plan = None
 
 
 def _path_weight(p: ParamAssignment, path) -> Fraction:

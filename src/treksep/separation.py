@@ -289,9 +289,10 @@ def min_t_separator(g: MixedGraph, A, B) -> RankResult:
 
 def generic_rank(g: MixedGraph, A, B) -> int:
     """Generic rank of the covariance submatrix with rows A and columns B."""
+    A, B = frozenset(A), frozenset(B)
     if A and B:
         return min_t_separator(g, A, B).rank
-    _require_vertices(g, sorted(set(A) | set(B)))
+    _require_vertices(g, sorted(A | B))
     return 0
 
 
@@ -377,6 +378,7 @@ def d_separates(g: MixedGraph, A, B, C) -> bool:
     Deliberately independent of the t-separation machinery so that the
     equivalence between the two criteria is a real cross-check.
     """
+    A, B, C = frozenset(A), frozenset(B), frozenset(C)
     _require_dsep_query(g, A, B, C)
     return not _bayes_ball(g, A, C) & _mask(B)
 
@@ -434,8 +436,8 @@ def d_sep_via_t_sep(g: MixedGraph, A, B, C) -> bool:
     Raises CapExceededError when C has more than 20 vertices, since the
     search visits all 2^|C| partitions.
     """
+    A, B, C = frozenset(A), frozenset(B), frozenset(C)
     _require_dsep_query(g, A, B, C)
-    C = set(C)
     if len(C) > 20:
         raise CapExceededError(
             20, f"partition search over {len(C)} conditioning vertices "
@@ -465,8 +467,8 @@ def ci_implied(g: MixedGraph, A, B, C) -> bool:
     True iff rank Sigma_{A+C, B+C} = |C|, decided by one residual search
     after pushing the |C| trivial treks c - c (see the module doc).
     """
-    C = frozenset(C)
-    AC, BC = frozenset(A) | C, frozenset(B) | C
+    A, B, C = frozenset(A), frozenset(B), frozenset(C)
+    AC, BC = A | C, B | C
     _require_vertices(g, sorted(AC | BC))
     if not AC or not BC:
         return True  # C is empty as well: rank 0 = |C|

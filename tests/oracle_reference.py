@@ -5,8 +5,11 @@
 vertices and K was solved by dense Gauss-Jordan on [K | rhs], copied
 verbatim apart from the `_reference` suffix, so that the differential tests
 compare the library's oracle against code it shares nothing with but the
-graph helpers.  `PRIME` is this module's own name: a test that changes the
-prime changes it here and in `treksep.algebra` alike.
+graph helpers.  `n_matrix_reference` builds the matrix N that the oracle
+ranks in each trial, densely and from these helpers, so that the tests can
+check the oracle's N and its planned pattern entry by entry.  `PRIME` is
+this module's own name: a test that changes the prime changes it here and
+in `treksep.algebra` alike.
 """
 
 from __future__ import annotations
@@ -60,6 +63,44 @@ def generic_rank_oracle_reference(g: MixedGraph, A, B, seed: int, trials: int = 
                  for a in As]
         best = max(best, _row_reduce_reference(sigma, len(Bs)))
     return best
+
+
+def n_matrix_reference(g: MixedGraph, A, B, seed: int) -> List[List[int]]:
+    """N = [[K, X_{U,B}], [-X_{U,A}^T, X_{W,A}^T Phi X_{W,B}]] mod PRIME, dense,
+    for the parameters drawn from random.Random(seed): rows U then sorted A,
+    columns U then sorted B, U in increasing order.  Its rank is |U| plus the
+    rank of Sigma_{A,B} whenever K is nonsingular mod PRIME."""
+    p = PRIME
+    As, Bs = sorted(set(A)), sorted(set(B))
+    rng = random.Random(seed)
+    lam = {e: rng.randrange(1, p) for e in sorted(g.directed_edges)}
+    phi = {e: rng.randrange(1, p) for e in sorted(g.bidirected_edges)}
+    phi.update({(w, w): rng.randrange(1, p) for w in sorted(g.w_set)})
+    reverse_order = topological_order(g)[::-1]
+    x = {v: _lambda_inverse_column_reference(g, reverse_order, lam, v)
+         for v in sorted(set(As) | set(Bs))}
+    u_vs = sorted(g.u_set)
+    width = len(u_vs)
+    rows = [[0] * (width + len(Bs)) for _ in range(width + len(As))]
+    for i, j in sorted(g.undirected_edges):
+        rows[u_vs.index(i)][u_vs.index(j)] = rows[u_vs.index(j)][u_vs.index(i)] = \
+            rng.randrange(1, p)
+    for i in range(width):
+        rows[i][i] = rng.randrange(1, p)
+    for k, b in enumerate(Bs):
+        y = [0] * (g.m + 1)  # column b of Phi X
+        for (i, j), val in phi.items():
+            y[i] += val * x[b][j]
+            if i != j:
+                y[j] += val * x[b][i]
+        for r, a in enumerate(As, width):
+            rows[r][width + k] = sum(xa * yb for xa, yb in zip(x[a], y)) % p
+        for i, u in enumerate(u_vs):
+            rows[i][width + k] = x[b][u]
+    for r, a in enumerate(As, width):
+        for i, u in enumerate(u_vs):
+            rows[r][i] = -x[a][u] % p
+    return rows
 
 
 def _lambda_inverse_column_reference(g: MixedGraph, reverse_order, lam, a: int) -> List[int]:

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_reference
-from oracle_reference import _row_reduce_reference
+from oracle_reference import _row_reduce_reference, n_matrix_reference
 from treksep import algebra
 from treksep.algebra import (RationalMatrix, build_covariance,
                              cauchy_binet_two_ways,
@@ -188,13 +189,13 @@ def singular_k_trials(g, seed, trials):
 
 def test_oracle_small_prime_is_one_sided(monkeypatch):
     # Mod 5, K is often singular and minors often vanish by accident: the
-    # oracle must rank N all the same, one elimination per trial, and never
+    # oracle must rank N all the same, one numeric pass per trial, and never
     # exceed the min cut.
     monkeypatch.setattr(algebra, "PRIME", 5)
     monkeypatch.setattr(oracle_reference, "PRIME", 5)
     calls = []
     eliminate = algebra._eliminate
-    monkeypatch.setattr(algebra, "_eliminate", lambda rows: calls.append(rows) or eliminate(rows))
+    monkeypatch.setattr(algebra, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
     singular = 0
     for cls in (UNDIRECTED, MIXED, DAG):
         for g, A, B, seed in _small_queries(cls, 60, 2):
@@ -205,6 +206,96 @@ def test_oracle_small_prime_is_one_sided(monkeypatch):
             assert len(calls) == 5 or 0 < len(calls) and answer == min(len(A), len(B))
             singular += bool(singular_k_trials(g, seed, len(calls)))
     assert singular
+
+
+PINNED_P5 = Path(__file__).parent / "data" / "pinned_oracle_p5.json"
+
+
+def test_oracle_answers_mod_5_are_pinned(monkeypatch):
+    # Mod 5 an answer depends on every draw and on each trial's exact rank;
+    # tests/data/make_pinned_oracle_p5.py wrote them with the unplanned oracle.
+    monkeypatch.setattr(algebra, "PRIME", 5)
+    data = json.loads(PINNED_P5.read_text())
+    rows = [dict(zip(data["fields"], row)) for row in data["rows"]]
+    assert {row["class"] for row in rows} == {DAG, UNDIRECTED, MIXED}
+    mismatches = []
+    for row in rows:
+        g = random_graph(row["class"], row["n"], row["graph_seed"], row["density"])
+        got = [generic_rank_oracle(g, row["A"], row["B"], row["seed"], trials)
+               for trials in (1, 5)]
+        if got != [row["trials_1"], row["trials_5"]]:
+            mismatches.append((row, got))
+    assert not mismatches, mismatches[:5]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 2**61 - 1])
+def test_draws_are_randrange_draws(p):
+    for seed in range(30):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert algebra._draws(ours, p, 40) == [theirs.randrange(1, p) for _ in range(40)]
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_planned_elimination_falls_back_to_the_exact_rank(monkeypatch):
+    # Mod 5 planned pivots often vanish: the rows left are ranked anew, and
+    # every trial's rank is the dense reference rank of the same N.
+    monkeypatch.setattr(algebra, "PRIME", 5)
+    monkeypatch.setattr(oracle_reference, "PRIME", 5)
+    plans, ranks = [], []
+    plan, eliminate = algebra._plan, algebra._eliminate
+
+    def checked(rows, *args):
+        width = 1 + max((k for row in rows for k in row), default=-1)
+        dense = [[row.get(k, 0) % 5 for k in range(width)] for row in rows]
+        rank = eliminate(rows, *args)
+        ranks.append((rank, _row_reduce_reference(dense, width)))
+        return rank
+
+    monkeypatch.setattr(algebra, "_plan", lambda patterns: plans.append(1) or plan(patterns))
+    monkeypatch.setattr(algebra, "_eliminate", checked)
+    calls = 0
+    for cls in (UNDIRECTED, MIXED, DAG):
+        for g, A, B, seed in _small_queries(cls, 60, 3):
+            calls += 1
+            generic_rank_oracle(g, A, B, seed)
+    assert len(plans) > calls  # one plan per call, and some fallbacks
+    assert ranks and all(got == want for got, want in ranks), ranks
+
+
+def test_planned_pattern_holds_every_nonzero(monkeypatch):
+    # N's pattern, Phi's bidirected entries included, is built from the
+    # graph alone: each trial's N must equal the dense reference, and each
+    # of its nonzeros must lie in the pattern that the plan was made from.
+    patterns, matrices = [], []
+    plan, eliminate = algebra._plan, algebra._eliminate
+    monkeypatch.setattr(algebra, "_plan",
+                        lambda pattern: patterns.append([set(cols) for cols in pattern])
+                        or plan(pattern))
+    monkeypatch.setattr(algebra, "_eliminate",
+                        lambda rows, *args: matrices.append([dict(row) for row in rows])
+                        or eliminate(rows, *args))
+    rng = random.Random("planned-pattern")
+    checked = 0
+    while checked < 60:
+        n = rng.randint(4, 14)
+        g = random_graph(MIXED, n, rng.getrandbits(32), rng.choice((0.3, 0.6)))
+        if not g.bidirected_edges:
+            continue
+        A = rng.sample(range(1, n + 1), rng.randint(1, 4))
+        B = rng.sample(range(1, n + 1), rng.randint(1, 4))
+        seed = rng.getrandbits(32)
+        patterns.clear()
+        matrices.clear()
+        generic_rank_oracle(g, A, B, seed)
+        pattern = patterns[0]  # the others plan the rows left after a zero pivot
+        for t, rows in enumerate(matrices):
+            reference = n_matrix_reference(g, A, B, seed + t)
+            assert len(rows) == len(reference), (g, A, B, seed)
+            for r, (row, want) in enumerate(zip(rows, reference)):
+                nonzero = {k: v for k, v in enumerate(want) if v}
+                assert {k: v for k, v in row.items() if v} == nonzero, (g, A, B, seed, t, r)
+                assert nonzero.keys() <= pattern[r], (g, A, B, seed, t, r)
+        checked += 1
 
 
 def test_oracle_rejects_zero_trials():

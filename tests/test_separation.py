@@ -13,6 +13,7 @@ import treksep
 from separation_reference import ci_implied_reference, forward_arcs_reference
 from test_differential import _large_graph, _relabelled
 from treksep import separation
+from treksep.algebra import generic_rank_oracle
 from treksep.graph import (DAG, MIXED, UNDIRECTED, ancestors, make_graph, parse_graph,
                            serialize)
 from treksep.instances import (CHOKE_A, CHOKE_B, SPIDER_A, SPIDER_B,
@@ -487,6 +488,42 @@ def test_ci_implied_edge_cases():
         ci_implied(g, {1}, {6}, set())
     with pytest.raises(ValueError, match="out of range"):
         ci_implied(g, {1}, {5}, {0})
+
+
+def _answer(entry, g, *sides):
+    try:
+        return entry(g, *sides)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+ENTRY_POINTS = {  # name: (entry, DAGs only, number of vertex sets)
+    "generic_rank": (generic_rank, False, 2),
+    "generic_rank_oracle": (lambda g, A, B: generic_rank_oracle(g, A, B, 7), False, 2),
+    "ci_implied": (ci_implied, False, 3),
+    "d_separates": (d_separates, True, 3),
+    "d_sep_via_t_sep": (d_sep_via_t_sep, True, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_entry_points_read_each_vertex_argument_once(name):
+    # A one-shot iterator must give the answer of the set it yields.
+    entry, dag_only, sides = ENTRY_POINTS[name]
+    cases = [(choke_graph(), [1, 3], [4, 5], []), (choke_graph(), [1], [5], []),
+             (choke_graph(), [], [4], [])]
+    rng = random.Random(f"iterators/{name}")
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        g = random_graph(DAG if dag_only else rng.choice((DAG, UNDIRECTED, MIXED)),
+                         n, rng.getrandbits(32), 0.5)
+        vertices = rng.sample(range(1, n + 1), n)
+        cut = sorted(rng.sample(range(n + 1), 2))
+        cases.append((g, vertices[:cut[0]], vertices[cut[0]:cut[1]], vertices[cut[1]:]))
+    for g, A, B, C in cases:
+        sets = (A, B, C)[:sides]
+        assert _answer(entry, g, *map(iter, sets)) == _answer(entry, g, *map(set, sets)), \
+            (name, g, sets)
 
 
 def test_criterion_8_deciders_are_independent(monkeypatch):
