@@ -33,7 +33,7 @@ from .graph import (DAG, UNDIRECTED, MixedGraph, _require_vertices, ancestors,
 from .treks import (DEFAULT_CAP, _directed_paths_into, _disjoint_systems,
                     _undirected_middles, enumerate_simple_treks)
 
-DEFAULT_SCALE = 10**6
+SCALE = 10**6
 PRIME = 2**61 - 1
 
 
@@ -97,11 +97,6 @@ class RationalMatrix:
     def submatrix(self, row_idx, col_idx) -> "RationalMatrix":
         return RationalMatrix.from_rows(
             [[self.entries[i][j] for j in col_idx] for i in row_idx])
-
-    def is_symmetric(self) -> bool:
-        return (self.rows == self.cols
-                and all(self.entries[i][j] == self.entries[j][i]
-                        for i in range(self.rows) for j in range(i)))
 
     def _side(self) -> int:
         if self.rows != self.cols:
@@ -171,19 +166,18 @@ class ParamAssignment:
     k: Mapping[Tuple[int, int], Fraction]
 
 
-def sample_parameters(g: MixedGraph, seed: int,
-                      scale: int = DEFAULT_SCALE) -> ParamAssignment:
+def sample_parameters(g: MixedGraph, seed: int) -> ParamAssignment:
     """Deterministic generic integer parameters.
 
-    Off-diagonal entries are nonzero integers in [-scale, scale]; diagonals
-    are 1 + (row absolute sum) + a random positive integer, which makes Phi
-    and K diagonally dominant (hence positive definite) while keeping the
+    Off-diagonal entries are nonzero integers in [-SCALE, SCALE]; diagonals
+    are 1 + (row absolute sum) + a random integer in [1, SCALE], which makes
+    Phi and K diagonally dominant (hence positive definite) while keeping the
     diagonal itself generic.
     """
     rng = random.Random(seed)
 
     def signed():
-        return rng.choice((-1, 1)) * rng.randint(1, scale)
+        return rng.choice((-1, 1)) * rng.randint(1, SCALE)
 
     lam = {e: Fraction(signed()) for e in sorted(g.directed_edges)}
 
@@ -193,7 +187,7 @@ def sample_parameters(g: MixedGraph, seed: int,
             block[(i, j)] = Fraction(signed())
         for v in sorted(vertices):
             row = sum(abs(val) for (i, j), val in block.items() if v in (i, j))
-            block[(v, v)] = Fraction(1 + row + rng.randint(1, scale))
+            block[(v, v)] = Fraction(1 + row + rng.randint(1, SCALE))
         return block
 
     phi = symmetric_block(g.w_set, g.bidirected_edges)
@@ -206,7 +200,7 @@ def lambda_inverse(g: MixedGraph, p: ParamAssignment) -> RationalMatrix:
     n = g.m
     inv = RationalMatrix.identity(n)
     for j in topological_order(g):
-        for par in g.parents[j]:
+        for par in g._parent_lists.get(j, ()):
             lam = p.lam[(par, j)]
             for i in range(n):
                 v = inv.entries[i][par - 1]
@@ -303,8 +297,9 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
     count = k_at + len(k_edges) + width  # draws per trial
     position = {v: k for k, v in enumerate(topological_order(g))}
     walks = {}  # v -> (j, (parent i of j, draw of lam_ij)) for j in an(v), v first, sinks first
+    parents = g._parent_lists
     for v in sorted(A | B):
-        walks[v] = [(j, [(i, lam_at[(i, j)]) for i in g.parents[j]])
+        walks[v] = [(j, [(i, lam_at[(i, j)]) for i in parents.get(j, ())])
                     for j in sorted(ancestors(g, v), key=position.__getitem__, reverse=True)]
     u_in = {v: [(u, pos[u]) for u, _ in walk if u in pos] for v, walk in walks.items()}
     # for Bs[k]: (i, draw of phi_ij, j) with (Phi X)_{i,b} += phi_ij x_b[j]

@@ -212,7 +212,7 @@ def cmd_treks(args) -> int:
 
 def cmd_verify(args) -> int:
     _require_at_least("--graphs", args.graphs, 1)
-    _require_at_least("--max-vertices", args.max_vertices, 2)
+    _require_at_least("--max-vertices", args.max_vertices, verify.MIN_VERTICES)
     _require_at_least("--trials", args.trials, 1)
     cfg = verify.SuiteConfig(seed=args.seed, max_vertices=args.max_vertices,
                              graph_count=args.graphs,

@@ -31,10 +31,14 @@ Where each check lives:
 Only a check that fails sorts its edges, to list its violations in edge
 order.
 
-A graph keeps the parent lists of `_build`'s closure pass and the child
-lists of Kahn's pass as its index of the directed edges (`_parent_lists`,
-`_child_lists`), which `separation` reads; a graph made directly through
-`MixedGraph(...)` computes them from its directed edges on first read.
+A graph keeps the one adjacency index of the package, which every module
+reads: the parent lists of `_build`'s closure pass and the child lists of
+Kahn's pass (`_parent_lists`, `_child_lists`), and the undirected and
+bidirected neighbour lists (`_undirected_lists`, `_bidirected_lists`), which
+`_neighbours` lists on first read, so that a parse does not pay for them.
+A graph made directly through `MixedGraph(...)` lists its parents and
+children on first read too.  `_closure` climbs the parent lists, for
+`_build`'s U, `ancestors` and the an(B) of a query.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ class MixedGraph:
     def vertices(self) -> range:
         return range(1, self.m + 1)
 
-    # The index of the directed edges (module doc).
+    # The adjacency index (module doc).
 
     @cached_property
     def _parent_lists(self) -> Dict[int, List[int]]:
@@ -112,9 +116,14 @@ class MixedGraph:
         return children
 
     @cached_property
-    def parents(self):
-        par = self._parent_lists
-        return {v: tuple(sorted(par.get(v, ()))) for v in self.vertices}
+    def _undirected_lists(self) -> List[Tuple[int, ...]]:
+        """_undirected_lists[v] holds the undirected neighbours of v (entry 0 unused)."""
+        return _neighbours(self.m, self.undirected_edges)
+
+    @cached_property
+    def _bidirected_lists(self) -> List[Tuple[int, ...]]:
+        """_bidirected_lists[v] holds the bidirected neighbours of v (entry 0 unused)."""
+        return _neighbours(self.m, self.bidirected_edges)
 
     @cached_property
     def parent_mask(self) -> Tuple[int, ...]:
@@ -125,25 +134,12 @@ class MixedGraph:
         return tuple(mask)
 
     @cached_property
-    def children(self):
-        ch = self._child_lists
-        return {v: tuple(sorted(ch[v])) for v in self.vertices}
-
-    @cached_property
     def child_mask(self) -> Tuple[int, ...]:
         """child_mask[v] has bit c set for each child c of v (entry 0 unused)."""
         mask = [0] * (self.m + 1)
         for i, j in self.directed_edges:
             mask[i] |= 1 << j
         return tuple(mask)
-
-    @cached_property
-    def undirected_neighbors(self):
-        nbr = {v: [] for v in self.vertices}
-        for i, j in self.undirected_edges:
-            nbr[i].append(j)
-            nbr[j].append(i)
-        return {v: tuple(sorted(ns)) for v, ns in nbr.items()}
 
 
 def graph_class(g: MixedGraph) -> str:
@@ -203,7 +199,7 @@ def _build(m, directed, undirected, bidirected, u, w, in_range) -> MixedGraph:
     w0 = declared_w.union(*bidirected)
 
     par = _list_parents(directed)
-    closure = _closure(u0, lambda v: par.get(v, ()))  # ancestral closure of U
+    closure = _closure(u0, par)  # ancestral closure of U
 
     universe = set(range(1, m + 1))
     stray_w = declared_w - universe
@@ -286,6 +282,19 @@ def _list_parents(directed) -> Dict[int, List[int]]:
     return par
 
 
+def _neighbours(m, edges) -> List[Tuple[int, ...]]:
+    """nbr[v] holds the neighbours of v along edges, a set of pairs (entry 0 unused).
+
+    Tuples, not lists: the garbage collector stops tracking them, which on
+    a large graph saves more than growing them costs.
+    """
+    nbr = [()] * (m + 1)
+    for i, j in edges:
+        nbr[i] += (j,)
+        nbr[j] += (i,)
+    return nbr
+
+
 def _kahn(g: MixedGraph) -> List[int]:
     """Kahn's pass, lowest id first; it misses every vertex on or below a directed cycle."""
     children = g._child_lists
@@ -312,12 +321,13 @@ def _require_vertices(g: MixedGraph, vertices) -> None:
             raise ValueError(f"vertex {v} out of range [1,{m}]")
 
 
-def _closure(start, step) -> set:
-    """The vertices of start and every vertex reached from them by step(v)."""
+def _closure(start, lists) -> set:
+    """The vertices of start and every vertex reached from them along lists,
+    a map from a vertex to the vertices it leads to, such as `_parent_lists`."""
     seen = set(start)
     stack = list(seen)
     while stack:
-        for x in step(stack.pop()):
+        for x in lists.get(stack.pop(), ()):
             if x not in seen:
                 seen.add(x)
                 stack.append(x)
@@ -327,13 +337,7 @@ def _closure(start, step) -> set:
 def ancestors(g: MixedGraph, v: int) -> FrozenSet[int]:
     """Vertices with a directed path into v, including v itself."""
     _require_vertices(g, (v,))
-    return frozenset(_closure((v,), g.parents.__getitem__))
-
-
-def descendants(g: MixedGraph, v: int) -> FrozenSet[int]:
-    """Vertices reachable from v by directed edges, including v."""
-    _require_vertices(g, (v,))
-    return frozenset(_closure((v,), g.children.__getitem__))
+    return frozenset(_closure((v,), g._parent_lists))
 
 
 def bidirected_subdivision(g: MixedGraph) -> MixedGraph:
@@ -437,7 +441,7 @@ def parse_graph(text: str) -> MixedGraph:
         raise ParseError(1, "vertices listed under both `u` and `w`: "
                          + ",".join(str(v) for v in sorted(both)))
     # iter(): a frozenset built from a set copies its table, but the edge
-    # order _adjacency reads is that of a frozenset built pair by pair
+    # order the index lists is that of a frozenset built pair by pair
     directed, undirected, bidirected = (frozenset(iter(edge_sets[op])) for op in _EDGE_KINDS)
     # each edge id was range-checked on its line
     return _build(m, directed, undirected, bidirected, explicit_u, explicit_w, True)

@@ -14,8 +14,9 @@ turns at its top vertex), the left in-nodes of the parents (up) and, if v
 has a bidirected edge, the right in-nodes of v and of its bidirected
 neighbours (over); from the middle out-node the right in-node of v and the
 middle in-nodes of the undirected neighbours (across); from the right
-out-node the right in-nodes of the children (down).  The parent and child
-lists are the graph's own, kept since it was built.
+out-node the right in-nodes of the children (down).  The parent, child,
+undirected and bidirected lists are the graph's own adjacency index (see
+`graph`), which every module reads.
 
 A bidirected edge i <-> j, a latent common parent of i and j, is the
 middle of the treks whose left path climbs to i or j and whose right path
@@ -48,15 +49,15 @@ it, so a query on a large graph lists only the few out-nodes it reaches;
 once listed, an entry never changes.
 
 A trek ends in a directed path down into B, so its right half lies in
-an(B), the ancestors of B; `_blank` finds an(B) by climbing the graph's
-parent lists from B.  The right levels of the other vertices are dead
-ends: their arcs lead only down to the right levels of children, outside
-an(B) again, so no path from them reaches B, no unit of flow ever enters
-them and none of their residual arcs goes back.  A query
-with B therefore starts each search from a `via` in which the right
-in-node of every vertex outside an(B) is -3, a node never to enter.  No
-live node is first reached from a pruned one, so the live nodes get the
-same `via`, the same augmenting paths and the same cut as with no
+an(B), the ancestors of B; `_blank` finds an(B) with `graph._closure`,
+which climbs the graph's parent lists from B.  The right levels of the
+other vertices are dead ends: their arcs lead only down to the right
+levels of children, outside an(B) again, so no path from them reaches B,
+no unit of flow ever enters them and none of their residual arcs goes
+back.  A query with B therefore starts each search from a `via` in which
+the right in-node of every vertex outside an(B) is -3, a node never to
+enter.  No live node is first reached from a pruned one, so the live nodes
+get the same `via`, the same augmenting paths and the same cut as with no
 pruning.  `_ci_reached` has no B and needs its full reach: it prunes
 nothing.
 
@@ -92,7 +93,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
-from .graph import DAG, MixedGraph, _require_vertices, graph_class
+from .graph import DAG, MixedGraph, _closure, _require_vertices, graph_class
 from .treks import CapExceededError
 
 
@@ -129,25 +130,14 @@ class RankResult:
     flow_value: int
 
 
-def _neighbours(m, edges) -> List[Tuple[int, ...]]:
-    """nbr[v] holds the neighbours of v along edges, a set of pairs (entry 0 unused).
-
-    Tuples, not lists: the garbage collector stops tracking them, which on
-    a large graph saves more than growing them costs.
-    """
-    nbr = [()] * (m + 1)
-    for i, j in edges:
-        nbr[i] += (j,)
-        nbr[j] += (i,)
-    return nbr
-
-
 class _Arcs(dict):
     """The arcs of a trek network: entry k lists the in-nodes out-node 2k+1 enters.
 
-    An entry is listed the first time it is read, from the graph's parent
-    and child lists and its undirected and bidirected neighbours, then kept
-    as it is.  It starts with the level step, left to middle and middle to
+    An entry is listed the first time it is read, from the graph's
+    adjacency index: its parent and child lists, and its undirected and
+    bidirected neighbour lists, which the graph lists with
+    `graph._neighbours` the first time either is read.  Then it is kept as
+    it is.  It starts with the level step, left to middle and middle to
     right.  Entries are tuples of ints, which the garbage collector stops
     tracking the first time it sees them, so kept entries add nothing to
     later collections.
@@ -176,8 +166,7 @@ class _Arcs(dict):
 
 def _adjacency(g: MixedGraph) -> _Arcs:
     """The arcs of the trek network of g, with no entry listed yet."""
-    return _Arcs(g._parent_lists, g._child_lists,
-                 _neighbours(g.m, g.undirected_edges), _neighbours(g.m, g.bidirected_edges))
+    return _Arcs(g._parent_lists, g._child_lists, g._undirected_lists, g._bidirected_lists)
 
 
 _last = (None, None)  # the last graph queried and its arcs
@@ -205,18 +194,11 @@ def _blank(g: MixedGraph, B):
 
     It is -1 everywhere but at the right in-nodes of the vertices outside
     an(B), which hold -3 so that no search enters them (module doc).  an(B)
-    is found by climbing the parent lists of g from B.
+    is the closure of B in the parent lists of g.
     """
     via = [-1, -1, -1, -1, -3, -1] * g.m
-    parents = g._parent_lists
-    up = list(B)
-    for v in up:  # 6v - 2 is the right in-node of v
+    for v in _closure(B, g._parent_lists):  # 6v - 2 is the right in-node of v
         via[6 * v - 2] = -1
-    for v in up:
-        for p in parents.get(v, ()):
-            if via[6 * p - 2] == -3:
-                via[6 * p - 2] = -1
-                up.append(p)
     return via
 
 

@@ -60,13 +60,6 @@ class Trek:
     def sink_right(self) -> int:
         return self.right[-1]
 
-    @property
-    def top(self) -> Tuple[int, ...]:
-        """The top vertex (trivial middle) or the two middle sources."""
-        if self.middle_kind is None:
-            return (self.source_left,)
-        return (self.source_left, self.source_right)
-
 
 def is_simple(t: Trek) -> bool:
     """Segments self-avoiding and overlapping only at the two sources."""
@@ -87,7 +80,7 @@ def _directed_paths_into(g: MixedGraph, sink: int) -> Dict[int, List[Tuple[int, 
     while stack:
         path = stack.pop()
         out[path[0]].append(path)
-        for p in g.parents[path[0]]:
+        for p in g._parent_lists.get(path[0], ()):
             if p not in path:
                 stack.append((p,) + path)
     return dict(out)
@@ -102,7 +95,7 @@ def _undirected_middles(g: MixedGraph) -> Dict[Tuple[int, int], List[Tuple[int, 
             path = stack.pop()
             if len(path) > 1:
                 out[(start, path[-1])].append(path)
-            for n in g.undirected_neighbors[path[-1]]:
+            for n in g._undirected_lists[path[-1]]:
                 if n not in path:
                     stack.append(path + (n,))
     return dict(out)

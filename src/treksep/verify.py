@@ -18,6 +18,10 @@ from .graph import (DAG, MIXED, UNDIRECTED, MixedGraph, bidirected_subdivision,
                     make_graph, serialize)
 
 DEFAULT_SEED = 31415
+# Smallest max_vertices the criteria can draw from: criterion 7 gives each of
+# its mixed graphs a bidirected edge between two W vertices, and
+# `random_graph` puts two vertices in W only from n = 4 on.
+MIN_VERTICES = 4
 
 
 @dataclass(frozen=True)
@@ -29,8 +33,8 @@ class SuiteConfig:
     edge_density: float = 0.4
 
     def __post_init__(self):
-        if self.max_vertices < 2:
-            raise ValueError("max_vertices must be at least 2")
+        if self.max_vertices < MIN_VERTICES:
+            raise ValueError(f"max_vertices must be at least {MIN_VERTICES}")
         if self.graph_count < 1:
             raise ValueError("graph_count must be at least 1")
         if self.trials_per_instance < 1:
@@ -273,7 +277,7 @@ def criterion_subdivision(cfg: SuiteConfig) -> CheckResult:
     """Rank is unchanged by subdividing bidirected edges, both pipelines."""
     out = CheckResult("subdivision_invariance")
     count = max(1, cfg.graph_count // 2)
-    for g, rng in _graph_stream(MIXED, cfg, count, "subdivision", min_n=4):
+    for g, rng in _graph_stream(MIXED, cfg, count, "subdivision", min_n=MIN_VERTICES):
         g = _force_bidirected(g)
         g2 = bidirected_subdivision(g)
         A = _sample_set(rng, g.m, 3)

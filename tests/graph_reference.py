@@ -3,7 +3,8 @@
 `parse_graph`, `make_graph`, `validate`, `_kahn`, `_closure` and
 `_norm_pair` as they stood before parsing converted each id once and
 validation ran on whole sets, copied verbatim apart from the `_reference`
-suffix, so that `tests/test_parse_differential.py` compares the library
+suffix and the child lists that `_kahn_reference` builds from the directed
+edges, so that `tests/test_parse_differential.py` compares the library
 against code it shares nothing with but the graph type, the exceptions and
 the vertex-count rule.
 """
@@ -109,15 +110,17 @@ def validate_reference(g: MixedGraph) -> List[str]:
 def _kahn_reference(g: MixedGraph) -> List[int]:
     """Kahn's pass, lowest id first; it misses every vertex on or below a directed cycle."""
     indeg = {v: 0 for v in g.vertices}
-    for _, j in g.directed_edges:
+    children = {v: [] for v in g.vertices}
+    for i, j in g.directed_edges:
         indeg[j] += 1
+        children[i].append(j)
     heap = [v for v in g.vertices if indeg[v] == 0]
     heapq.heapify(heap)
     order = []
     while heap:
         v = heapq.heappop(heap)
         order.append(v)
-        for c in g.children[v]:
+        for c in children[v]:
             indeg[c] -= 1
             if indeg[c] == 0:
                 heapq.heappush(heap, c)

@@ -106,11 +106,14 @@ def n_matrix_reference(g: MixedGraph, A, B, seed: int) -> List[List[int]]:
 def _lambda_inverse_column_reference(g: MixedGraph, reverse_order, lam, a: int) -> List[int]:
     """Column a of Lambda^{-1} mod PRIME, indexed by vertex id: entry i sums
     the weights of the directed paths from i to a."""
+    children = {}
+    for i, j in g.directed_edges:
+        children.setdefault(i, []).append(j)
     x = [0] * (g.m + 1)
     x[a] = 1
     for i in reverse_order:
-        if g.children[i]:
-            x[i] = (x[i] + sum(lam[(i, c)] * x[c] for c in g.children[i])) % PRIME
+        if i in children:
+            x[i] = (x[i] + sum(lam[(i, c)] * x[c] for c in children[i])) % PRIME
     return x
 
 

@@ -111,7 +111,7 @@ def test_covariance_symmetric_positive_definite():
     for seed in range(3):
         g = random_graph("Mixed", 6, seed, 0.5)
         sigma = build_covariance(g, sample_parameters(g, seed + 100))
-        assert sigma.is_symmetric()
+        assert all(sigma[i, j] == sigma[j, i] for i in range(g.m) for j in range(i))
         for k in range(1, g.m + 1):
             lead = sigma.submatrix(range(k), range(k))
             assert lead.det() > 0

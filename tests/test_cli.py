@@ -214,8 +214,10 @@ def test_rank_oracle_zero_trials_is_usage_error(choke_file, capsys):
 
 @pytest.mark.parametrize("flags, message", [
     (["--graphs", "0"], "--graphs must be at least 1"),
-    (["--max-vertices", "1"], "--max-vertices must be at least 2"),
+    (["--max-vertices", "1"], "--max-vertices must be at least 4"),
     (["--trials", "0"], "--trials must be at least 1"),
+    (["--max-vertices", "2"], "--max-vertices must be at least 4"),
+    (["--max-vertices", "3"], "--max-vertices must be at least 4"),
 ])
 def test_verify_bad_counts_are_usage_errors(flags, message, capsys):
     assert main(["verify", *flags]) == 2
@@ -318,7 +320,7 @@ _ERROR_ROWS = [
      "error: --cap must be at least 1"),
     ("verify", "count below minimum", ["--graphs", "0"], 2,
      "error: --graphs must be at least 1"),
-    ("verify", "internal error", ["--graphs", "1", "--max-vertices", "2"], 3,
+    ("verify", "internal error", ["--graphs", "1", "--max-vertices", "4"], 3,
      "internal error: injected"),
 ]
 

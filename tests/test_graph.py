@@ -7,9 +7,8 @@ from hypothesis import given, strategies as st
 from treksep import graph
 from treksep.graph import (DAG, MIXED, UNDIRECTED, InvalidGraphError,
                            MixedGraph, ParseError, ancestors,
-                           bidirected_subdivision, descendants, graph_class,
-                           make_graph, parse_graph, serialize,
-                           topological_order, validate)
+                           bidirected_subdivision, graph_class, make_graph,
+                           parse_graph, serialize, topological_order, validate)
 from treksep.instances import CHOKE_TEXT, choke_graph
 from treksep.algebra import generic_rank_oracle
 from treksep.separation import (SeparationTriple, ci_implied, d_sep_via_t_sep,
@@ -138,15 +137,14 @@ def test_ancestors_descendants():
     g = choke_graph()
     assert ancestors(g, 5) == {1, 2, 3, 4, 5}
     assert ancestors(g, 1) == {1}
-    assert descendants(g, 2) == {2, 4, 5}
+    assert {v for v in g.vertices if 2 in ancestors(g, v)} == {2, 4, 5}  # descendants
     assert ancestors(make_graph(3), 2) == {2}
 
 
 @pytest.mark.parametrize("v", [0, 6, 99])
 def test_ancestors_descendants_reject_out_of_range(v):
-    for walk in (ancestors, descendants):
-        with pytest.raises(ValueError, match=r"vertex \d+ out of range \[1,5\]"):
-            walk(choke_graph(), v)
+    with pytest.raises(ValueError, match=r"vertex \d+ out of range \[1,5\]"):
+        ancestors(choke_graph(), v)
 
 
 _RANGE_CHECKED = {
@@ -163,7 +161,6 @@ _RANGE_CHECKED = {
     "d_sep_via_t_sep": lambda g, v: d_sep_via_t_sep(g, {1}, {2}, {v}),
     "enumerate_simple_treks": lambda g, v: enumerate_simple_treks(g, 1, v),
     "ancestors": ancestors,
-    "descendants": descendants,
 }
 
 
@@ -275,10 +272,8 @@ def test_directed_index_lists_the_directed_edges(monkeypatch):
             assert Counter((p, v) for v, ps in parents.items() for p in ps) == edges
             assert len(children) == h.m + 1
             assert Counter((v, c) for v, cs in enumerate(children) for c in cs) == edges
-            assert h.parents == {v: tuple(sorted(i for i, j in h.directed_edges if j == v))
-                                 for v in h.vertices}
-            assert h.children == {v: tuple(sorted(j for i, j in h.directed_edges if i == v))
-                                  for v in h.vertices}
+            assert set(parents) <= set(h.vertices) and all(parents.values())
+            assert not children[0]
             fresh = MixedGraph(h.m, h.u_set, h.w_set, h.directed_edges, h.undirected_edges,
                                h.bidirected_edges)
             assert fresh == h and hash(fresh) == hash(h)
@@ -286,3 +281,33 @@ def test_directed_index_lists_the_directed_edges(monkeypatch):
             kinds["kept" if kept else "on first read"] += 1
         assert built[0] == g and hash(built[0]) == hash(g) and built[2] == g
     assert min(kinds.values()) >= 100, kinds
+
+
+def test_neighbour_index_lists_the_undirected_and_bidirected_edges():
+    # each undirected (bidirected) edge i, j puts j in the undirected
+    # (bidirected) list of i and i in that of j, and nothing else is listed;
+    # no graph lists them before they are first read, so a parse does not
+    # pay for them
+    rng = random.Random("neighbour index")
+    listed = Counter()
+    for seed in range(60):
+        g = random_graph((DAG, UNDIRECTED, MIXED)[seed % 3], 2 + seed % 13, seed, 0.4)
+        graphs = {"parse": parse_graph(serialize(g)),
+                  "relabelled parse": parse_graph(_relabelled_text(g, rng)),
+                  "make_graph": make_graph(g.m, g.directed_edges, g.undirected_edges,
+                                           g.bidirected_edges, u=g.u_set),
+                  "bidirected_subdivision": bidirected_subdivision(g),
+                  "MixedGraph": MixedGraph(g.m, g.u_set, g.w_set, g.directed_edges,
+                                           g.undirected_edges, g.bidirected_edges)}
+        for how, h in graphs.items():
+            assert not {"_undirected_lists", "_bidirected_lists"} & vars(h).keys()
+            for kind, lists, edges in (("undirected", h._undirected_lists, h.undirected_edges),
+                                       ("bidirected", h._bidirected_lists, h.bidirected_edges)):
+                assert len(lists) == h.m + 1 and not lists[0]
+                assert Counter((v, n) for v, ns in enumerate(lists) for n in ns) \
+                    == Counter([*edges, *((j, i) for i, j in edges)]), (how, kind)
+                listed[how, kind] += len(edges)
+    assert len(listed) == 10 and listed["bidirected_subdivision", "bidirected"] == 0
+    assert min(n for key, n in listed.items() if key[1] == "undirected") >= 200, listed
+    assert min(n for key, n in listed.items()
+               if key[1] == "bidirected" and key[0] != "bidirected_subdivision") >= 30, listed

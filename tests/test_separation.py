@@ -14,8 +14,7 @@ from separation_reference import ci_implied_reference, forward_arcs_reference
 from test_differential import _large_graph, _relabelled
 from treksep import separation
 from treksep.algebra import generic_rank_oracle
-from treksep.graph import (DAG, MIXED, UNDIRECTED, ancestors, make_graph, parse_graph,
-                           serialize)
+from treksep.graph import DAG, MIXED, UNDIRECTED, make_graph, parse_graph, serialize
 from treksep.instances import (CHOKE_A, CHOKE_B, SPIDER_A, SPIDER_B,
                                choke_graph, spider_graph)
 from treksep.separation import (NotADAGError, SeparationTriple, _require_dag,
@@ -345,7 +344,7 @@ def test_searches_enter_no_right_level_outside_the_ancestors_of_b(monkeypatch):
         cases.append((g, set(rng.sample(range(1, 13), 3)), set(rng.sample(range(1, 5), 2))))
     pruned = 0
     for g, A, B in cases:
-        an_b = set().union(*(ancestors(g, b) for b in B))
+        an_b = _ancestors_reference(g, B)
         outside = {6 * v - 2 for v in g.vertices if v not in an_b}
         pruned += len(outside)
         orders.clear()
@@ -558,12 +557,37 @@ def test_criterion_8_deciders_are_independent(monkeypatch):
         searches.clear()
 
 
-# The set-based deciders that the mask-based ones replaced, kept verbatim as
-# references.
+# The set-based deciders that the mask-based ones replaced, kept as
+# references; they read parent and child sets built from the directed edges,
+# not the graph's own index.
+
+def _relatives(g):
+    """(parents, children): vertex -> set, from the directed edges of g."""
+    parents = {v: set() for v in g.vertices}
+    children = {v: set() for v in g.vertices}
+    for i, j in g.directed_edges:
+        parents[j].add(i)
+        children[i].add(j)
+    return parents, children
+
+
+def _ancestors_reference(g, vertices) -> set:
+    """The vertices and every vertex with a directed path into one of them."""
+    parents = _relatives(g)[0]
+    seen = set(vertices)
+    stack = list(seen)
+    while stack:
+        for p in parents[stack.pop()]:
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return seen
+
 
 def d_separates_reference(g, A, B, C) -> bool:
     _require_dag(g)
     _require_disjoint(A, B, C)
+    parents, children = _relatives(g)
     C = set(C)
     anc_c = set()
     stack = list(C)
@@ -572,7 +596,7 @@ def d_separates_reference(g, A, B, C) -> bool:
         if v in anc_c:
             continue
         anc_c.add(v)
-        stack.extend(g.parents[v])
+        stack.extend(parents[v])
 
     reachable = set()
     visited = set()
@@ -584,25 +608,26 @@ def d_separates_reference(g, A, B, C) -> bool:
         visited.add((v, direction))
         if direction == "up" and v not in C:
             reachable.add(v)
-            frontier.extend((p, "up") for p in g.parents[v])
-            frontier.extend((c, "down") for c in g.children[v])
+            frontier.extend((p, "up") for p in parents[v])
+            frontier.extend((c, "down") for c in children[v])
         elif direction == "down":
             if v not in C:
                 reachable.add(v)
-                frontier.extend((c, "down") for c in g.children[v])
+                frontier.extend((c, "down") for c in children[v])
             if v in anc_c:
-                frontier.extend((p, "up") for p in g.parents[v])
+                frontier.extend((p, "up") for p in parents[v])
     return reachable.isdisjoint(B)
 
 
 def _dag_pair_t_separates_reference(g, A, B, c_a, c_b) -> bool:
+    parents = _relatives(g)[0]
 
     def sided_sources(targets, blockers):
         grown = {t for t in targets if t not in blockers}
         stack = list(grown)
         while stack:
             v = stack.pop()
-            for p in g.parents[v]:
+            for p in parents[v]:
                 if p not in blockers and p not in grown:
                     grown.add(p)
                     stack.append(p)

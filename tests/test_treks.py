@@ -13,7 +13,7 @@ def test_choke_treks_1_to_4():
     treks = enumerate_simple_treks(choke_graph(), 1, 4)
     assert len(treks) == 2
     assert {t.right for t in treks} == {(1, 2, 4), (1, 3, 4)}
-    assert all(t.left == (1,) and t.top == (1,) for t in treks)
+    assert all(t.left == (1,) and t.middle_kind is None and t.middle == (1,) for t in treks)
 
 
 def test_out_of_range_endpoint():

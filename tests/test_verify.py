@@ -41,6 +41,9 @@ def test_config_validation():
         SuiteConfig(edge_density=0)
     with pytest.raises(ValueError, match="trials_per_instance must be at least 1"):
         SuiteConfig(trials_per_instance=0)
+    for n in (2, 3):  # criterion 7 needs two W vertices for its bidirected edge
+        with pytest.raises(ValueError, match="^max_vertices must be at least 4$"):
+            SuiteConfig(max_vertices=n)
 
 
 def test_cross_check_rank_canonical():
