@@ -26,11 +26,19 @@ i <- (latent) -> i does not pass the middle level of i.
 The network has no source or sink: paths from a left in-node of A to a
 right out-node of B are the treks from A to B, and unit split capacities
 turn minimum blocking sets into minimum cuts (Menger).  The other arcs are
-never saturated, so each augmenting path, found by one breadth-first
-search from all of A, carries one unit and at most min(|A|, |B|) + 1
-searches run.  An in-node's only arc out is its split arc, so it carries at
-most one unit, which came in by one arc, and the whole flow is one int per
-in-node, `prv[e // 2]` for in-node e:
+never saturated, so each augmenting path carries one unit.  One
+breadth-first search from all of A augments several: every end it reaches
+(a right out-node of B) leads back through `via` to one seed (a left
+in-node of A), and it keeps the ends whose seeds differ.  Each node has
+one `via`, so paths from distinct seeds share no node, and augmenting one
+path changes the flow only at its own in-nodes: the others stay
+augmenting.  A search stops once it keeps min(|A|, |B|) minus the flow
+value ends, as no more can be augmented, so a query of rank r runs at
+most r + 1 searches and as few as 2 (Ford-Fulkerson with a cheap blocking
+step: no level graph, no depth-first search).  An in-node's only arc out
+is its split arc, so it carries at most one unit, which came in by one
+arc, and the whole flow is one int per in-node, `prv[e // 2]` for in-node
+e:
 
   -1      no unit: the split arc is free;
   p >= 0  the unit came from out-node p, and the only residual arc goes
@@ -39,14 +47,17 @@ in-node, `prv[e // 2]` for in-node e:
   -3      the split arc is deleted (`is_t_separating`).
 
 An out-node always has its forward arcs, and its split arc back only while
-its in-node carries a unit.  The certificate is the set of split arcs
-leaving what the last search reaches, that is the reached in-nodes whose
-out-node is not reached: the unique minimal source-side minimum cut,
-whichever paths were augmented, and so in whatever order the arcs are
-listed.  The arcs depend on the graph alone.  Those of the last graph
-queried are kept, and each entry is listed the first time a search reads
-it, so a query on a large graph lists only the few out-nodes it reaches;
-once listed, an entry never changes.
+its in-node carries a unit.  An out-node whose split arc is free has no
+other way in, since no unit leaves it, so a search marks a free in-node
+with its out-node and queues only the out-node.  The last search runs
+from a maximum flow to its end.  The certificate is the set of split arcs
+leaving what it reaches, that is the reached in-nodes whose out-node is
+not reached, all of which carry a unit and were queued: the unique minimal
+source-side minimum cut, whichever paths were augmented, and so in
+whatever order the arcs are listed.  The arcs depend on the graph alone.
+Those of the last graph queried are kept, and each entry is listed the
+first time a search reads it, so a query on a large graph lists only the
+few out-nodes it reaches; once listed, an entry never changes.
 
 A trek ends in a directed path down into B, so its right half lies in
 an(B), the ancestors of B; `_blank` finds an(B) with `graph._closure`,
@@ -202,17 +213,24 @@ def _blank(g: MixedGraph, B):
     return via
 
 
-def _search(arcs, prv, A, B, blank):
+def _search(arcs, prv, A, B, blank, want):
     """Breadth-first search of the residual network from the left in-nodes of A.
 
     arcs holds the arcs of the graph, prv the flow and blank the `via` to
     start from, which is not changed (module doc).  Returns (via, order,
-    end): via[x] is the node that first reached node x (-1 if unreached, -2
+    ends): via[x] is the node that first reached node x (-1 if unreached, -2
     for a left in-node of A, -3 for a node never to enter), order lists the
-    reached nodes and end is the right out-node of B that stopped the
-    search, or -1.
+    reached nodes that were queued and ends lists augmenting paths with
+    distinct seeds, by the right out-node of B each ends at.
+
+    A free in-node is marked with its out-node, and only the out-node is
+    queued.  A reached end is not queued; it is kept unless a kept end
+    traces back through `via` to the same seed.  The search returns once
+    the out-node that reached the `want`-th kept end has listed its arcs,
+    or when its queue empties.
     """
     ends = {6 * b - 1 for b in B}
+    seeds, found = set(), []
     via = blank.copy()
     order = [6 * a - 6 for a in A]
     for u in order:
@@ -224,19 +242,34 @@ def _search(arcs, prv, A, B, blank):
             if unit != -1 and via[u - 1] == -1:
                 via[u - 1] = u
                 order.append(u - 1)
+            full = False
             for x in arcs[u >> 1]:
                 if via[x] == -1:
                     via[x] = u
-                    order.append(x)
+                    if prv[x >> 1] != -1:  # it carries a unit: queue the in-node
+                        order.append(x)
+                        continue
+                    via[x + 1] = x  # a free split arc: on to its out-node
+                    if x + 1 not in ends:
+                        order.append(x + 1)
+                        continue
+                    s = u
+                    while via[s] >= 0:  # back to the seed
+                        s = via[s]
+                    if s not in seeds:
+                        seeds.add(s)
+                        found.append(x + 1)
+                        full = len(found) == want
+            if full:
+                return via, order, found
             continue
-        # an in-node: its free split arc, or back to where its unit came from
+        # an in-node (a seed, or one carrying a unit): its free split arc, or
+        # back to where its unit came from
         x = u + 1 if unit == -1 else unit
         if x >= 0 and via[x] == -1:
             via[x] = u
-            if x in ends:
-                return via, order, x
             order.append(x)
-    return via, order, -1
+    return via, order, found
 
 
 def min_t_separator(g: MixedGraph, A, B) -> RankResult:
@@ -244,17 +277,19 @@ def min_t_separator(g: MixedGraph, A, B) -> RankResult:
     A, B = frozenset(A), frozenset(B)
     arcs, prv = _query(g, A, B)
     blank = _blank(g, B)
+    most = min(len(A), len(B))  # the seeds, and the ends, bound the flow
     value = 0
     while True:
-        via, order, x = _search(arcs, prv, A, B, blank)
-        if x == -1:
+        via, order, ends = _search(arcs, prv, A, B, blank, most - value)
+        if not ends:
             break
-        while x != -2:  # every augmenting path carries one unit
-            u = via[x]
-            if not x & 1:
-                prv[x >> 1] = -1 if u == x + 1 else u
-            x = u
-        value += 1
+        for x in ends:  # every augmenting path carries one unit
+            while x != -2:
+                u = via[x]
+                if not x & 1:
+                    prv[x >> 1] = -1 if u == x + 1 else u
+                x = u
+        value += len(ends)
 
     fed = prv.count(-2)
     if fed != value:
@@ -286,7 +321,7 @@ def is_t_separating(g: MixedGraph, A, B, c: SeparationTriple) -> bool:
     for level, members in enumerate((c.c_left, c.c_mid, c.c_right)):
         for v in members:
             prv[3 * v - 3 + level] = -3  # the split arc of a deleted node
-    return _search(arcs, prv, A, B, _blank(g, B))[2] == -1
+    return not _search(arcs, prv, A, B, _blank(g, B), 1)[2]
 
 
 def _require_dag(g: MixedGraph):
@@ -439,7 +474,7 @@ def _ci_reached(g: MixedGraph, AC, C) -> int:
         prv[3 * c - 3] = -2
         prv[3 * c - 2] = 6 * c - 5
         prv[3 * c - 1] = 6 * c - 3
-    via = _search(arcs, prv, AC, (), [-1] * (6 * g.m))[0]
+    via = _search(arcs, prv, AC, (), [-1] * (6 * g.m), 0)[0]
     return _mask(k + 1 for k, x in enumerate(via[5::6]) if x != -1)
 
 

@@ -73,13 +73,22 @@ def is_simple(t: Trek) -> bool:
     return all(v in allowed for v, c in counts.items() if c > 1)
 
 
-def _directed_paths_into(g: MixedGraph, sink: int) -> Dict[int, List[Tuple[int, ...]]]:
-    """All self-avoiding directed paths ending at sink, grouped by source."""
+def _directed_paths_into(g: MixedGraph, sink: int,
+                         cap: Optional[int] = None) -> Dict[int, List[Tuple[int, ...]]]:
+    """All self-avoiding directed paths ending at sink, grouped by source.
+
+    With a cap, raises CapExceededError as soon as more than cap are listed.
+    """
     out = defaultdict(list)
     stack = [(sink,)]
+    listed = 0
     while stack:
         path = stack.pop()
         out[path[0]].append(path)
+        listed += 1
+        if cap is not None and listed > cap:
+            raise CapExceededError(
+                cap, f"enumeration cap of {cap} exceeded by the directed paths into {sink}")
         for p in g._parent_lists.get(path[0], ()):
             if p not in path:
                 stack.append((p,) + path)
@@ -110,41 +119,61 @@ def enumerate_simple_treks(g: MixedGraph, i: int, j: int,
                            cap: int = DEFAULT_CAP) -> List[Trek]:
     """All simple treks between i and j, in a canonical deterministic order.
 
-    Raises CapExceededError if there are more than `cap` of them, and
-    ValueError for out-of-range endpoints.
+    The directed paths into i are listed first; then each directed path
+    into j whose source t meets one of them (t is their source, or is
+    joined to their source by a bidirected edge or an undirected middle)
+    is listed, and its treks made, before the next.  Paths into j from
+    which no such t can be reached upward are never listed.  Raises
+    CapExceededError, with a message naming the limit, once there are more
+    than `cap` simple treks, more than `cap` directed paths into i, or more
+    than `cap` paths into j that meet them, so the work done before the
+    error grows with the cap, not with the graph.  Raises ValueError for
+    out-of-range endpoints.
     """
     _require_vertices(g, (i, j))
-    paths_i = _directed_paths_into(g, i)
-    paths_j = _directed_paths_into(g, j)
+    paths_i = _directed_paths_into(g, i, cap)
+
+    # turns[t]: the middles (kind, segment, source s of the left path) that a
+    # right path with source t can close a trek with
+    turns = defaultdict(list)
+    for s in paths_i:
+        turns[s].append((None, (s,), s))
+        for t in g._bidirected_lists[s]:
+            turns[t].append((MIDDLE_BIDIRECTED, (s, t), s))
+    if g.undirected_edges:
+        for (s, t), mids in _undirected_middles(g).items():
+            if s in paths_i:
+                turns[t].extend((MIDDLE_UNDIRECTED, mid, s) for mid in mids)
+
+    reach = set(turns)  # the vertices below a turn: a path into j can climb to one
+    stack = list(reach)
+    while stack:
+        for c in g._child_lists[stack.pop()]:
+            if c not in reach:
+                reach.add(c)
+                stack.append(c)
 
     treks: List[Trek] = []
-
-    def push(t: Trek):
-        if is_simple(t):
-            treks.append(t)
-            if len(treks) > cap:
-                raise CapExceededError(cap)
-
-    for top in sorted(set(paths_i) & set(paths_j)):
-        for left in paths_i[top]:
-            for right in paths_j[top]:
-                push(Trek(left, None, (top,), right))
-
-    for a, b in sorted(g.bidirected_edges):
-        for s, t in ((a, b), (b, a)):
-            if s in paths_i and t in paths_j:
+    closing = 0
+    stack = [(j,)] if j in reach else []
+    while stack:
+        right = stack.pop()
+        if right[0] in turns:
+            for kind, middle, s in turns[right[0]]:
                 for left in paths_i[s]:
-                    for right in paths_j[t]:
-                        push(Trek(left, MIDDLE_BIDIRECTED, (s, t), right))
-
-    if g.undirected_edges:
-        middles = _undirected_middles(g)
-        for (s, t), mids in sorted(middles.items()):
-            if s in paths_i and t in paths_j:
-                for mid in mids:
-                    for left in paths_i[s]:
-                        for right in paths_j[t]:
-                            push(Trek(left, MIDDLE_UNDIRECTED, mid, right))
+                    trek = Trek(left, kind, middle, right)
+                    if is_simple(trek):
+                        treks.append(trek)
+                        if len(treks) > cap:
+                            raise CapExceededError(cap)
+            closing += 1
+            if closing > cap:
+                raise CapExceededError(
+                    cap, f"enumeration cap of {cap} exceeded by the directed paths into "
+                         f"{j} that meet a path into {i}")
+        for p in g._parent_lists.get(right[0], ()):
+            if p in reach and p not in right:
+                stack.append((p,) + right)
 
     treks.sort(key=_trek_sort_key)
     return treks

@@ -180,6 +180,17 @@ def test_treks_cap(choke_file, capsys):
     assert main(["treks", choke_file, "--i", "1", "--j", "4", "--cap", "1"]) == 4
 
 
+def test_treks_cap_bounds_the_paths_listed(tmp_path, capsys):
+    # a complete DAG on 40 vertices: 2^37 directed paths end at 39
+    path = tmp_path / "complete.graph"
+    path.write_text("v 40\n" + "".join(f"e {a} -> {b}\n" for a in range(1, 41)
+                                        for b in range(a + 1, 41)))
+    assert main(["treks", str(path), "--i", "39", "--j", "40", "--cap", "10"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: enumeration cap of 10 exceeded by the directed paths into 39\n"
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 @pytest.mark.parametrize("output", ["text", "json"])
 def test_treks_cap_below_one_is_usage_error(choke_file, capsys, cap, output):

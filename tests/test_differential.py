@@ -12,6 +12,7 @@ import pytest
 
 from separation_reference import (ci_implied_reference, is_t_separating_reference,
                                   min_t_separator_reference)
+from treksep import separation
 from treksep.graph import DAG, MIXED, UNDIRECTED, make_graph
 from treksep.separation import (SeparationTriple, ci_implied, is_t_separating,
                                 min_t_separator)
@@ -86,6 +87,26 @@ def test_large_graphs_match_the_network():
             A, B, C = _sample(rng, g.m, 1, 12), _sample(rng, g.m, 1, 12), _sample(rng, g.m, 0, 6)
             ranks.append(_same_answers(g, A, B, C, rng)[0])
     assert max(ranks) >= 3, ranks
+
+
+def test_wide_queries_on_large_graphs_match_the_network(monkeypatch):
+    # with |A| = |B| = 12 one search finds several seed-disjoint paths
+    augmented = []
+    real = separation._search
+
+    def recorded(*args):
+        via, order, ends = real(*args)
+        augmented.append(len(ends))
+        return via, order, ends
+
+    monkeypatch.setattr(separation, "_search", recorded)
+    rng = random.Random("differential/large/wide")
+    for _ in range(4):
+        g = _large_graph(rng)
+        for _ in range(5):
+            A, B = set(rng.sample(range(1, g.m + 1), 12)), set(rng.sample(range(1, g.m + 1), 12))
+            assert min_t_separator(g, A, B) == min_t_separator_reference(g, A, B), (A, B)
+    assert max(augmented) >= 3, augmented
 
 
 def _relabelled(g, rng):

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treksep
-from separation_reference import ci_implied_reference, forward_arcs_reference
+from separation_reference import (ci_implied_reference, forward_arcs_reference,
+                                  min_t_separator_reference)
 from test_differential import _large_graph, _relabelled
 from treksep import separation
 from treksep.algebra import generic_rank_oracle
@@ -313,7 +314,7 @@ def test_cut_wider_than_the_flow_raises(monkeypatch):
 
     def widened(*args):
         via, order, end = real(*args)
-        if end == -1:
+        if not end:
             x = next(x for x in order if not x & 1 and via[x + 1] != -1)
             via[x + 1] = -1
         return via, order, end
@@ -322,6 +323,60 @@ def test_cut_wider_than_the_flow_raises(monkeypatch):
     with pytest.raises(separation.InternalError,
                        match="certificate size 2 differs from flow value 1"):
         min_t_separator(choke_graph(), CHOKE_A, CHOKE_B)
+
+
+def _recorded_searches(monkeypatch):
+    """Wrap `separation._search`; the list returned gets (via, ends) per search."""
+    searches = []
+    real = separation._search
+
+    def recorded(*args):
+        via, order, ends = real(*args)
+        searches.append((via, list(ends)))
+        return via, order, ends
+
+    monkeypatch.setattr(separation, "_search", recorded)
+    return searches
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_disjoint_chains_take_two_searches(monkeypatch, k):
+    # chain i runs 4i+1 -> ... -> 4i+4: one search augments all k paths from
+    # k distinct seeds, and the second finds that the flow is maximum
+    directed = [(4 * i + s, 4 * i + s + 1) for i in range(k) for s in range(1, 4)]
+    g = make_graph(4 * k, directed=directed)
+    searches = _recorded_searches(monkeypatch)
+    res = min_t_separator(g, {4 * i + 1 for i in range(k)}, {4 * i + 4 for i in range(k)})
+    assert res.rank == k
+    assert [len(ends) for _, ends in searches] == [k, 0]
+
+
+def test_one_seed_reaching_two_ends_augments_one_path(monkeypatch):
+    # 1 -> 2, 1 -> 3: both ends trace back to the left in-node of 1
+    g = make_graph(3, directed=[(1, 2), (1, 3)])
+    searches = _recorded_searches(monkeypatch)
+    assert min_t_separator(g, {1}, {2, 3}).rank == 1
+    (via, ends), (_, last) = searches
+    assert via[6 * 2 - 1] != -1 and via[6 * 3 - 1] != -1  # the right out-nodes of 2 and 3
+    assert len(ends) == 1 and last == []
+
+
+@pytest.mark.parametrize("cls", [DAG, UNDIRECTED, MIXED])
+def test_a_query_runs_at_most_rank_plus_one_searches(monkeypatch, cls):
+    rng = random.Random(f"searches per query/{cls}")
+    searches = _recorded_searches(monkeypatch)
+    fewer = 0
+    for _ in range(1000):
+        n = rng.randint(2, 12)
+        g = random_graph(cls, n, rng.randrange(10**6), rng.choice((0.2, 0.4, 0.6)))
+        A = set(rng.sample(range(1, n + 1), rng.randint(1, min(5, n))))
+        B = set(rng.sample(range(1, n + 1), rng.randint(1, min(5, n))))
+        searches.clear()
+        res = min_t_separator(g, A, B)
+        assert res == min_t_separator_reference(g, A, B), (A, B)
+        assert len(searches) <= res.rank + 1, (A, B)
+        fewer += len(searches) < res.rank + 1
+    assert fewer >= 50, fewer
 
 
 def test_searches_enter_no_right_level_outside_the_ancestors_of_b(monkeypatch):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -62,6 +64,31 @@ def test_cap_exceeded():
     g = choke_graph()
     with pytest.raises(CapExceededError):
         enumerate_simple_treks(g, 1, 4, cap=1)
+
+
+def _complete_dag(n):
+    return make_graph(n, directed=[(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)])
+
+
+def test_cap_bounds_the_listing_of_directed_paths():
+    # 2^37 directed paths end at 39: the cap is hit after 11 of them
+    g = _complete_dag(40)
+    start = time.process_time()
+    with pytest.raises(CapExceededError, match="^enumeration cap of 10 exceeded by "
+                                               "the directed paths into 39$"):
+        enumerate_simple_treks(g, 39, 40, cap=10)
+    assert time.process_time() - start < 1
+
+
+def test_cap_counts_the_paths_into_j_that_meet_a_path_into_i():
+    # every path into 6 passes 4: 8 paths into 4 times 2 paths 4 -> 6 meet a
+    # path into 4 at their source, but only the two with top 4 are simple
+    g = make_graph(6, directed=[(a, b) for a in range(1, 5) for b in range(a + 1, 5)]
+                   + [(4, 5), (5, 6), (4, 6)])
+    assert [t.right for t in enumerate_simple_treks(g, 4, 6, cap=16)] == [(4, 6), (4, 5, 6)]
+    with pytest.raises(CapExceededError, match="^enumeration cap of 15 exceeded by the "
+                                               "directed paths into 6 that meet a path into 4$"):
+        enumerate_simple_treks(g, 4, 6, cap=15)
 
 
 def test_self_trek_is_only_trivial_when_sink_shared():
