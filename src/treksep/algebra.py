@@ -521,7 +521,7 @@ def gvl_minor_two_ways(g: MixedGraph, p: ParamAssignment, R, S,
     options = {(r, s): [(path, frozenset(path)) for path in into[s].get(r, [])]
                for r in Rs for s in Ss}
     total = Fraction(0)
-    for system in _disjoint_systems([Rs], Ss, options, cap):
+    for system in _disjoint_systems(Rs, Ss, options, cap):
         cols = [s for s, _ in system]  # the permutation's sign: -1 per inversion
         weight = Fraction((-1) ** sum(x > y for x, y in combinations(cols, 2)))
         for _, path in system:
@@ -567,11 +567,11 @@ def undirected_minor_check(g: MixedGraph, p: ParamAssignment, A, B,
     sigma = build_covariance(g, p)
     minor = submatrix_for(sigma, As, Bs).det()
 
-    middles = _undirected_middles(g)
+    middles = _undirected_middles(g, As, cap)
     options = {(a, b): [(path, frozenset(path))
                         for path in ([(a,)] if a == b else middles.get((a, b), []))]
                for a in As for b in Bs}
-    verdict = next(_disjoint_systems([As], Bs, options, cap), None) is not None
+    verdict = next(_disjoint_systems(As, Bs, options, cap), None) is not None
     return minor, verdict
 
 

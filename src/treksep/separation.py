@@ -43,8 +43,7 @@ e:
   -1      no unit: the split arc is free;
   p >= 0  the unit came from out-node p, and the only residual arc goes
           back to p;
-  -2      the unit comes from a source: a seed of A, or a trivial trek;
-  -3      the split arc is deleted (`is_t_separating`).
+  -2      the unit comes from a source: a seed of A, or a trivial trek.
 
 An out-node always has its forward arcs, and its split arc back only while
 its in-node carries a unit.  An out-node whose split arc is free has no
@@ -54,7 +53,9 @@ from a maximum flow to its end.  The certificate is the set of split arcs
 leaving what it reaches, that is the reached in-nodes whose out-node is
 not reached, all of which carry a unit and were queued: the unique minimal
 source-side minimum cut, whichever paths were augmented, and so in
-whatever order the arcs are listed.  The arcs depend on the graph alone.
+whatever order the arcs are listed.  Read back through `prv` from the
+right in-nodes of B, the flow spells the witness: one trek per unit, no
+two sharing a (vertex, level).  The arcs depend on the graph alone.
 Those of the last graph queried are kept, and each entry is listed the
 first time a search reads it, so a query on a large graph lists only the
 few out-nodes it reaches; once listed, an entry never changes.
@@ -101,7 +102,7 @@ parts once per pair on each graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Tuple
 
 from .graph import DAG, MixedGraph, _closure, _require_vertices, graph_class
@@ -136,9 +137,17 @@ class SeparationTriple:
 
 @dataclass(frozen=True)
 class RankResult:
+    """A rank, a separating triple and a trek system of that size.
+
+    treks: one path per unit of flow, as (vertex, level) states (0 left, 1
+    middle, 2 right) from a left state of A to a right state of B.  Results
+    compare without it, as it depends on the search order.
+    """
+
     rank: int
     certificate: SeparationTriple
     flow_value: int
+    treks: Tuple[Tuple[Tuple[int, int], ...], ...] = field(default=(), compare=False)
 
 
 class _Arcs(dict):
@@ -238,7 +247,7 @@ def _search(arcs, prv, A, B, blank, want):
     for u in order:
         unit = prv[u >> 1]
         if u & 1:  # an out-node: its arcs, and its split arc back if its in-node
-            # carries a unit (the out-node of a deleted split arc is never reached)
+            # carries a unit
             if unit != -1 and via[u - 1] == -1:
                 via[u - 1] = u
                 order.append(u - 1)
@@ -301,7 +310,14 @@ def min_t_separator(g: MixedGraph, A, B) -> RankResult:
     cert = SeparationTriple.of(*levels)
     if cert.size() != value:
         raise InternalError(f"certificate size {cert.size()} differs from flow value {value}")
-    return RankResult(rank=value, certificate=cert, flow_value=value)
+    treks = []
+    for x in sorted(6 * b - 2 for b in B if prv[3 * b - 1] != -1):  # each unit, back to its seed
+        trek = [(x // 6 + 1, 2)]
+        while prv[x >> 1] != -2:
+            x = prv[x >> 1] - 1  # the in-node of the out-node the unit came from
+            trek.append((x // 6 + 1, x % 6 // 2))
+        treks.append(tuple(trek[::-1]))
+    return RankResult(rank=value, certificate=cert, flow_value=value, treks=tuple(treks))
 
 
 def generic_rank(g: MixedGraph, A, B) -> int:
@@ -314,14 +330,38 @@ def generic_rank(g: MixedGraph, A, B) -> int:
 
 
 def is_t_separating(g: MixedGraph, A, B, c: SeparationTriple) -> bool:
-    """Does deleting c (layer by layer) block every trek from A to B?"""
+    """Does deleting c (layer by layer) block every trek from A to B?
+
+    A search of the (vertex, level) states of g, entering none of c, on the
+    graph's index lists and not the flow network: left up to parents, to the
+    middle, and from (i, left) to (i, right) and (j, right) for i <-> j;
+    middle along undirected edges and to the right; right down to children.
+    """
     _require_vertices(g, sorted(c.c_left | c.c_mid | c.c_right))
     A, B = frozenset(A), frozenset(B)
-    arcs, prv = _query(g, A, B)
-    for level, members in enumerate((c.c_left, c.c_mid, c.c_right)):
-        for v in members:
-            prv[3 * v - 3 + level] = -3  # the split arc of a deleted node
-    return not _search(arcs, prv, A, B, _blank(g, B), 1)[2]
+    if not A or not B:
+        raise ValueError("A and B must be nonempty")
+    _require_vertices(g, sorted(A | B))
+    seen = {(v, level) for level, vs in enumerate((c.c_left, c.c_mid, c.c_right)) for v in vs}
+    todo = [(a, 0) for a in A]
+    while todo:
+        state = todo.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        v, level = state
+        if level == 0:
+            todo += [(v, 1), *[(p, 0) for p in g._parent_lists.get(v, ())]]
+            over = g._bidirected_lists[v]
+            if over:
+                todo += [(v, 2), *[(j, 2) for j in over]]
+        elif level == 1:
+            todo += [(v, 2), *[(j, 1) for j in g._undirected_lists[v]]]
+        elif v in B:
+            return False
+        else:
+            todo += [(w, 2) for w in g._child_lists[v]]
+    return True
 
 
 def _require_dag(g: MixedGraph):

@@ -1,4 +1,4 @@
-"""Simple treks, trek systems, trek monomials and sided intersections.
+"""Simple treks and trek monomials.
 
 A trek between i and j is a triple (left, middle, right): two directed
 paths into i and j plus a middle segment joining their sources.  The middle
@@ -6,8 +6,12 @@ is trivial (the shared source), an undirected path, or a single bidirected
 edge.  Simple treks have self-avoiding segments that overlap only at the
 two sources.
 
-One capped backtracking search, `_disjoint_systems`, finds the trek systems
-with no sided intersection here and the vertex-disjoint path systems of the
+Trek systems are not listed here.  `separation.min_t_separator` returns a
+largest one with its minimum separator, each trek as (vertex, level)
+states, and `verify` checks that no (vertex, level) lies on two of them.
+Two such treks may cross the same bidirected edge, one from each end, as
+its latent top is no vertex of the graph.  `_disjoint_systems` is the
+capped backtracking search for the vertex-disjoint path systems of the
 path-determinant expansions in `algebra`.
 """
 
@@ -15,8 +19,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .graph import MixedGraph, _require_vertices
 
@@ -51,14 +54,6 @@ class Trek:
     @property
     def source_right(self) -> int:
         return self.right[0]
-
-    @property
-    def sink_left(self) -> int:
-        return self.left[-1]
-
-    @property
-    def sink_right(self) -> int:
-        return self.right[-1]
 
 
 def is_simple(t: Trek) -> bool:
@@ -95,15 +90,25 @@ def _directed_paths_into(g: MixedGraph, sink: int,
     return dict(out)
 
 
-def _undirected_middles(g: MixedGraph) -> Dict[Tuple[int, int], List[Tuple[int, ...]]]:
-    """Self-avoiding undirected paths with >= 1 edge, keyed by (start, end)."""
+def _undirected_middles(g: MixedGraph, starts, cap: Optional[int] = None
+                        ) -> Dict[Tuple[int, int], List[Tuple[int, ...]]]:
+    """Self-avoiding undirected paths with >= 1 edge from the starts in U, keyed by (start, end).
+
+    With a cap, raises CapExceededError as soon as more than cap are listed.
+    """
     out = defaultdict(list)
-    for start in sorted(g.u_set):
+    listed = 0
+    for start in sorted(g.u_set.intersection(starts)):
         stack = [(start,)]
         while stack:
             path = stack.pop()
             if len(path) > 1:
                 out[(start, path[-1])].append(path)
+                listed += 1
+                if cap is not None and listed > cap:
+                    raise CapExceededError(
+                        cap, f"enumeration cap of {cap} exceeded by the undirected paths "
+                             f"from {start}")
             for n in g._undirected_lists[path[-1]]:
                 if n not in path:
                     stack.append(path + (n,))
@@ -125,10 +130,11 @@ def enumerate_simple_treks(g: MixedGraph, i: int, j: int,
     is listed, and its treks made, before the next.  Paths into j from
     which no such t can be reached upward are never listed.  Raises
     CapExceededError, with a message naming the limit, once there are more
-    than `cap` simple treks, more than `cap` directed paths into i, or more
-    than `cap` paths into j that meet them, so the work done before the
-    error grows with the cap, not with the graph.  Raises ValueError for
-    out-of-range endpoints.
+    than `cap` simple treks, more than `cap` directed paths into i, more
+    than `cap` undirected middles from their sources, or more than `cap`
+    paths into j that meet them, so the work done before the error grows
+    with the cap, not with the graph.  Raises ValueError for out-of-range
+    endpoints.
     """
     _require_vertices(g, (i, j))
     paths_i = _directed_paths_into(g, i, cap)
@@ -141,9 +147,8 @@ def enumerate_simple_treks(g: MixedGraph, i: int, j: int,
         for t in g._bidirected_lists[s]:
             turns[t].append((MIDDLE_BIDIRECTED, (s, t), s))
     if g.undirected_edges:
-        for (s, t), mids in _undirected_middles(g).items():
-            if s in paths_i:
-                turns[t].extend((MIDDLE_UNDIRECTED, mid, s) for mid in mids)
+        for (s, t), mids in _undirected_middles(g, paths_i, cap).items():
+            turns[t].extend((MIDDLE_UNDIRECTED, mid, s) for mid in mids)
 
     reach = set(turns)  # the vertices below a turn: a path into j can climb to one
     stack = list(reach)
@@ -234,53 +239,18 @@ def trek_monomial(g: MixedGraph, t: Trek) -> Monomial:
     return Monomial.from_factors(factors)
 
 
-@dataclass(frozen=True)
-class TrekSystem:
-    """A system of treks joining distinct A-vertices to distinct B-vertices."""
-
-    treks: Tuple[Trek, ...]
-
-    def __post_init__(self):
-        a = [t.sink_left for t in self.treks]
-        b = [t.sink_right for t in self.treks]
-        if len(set(a)) != len(a) or len(set(b)) != len(b):
-            raise ValueError("trek system endpoints must be pairwise distinct")
-
-
-def _sided_tokens(t: Trek) -> FrozenSet[Tuple[str, object]]:
-    """The (side, vertex) pairs of a trek, side "left", "middle" or "right".
-
-    Two treks have a sided intersection iff their token sets meet.  A
-    bidirected middle i <-> j is one latent token, ("middle", (i, j)): it is
-    shared only by treks on the same edge and meets no vertex of another
-    middle.
-    """
-    if t.middle_kind == MIDDLE_BIDIRECTED:
-        middle = {("middle", tuple(sorted(t.middle)))}
-    else:
-        middle = {("middle", v) for v in t.middle}
-    return frozenset(middle | {("left", v) for v in t.left}
-                     | {("right", v) for v in t.right})
-
-
-def has_sided_intersection(sys: TrekSystem) -> bool:
-    """Two treks sharing a vertex on the same side (left, middle or right)."""
-    tokens = [_sided_tokens(t) for t in sys.treks]
-    return any(a & b for a, b in combinations(tokens, 2))
-
-
-def _disjoint_systems(row_sets, cols, options, cap: int):
-    """Each system joining the rows of a row set to distinct columns by options
-    with pairwise disjoint tokens, as a tuple of (col, item), one per row.
+def _disjoint_systems(rows, cols, options, cap: int):
+    """Each system joining the rows to distinct columns by options with
+    pairwise disjoint tokens, as a tuple of (col, item), one per row.
 
     Row by row, a row takes a free column, in the order of cols, then one of
     options[(row, col)], a list of (item, tokens).  Each option tried costs
-    one unit of `cap`, shared by all row sets, before its tokens are tested;
-    CapExceededError is raised once the budget is spent.
+    one unit of `cap` before its tokens are tested; CapExceededError is
+    raised once the budget is spent.
     """
     budget = cap
 
-    def extend(rows, chosen, free, used):
+    def extend(chosen, free, used):
         nonlocal budget
         if len(chosen) == len(rows):
             yield chosen
@@ -292,24 +262,7 @@ def _disjoint_systems(row_sets, cols, options, cap: int):
                 if budget < 0:
                     raise CapExceededError(cap)
                 if not tokens & used:
-                    yield from extend(rows, chosen + ((col, item),),
+                    yield from extend(chosen + ((col, item),),
                                       [c for c in free if c != col], used | tokens)
 
-    for rows in row_sets:
-        yield from extend(rows, (), list(cols), frozenset())
-
-
-def exists_noncrossing_system(g: MixedGraph, A, B, r: int,
-                              cap: int = DEFAULT_CAP) -> bool:
-    """Brute-force search for r treks from A to B with no sided intersection."""
-    A = sorted(set(A))
-    B = sorted(set(B))
-    if r < 1:
-        raise ValueError("r must be positive")
-    if r > min(len(A), len(B)):
-        raise ValueError("r exceeds min(#A, #B)")
-    options = {(a, b): [(t, _sided_tokens(t))
-                        for t in enumerate_simple_treks(g, a, b, cap)]
-               for a in A for b in B}
-    systems = _disjoint_systems(combinations(A, r), B, options, cap)
-    return next(systems, None) is not None
+    return extend((), list(cols), frozenset())

@@ -9,11 +9,11 @@ its config and returns a CheckResult; run_suite aggregates them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, List, Optional
 
-from . import algebra, instances, separation, treks
+from . import algebra, instances, separation
 from .graph import (DAG, MIXED, UNDIRECTED, MixedGraph, bidirected_subdivision,
                     make_graph, serialize)
 
@@ -122,38 +122,54 @@ def random_graph(cls: str, n: int, seed: int, density: float) -> MixedGraph:
                       bidirected=bidirected, u=u)
 
 
-def _sample_set(rng: random.Random, n: int, max_size: int, exclude=frozenset(),
-                nonempty: bool = True) -> frozenset:
-    pool = [v for v in range(1, n + 1) if v not in exclude]
-    lo = 1 if nonempty else 0
-    size = rng.randint(lo, min(max_size, len(pool))) if pool else 0
-    return frozenset(rng.sample(pool, size))
+def _sample_set(rng: random.Random, n: int, max_size: int) -> frozenset:
+    return frozenset(rng.sample(range(1, n + 1), rng.randint(1, min(max_size, n))))
+
+
+def _trek_steps(g: MixedGraph) -> set:
+    """The steps between (vertex, level) states a trek may take, read off g's
+    edge sets, not its index; a bidirected edge i <-> j leads from (i, left)
+    to (i, right) and (j, right)."""
+    steps = set()
+    for v in range(1, g.m + 1):
+        steps.update((((v, 0), (v, 1)), ((v, 1), (v, 2))))
+    for p, c in g.directed_edges:
+        steps.update((((c, 0), (p, 0)), ((p, 2), (c, 2))))
+    for i, j in g.undirected_edges:
+        steps.update((((i, 1), (j, 1)), ((j, 1), (i, 1))))
+    for i, j in g.bidirected_edges:
+        for s, t in ((i, j), (j, i)):
+            steps.update((((s, 0), (s, 2)), ((s, 0), (t, 2))))
+    return steps
 
 
 def _menger_ok(g: MixedGraph, A, B, res: separation.RankResult) -> bool:
-    """Flow value == certificate size == rank, certificate separating and minimal.
+    """The certificate and the trek system of res prove each other minimum.
 
-    Minimal: no member of the triple can be dropped with the rest still
-    separating A from B.
+    Flow value, certificate size, rank and trek count agree, the triple
+    t-separates A from B, and the treks run from (a, left), a in A, to
+    (b, right), b in B, by `_trek_steps` with no (vertex, level) used twice.
+    A separating triple blocks each trek at a member of its own, so neither
+    a smaller triple nor a larger system exists (Menger).
     """
     cert = res.certificate
-    if not (res.flow_value == cert.size() == res.rank
+    if not (res.flow_value == cert.size() == res.rank == len(res.treks)
             and separation.is_t_separating(g, A, B, cert)):
         return False
-    for level in ("c_left", "c_mid", "c_right"):
-        for v in getattr(cert, level):
-            weakened = replace(cert, **{level: getattr(cert, level) - {v}})
-            if separation.is_t_separating(g, A, B, weakened):
-                return False
-    return True
+    steps = _trek_steps(g)
+    states = [state for trek in res.treks for state in trek]
+    return len(set(states)) == len(states) and all(
+        trek[0][1] == 0 and trek[0][0] in A and trek[-1][1] == 2 and trek[-1][0] in B
+        and all(step in steps for step in zip(trek, trek[1:]))
+        for trek in res.treks)
 
 
 def cross_check_rank(g: MixedGraph, A, B, seed: int, trials: int = 5) -> dict:
     """Min-cut rank vs algebraic oracle, plus Menger duality on the certificate.
 
-    Returns a detail dict with an overall "ok" verdict.  On small graphs the
-    brute-force noncrossing-trek-system search is consulted as a third
-    independent answer.
+    Returns a detail dict with an overall "ok" verdict.  With A and B
+    nonempty, "menger_ok" is `_menger_ok`: the triple and the trek system
+    of `min_t_separator` prove its value on the graph, with no oracle.
     """
     res = separation.min_t_separator(g, A, B) if A and B else None
     rank = res.rank if res else 0
@@ -165,17 +181,6 @@ def cross_check_rank(g: MixedGraph, A, B, seed: int, trials: int = 5) -> dict:
         menger = _menger_ok(g, A, B, res)
         detail["menger_ok"] = menger
         ok = ok and menger
-    if res is not None and g.m <= 5:
-        try:
-            sys_rank_ok = (rank == 0 or treks.exists_noncrossing_system(
-                g, A, B, rank, cap=20_000))
-            if sys_rank_ok and rank + 1 <= min(len(A), len(B)):
-                sys_rank_ok = not treks.exists_noncrossing_system(
-                    g, A, B, rank + 1, cap=20_000)
-            detail["trek_system_ok"] = sys_rank_ok
-            ok = ok and sys_rank_ok
-        except treks.CapExceededError:
-            pass
     detail["ok"] = ok
     return detail
 
@@ -237,13 +242,18 @@ def criterion_cauchy_binet(cfg: SuiteConfig) -> CheckResult:
     return out
 
 
-def _criterion_rank(cfg: SuiteConfig, cls, name) -> CheckResult:
-    out = CheckResult(name)
-    for g, rng in _graph_stream(cls, cfg, cfg.graph_count, name):
+def _rank_queries(cfg: SuiteConfig, cls, tag):
+    """(g, A, B, oracle seed) of each query of a rank criterion's stream."""
+    for g, rng in _graph_stream(cls, cfg, cfg.graph_count, tag):
         A = _sample_set(rng, g.m, 3)
         B = _sample_set(rng, g.m, 3)
-        detail = cross_check_rank(g, A, B, rng.getrandbits(48),
-                                  cfg.trials_per_instance)
+        yield g, A, B, rng.getrandbits(48)
+
+
+def _criterion_rank(cfg: SuiteConfig, cls, name) -> CheckResult:
+    out = CheckResult(name)
+    for g, A, B, seed in _rank_queries(cfg, cls, name):
+        detail = cross_check_rank(g, A, B, seed, cfg.trials_per_instance)
         detail["check"] = name
         out.record(detail.pop("ok"), g, detail)
     return out
@@ -389,18 +399,16 @@ def criterion_canonical(cfg: SuiteConfig) -> CheckResult:
 
 
 def criterion_menger(cfg: SuiteConfig) -> CheckResult:
-    """Flow value == certificate size, certificate separating and minimal.
+    """Certificate minimum, with a witness: a separating triple and a trek system of one size.
 
-    Replays the exact instance streams of the three rank criteria (same
-    seeds), so this covers every instance those criteria see.
+    Runs the queries of the three rank criteria (`_rank_queries`, same
+    seeds), so it covers every instance those criteria see, and checks
+    each answer of `min_t_separator` by `_menger_ok`, with no oracle.
     """
     out = CheckResult("menger_duality")
     for cls, tag in ((DAG, "rank_directed"), (UNDIRECTED, "rank_undirected"),
                      (MIXED, "rank_mixed")):
-        for g, rng in _graph_stream(cls, cfg, cfg.graph_count, tag):
-            A = _sample_set(rng, g.m, 3)
-            B = _sample_set(rng, g.m, 3)
-            rng.getrandbits(48)  # keep the stream aligned with _criterion_rank
+        for g, A, B, _ in _rank_queries(cfg, cls, tag):
             res = separation.min_t_separator(g, A, B)
             out.record(_menger_ok(g, A, B, res), g,
                        {"check": "menger_duality", "A": sorted(A), "B": sorted(B)})

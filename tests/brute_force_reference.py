@@ -5,11 +5,17 @@
 `undirected_minor_check` as they stood when each wrote its own capped
 backtracking search, copied verbatim apart from the `_reference` suffix, so
 that the differential tests compare the library's answers, cap outcomes
-included, against the code it replaced.
+included, against the code it replaced.  The library no longer searches for
+trek systems: `min_t_separator` returns one with its separator, and the
+tests hold its rank against `exists_noncrossing_system_reference`.
+`TrekSystem` stands in for the library class of that name, which
+`has_sided_intersection_reference` reads.  `_undirected_middles` now lists
+only the paths from the starts it is given, which are the rows here.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Tuple
@@ -18,8 +24,15 @@ from treksep.algebra import (ParamAssignment, _path_weight, build_covariance,
                              lambda_inverse, submatrix_for)
 from treksep.graph import DAG, UNDIRECTED, MixedGraph, graph_class
 from treksep.treks import (DEFAULT_CAP, MIDDLE_BIDIRECTED, CapExceededError,
-                           Trek, TrekSystem, _directed_paths_into,
-                           _undirected_middles, enumerate_simple_treks)
+                           Trek, _directed_paths_into, _undirected_middles,
+                           enumerate_simple_treks)
+
+
+@dataclass(frozen=True)
+class TrekSystem:
+    """Treks joining distinct A-vertices to distinct B-vertices."""
+
+    treks: Tuple[Trek, ...]
 
 
 def _middle_tokens_reference(t: Trek):
@@ -155,7 +168,7 @@ def undirected_minor_check_reference(g: MixedGraph, p: ParamAssignment, A, B,
     sigma = build_covariance(g, p)
     minor = submatrix_for(sigma, As, Bs).det()
 
-    middles = _undirected_middles(g)
+    middles = _undirected_middles(g, As)
     paths = {(a, b): [(a,)] if a == b else middles.get((a, b), [])
              for a in As for b in Bs}
     ell = len(As)

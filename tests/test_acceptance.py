@@ -73,8 +73,8 @@ def test_criterion_09_canonical_instances():
 
 
 def test_criterion_10_menger_duality():
-    # flow value == certificate size, certificate separating and minimal,
-    # on every instance seen by criteria 4-6
+    # flow value == certificate size, certificate separating and minimum,
+    # with a witness, on every instance seen by criteria 4-6
     _report(verify.criterion_menger)
 
 

@@ -122,8 +122,6 @@ KEPT_UNREAD = {
         "ROADMAP item 4 gates it as the exact half of criterion 5",
     ("algebra.py", "translate_subdivision_parameters"):
         "ROADMAP item 4 gates it as the exact Sigma equality of criterion 7",
-    ("treks.py", "has_sided_intersection"):
-        "exported; ROADMAP item 1 decides whether it changes or goes",
     ("verify.py", "CheckResult.ok"):
         "the acceptance tests read it",
 }

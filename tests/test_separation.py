@@ -24,7 +24,7 @@ from treksep.separation import (NotADAGError, SeparationTriple, _require_dag,
                                 is_t_separating, min_t_separator,
                                 vanishing_tetrad)
 from treksep.treks import CapExceededError
-from treksep.verify import _dsep_verdicts, random_graph
+from treksep.verify import _dsep_verdicts, _menger_ok, random_graph
 
 
 def _reachable(g, A, B):
@@ -433,6 +433,23 @@ def test_min_separator_choke():
     res = min_t_separator(choke_graph(), CHOKE_A, CHOKE_B)
     assert res.rank == res.flow_value == res.certificate.size() == 1
     assert res.certificate.c_right == {4}
+
+
+def test_min_separator_choke_witness():
+    # one trek, and it passes 4 on the right, where the certificate cuts
+    (trek,) = min_t_separator(choke_graph(), CHOKE_A, CHOKE_B).treks
+    assert trek[0] in {(1, 0), (3, 0)} and (4, 2) in trek and trek[-1][1] == 2
+
+
+def test_witness_is_checked_on_large_graphs():
+    rng = random.Random("witness-large")
+    for _ in range(4):
+        g = _large_graph(rng, n=300, u=120, directed=540, undirected=180, bidirected=180)
+        for _ in range(8):
+            A = frozenset(rng.sample(range(1, 301), rng.randint(1, 12)))
+            B = frozenset(rng.sample(range(1, 301), rng.randint(1, 12)))
+            res = min_t_separator(g, A, B)
+            assert len(res.treks) == res.rank and _menger_ok(g, A, B, res)
 
 
 def test_min_separator_spider():

@@ -3,12 +3,14 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from brute_force_reference import (TrekSystem, exists_noncrossing_system_reference,
+                                   has_sided_intersection_reference)
 from treksep.graph import DAG, make_graph
 from treksep.instances import choke_graph, spider_graph
-from treksep.treks import (CapExceededError, Trek, TrekSystem,
-                           enumerate_simple_treks, exists_noncrossing_system,
-                           has_sided_intersection, is_simple, trek_monomial)
-from treksep.verify import random_graph
+from treksep.separation import RankResult, SeparationTriple, min_t_separator
+from treksep.treks import (MIDDLE_BIDIRECTED, CapExceededError, Trek,
+                           enumerate_simple_treks, is_simple, trek_monomial)
+from treksep.verify import _menger_ok, random_graph
 
 
 def test_choke_treks_1_to_4():
@@ -96,19 +98,53 @@ def test_self_trek_is_only_trivial_when_sink_shared():
     assert len(enumerate_simple_treks(choke_graph(), 4, 4)) == 1
 
 
+def test_cap_bounds_the_listing_of_undirected_middles():
+    # K9 with every vertex in U has 109,600 undirected paths from vertex 1:
+    # the cap is hit after 11 of them.  A neighbour list is read once per
+    # path extended, the start and the 10 middles within the cap.
+    g = make_graph(9, undirected=[(a, b) for a in range(1, 10) for b in range(a + 1, 10)])
+    reads = []
+
+    class CountedLists(list):
+        def __getitem__(self, v):
+            reads.append(v)
+            return super().__getitem__(v)
+
+    object.__setattr__(g, "_undirected_lists", CountedLists(g._undirected_lists))
+    with pytest.raises(CapExceededError, match="^enumeration cap of 10 exceeded by the "
+                                               "undirected paths from 1$"):
+        enumerate_simple_treks(g, 1, 2, cap=10)
+    assert len(reads) <= 11
+
+
+def _states(t: Trek):
+    """A trek as the (vertex, level) states of a witness, from its A-end to its B-end."""
+    middle = [] if t.middle_kind == MIDDLE_BIDIRECTED else [(v, 1) for v in t.middle]
+    return (*[(v, 0) for v in reversed(t.left)], *middle, *[(v, 2) for v in t.right])
+
+
+def _witness_ok(g, A, B, cert, treks):
+    """Does verify's Menger check accept cert with treks as a witness of its size?"""
+    size = len(treks)
+    return _menger_ok(g, A, B, RankResult(size, cert, size, tuple(map(_states, treks))))
+
+
 def test_sided_intersection_spider_pair():
     t1 = Trek((3,), None, (3,), (3, 7, 5))
     t2 = Trek((6, 7, 1), None, (6,), (6,))
-    assert not has_sided_intersection(TrekSystem((t1, t2)))
+    assert not has_sided_intersection_reference(TrekSystem((t1, t2)))
+    assert _witness_ok(spider_graph(), {1, 3}, {5, 6}, SeparationTriple.of(cl={7}, cr={7}),
+                       (t1, t2))
 
 
 def test_sided_intersection_duplicate_trek():
+    g, A, B, cut = choke_graph(), {1, 3}, {4, 5}, SeparationTriple.of(cl={1, 3})
     t = Trek((1,), None, (1,), (1, 2, 4))
-    with pytest.raises(ValueError):
-        TrekSystem((t, t))
-    sys2 = TrekSystem((Trek((1,), None, (1,), (1, 2, 4)),
-                       Trek((1, 3), None, (1,), (1, 3, 4, 5))))
-    assert has_sided_intersection(sys2)
+    assert not _witness_ok(g, A, B, cut, (t, t))
+    sys2 = (Trek((1,), None, (1,), (1, 2, 4)), Trek((1, 3), None, (1,), (1, 3, 4, 5)))
+    assert has_sided_intersection_reference(TrekSystem(sys2))
+    assert not _witness_ok(g, A, B, cut, sys2)
+    assert _witness_ok(g, A, B, SeparationTriple.of(cr={4}), sys2[:1])
 
 
 def test_choke_every_pair_system_crosses():
@@ -118,27 +154,25 @@ def test_choke_every_pair_system_crosses():
     for b1, b2 in [(4, 5), (5, 4)]:
         for t1 in table[(1, b1)]:
             for t2 in table[(3, b2)]:
-                assert has_sided_intersection(TrekSystem((t1, t2)))
+                assert has_sided_intersection_reference(TrekSystem((t1, t2)))
+                assert not _witness_ok(g, {1, 3}, {4, 5}, SeparationTriple.of(cl={1, 3}),
+                                       (t1, t2))
 
 
 def test_exists_noncrossing_choke():
     g = choke_graph()
-    assert exists_noncrossing_system(g, {1, 3}, {4, 5}, 1)
-    assert not exists_noncrossing_system(g, {1, 3}, {4, 5}, 2)
+    res = min_t_separator(g, {1, 3}, {4, 5})
+    assert len(res.treks) == 1 and _menger_ok(g, {1, 3}, {4, 5}, res)
+    assert exists_noncrossing_system_reference(g, {1, 3}, {4, 5}, 1)
+    assert not exists_noncrossing_system_reference(g, {1, 3}, {4, 5}, 2)
 
 
 def test_exists_noncrossing_spider():
     g = spider_graph()
-    assert exists_noncrossing_system(g, {1, 2, 3}, {4, 5, 6}, 2)
-    assert not exists_noncrossing_system(g, {1, 2, 3}, {4, 5, 6}, 3)
-
-
-def test_exists_noncrossing_argument_checks():
-    g = choke_graph()
-    with pytest.raises(ValueError):
-        exists_noncrossing_system(g, {1}, {4}, 0)
-    with pytest.raises(ValueError):
-        exists_noncrossing_system(g, {1}, {4}, 2)
+    res = min_t_separator(g, {1, 2, 3}, {4, 5, 6})
+    assert len(res.treks) == 2 and _menger_ok(g, {1, 2, 3}, {4, 5, 6}, res)
+    assert exists_noncrossing_system_reference(g, {1, 2, 3}, {4, 5, 6}, 2)
+    assert not exists_noncrossing_system_reference(g, {1, 2, 3}, {4, 5, 6}, 3)
 
 
 dag_cases = st.tuples(st.integers(2, 6), st.integers(0, 10**6))
@@ -153,18 +187,20 @@ def test_enumerated_treks_are_simple(case, data):
     j = data.draw(st.integers(1, n))
     for t in enumerate_simple_treks(g, i, j):
         assert is_simple(t)
-        assert t.sink_left == i and t.sink_right == j
+        assert t.left[-1] == i and t.right[-1] == j
 
 
 @settings(max_examples=40)
 @given(dag_cases)
 def test_noncrossing_monotone_in_r(case):
+    # a system of r treks exists for every r up to the min-cut rank, none above
     n, seed = case
     g = random_graph(DAG, n, seed, 0.5)
     A = set(range(1, n // 2 + 1))
     B = set(range(n // 2 + 1, n + 1))
     if not A or not B:
         return
-    answers = [exists_noncrossing_system(g, A, B, r)
+    answers = [exists_noncrossing_system_reference(g, A, B, r)
                for r in range(1, min(len(A), len(B)) + 1)]
-    assert answers == sorted(answers, reverse=True)
+    rank = min_t_separator(g, A, B).rank
+    assert answers == [r <= rank for r in range(1, len(answers) + 1)]

@@ -49,9 +49,28 @@ def test_config_validation():
 def test_cross_check_rank_canonical():
     detail = cross_check_rank(choke_graph(), CHOKE_A, CHOKE_B, 1)
     assert detail["ok"] and detail["rank"] == detail["oracle_rank"] == 1
-    assert detail["menger_ok"] and detail["trek_system_ok"]
+    assert detail["menger_ok"]
     detail = cross_check_rank(spider_graph(), SPIDER_A, SPIDER_B, 1)
     assert detail["ok"] and detail["rank"] == 2
+
+
+def test_menger_duality_fails_on_a_network_that_climbs_to_the_right_level(monkeypatch):
+    # a wrong arc entry: a left out-node lists each parent's right in-node
+    # (6p - 2) where the parent's left in-node (6p - 6) belongs.  The flow
+    # still yields a separating triple of the flow's size, so only the
+    # witness check sees the step from (v, left) to (p, right).
+    original = separation._Arcs.__missing__
+
+    def climbs_to_the_right(self, k):
+        arcs = original(self, k)
+        if k % 3 == 0:  # a left out-node: its left in-nodes are those 0 mod 6
+            self[k] = arcs = tuple(x + 4 if x % 6 == 0 else x for x in arcs)
+        return arcs
+
+    monkeypatch.setattr(separation._Arcs, "__missing__", climbs_to_the_right)
+    monkeypatch.setattr(separation, "_last", (None, None))
+    result = verify.criterion_menger(SuiteConfig())
+    assert result.failures and result.passes  # 145 of 600 fail when written
 
 
 def test_cross_check_rank_empty_side():
