@@ -56,9 +56,12 @@ source-side minimum cut, whichever paths were augmented, and so in
 whatever order the arcs are listed.  Read back through `prv` from the
 right in-nodes of B, the flow spells the witness: one trek per unit, no
 two sharing a (vertex, level).  The arcs depend on the graph alone.
-Those of the last graph queried are kept, and each entry is listed the
-first time a search reads it, so a query on a large graph lists only the
-few out-nodes it reaches; once listed, an entry never changes.
+Each query lists its own and drops them when it returns, and each entry
+is listed the first time a search reads it, so a query on a large graph
+lists only the few out-nodes it reaches; once listed, an entry never
+changes.  Criterion 8, which runs one CI search per (A, C) pair of a
+graph, lists that graph's arcs once and hands them to every search
+(`verify._dsep_verdicts`).
 
 A trek ends in a directed path down into B, so its right half lies in
 an(B), the ancestors of B; `_blank` finds an(B) with `graph._closure`,
@@ -160,12 +163,14 @@ class _Arcs(dict):
     it is.  It starts with the level step, left to middle and middle to
     right.  Entries are tuples of ints, which the garbage collector stops
     tracking the first time it sees them, so kept entries add nothing to
-    later collections.
+    later collections.  The arcs hold the graph's index lists and not the
+    graph, and live as long as the query, or the graph's criterion 8 loop,
+    that made them.
     """
 
-    def __init__(self, parents, children, undirected, bidirected):
+    def __init__(self, g: MixedGraph):
         super().__init__()
-        self.lists = parents, children, undirected, bidirected
+        self.lists = g._parent_lists, g._child_lists, g._undirected_lists, g._bidirected_lists
 
     def __missing__(self, k):
         parents, children, undirected, bidirected = self.lists
@@ -182,31 +187,6 @@ class _Arcs(dict):
             arcs = tuple([6 * c - 2 for c in children[v]])
         self[k] = arcs
         return arcs
-
-
-def _adjacency(g: MixedGraph) -> _Arcs:
-    """The arcs of the trek network of g, with no entry listed yet."""
-    return _Arcs(g._parent_lists, g._child_lists, g._undirected_lists, g._bidirected_lists)
-
-
-_last = (None, None)  # the last graph queried and its arcs
-
-
-def _query(g: MixedGraph, A, B):
-    """Check the query (A, B); the arcs of g and a flow state with no units.
-
-    The arcs are made anew only if g is not the last graph queried, after
-    dropping the old ones, so that those of one graph at most are alive.
-    """
-    global _last
-    if not A or not B:
-        raise ValueError("A and B must be nonempty")
-    _require_vertices(g, sorted(A | B))
-    last = _last  # read once: another thread may replace it
-    if last[0] is not g:
-        _last = last = (None, None)
-        _last = last = (g, _adjacency(g))
-    return last[1], [-1] * (3 * g.m)
 
 
 def _blank(g: MixedGraph, B):
@@ -284,7 +264,10 @@ def _search(arcs, prv, A, B, blank, want):
 def min_t_separator(g: MixedGraph, A, B) -> RankResult:
     """Minimum t-separating triple and its size, by max-flow min-cut."""
     A, B = frozenset(A), frozenset(B)
-    arcs, prv = _query(g, A, B)
+    if not A or not B:
+        raise ValueError("A and B must be nonempty")
+    _require_vertices(g, sorted(A | B))
+    arcs, prv = _Arcs(g), [-1] * (3 * g.m)
     blank = _blank(g, B)
     most = min(len(A), len(B))  # the seeds, and the ends, bound the flow
     value = 0
@@ -502,14 +485,16 @@ def d_sep_via_t_sep(g: MixedGraph, A, B, C) -> bool:
     return _some_partition_separates(g.parent_mask, _left_closures(g, A, C), _mask(B))
 
 
-def _ci_reached(g: MixedGraph, AC, C) -> int:
+def _ci_reached(arcs: _Arcs, g: MixedGraph, AC, C) -> int:
     """The mask of the vertices whose right out-node the CI search from A+C reaches.
 
-    The |C| trivial treks c - c are pushed first, and one full search runs,
-    stopped by no end.  The right out-node of c in C is never reached, as its
-    right in-node carries a unit, so CI holds iff the mask misses B.
+    arcs holds the arcs of g; the caller checks that A+C is a nonempty set of
+    vertices of g.  The |C| trivial treks c - c are pushed first, and one
+    full search runs, stopped by no end.  The right out-node of c in C is
+    never reached, as its right in-node carries a unit, so CI holds iff the
+    mask misses B.
     """
-    arcs, prv = _query(g, AC, AC)  # the query has no B yet: check A+C alone
+    prv = [-1] * (3 * g.m)
     for c in C:  # c - c: a source feeds the left level of c, each level the next
         prv[3 * c - 3] = -2
         prv[3 * c - 2] = 6 * c - 5
@@ -529,7 +514,7 @@ def ci_implied(g: MixedGraph, A, B, C) -> bool:
     _require_vertices(g, sorted(AC | BC))
     if not AC or not BC:
         return True  # C is empty as well: rank 0 = |C|
-    return not _ci_reached(g, AC, C) & _mask(B)
+    return not _ci_reached(_Arcs(g), g, AC, C) & _mask(B)
 
 
 @dataclass(frozen=True)

@@ -192,27 +192,22 @@ class Monomial:
     """
 
     powers: Tuple[Tuple[Tuple, int], ...]
-    coefficient: int = 1
 
     @classmethod
-    def from_factors(cls, factors, coefficient=1) -> "Monomial":
+    def from_factors(cls, factors) -> "Monomial":
         counts = Counter(factors)
-        return cls(tuple(sorted(counts.items())), coefficient)
+        return cls(tuple(sorted(counts.items())))
 
     def __str__(self):
         if not self.powers:
-            body = "1"
-        else:
-            parts = []
-            for (name, i, j), exp in self.powers:
-                s = f"{name}({i},{j})"
-                if exp != 1:
-                    s += f"^{exp}"
-                parts.append(s)
-            body = "*".join(parts)
-        if self.coefficient == 1:
-            return body
-        return f"{self.coefficient}*{body}"
+            return "1"
+        parts = []
+        for (name, i, j), exp in self.powers:
+            s = f"{name}({i},{j})"
+            if exp != 1:
+                s += f"^{exp}"
+            parts.append(s)
+        return "*".join(parts)
 
 
 def trek_monomial(g: MixedGraph, t: Trek) -> Monomial:

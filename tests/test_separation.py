@@ -1,8 +1,10 @@
+import gc
 import os
 import random
 import subprocess
 import sys
 import threading
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from treksep.separation import (NotADAGError, SeparationTriple, _require_dag,
                                 is_t_separating, min_t_separator,
                                 vanishing_tetrad)
 from treksep.treks import CapExceededError
-from treksep.verify import _dsep_verdicts, _menger_ok, random_graph
+from treksep.verify import _disjoint_triples, _dsep_verdicts, _menger_ok, random_graph
 
 
 def _reachable(g, A, B):
@@ -34,7 +36,7 @@ def _reachable(g, A, B):
 
 def test_aux_graph_simple_dag():
     g = make_graph(2, directed=[(1, 2)])
-    arcs = separation._adjacency(g)  # entry k: the in-nodes out-node 2k+1 enters
+    arcs = separation._Arcs(g)  # entry k: the in-nodes out-node 2k+1 enters
     assert [arcs[k] for k in range(3 * 2)] == [(2,), (4,), (10,), (8, 0), (10,), ()]
     assert _reachable(g, {1}, {2})
 
@@ -50,7 +52,7 @@ def test_aux_graph_undirected_middle():
 
 def test_aux_graph_bidirected_middle():
     g = make_graph(2, bidirected=[(1, 2)])
-    arcs = separation._adjacency(g)  # over: the right in-nodes of 1 and 2, each once
+    arcs = separation._Arcs(g)  # over: the right in-nodes of 1 and 2, each once
     assert [arcs[k] for k in range(3 * 2)] == [(2, 4, 10), (4,), (), (8, 10, 4), (10,), ()]
     assert _reachable(g, {1}, {2})
     # a middle cut at 1 leaves the trek 1 <- (latent) -> 1 open
@@ -99,13 +101,35 @@ def test_network_cache_alternating_graphs():
             assert _cache_answers(g, i) == alone[id(g)][i]
 
 
-def test_network_cache_is_never_mutated():
-    # entries are listed on first read, so a later query only adds entries
+def _recorded_arcs(monkeypatch):
+    """Patch in an `_Arcs` that records each arc set made, in order.
+
+    Each records its graph and every entry as it was first listed; an entry
+    listed twice fails the query.
+    """
+    made = []
+
+    class Recorded(separation._Arcs):
+        def __init__(self, g):
+            super().__init__(g)
+            self.graph, self.listed = g, {}
+            made.append(self)
+
+        def __missing__(self, k):
+            assert k not in self.listed, k
+            self.listed[k] = entry = super().__missing__(k)
+            return entry
+
+    monkeypatch.setattr(separation, "_Arcs", Recorded)
+    return made
+
+
+def test_network_cache_is_never_mutated(monkeypatch):
+    # each query lists its own entries on first read, and a listed entry
+    # stays as it was listed for the rest of the query
+    made = _recorded_arcs(monkeypatch)
     g = spider_graph()
     min_t_separator(g, SPIDER_A, SPIDER_B)
-    cached_graph, arcs = separation._last
-    first = dict(arcs)
-    assert cached_graph is g and first
     is_t_separating(g, SPIDER_A, SPIDER_B, SeparationTriple.of(cl={7}))
     with pytest.raises(ValueError, match="out of range"):
         min_t_separator(g, {1}, {8})
@@ -113,73 +137,93 @@ def test_network_cache_is_never_mutated():
         is_t_separating(g, set(), {1}, SeparationTriple())
     ci_implied(g, {1, 2}, {5}, {7})
     min_t_separator(g, set(g.vertices), set(g.vertices))
-    assert separation._last == (g, arcs)
-    assert len(arcs) > len(first)
-    assert all(arcs[k] is entry for k, entry in first.items())
+    assert len(made) == 3 and all(arcs.graph is g for arcs in made)
+    assert len(made[2]) > len(made[0]) > 0
     reference = forward_arcs_reference(g)
-    assert all(set(entry) == set(reference[k]) for k, entry in arcs.items())
+    for arcs in made:
+        assert arcs.keys() == arcs.listed.keys()
+        assert all(arcs[k] is entry for k, entry in arcs.listed.items())
+        assert all(set(entry) == set(reference[k]) for k, entry in arcs.items())
 
 
-def _check_entries_read(g, queries):
+def _check_entries_read(g, queries, made):
     """Run the queries on g; each arc entry they read names every in-node once
     and, as a set, is the reference network's forward arcs from that out-node.
 
-    Returns the number of entries read and how many of them list an in-node
-    more than once in the reference, as a vertex with two bidirected edges does.
+    made is the list `_recorded_arcs` fills.  Returns the number of distinct
+    entries read and how many of them list an in-node more than once in the
+    reference, as a vertex with two bidirected edges does.
     """
+    made.clear()
     for A, B, C in queries:
         res = min_t_separator(g, A, B)
         is_t_separating(g, A, B, res.certificate)
         ci_implied(g, A, B, C)
-    graph, arcs = separation._last
-    assert graph is g
+    assert made and all(arcs.graph is g for arcs in made)
     reference = forward_arcs_reference(g)
-    for k, entry in arcs.items():
-        assert len(set(entry)) == len(entry), (k, entry)
-        assert set(entry) == set(reference[k]), (k, entry, reference[k])
-    return len(arcs), sum(len(set(reference[k])) < len(reference[k]) for k in arcs)
+    read = {}
+    for arcs in made:
+        for k, entry in arcs.items():
+            assert len(set(entry)) == len(entry), (k, entry)
+            assert set(entry) == set(reference[k]), (k, entry, reference[k])
+            assert read.setdefault(k, entry) == entry, (k, entry, read[k])
+    return len(read), sum(len(set(reference[k])) < len(reference[k]) for k in read)
 
 
 @pytest.mark.parametrize("cls", [DAG, UNDIRECTED, MIXED])
-def test_arc_entries_read_match_the_network_without_repeats(cls):
+def test_arc_entries_read_match_the_network_without_repeats(monkeypatch, cls):
+    made = _recorded_arcs(monkeypatch)
     rng = random.Random(f"differential/{cls}")
     read = repeated = 0
     for _ in range(300):
         n = rng.randint(2, 14)
         g = random_graph(cls, n, rng.randrange(10**6), rng.choice((0.2, 0.4, 0.6)))
         queries = [(_sample(rng, n, 1, 4), _sample(rng, n, 1, 4), _sample(rng, n, 0, 4))]
-        counts = _check_entries_read(g, queries)
+        counts = _check_entries_read(g, queries, made)
         read += counts[0]
         repeated += counts[1]
     assert read >= 1000
     assert repeated >= (50 if cls == MIXED else 0), repeated
 
 
-def test_arc_entries_read_on_a_relabelled_large_graph_match_the_network():
+def test_arc_entries_read_on_a_relabelled_large_graph_match_the_network(monkeypatch):
+    made = _recorded_arcs(monkeypatch)
     rng = random.Random("differential/relabelled/entries")
     h, _ = _relabelled(_large_graph(rng), rng)
     queries = [(_sample(rng, h.m, 1, 12), _sample(rng, h.m, 1, 12), _sample(rng, h.m, 0, 6))
                for _ in range(8)]
-    read, repeated = _check_entries_read(h, queries)
+    read, repeated = _check_entries_read(h, queries, made)
     assert read >= 300 and repeated >= 20, (read, repeated)
 
 
-def test_network_built_once_per_graph_after_dropping_the_last(monkeypatch):
-    built = []
-
-    def counted(g):
-        assert separation._last == (None, None)  # the old adjacency is gone
-        built.append(g)
-        return real(g)
-
-    real = separation._adjacency
-    monkeypatch.setattr(separation, "_adjacency", counted)
+def test_arcs_built_once_per_graph_by_dsep_verdicts_and_once_per_query(monkeypatch):
+    made = _recorded_arcs(monkeypatch)
     g1, g2 = choke_graph(), spider_graph()
     for g, A, B in [(g1, CHOKE_A, CHOKE_B)] * 3 + [(g2, SPIDER_A, SPIDER_B)] * 2 \
             + [(g1, CHOKE_A, CHOKE_B)]:
         min_t_separator(g, A, B)
         is_t_separating(g, A, B, SeparationTriple.of(cl=A))
-    assert [g is g1 for g in built] == [True, False, True]
+    ci_implied(g1, {1}, {5}, {4})
+    assert [arcs.graph for arcs in made] == [g1] * 3 + [g2] * 2 + [g1] * 2
+    made.clear()
+    graphs = [g1] + [random_graph(DAG, 5, seed, 0.5) for seed in range(3)]
+    for g in graphs:
+        assert len(list(_dsep_verdicts(g, _disjoint_triples(g.m)))) > 1
+    assert [arcs.graph for arcs in made] == graphs
+
+
+def test_a_query_keeps_no_reference_to_its_graph():
+    # the caller's last reference to a graph frees it, without a collection
+    gc.disable()
+    try:
+        g = spider_graph()
+        min_t_separator(g, SPIDER_A, SPIDER_B)
+        ci_implied(g, {1, 2}, {5}, {7})
+        alive = weakref.ref(g)
+        del g
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_network_cache_shared_by_threads():
@@ -252,7 +296,7 @@ def test_threads_fill_the_entries_of_one_fresh_graph():
     assert len({res.rank for res in expected}) >= 2
 
 
-def test_a_query_on_a_large_sparse_graph_lists_few_arc_entries():
+def test_a_query_on_a_large_sparse_graph_lists_few_arc_entries(monkeypatch):
     rng = random.Random("sparse graph")
     n, u = 200_000, 80_000
 
@@ -268,9 +312,10 @@ def test_a_query_on_a_large_sparse_graph_lists_few_arc_entries():
                    bidirected=pairs(u + 1, n, 40_000), u=range(1, u + 1))
     A = rng.sample(range(1, n + 1), 8)
     B = A[:4] + rng.sample(range(1, n + 1), 4)
+    made = _recorded_arcs(monkeypatch)
     assert min_t_separator(g, A, B).rank >= 4
-    graph, arcs = separation._last
-    assert graph is g and 0 < len(arcs) < 0.01 * 3 * n, len(arcs)
+    [arcs] = made
+    assert arcs.graph is g and 0 < len(arcs) < 0.01 * 3 * n, len(arcs)
 
 
 _OPTIMIZED_QUERIES = """

@@ -1,4 +1,5 @@
 import pytest
+from test_separation import _recorded_arcs
 
 from treksep import separation, verify
 from treksep.graph import (DAG, MIXED, UNDIRECTED, graph_class, parse_graph,
@@ -37,7 +38,7 @@ def test_config_validation():
         SuiteConfig(graph_count=0)
     with pytest.raises(ValueError):
         SuiteConfig(max_vertices=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # a constant, not a field
         SuiteConfig(edge_density=0)
     with pytest.raises(ValueError, match="trials_per_instance must be at least 1"):
         SuiteConfig(trials_per_instance=0)
@@ -68,7 +69,6 @@ def test_menger_duality_fails_on_a_network_that_climbs_to_the_right_level(monkey
         return arcs
 
     monkeypatch.setattr(separation._Arcs, "__missing__", climbs_to_the_right)
-    monkeypatch.setattr(separation, "_last", (None, None))
     result = verify.criterion_menger(SuiteConfig())
     assert result.failures and result.passes  # 145 of 600 fail when written
 
@@ -118,12 +118,13 @@ def test_dsep_equivalence_searches_once_per_a_c_pair(monkeypatch):
     for name in ("d_separates", "d_sep_via_t_sep", "ci_implied",
                  "min_t_separator", "generic_rank"):
         monkeypatch.setattr(separation, name, forbidden)
-    searched = []  # the graph of each search, read from the adjacency cache
+    made = _recorded_arcs(monkeypatch)
+    searched = []  # the graph of each search, read from the arcs it searches
     real_search = separation._search
 
-    def counted_search(*args):
-        searched.append(separation._last[0])
-        return real_search(*args)
+    def counted_search(arcs, *rest):
+        searched.append(arcs.graph)
+        return real_search(arcs, *rest)
 
     monkeypatch.setattr(separation, "_search", counted_search)
     result = verify.criterion_dsep_equivalence(DSEP_CFG)
@@ -135,6 +136,7 @@ def test_dsep_equivalence_searches_once_per_a_c_pair(monkeypatch):
         per_graph[-1][1] += 1
     graphs = _dsep_graphs(DSEP_CFG)
     assert [g for g, _ in per_graph] == graphs
+    assert [id(arcs.graph) for arcs in made] == [id(g) for g, _ in per_graph]  # one set per graph
     pairs = [len({(A, C) for A, _, C in verify._disjoint_triples(g.m)}) for g in graphs]
     assert [count for _, count in per_graph] == pairs
     assert sum(pairs) < sum(1 for g in graphs for _ in verify._disjoint_triples(g.m))
