@@ -86,6 +86,15 @@ def _fmt_set(s) -> str:
     return "{" + ",".join(str(v) for v in sorted(s)) + "}"
 
 
+def _parse_ab(args, g: MixedGraph, *flags) -> list:
+    """The vertex sets of --A, --B and then of each of flags, parsed in that
+    order; then --A and --B must be nonempty."""
+    sets = [_parse_ids(getattr(args, flag[2:]), g, flag) for flag in ("--A", "--B", *flags)]
+    if not sets[0] or not sets[1]:
+        raise UsageError("--A and --B must be nonempty")
+    return sets
+
+
 def cmd_validate(args) -> int:
     text = _read_text(args.graph)
     try:
@@ -102,10 +111,7 @@ def cmd_validate(args) -> int:
 def cmd_rank(args) -> int:
     _require_at_least("--trials", args.trials, 1)
     g = _load_graph(args.graph)
-    A = _parse_ids(args.A, g, "--A")
-    B = _parse_ids(args.B, g, "--B")
-    if not A or not B:
-        raise UsageError("--A and --B must be nonempty")
+    A, B = _parse_ab(args, g)
     res = separation.min_t_separator(g, A, B)
     cert = res.certificate
     payload = {"rank": res.rank,
@@ -134,10 +140,7 @@ def cmd_rank(args) -> int:
 
 def cmd_tsep(args) -> int:
     g = _load_graph(args.graph)
-    A = _parse_ids(args.A, g, "--A")
-    B = _parse_ids(args.B, g, "--B")
-    if not A or not B:
-        raise UsageError("--A and --B must be nonempty")
+    A, B = _parse_ab(args, g)
     triple = separation.SeparationTriple.of(
         cl=_parse_ids(args.CL, g, "--CL"),
         cm=_parse_ids(args.CM, g, "--CM"),
@@ -148,11 +151,7 @@ def cmd_tsep(args) -> int:
 
 
 def _disjoint_abc(args, g):
-    A = _parse_ids(args.A, g, "--A")
-    B = _parse_ids(args.B, g, "--B")
-    C = _parse_ids(args.C, g, "--C")
-    if not A or not B:
-        raise UsageError("--A and --B must be nonempty")
+    A, B, C = _parse_ab(args, g, "--C")
     if A & B or A & C or B & C:
         raise UsageError("--A, --B and --C must be pairwise disjoint")
     return A, B, C

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .graph import MixedGraph, make_graph
+from .graph import MixedGraph, parse_graph
 
 CHOKE_TEXT = """\
 v 5
@@ -32,9 +32,9 @@ SPIDER_B = frozenset({4, 5, 6})
 
 def choke_graph() -> MixedGraph:
     """Five-vertex DAG where every trek from {1,3} to {4,5} passes vertex 4."""
-    return make_graph(5, directed=[(1, 2), (1, 3), (2, 4), (3, 4), (4, 5)])
+    return parse_graph(CHOKE_TEXT)
 
 
 def spider_graph() -> MixedGraph:
     """Hub-and-spoke DAG: hub 7 between legs {1,2,3} and {4,5,6}."""
-    return make_graph(7, directed=[(7, 1), (7, 2), (3, 7), (7, 4), (7, 5), (6, 7)])
+    return parse_graph(SPIDER_TEXT)

@@ -95,12 +95,16 @@ vertices (bit v for vertex v) read from the graph's parent and child
 masks.  Neither calls the other or the network code, so criterion 8's
 three-way comparison stays a real cross-check.  Each does most of its work
 from (A, C) alone, and B enters only a last test.  `_bayes_ball` gives the
-vertices the ball visits, d-separated iff they miss B.  `_left_closures`
-gives, for every C_A within C, the left closure of A+C around C_A, and
-`_some_partition_separates` grows, per B, the right closure of B+C around
-C_B = C - C_A until it meets that left closure.  Each public decider is its
-input checks and then those two parts; criterion 8 computes the (A, C)
-parts once per pair on each graph.
+vertices the ball visits, d-separated iff they miss B; each round is two
+`_spread` unions, the parents of the vertices reached going up outside C
+or coming down into C, and the children of the vertices outside C reached
+either way.  `_left_closures` gives, for every C_A within C, the left
+closure of A+C around C_A, and `_some_partition_separates` grows, per B,
+the right closure of B+C around C_B = C - C_A until it meets that left
+closure.  Each public decider is its input checks and then those two
+parts; criterion 8 walks a graph's triples by A, then C, then B, and
+computes the (A, C) parts once, before its loop over B
+(`verify._dsep_verdicts`).
 """
 
 from __future__ import annotations
@@ -352,12 +356,6 @@ def _require_dag(g: MixedGraph):
         raise NotADAGError("operation is defined for DAGs only")
 
 
-def _require_disjoint(A, B, C):
-    A, B, C = set(A), set(B), set(C)
-    if A & B or A & C or B & C:
-        raise ValueError("A, B and C must be pairwise disjoint")
-
-
 def _mask(vertices) -> int:
     """The int mask of a vertex set: bit v for vertex v."""
     mask = 0
@@ -369,7 +367,19 @@ def _mask(vertices) -> int:
 def _require_dsep_query(g: MixedGraph, A, B, C):
     _require_dag(g)
     _require_vertices(g, sorted({*A, *B, *C}))
-    _require_disjoint(A, B, C)
+    A, B, C = set(A), set(B), set(C)
+    if A & B or A & C or B & C:
+        raise ValueError("A, B and C must be pairwise disjoint")
+
+
+def _spread(table, mask) -> int:
+    """The union of table[v] over the bits v of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def _bayes_ball(g: MixedGraph, A, C) -> int:
@@ -387,24 +397,8 @@ def _bayes_ball(g: MixedGraph, A, C) -> int:
     up = new_up = _mask(A)
     down = new_down = 0
     while new_up or new_down:
-        next_up = next_down = 0
-        frontier = new_up & ~c_set
-        while frontier:
-            low = frontier & -frontier
-            v = low.bit_length() - 1
-            next_up |= pmask[v]
-            next_down |= cmask[v]
-            frontier ^= low
-        frontier = new_down & ~c_set
-        while frontier:
-            low = frontier & -frontier
-            next_down |= cmask[low.bit_length() - 1]
-            frontier ^= low
-        frontier = new_down & c_set
-        while frontier:
-            low = frontier & -frontier
-            next_up |= pmask[low.bit_length() - 1]
-            frontier ^= low
+        next_up = _spread(pmask, new_up & ~c_set | new_down & c_set)
+        next_down = _spread(cmask, (new_up | new_down) & ~c_set)
         new_up = next_up & ~up
         new_down = next_down & ~down
         up |= new_up

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import ClassVar, Dict, List, Optional
 
 from . import algebra, instances, separation
@@ -302,43 +302,34 @@ def criterion_subdivision(cfg: SuiteConfig) -> CheckResult:
     return out
 
 
-def _disjoint_triples(n: int):
-    vs = range(1, n + 1)
-    for a_size in (1, 2):
-        for A in combinations(vs, a_size):
-            rest_a = [v for v in vs if v not in A]
-            for b_size in (1, 2):
-                for B in combinations(rest_a, b_size):
-                    rest_b = [v for v in rest_a if v not in B]
-                    for c_size in range(0, 4):
-                        for C in combinations(rest_b, c_size):
-                            yield frozenset(A), frozenset(B), frozenset(C)
-
-
-def _dsep_verdicts(g: MixedGraph, triples):
-    """(A, B, C, d, t, ci) for each disjoint triple of g, in the order given.
+def _dsep_verdicts(g: MixedGraph):
+    """(A, B, C, d, t, ci) for every disjoint triple of g with |A|, |B| <= 2
+    and |C| <= 3, as sorted tuples, by A, then C, then B.
 
     Each decider does most of its work from (A, C) alone: Bayes-ball's
     visited set, the left closures of the partition search and the vertices
     whose right out-node the CI search reaches.  Those parts are computed
-    once per (A, C) pair, kept for this call on g only, and each triple runs
-    the three per-B tests against the mask of B.  Every CI search reads the
-    one set of trek-network arcs listed for g in this call.
+    once per (A, C) pair that leaves a vertex for B, and each B runs the
+    three per-B tests against its mask.  Every CI search reads the one set
+    of trek-network arcs listed for g in this call.
     """
-    parts = {}
     pmask = g.parent_mask
     arcs = separation._Arcs(g)
-    for A, B, C in triples:
-        part = parts.get((A, C))
-        if part is None:
-            part = parts[A, C] = (separation._bayes_ball(g, A, C),
-                                  separation._left_closures(g, A, C),
-                                  separation._ci_reached(arcs, g, A | C, C))
-        reach, lefts, ci_reach = part
-        b = separation._mask(B)
-        yield (A, B, C, not reach & b,
-               separation._some_partition_separates(pmask, lefts, b),
-               not ci_reach & b)
+    vs = range(1, g.m + 1)
+    for A in chain(combinations(vs, 1), combinations(vs, 2)):
+        rest_a = [v for v in vs if v not in A]
+        for C in chain.from_iterable(combinations(rest_a, k) for k in range(4)):
+            rest_c = [v for v in rest_a if v not in C]
+            if not rest_c:
+                continue
+            reach = separation._bayes_ball(g, A, C)
+            lefts = separation._left_closures(g, A, C)
+            ci_reach = separation._ci_reached(arcs, g, A + C, C)
+            for B in chain(combinations(rest_c, 1), combinations(rest_c, 2)):
+                b = separation._mask(B)
+                yield (A, B, C, not reach & b,
+                       separation._some_partition_separates(pmask, lefts, b),
+                       not ci_reach & b)
 
 
 def criterion_dsep_equivalence(cfg: SuiteConfig) -> CheckResult:
@@ -347,13 +338,14 @@ def criterion_dsep_equivalence(cfg: SuiteConfig) -> CheckResult:
     Every disjoint triple of each graph (|A|, |B| <= 2, |C| <= 3) is decided
     three ways by `_dsep_verdicts`, from the parts the public deciders run
     after their input checks, which these DAGs and triples pass by
-    construction.  The first disagreement of a graph is recorded with the
-    three verdicts; it replays through the public deciders.
+    construction.  The first disagreement of a graph, in the order A, then
+    C, then B, is recorded with the three verdicts; it replays through the
+    public deciders.
     """
     out = CheckResult("dsep_equivalence")
     for g, rng in _graph_stream(DAG, cfg, cfg.graph_count, "dsep"):
         bad = None
-        for A, B, C, d, t, ci in _dsep_verdicts(g, _disjoint_triples(g.m)):
+        for A, B, C, d, t, ci in _dsep_verdicts(g):
             if not d == t == ci:
                 bad = {"A": sorted(A), "B": sorted(B), "C": sorted(C),
                        "d_separates": d, "via_t_sep": t, "ci_implied": ci}

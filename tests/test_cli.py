@@ -293,6 +293,9 @@ _ERROR_ROWS = [
      "error: --CR: vertex 9 out of range [1,5]"),
     ("tsep", "empty set", ["{choke}", "--A", "1", "--B", ""], 2,
      "error: --A and --B must be nonempty"),
+    # tsep checks --A and --B before it parses the triple
+    ("tsep", "two faults", ["{choke}", "--A", "", "--B", "4", "--CR", "9"], 2,
+     "error: --A and --B must be nonempty"),
     ("dsep", "missing file", ["{missing}", "--A", "1", "--B", "4"], 2,
      "error: cannot read {missing}: No such file or directory"),
     ("dsep", "parse error", ["{bad}", "--A", "1", "--B", "4"], 2,
@@ -301,6 +304,9 @@ _ERROR_ROWS = [
      "error: --C: vertex 9 out of range [1,5]"),
     ("dsep", "empty set", ["{choke}", "--A", "1", "--B", ""], 2,
      "error: --A and --B must be nonempty"),
+    # dsep parses --C before it checks --A and --B
+    ("dsep", "two faults", ["{choke}", "--A", "", "--B", "5", "--C", "99"], 2,
+     "error: --C: vertex 99 out of range [1,5]"),
     ("dsep", "overlapping sets", ["{choke}", "--A", "1", "--B", "4", "--C", "4"], 2,
      "error: --A, --B and --C must be pairwise disjoint"),
     ("dsep", "cap exceeded",
@@ -348,7 +354,8 @@ def test_error_table_covers_every_subcommand_and_class():
         == {"validate", "rank", "tsep", "dsep", "ci", "treks", "verify"}
     assert {row[1] for row in _ERROR_ROWS} == {
         "missing file", "parse error", "out-of-range id", "empty set",
-        "overlapping sets", "cap exceeded", "count below minimum", "internal error"}
+        "overlapping sets", "cap exceeded", "count below minimum", "internal error",
+        "two faults"}
 
 
 @pytest.mark.parametrize("command, kind, argv, code, line, output", _error_cases())

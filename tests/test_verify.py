@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 from test_separation import _recorded_arcs
 
@@ -108,6 +110,27 @@ def _dsep_graphs(cfg):
     return [g for g, _ in verify._graph_stream(DAG, cfg, cfg.graph_count, "dsep")]
 
 
+def _triples(n):
+    """Every disjoint triple (A, B, C) on vertices 1..n with |A|, |B| <= 2 and
+    |C| <= 3, by brute force, in criterion 8's order: by A, then C, then B,
+    each by size and then lexicographically."""
+    subsets = [frozenset(s) for k in range(4) for s in combinations(range(1, n + 1), k)]
+    triples = [(A, B, C) for A, B, C in product(subsets, repeat=3)
+               if 1 <= len(A) <= 2 and 1 <= len(B) <= 2
+               and not (A & B or A & C or B & C)]
+    return sorted(triples, key=lambda t: [(len(s), sorted(s)) for s in (t[0], t[2], t[1])])
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_dsep_equivalence_decides_every_disjoint_triple_once(n):
+    # the triples criterion 8 decides are exactly the brute-force ones, each
+    # once and in the order the per-triple replay below assumes
+    g = random_graph(DAG, n, n, 0.4)
+    decided = [(frozenset(A), frozenset(B), frozenset(C))
+               for A, B, C, *_ in verify._dsep_verdicts(g)]
+    assert decided == _triples(n)  # which lists each triple once
+
+
 def test_dsep_equivalence_searches_once_per_a_c_pair(monkeypatch):
     # the three deciders' (A, C) parts are shared by every B: one CI search
     # per distinct (A, C) pair of each graph, and no public decider or
@@ -137,16 +160,16 @@ def test_dsep_equivalence_searches_once_per_a_c_pair(monkeypatch):
     graphs = _dsep_graphs(DSEP_CFG)
     assert [g for g, _ in per_graph] == graphs
     assert [id(arcs.graph) for arcs in made] == [id(g) for g, _ in per_graph]  # one set per graph
-    pairs = [len({(A, C) for A, _, C in verify._disjoint_triples(g.m)}) for g in graphs]
+    pairs = [len({(A, C) for A, _, C in _triples(g.m)}) for g in graphs]  # each with a B
     assert [count for _, count in per_graph] == pairs
-    assert sum(pairs) < sum(1 for g in graphs for _ in verify._disjoint_triples(g.m))
+    assert sum(pairs) < sum(len(_triples(g.m)) for g in graphs)
 
 
 def _per_triple_first_failure(cfg):
     """The record of criterion 8's first failing triple when every triple
     calls the three public deciders: the record the shared parts must give."""
     for g in _dsep_graphs(cfg):
-        for A, B, C in verify._disjoint_triples(g.m):
+        for A, B, C in _triples(g.m):
             d = separation.d_separates(g, A, B, C)
             t = separation.d_sep_via_t_sep(g, A, B, C)
             ci = separation.ci_implied(g, A, B, C)
@@ -162,7 +185,7 @@ def test_dsep_equivalence_failure_record_replays(monkeypatch):
     # second graph: both the criterion and a per-triple loop over the public
     # deciders make one such test per triple, in the same order
     graphs = _dsep_graphs(DSEP_CFG)
-    flip_at = sum(1 for _ in verify._disjoint_triples(graphs[0].m)) + 6
+    flip_at = len(_triples(graphs[0].m)) + 6
     real = separation._some_partition_separates
     calls = []
 
