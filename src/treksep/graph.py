@@ -32,10 +32,11 @@ Only a check that fails sorts its edges, to list its violations in edge
 order.
 
 A graph keeps the one adjacency index of the package, which every module
-reads: the parent lists of `_build`'s closure pass and the child lists of
-Kahn's pass (`_parent_lists`, `_child_lists`), and the undirected and
-bidirected neighbour lists (`_undirected_lists`, `_bidirected_lists`), which
-`_neighbours` lists on first read, so that a parse does not pay for them.
+but `separation._trek_steps` reads: the parent lists of `_build`'s closure
+pass and the child lists of Kahn's pass (`_parent_lists`, `_child_lists`),
+and the undirected and bidirected neighbour lists (`_undirected_lists`,
+`_bidirected_lists`), which `_neighbours` lists on first read, so that a
+parse does not pay for them.
 A graph made directly through `MixedGraph(...)` lists its parents and
 children on first read too.  `_closure` climbs the parent lists, for
 `_build`'s U, `ancestors` and the an(B) of a query.
@@ -44,6 +45,7 @@ children on first read too.  `_closure` climbs the parent lists, for
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, starmap
@@ -286,12 +288,25 @@ def _neighbours(m, edges) -> List[Tuple[int, ...]]:
     """nbr[v] holds the neighbours of v along edges, a set of pairs (entry 0 unused).
 
     Tuples, not lists: the garbage collector stops tracking them, which on
-    a large graph saves more than growing them costs.
+    a large graph saves more than growing them costs.  A tuple grows by
+    copying, so past 64 neighbours the rest wait in a list, joined once at
+    the end: linear in the edges, in edge order either way.
     """
     nbr = [()] * (m + 1)
+    more = defaultdict(list)
     for i, j in edges:
-        nbr[i] += (j,)
-        nbr[j] += (i,)
+        t = nbr[i]
+        if len(t) < 64:
+            nbr[i] = t + (j,)
+        else:
+            more[i].append(j)
+        t = nbr[j]
+        if len(t) < 64:
+            nbr[j] = t + (i,)
+        else:
+            more[j].append(i)
+    for v, rest in more.items():
+        nbr[v] += tuple(rest)
     return nbr
 
 

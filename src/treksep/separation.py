@@ -16,7 +16,11 @@ neighbours (over); from the middle out-node the right in-node of v and the
 middle in-nodes of the undirected neighbours (across); from the right
 out-node the right in-nodes of the children (down).  The parent, child,
 undirected and bidirected lists are the graph's own adjacency index (see
-`graph`), which every module reads.
+`graph`).  `_trek_steps` writes the steps between (vertex, level) states
+that the arcs spell once more, from the graph's edge sets and never the
+index.  `is_t_separating` searches them, with no flow, and so does the
+Menger check (`verify._menger_ok`), which thus shares no code with
+`_Arcs`, `_search` or the index: a wrong index entry fails it.
 
 A bidirected edge i <-> j, a latent common parent of i and j, is the
 middle of the treks whose left path climbs to i or j and whose right path
@@ -110,7 +114,7 @@ computes the (A, C) parts once, before its loop over B
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .graph import DAG, MixedGraph, _closure, _require_vertices, graph_class
 from .treks import CapExceededError
@@ -316,38 +320,46 @@ def generic_rank(g: MixedGraph, A, B) -> int:
     return 0
 
 
+def _trek_steps(g: MixedGraph) -> Dict[Tuple[int, int], Set[Tuple[int, int]]]:
+    """Each (vertex, level) state of g -> the states a trek may step to: the
+    steps that the arcs spell, read off g's edge sets (module doc)."""
+    steps = {}
+    for v in g.vertices:
+        steps[v, 0], steps[v, 1], steps[v, 2] = {(v, 1)}, {(v, 2)}, set()
+    for p, c in g.directed_edges:
+        steps[c, 0].add((p, 0))
+        steps[p, 2].add((c, 2))
+    for i, j in g.undirected_edges:
+        steps[i, 1].add((j, 1))
+        steps[j, 1].add((i, 1))
+    for i, j in g.bidirected_edges:
+        steps[i, 0].update(((i, 2), (j, 2)))
+        steps[j, 0].update(((j, 2), (i, 2)))
+    return steps
+
+
 def is_t_separating(g: MixedGraph, A, B, c: SeparationTriple) -> bool:
     """Does deleting c (layer by layer) block every trek from A to B?
 
-    A search of the (vertex, level) states of g, entering none of c, on the
-    graph's index lists and not the flow network: left up to parents, to the
-    middle, and from (i, left) to (i, right) and (j, right) for i <-> j;
-    middle along undirected edges and to the right; right down to children.
+    A search of `_trek_steps(g)` from the left states of A, entering none of
+    c, for a right state of B.
     """
     _require_vertices(g, sorted(c.c_left | c.c_mid | c.c_right))
     A, B = frozenset(A), frozenset(B)
     if not A or not B:
         raise ValueError("A and B must be nonempty")
     _require_vertices(g, sorted(A | B))
+    steps = _trek_steps(g)
     seen = {(v, level) for level, vs in enumerate((c.c_left, c.c_mid, c.c_right)) for v in vs}
     todo = [(a, 0) for a in A]
     while todo:
         state = todo.pop()
         if state in seen:
             continue
-        seen.add(state)
-        v, level = state
-        if level == 0:
-            todo += [(v, 1), *[(p, 0) for p in g._parent_lists.get(v, ())]]
-            over = g._bidirected_lists[v]
-            if over:
-                todo += [(v, 2), *[(j, 2) for j in over]]
-        elif level == 1:
-            todo += [(v, 2), *[(j, 1) for j in g._undirected_lists[v]]]
-        elif v in B:
+        if state[1] == 2 and state[0] in B:
             return False
-        else:
-            todo += [(w, 2) for w in g._child_lists[v]]
+        seen.add(state)
+        todo += steps[state]
     return True
 
 

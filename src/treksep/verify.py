@@ -124,29 +124,13 @@ def _sample_set(rng: random.Random, n: int, max_size: int) -> frozenset:
     return frozenset(rng.sample(range(1, n + 1), rng.randint(1, min(max_size, n))))
 
 
-def _trek_steps(g: MixedGraph) -> set:
-    """The steps between (vertex, level) states a trek may take, read off g's
-    edge sets, not its index; a bidirected edge i <-> j leads from (i, left)
-    to (i, right) and (j, right)."""
-    steps = set()
-    for v in range(1, g.m + 1):
-        steps.update((((v, 0), (v, 1)), ((v, 1), (v, 2))))
-    for p, c in g.directed_edges:
-        steps.update((((c, 0), (p, 0)), ((p, 2), (c, 2))))
-    for i, j in g.undirected_edges:
-        steps.update((((i, 1), (j, 1)), ((j, 1), (i, 1))))
-    for i, j in g.bidirected_edges:
-        for s, t in ((i, j), (j, i)):
-            steps.update((((s, 0), (s, 2)), ((s, 0), (t, 2))))
-    return steps
-
-
 def _menger_ok(g: MixedGraph, A, B, res: separation.RankResult) -> bool:
     """The certificate and the trek system of res prove each other minimum.
 
     Flow value, certificate size, rank and trek count agree, the triple
     t-separates A from B, and the treks run from (a, left), a in A, to
-    (b, right), b in B, by `_trek_steps` with no (vertex, level) used twice.
+    (b, right), b in B, by `separation._trek_steps` with no (vertex, level)
+    used twice; both checks read the graph's edge sets, not its index.
     A separating triple blocks each trek at a member of its own, so neither
     a smaller triple nor a larger system exists (Menger).
     """
@@ -154,11 +138,11 @@ def _menger_ok(g: MixedGraph, A, B, res: separation.RankResult) -> bool:
     if not (res.flow_value == cert.size() == res.rank == len(res.treks)
             and separation.is_t_separating(g, A, B, cert)):
         return False
-    steps = _trek_steps(g)
+    steps = separation._trek_steps(g)
     states = [state for trek in res.treks for state in trek]
     return len(set(states)) == len(states) and all(
         trek[0][1] == 0 and trek[0][0] in A and trek[-1][1] == 2 and trek[-1][0] in B
-        and all(step in steps for step in zip(trek, trek[1:]))
+        and all(t in steps[s] for s, t in zip(trek, trek[1:]))
         for trek in res.treks)
 
 

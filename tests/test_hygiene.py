@@ -78,42 +78,52 @@ def unread_parameters(source: str) -> list:
     return sorted(out)
 
 
-def _reads(node, attributes_only: bool) -> Counter:
-    """How often node reads each name: attribute accesses, and loaded names
-    unless attributes_only."""
+def _reads(node, kind: str) -> Counter:
+    """How often node reads each name as a definition of the given kind: a
+    "function" by a loaded name or an attribute, a "property" by an
+    attribute, a "method" only by an attribute that is called."""
     out = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute):
+        if kind == "method":
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+                out[sub.func.attr] += 1
+        elif isinstance(sub, ast.Attribute):
             out[sub.attr] += 1
-        elif (not attributes_only and isinstance(sub, ast.Name)
-              and isinstance(sub.ctx, ast.Load)):
+        elif kind == "function" and isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             out[sub.id] += 1
     return out
+
+
+def _member_kind(item) -> str:
+    decorators = {getattr(d, "id", None) for d in item.decorator_list}
+    return "property" if decorators & {"property", "cached_property"} else "method"
 
 
 def unread_public(sources: dict) -> list:
     """(module, name) of each public module-level function, and (module,
     "Class.name") of each public method or property, that no module but
     `__init__.py` reads outside its own definition.  A function is read by
-    its name or as an attribute, a method or property only as an attribute."""
+    its name or as an attribute, a property as an attribute, and a method
+    only where it is called: an attribute of the same name that is not
+    called reads some other class's field or property."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    defined = []  # (module, label, definition, read only as an attribute)
+    defined = []  # (module, label, definition, kind)
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                defined.append((module, node.name, node, False))
+                defined.append((module, node.name, node, "function"))
             elif isinstance(node, ast.ClassDef):
-                defined.extend((module, f"{node.name}.{item.name}", item, True)
+                defined.extend((module, f"{node.name}.{item.name}", item, _member_kind(item))
                                for item in node.body
                                if isinstance(item, ast.FunctionDef)
                                and not item.name.startswith("_"))
-    reads = {flag: Counter() for flag in (False, True)}
+    reads = {kind: Counter() for kind in ("function", "property", "method")}
     for module, tree in trees.items():
         if module != "__init__.py":
-            for flag, counts in reads.items():
-                counts.update(_reads(tree, flag))
-    return sorted((module, label) for module, label, node, flag in defined
-                  if reads[flag][node.name] <= _reads(node, flag)[node.name])
+            for kind, counts in reads.items():
+                counts.update(_reads(tree, kind))
+    return sorted((module, label) for module, label, node, kind in defined
+                  if reads[kind][node.name] <= _reads(node, kind)[node.name])
 
 
 # The public names that no module reads, each kept for its reason.
@@ -124,6 +134,8 @@ KEPT_UNREAD = {
         "ROADMAP item 4 gates it as the exact Sigma equality of criterion 7",
     ("verify.py", "CheckResult.ok"):
         "the acceptance tests read it",
+    ("algebra.py", "RationalMatrix.rank"):
+        "the Fraction rank reference of tests/test_algebra.py calls it",
 }
 
 
@@ -182,15 +194,18 @@ def test_checker_flags_a_public_name_no_module_reads():
                 "class Box:\n"
                 "    def shown(self):\n        return self.size\n\n"
                 "    @property\n    def size(self):\n        return self.size\n\n"
+                "    @cached_property\n    def area(self):\n        return 0\n\n"
                 "    def unread(self):\n        return self.unread()\n\n"
+                "    def rank(self):\n        return 0\n\n"
                 "    def _private(self):\n        pass\n\n"
                 "    def __len__(self):\n        return 0\n",
         "b.py": "from . import a\nfrom .a import by_name\n\n"
-                "def caller(box, unread):\n"
-                "    by_name()\n    a.by_attribute()\n    return box.shown(), unread\n",
+                "def caller(box, result, unread):\n"
+                "    by_name()\n    a.by_attribute()\n"
+                "    return box.shown(), box.area, result.rank, unread\n",
     }
-    assert unread_public(sources) == [("a.py", "Box.unread"), ("a.py", "exported"),
-                                      ("b.py", "caller")]
+    assert unread_public(sources) == [("a.py", "Box.rank"), ("a.py", "Box.unread"),
+                                      ("a.py", "exported"), ("b.py", "caller")]
 
 
 def test_no_public_name_is_read_only_from_tests():

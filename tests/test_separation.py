@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -13,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import treksep
 from separation_reference import (ci_implied_reference, forward_arcs_reference,
-                                  min_t_separator_reference)
-from test_differential import _large_graph, _relabelled
+                                  is_t_separating_reference, min_t_separator_reference)
+from test_differential import _large_graph, _relabelled, _sample
 from treksep import separation
 from treksep.algebra import generic_rank_oracle
 from treksep.graph import DAG, MIXED, UNDIRECTED, make_graph, parse_graph, serialize
@@ -318,6 +319,20 @@ def test_a_query_on_a_large_sparse_graph_lists_few_arc_entries(monkeypatch):
     assert arcs.graph is g and 0 < len(arcs) < 0.01 * 3 * n, len(arcs)
 
 
+@pytest.mark.parametrize("op", ["--", "<->"])
+def test_the_first_query_on_a_100k_leaf_star_is_linear_in_its_edges(op):
+    # the hub has 100,000 neighbours; a neighbour list that grew by one tuple
+    # copy per edge made this query take about 30 s
+    n = 100_001
+    g = parse_graph(f"v {n}\n" + "".join(f"e 1 {op} {k}\n" for k in range(2, n + 1)))
+    start = time.process_time()
+    assert min_t_separator(g, {2}, {1, 3}).rank == 1
+    assert time.process_time() - start < 5
+    lists, edges = ((g._undirected_lists, g.undirected_edges) if op == "--"
+                    else (g._bidirected_lists, g.bidirected_edges))
+    assert lists[1] == tuple(j for _, j in edges)  # in edge order, past 64 leaves too
+
+
 _OPTIMIZED_QUERIES = """
 import sys
 from treksep import separation
@@ -472,6 +487,35 @@ def test_tsep_spider_hub():
     assert not is_t_separating(g, SPIDER_A, SPIDER_B, SeparationTriple.of(cl={7}))
     assert is_t_separating(g, SPIDER_A, SPIDER_B,
                            SeparationTriple.of(cl={7}, cr={7}))
+
+
+class _Unreadable:
+    """An index list that raises when read."""
+
+    def _read(self, *args):
+        raise AssertionError("the adjacency index was read")
+
+    __getitem__ = __iter__ = __len__ = __bool__ = get = _read
+
+
+@pytest.mark.parametrize("cls", [DAG, UNDIRECTED, MIXED])
+def test_tsep_reads_the_edge_sets_not_the_index(cls):
+    # is_t_separating searches `_trek_steps`, made from the edge sets alone,
+    # so it answers as the network reference on a graph whose four index
+    # lists raise when read
+    rng = random.Random(f"tsep without the index/{cls}")
+    verdicts = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        g = random_graph(cls, n, rng.randrange(10**6), rng.choice((0.2, 0.4, 0.6)))
+        for name in ("_parent_lists", "_child_lists", "_undirected_lists", "_bidirected_lists"):
+            object.__setattr__(g, name, _Unreadable())
+        A, B = _sample(rng, n, 1, 4), _sample(rng, n, 1, 4)
+        triple = SeparationTriple.of(*(_sample(rng, n, 0, 2) for _ in range(3)))
+        verdict = is_t_separating(g, A, B, triple)
+        assert verdict == is_t_separating_reference(g, A, B, triple), (A, B, triple)
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 50, verdicts
 
 
 def test_min_separator_choke():

@@ -75,6 +75,24 @@ def test_menger_duality_fails_on_a_network_that_climbs_to_the_right_level(monkey
     assert result.failures and result.passes  # 145 of 600 fail when written
 
 
+@pytest.mark.parametrize("name, edges, cls, tag", [
+    ("_undirected_lists", "undirected_edges", UNDIRECTED, "rank_undirected"),
+    ("_bidirected_lists", "bidirected_edges", MIXED, "rank_mixed")])
+def test_menger_duality_fails_on_an_index_that_lists_each_edge_one_way(name, edges, cls, tag):
+    # a wrong adjacency index: each undirected (bidirected) edge i, j, i < j,
+    # is listed from i alone.  The flow misses the treks that step from j to
+    # i, and its triple, which separates in that index, does not separate in
+    # the graph: only a check that reads the edge sets sees it
+    rejected = 0
+    for g, A, B, _ in verify._rank_queries(SuiteConfig(), cls, tag):
+        one_way = [()] * (g.m + 1)
+        for i, j in getattr(g, edges):
+            one_way[i] += (j,)
+        object.__setattr__(g, name, one_way)
+        rejected += not verify._menger_ok(g, A, B, separation.min_t_separator(g, A, B))
+    assert rejected  # 56 (undirected) and 5 (bidirected) of 200 when written
+
+
 def test_cross_check_rank_empty_side():
     detail = cross_check_rank(choke_graph(), set(), CHOKE_B, 1)
     assert detail["ok"] and detail["rank"] == 0
