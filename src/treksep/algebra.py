@@ -492,22 +492,20 @@ def trek_rule_covariance(g: MixedGraph, p: ParamAssignment, i: int, j: int) -> F
 
 
 def simple_trek_rule_covariance(g: MixedGraph, p: ParamAssignment,
-                                sigma: RationalMatrix, i: int, j: int,
-                                cap: int = DEFAULT_CAP) -> Fraction:
+                                sigma: RationalMatrix, i: int, j: int) -> Fraction:
     """Covariance entry as the sum over simple treks, the trek with top v
     weighted by a_v = sigma_vv, the variance read off the covariance sigma."""
     if graph_class(g) != DAG:
         raise ValueError("the simple trek rule is defined for DAGs")
     total = Fraction(0)
-    for t in enumerate_simple_treks(g, i, j, cap):
+    for t in enumerate_simple_treks(g, i, j, DEFAULT_CAP):
         top = t.middle[0] - 1
         total += (sigma.entries[top][top] * _path_weight(p, t.left)
                   * _path_weight(p, t.right))
     return total
 
 
-def gvl_minor_two_ways(g: MixedGraph, p: ParamAssignment, R, S,
-                       cap: int = DEFAULT_CAP) -> Tuple[Fraction, Fraction]:
+def gvl_minor_two_ways(g: MixedGraph, p: ParamAssignment, R, S) -> Tuple[Fraction, Fraction]:
     """Minor of Lambda^{-1} two ways: exact determinant vs the signed sum
     over vertex-disjoint directed path systems from R to S."""
     if graph_class(g) != DAG:
@@ -521,7 +519,7 @@ def gvl_minor_two_ways(g: MixedGraph, p: ParamAssignment, R, S,
     options = {(r, s): [(path, frozenset(path)) for path in into[s].get(r, [])]
                for r in Rs for s in Ss}
     total = Fraction(0)
-    for system in _disjoint_systems(Rs, Ss, options, cap):
+    for system in _disjoint_systems(Rs, Ss, options, DEFAULT_CAP):
         cols = [s for s, _ in system]  # the permutation's sign: -1 per inversion
         weight = Fraction((-1) ** sum(x > y for x, y in combinations(cols, 2)))
         for _, path in system:
@@ -551,8 +549,7 @@ def cauchy_binet_two_ways(g: MixedGraph, p: ParamAssignment, A, B
     return lhs, rhs
 
 
-def undirected_minor_check(g: MixedGraph, p: ParamAssignment, A, B,
-                           cap: int = DEFAULT_CAP) -> Tuple[Fraction, bool]:
+def undirected_minor_check(g: MixedGraph, p: ParamAssignment, A, B) -> Tuple[Fraction, bool]:
     """Exact minor of Sigma = K^{-1} plus a combinatorial zero/nonzero verdict.
 
     The verdict is True iff there is a system of #A vertex-disjoint paths
@@ -567,11 +564,11 @@ def undirected_minor_check(g: MixedGraph, p: ParamAssignment, A, B,
     sigma = build_covariance(g, p)
     minor = submatrix_for(sigma, As, Bs).det()
 
-    middles = _undirected_middles(g, As, cap)
+    middles = _undirected_middles(g, As, DEFAULT_CAP)
     options = {(a, b): [(path, frozenset(path))
                         for path in ([(a,)] if a == b else middles.get((a, b), []))]
                for a in As for b in Bs}
-    verdict = next(_disjoint_systems(As, Bs, options, cap), None) is not None
+    verdict = next(_disjoint_systems(As, Bs, options, DEFAULT_CAP), None) is not None
     return minor, verdict
 
 

@@ -114,10 +114,7 @@ def cmd_rank(args) -> int:
     A, B = _parse_ab(args, g)
     res = separation.min_t_separator(g, A, B)
     cert = res.certificate
-    payload = {"rank": res.rank,
-               "certificate": {"cl": sorted(cert.c_left),
-                               "cm": sorted(cert.c_mid),
-                               "cr": sorted(cert.c_right)}}
+    payload = {"rank": res.rank, "certificate": cert.as_dict()}
     lines = [f"rank {res.rank}; C_L={_fmt_set(cert.c_left)} "
              f"C_M={_fmt_set(cert.c_mid)} C_R={_fmt_set(cert.c_right)}"]
     if graph_class(g) == DAG:
@@ -236,6 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "graphical models on mixed graphs, via minimum "
                     "trek-separating sets, with an exact algebraic oracle.")
     sub = parser.add_subparsers(dest="command", required=True)
+    suite = verify.SuiteConfig()  # the defaults of `verify`, and of `rank --seed/--trials`
 
     def common(p, graph=True):
         if graph:
@@ -252,8 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", required=True, help="comma-separated vertex ids")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check with the exact algebraic oracle")
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--seed", type=int, default=suite.seed)
+    p.add_argument("--trials", type=int, default=suite.trials_per_instance)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("tsep", help="does (C_L,C_M,C_R) t-separate A from B?")
@@ -288,10 +286,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the randomized cross-check suite")
     common(p, graph=False)
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    p.add_argument("--graphs", type=int, default=200)
-    p.add_argument("--max-vertices", type=int, default=6)
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--seed", type=int, default=suite.seed)
+    p.add_argument("--graphs", type=int, default=suite.graph_count)
+    p.add_argument("--max-vertices", type=int, default=suite.max_vertices)
+    p.add_argument("--trials", type=int, default=suite.trials_per_instance)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -18,9 +18,9 @@ out-node the right in-nodes of the children (down).  The parent, child,
 undirected and bidirected lists are the graph's own adjacency index (see
 `graph`).  `_trek_steps` writes the steps between (vertex, level) states
 that the arcs spell once more, from the graph's edge sets and never the
-index.  `is_t_separating` searches them, with no flow, and so does the
-Menger check (`verify._menger_ok`), which thus shares no code with
-`_Arcs`, `_search` or the index: a wrong index entry fails it.
+index.  `is_t_separating` searches them (`_t_separates`), with no flow,
+and so does the Menger check (`verify._menger_ok`), which thus shares no
+code with `_Arcs`, `_search` or the index: a wrong index entry fails it.
 
 A bidirected edge i <-> j, a latent common parent of i and j, is the
 middle of the treks whose left path climbs to i or j and whose right path
@@ -140,6 +140,10 @@ class SeparationTriple:
 
     def size(self) -> int:
         return len(self.c_left) + len(self.c_mid) + len(self.c_right)
+
+    def as_dict(self) -> Dict[str, List[int]]:
+        """The members of each level, sorted, as `rank --output json` prints them."""
+        return {"cl": sorted(self.c_left), "cm": sorted(self.c_mid), "cr": sorted(self.c_right)}
 
     def dag_pair_view(self) -> Tuple[FrozenSet[int], FrozenSet[int]]:
         """(C_A, C_B) with the middle layer folded into the left side."""
@@ -339,17 +343,18 @@ def _trek_steps(g: MixedGraph) -> Dict[Tuple[int, int], Set[Tuple[int, int]]]:
 
 
 def is_t_separating(g: MixedGraph, A, B, c: SeparationTriple) -> bool:
-    """Does deleting c (layer by layer) block every trek from A to B?
-
-    A search of `_trek_steps(g)` from the left states of A, entering none of
-    c, for a right state of B.
-    """
+    """Does deleting c (layer by layer) block every trek from A to B?"""
     _require_vertices(g, sorted(c.c_left | c.c_mid | c.c_right))
     A, B = frozenset(A), frozenset(B)
     if not A or not B:
         raise ValueError("A and B must be nonempty")
     _require_vertices(g, sorted(A | B))
-    steps = _trek_steps(g)
+    return _t_separates(_trek_steps(g), A, B, c)
+
+
+def _t_separates(steps, A, B, c: SeparationTriple) -> bool:
+    """A search of steps, from `_trek_steps`, from the left states of A,
+    entering none of c: True iff it reaches no right state of B."""
     seen = {(v, level) for level, vs in enumerate((c.c_left, c.c_mid, c.c_right)) for v in vs}
     todo = [(a, 0) for a in A]
     while todo:
@@ -363,11 +368,6 @@ def is_t_separating(g: MixedGraph, A, B, c: SeparationTriple) -> bool:
     return True
 
 
-def _require_dag(g: MixedGraph):
-    if graph_class(g) != DAG:
-        raise NotADAGError("operation is defined for DAGs only")
-
-
 def _mask(vertices) -> int:
     """The int mask of a vertex set: bit v for vertex v."""
     mask = 0
@@ -377,7 +377,8 @@ def _mask(vertices) -> int:
 
 
 def _require_dsep_query(g: MixedGraph, A, B, C):
-    _require_dag(g)
+    if graph_class(g) != DAG:
+        raise NotADAGError("operation is defined for DAGs only")
     _require_vertices(g, sorted({*A, *B, *C}))
     A, B, C = set(A), set(B), set(C)
     if A & B or A & C or B & C:
@@ -523,34 +524,16 @@ def ci_implied(g: MixedGraph, A, B, C) -> bool:
     return not _ci_reached(_Arcs(g), g, AC, C) & _mask(B)
 
 
-@dataclass(frozen=True)
-class ChokePoint:
-    vertex: int
-    side: str  # "left" or "right"
+def vanishing_tetrad(g: MixedGraph, ij, kl) -> Optional[SeparationTriple]:
+    """Certificate for a vanishing 2x2 minor of Sigma, or None.
 
-
-def vanishing_tetrad(g: MixedGraph, ij, kl) -> Optional[ChokePoint]:
-    """Choke-point certificate for a vanishing 2x2 minor, or None.
-
-    Returns a vertex c with a side such that ({c}, {}) or ({}, {c})
-    t-separates {i,j} from {k,l}; None when the minor is generically
-    nonzero (rank 2).  If the two blocks have no treks at all, any vertex
-    works and the smallest row vertex is reported.  Raises ValueError unless
-    ij and kl are two distinct vertices each.
+    Returns the minimum t-separating triple of `min_t_separator`, of size at
+    most 1, when rank Sigma_{ij,kl} < 2, and None when the minor is
+    generically nonzero (rank 2).  Raises ValueError unless ij and kl are
+    two distinct vertices each.
     """
-    _require_dag(g)
     ij, kl = tuple(ij), tuple(kl)
-    A = frozenset(ij)
-    B = frozenset(kl)
-    if not len(ij) == len(A) == len(kl) == len(B) == 2:
+    if not len(ij) == len(set(ij)) == len(kl) == len(set(kl)) == 2:
         raise ValueError("a tetrad needs two distinct rows and two distinct columns")
-    res = min_t_separator(g, A, B)
-    if res.rank >= 2:
-        return None
-    if res.rank == 0:
-        return ChokePoint(vertex=min(A), side="left")
-    cert = res.certificate
-    if cert.c_right:
-        return ChokePoint(vertex=min(cert.c_right), side="right")
-    c_a = cert.c_left | cert.c_mid
-    return ChokePoint(vertex=min(c_a), side="left")
+    res = min_t_separator(g, ij, kl)
+    return res.certificate if res.rank < 2 else None

@@ -47,14 +47,6 @@ class Trek:
     middle: Tuple[int, ...]
     right: Tuple[int, ...]
 
-    @property
-    def source_left(self) -> int:
-        return self.left[0]
-
-    @property
-    def source_right(self) -> int:
-        return self.right[0]
-
 
 def is_simple(t: Trek) -> bool:
     """Segments self-avoiding and overlapping only at the two sources."""
@@ -64,7 +56,7 @@ def is_simple(t: Trek) -> bool:
     counts = Counter()
     for seg in (t.left, t.middle, t.right):
         counts.update(set(seg))
-    allowed = {t.source_left, t.source_right}
+    allowed = {t.left[0], t.right[0]}
     return all(v in allowed for v, c in counts.items() if c > 1)
 
 
@@ -116,7 +108,7 @@ def _undirected_middles(g: MixedGraph, starts, cap: Optional[int] = None
 
 
 def _trek_sort_key(t: Trek):
-    return (t.source_left, t.source_right, _KIND_RANK[t.middle_kind],
+    return (t.left[0], t.right[0], _KIND_RANK[t.middle_kind],
             len(t.left), len(t.right), t.left, t.middle, t.right)
 
 

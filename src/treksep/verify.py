@@ -17,7 +17,6 @@ from . import algebra, instances, separation
 from .graph import (DAG, MIXED, UNDIRECTED, MixedGraph, bidirected_subdivision,
                     make_graph, serialize)
 
-DEFAULT_SEED = 31415
 # Smallest max_vertices the criteria can draw from: criterion 7 gives each of
 # its mixed graphs a bidirected edge between two W vertices, and
 # `random_graph` puts two vertices in W only from n = 4 on.
@@ -26,7 +25,7 @@ MIN_VERTICES = 4
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    seed: int = DEFAULT_SEED
+    seed: int = 31415
     max_vertices: int = 6
     graph_count: int = 200
     trials_per_instance: int = 5
@@ -130,15 +129,15 @@ def _menger_ok(g: MixedGraph, A, B, res: separation.RankResult) -> bool:
     Flow value, certificate size, rank and trek count agree, the triple
     t-separates A from B, and the treks run from (a, left), a in A, to
     (b, right), b in B, by `separation._trek_steps` with no (vertex, level)
-    used twice; both checks read the graph's edge sets, not its index.
+    used twice; both checks read one step map, made from the graph's edge
+    sets, not its index.
     A separating triple blocks each trek at a member of its own, so neither
     a smaller triple nor a larger system exists (Menger).
     """
-    cert = res.certificate
+    cert, steps = res.certificate, separation._trek_steps(g)
     if not (res.flow_value == cert.size() == res.rank == len(res.treks)
-            and separation.is_t_separating(g, A, B, cert)):
+            and separation._t_separates(steps, A, B, cert)):
         return False
-    steps = separation._trek_steps(g)
     states = [state for trek in res.treks for state in trek]
     return len(set(states)) == len(states) and all(
         trek[0][1] == 0 and trek[0][0] in A and trek[-1][1] == 2 and trek[-1][0] in B
@@ -153,6 +152,7 @@ def cross_check_rank(g: MixedGraph, A, B, seed: int, trials: int = 5) -> dict:
     nonempty, "menger_ok" is `_menger_ok`: the triple and the trek system
     of `min_t_separator` prove its value on the graph, with no oracle.
     """
+    A, B = frozenset(A), frozenset(B)
     res = separation.min_t_separator(g, A, B) if A and B else None
     rank = res.rank if res else 0
     oracle = algebra.generic_rank_oracle(g, A, B, seed, trials)
@@ -353,10 +353,9 @@ def criterion_canonical(cfg: SuiteConfig) -> CheckResult:
                        "oracle_rank": oracle})
 
     tetrad = separation.vanishing_tetrad(choke, (1, 3), (4, 5))
-    out.record(tetrad is not None and tetrad.vertex == 4 and tetrad.side == "right",
+    out.record(tetrad == separation.SeparationTriple.of(cr={4}),
                choke, {"check": "canonical_choke_tetrad",
-                       "certificate": None if tetrad is None
-                       else [tetrad.vertex, tetrad.side]})
+                       "certificate": None if tetrad is None else tetrad.as_dict()})
 
     spider = instances.spider_graph()
     res = separation.min_t_separator(spider, instances.SPIDER_A, instances.SPIDER_B)

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 import treksep
-from treksep import graph
-from treksep.cli import main
+from treksep import graph, verify
+from treksep.cli import _build_parser, main
 from treksep.instances import CHOKE_TEXT, SPIDER_TEXT
 
 
@@ -208,6 +208,16 @@ def test_verify_small_run(capsys):
     assert payload["seed"] == 1
     assert payload["failures"] == []
     assert payload["checks"]["canonical_instances"]["failures"] == 0
+
+
+def test_verify_defaults_are_the_suite_config_defaults():
+    args = _build_parser().parse_args(["verify"])
+    assert verify.SuiteConfig(seed=args.seed, max_vertices=args.max_vertices,
+                              graph_count=args.graphs,
+                              trials_per_instance=args.trials) == verify.SuiteConfig()
+    args = _build_parser().parse_args(["rank", "g", "--A", "1", "--B", "2"])
+    assert (args.seed, args.trials) == (verify.SuiteConfig().seed,
+                                        verify.SuiteConfig().trials_per_instance)
 
 
 def test_usage_error_exit_code():

@@ -13,7 +13,7 @@ from treksep.instances import CHOKE_TEXT, choke_graph
 from treksep.algebra import generic_rank_oracle
 from treksep.separation import (SeparationTriple, ci_implied, d_sep_via_t_sep,
                                 d_separates, generic_rank, is_t_separating,
-                                min_t_separator)
+                                min_t_separator, vanishing_tetrad)
 from treksep.treks import enumerate_simple_treks
 from treksep.verify import random_graph
 
@@ -160,6 +160,7 @@ _RANGE_CHECKED = {
     "d_separates": lambda g, v: d_separates(g, {1}, {v}, {3}),
     "d_sep_via_t_sep": lambda g, v: d_sep_via_t_sep(g, {1}, {2}, {v}),
     "enumerate_simple_treks": lambda g, v: enumerate_simple_treks(g, 1, v),
+    "vanishing_tetrad": lambda g, v: vanishing_tetrad(g, (1, 2), (3, v)),
     "ancestors": ancestors,
 }
 

@@ -876,25 +876,51 @@ def test_shared_dsep_verdicts_match_public_and_reference_deciders():
 
 
 def test_vanishing_tetrad_choke():
-    cp = vanishing_tetrad(choke_graph(), (1, 3), (4, 5))
-    assert cp is not None and cp.vertex == 4 and cp.side == "right"
+    assert vanishing_tetrad(choke_graph(), (1, 3), (4, 5)) == SeparationTriple.of(cr={4})
 
 
 def test_vanishing_tetrad_spider_blocks():
-    # {1,2} and {4,5} all hang off the hub: rank 1, hub certificate
-    cp = vanishing_tetrad(spider_graph(), (1, 2), (4, 5))
-    assert cp is not None and cp.vertex == 7
+    # {1,2} and {4,5} all hang off the hub: rank 1, the hub's left state
+    assert vanishing_tetrad(spider_graph(), (1, 2), (4, 5)) == SeparationTriple.of(cl={7})
     # {1,3} vs {4,6} straddles the hub on both sides: rank 2, no certificate
     assert vanishing_tetrad(spider_graph(), (1, 3), (4, 6)) is None
 
 
 def test_vanishing_tetrad_overlapping_pairs():
     chain = make_graph(3, directed=[(1, 2), (2, 3)])
-    cp = vanishing_tetrad(chain, (1, 2), (2, 3))
-    assert cp is not None and cp.vertex == 2
+    assert vanishing_tetrad(chain, (1, 2), (2, 3)) == SeparationTriple.of(cr={2})
     # collider: sigma_12 = 0 but the off-diagonal entries keep rank 2
     collider = make_graph(3, directed=[(1, 3), (2, 3)])
     assert vanishing_tetrad(collider, (1, 3), (2, 3)) is None
+
+
+def test_vanishing_tetrad_on_every_graph_class():
+    # no trek from {1,2} to {3,4}: rank 0, the empty triple
+    assert vanishing_tetrad(make_graph(4, directed=[(1, 2)]), (1, 2), (3, 4)) \
+        == SeparationTriple()
+    # a path 1 - 2 - 3 - 4: rank 1, cut at a middle level
+    path = make_graph(4, undirected=[(1, 2), (2, 3), (3, 4)])
+    assert vanishing_tetrad(path, (1, 2), (3, 4)) == SeparationTriple.of(cm={2})
+    # 1 -> 3 <-> 4 <- 2: only 3 and 4 are joined by a trek, over the bidirected edge
+    mixed = make_graph(4, directed=[(1, 3), (2, 4)], bidirected=[(3, 4)], u=())
+    assert vanishing_tetrad(mixed, (1, 3), (2, 4)) == SeparationTriple.of(cl={3})
+
+
+@pytest.mark.parametrize("cls", [DAG, UNDIRECTED, MIXED])
+def test_vanishing_tetrad_is_none_iff_the_oracle_gives_rank_two(cls):
+    rng = random.Random(f"tetrad/{cls}")
+    sizes = Counter()
+    for _ in range(300):
+        n = rng.randint(4, 8)
+        g = random_graph(cls, n, rng.getrandbits(32), 0.3)
+        ij, kl = rng.sample(range(1, n + 1), 2), rng.sample(range(1, n + 1), 2)
+        got = vanishing_tetrad(g, ij, kl)
+        assert (got is None) == (generic_rank_oracle(g, ij, kl, rng.getrandbits(32)) == 2), \
+            (g, ij, kl, got)
+        if got is not None:
+            assert got.size() <= 1 and is_t_separating(g, ij, kl, got), (g, ij, kl, got)
+        sizes["none" if got is None else got.size()] += 1
+    assert min(sizes[k] for k in ("none", 0, 1)) >= 10, sizes  # every answer occurs
 
 
 @pytest.mark.parametrize("ij, kl", [((1, 1), (4, 5)), ((1, 2, 3), (4, 5)), ((1,), (4, 5)),

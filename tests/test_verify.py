@@ -98,6 +98,27 @@ def test_cross_check_rank_empty_side():
     assert detail["ok"] and detail["rank"] == 0
 
 
+@pytest.mark.parametrize("A, B, rank", [((1, 3), (4, 5), 1), ((), (4, 5), 0)])
+def test_cross_check_rank_reads_each_side_once(A, B, rank):
+    # the min-cut, the oracle, the detail dict and the Menger check all read
+    # A and B: a one-shot iterator must give the same answer as a list or a set
+    details = [cross_check_rank(choke_graph(), kind(A), kind(B), 1)
+               for kind in (list, set, iter)]
+    assert details[0] == details[1] == details[2]
+    assert details[0]["ok"] and details[0]["rank"] == rank
+
+
+def test_canonical_tetrad_failure_record_prints_the_triple(monkeypatch):
+    # a wrong certificate fails the record, which prints it as `rank
+    # --output json` prints a certificate
+    monkeypatch.setattr(separation, "vanishing_tetrad",
+                        lambda g, ij, kl: separation.SeparationTriple.of(cm={4}))
+    result = verify.criterion_canonical(SuiteConfig())
+    assert result.passes == 2
+    assert [(f["check"], f["certificate"]) for f in result.failures] == [
+        ("canonical_choke_tetrad", {"cl": [], "cm": [4], "cr": []})]
+
+
 def test_run_suite_small_deterministic():
     cfg = SuiteConfig(seed=2, graph_count=4, max_vertices=4)
     r1 = run_suite(cfg)
