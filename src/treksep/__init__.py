@@ -16,7 +16,7 @@ from .graph import (DAG, MIXED, UNDIRECTED, GraphError, InvalidGraphError,
 from .separation import (RankResult, SeparationTriple, ci_implied,
                          d_sep_via_t_sep, d_separates, generic_rank,
                          is_t_separating, min_t_separator, vanishing_tetrad)
-from .treks import CapExceededError, Monomial, Trek, enumerate_simple_treks, trek_monomial
+from .treks import CapExceededError, Trek, enumerate_simple_treks, trek_monomial
 from .verify import SuiteConfig, SuiteReport, cross_check_rank, random_graph, run_suite
 
 __version__ = "0.1.0"
@@ -26,7 +26,7 @@ __all__ = [
     "MixedGraph", "GraphError", "ParseError", "InvalidGraphError",
     "parse_graph", "serialize", "make_graph", "validate", "graph_class",
     "topological_order", "ancestors", "bidirected_subdivision",
-    "Trek", "Monomial", "CapExceededError",
+    "Trek", "CapExceededError",
     "enumerate_simple_treks", "trek_monomial",
     "SeparationTriple", "RankResult", "min_t_separator", "generic_rank",
     "is_t_separating", "d_separates", "d_sep_via_t_sep", "ci_implied",

@@ -187,13 +187,13 @@ def cmd_treks(args) -> int:
     payload = {"count": len(found), "treks": []}
     lines = []
     for t in found:
-        mono = treks.trek_monomial(g, t)
+        mono = treks.trek_monomial(t)
         payload["treks"].append({
             "left": list(t.left),
             "middle_kind": t.middle_kind,
             "middle": list(t.middle),
             "right": list(t.right),
-            "monomial": str(mono),
+            "monomial": mono,
         })
         mid = "" if t.middle_kind is None else f" [{t.middle_kind}: " \
             + "-".join(str(v) for v in t.middle) + "]"

@@ -1,10 +1,11 @@
-"""Simple treks and trek monomials.
+"""Simple treks and their trek-rule monomials.
 
 A trek between i and j is a triple (left, middle, right): two directed
 paths into i and j plus a middle segment joining their sources.  The middle
 is trivial (the shared source), an undirected path, or a single bidirected
 edge.  Simple treks have self-avoiding segments that overlap only at the
-two sources.
+two sources.  `trek_monomial` writes a trek's term of the trek rule (the
+lambdas of its two paths times the phi, or the psis, of its middle) as text.
 
 Trek systems are not listed here.  `separation.min_t_separator` returns a
 largest one with its minimum separator, each trek as (vertex, level)
@@ -176,39 +177,15 @@ def enumerate_simple_treks(g: MixedGraph, i: int, j: int,
     return treks
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Product of parameter symbols with integer exponents.
+def trek_monomial(t: Trek) -> str:
+    """The trek's term of the trek rule, as text such as "lambda(1,3)*phi(1,2)".
 
-    Symbol keys are ('lambda', i, j), ('phi', i, j) or ('psi', i, j).
-    """
-
-    powers: Tuple[Tuple[Tuple, int], ...]
-
-    @classmethod
-    def from_factors(cls, factors) -> "Monomial":
-        counts = Counter(factors)
-        return cls(tuple(sorted(counts.items())))
-
-    def __str__(self):
-        if not self.powers:
-            return "1"
-        parts = []
-        for (name, i, j), exp in self.powers:
-            s = f"{name}({i},{j})"
-            if exp != 1:
-                s += f"^{exp}"
-            parts.append(s)
-        return "*".join(parts)
-
-
-def trek_monomial(g: MixedGraph, t: Trek) -> Monomial:
-    """Symbolic covariance contribution of one trek.
-
-    Trivial middles contribute the top's variance symbol phi(top,top);
-    bidirected middles a phi covariance; undirected middles one psi factor
-    per middle edge (normalization by standard deviations is left to the
-    algebraic layer).
+    One lambda(a,b) per edge a -> b of the two directed paths; a trivial
+    middle adds the top's variance phi(top,top), a bidirected middle the
+    covariance phi(s,t) with s < t, and an undirected middle one psi(s,t)
+    per edge (normalization by standard deviations is left to the algebraic
+    layer).  Factors are written in sorted order, each once, with ^e when
+    it occurs e > 1 times; no simple trek repeats a factor.
     """
     factors = []
     for path in (t.left, t.right):
@@ -223,7 +200,8 @@ def trek_monomial(g: MixedGraph, t: Trek) -> Monomial:
         for a, b in zip(t.middle, t.middle[1:]):
             lo, hi = (a, b) if a < b else (b, a)
             factors.append(("psi", lo, hi))
-    return Monomial.from_factors(factors)
+    return "*".join(f"{name}({i},{j})" + (f"^{e}" if e > 1 else "")
+                    for (name, i, j), e in sorted(Counter(factors).items())) or "1"
 
 
 def _disjoint_systems(rows, cols, options, cap: int):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from typing import ClassVar, Dict, List, Optional
+from typing import ClassVar, Dict, List
 
 from . import algebra, instances, separation
 from .graph import (DAG, MIXED, UNDIRECTED, MixedGraph, bidirected_subdivision,
@@ -50,14 +50,11 @@ class CheckResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def record(self, ok: bool, g: Optional[MixedGraph], query: dict):
+    def record(self, ok: bool, g: MixedGraph, query: dict):
         if ok:
             self.passes += 1
         else:
-            entry = dict(query)
-            if g is not None:
-                entry["graph"] = serialize(g)
-            self.failures.append(entry)
+            self.failures.append({**query, "graph": serialize(g)})
 
 
 @dataclass
@@ -145,7 +142,8 @@ def _menger_ok(g: MixedGraph, A, B, res: separation.RankResult) -> bool:
         for trek in res.treks)
 
 
-def cross_check_rank(g: MixedGraph, A, B, seed: int, trials: int = 5) -> dict:
+def cross_check_rank(g: MixedGraph, A, B, seed: int,
+                     trials: int = SuiteConfig.trials_per_instance) -> dict:
     """Min-cut rank vs algebraic oracle, plus Menger duality on the certificate.
 
     Returns a detail dict with an overall "ok" verdict.  With A and B

@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no module-level private function or class goes unreferenced, no
-module-level private function has a parameter it never reads, no public
-function, method or property is read only from the tests, and no module
-uses an `assert` statement, which `python -O` strips.
+module-level function or method has a parameter (but `self` or `cls`) it
+never reads, no public function, method or property is read only from the
+tests, and no module uses an `assert` statement, which `python -O` strips.
 
 `__init__.py` is exempt from the import check, since its imports are the
 package's re-exports, and its re-exports are no reads for the public-name
@@ -63,18 +63,23 @@ def unreferenced_private(sources: dict) -> list:
 
 
 def unread_parameters(source: str) -> list:
-    """(function, parameter) of each parameter that a module-level `_private`
-    function never reads."""
+    """(function, parameter) of each parameter, but `self` and `cls`, that a
+    module-level function, or a method ("Class.method") of a module-level
+    class, never reads."""
+    tree = ast.parse(source)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = [(node.name, node) for node in tree.body if isinstance(node, functions)]
+    defs += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+             if isinstance(cls, ast.ClassDef)
+             for node in cls.body if isinstance(node, functions)]
     out = []
-    for node in ast.parse(source).body:
-        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name.startswith("_") and not node.name.startswith("__")):
-            args = node.args
-            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
-            read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
-                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
-            out.extend((node.name, p) for p in params if p not in read)
+    for label, node in defs:
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        out.extend((label, p) for p in params if p not in read and p not in ("self", "cls"))
     return sorted(out)
 
 
@@ -176,8 +181,13 @@ def test_checker_flags_an_unread_parameter():
     source = ("def _f(a, b, *rest, c, **opts):\n    b = a\n    return b\n\n"
               "def _g(x):\n    def inner():\n        return x\n    return inner\n\n"
               "def public(unused):\n    pass\n\n"
-              "class _C:\n    def _m(self, unused):\n        pass\n")
-    assert unread_parameters(source) == [("_f", "c"), ("_f", "opts"), ("_f", "rest")]
+              "class _C:\n    def _m(self, unused):\n        pass\n\n"
+              "class Box:\n    @classmethod\n    def make(cls, n):\n        return cls(n)\n\n"
+              "    def size(self, scale, unused=0):\n        return scale\n\n"
+              "    def __init__(self, n):\n        self.n = n\n")
+    assert unread_parameters(source) == [("Box.size", "unused"), ("_C._m", "unused"),
+                                         ("_f", "c"), ("_f", "opts"), ("_f", "rest"),
+                                         ("public", "unused")]
 
 
 def test_checker_flags_an_assert_statement():

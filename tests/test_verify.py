@@ -1,3 +1,4 @@
+import inspect
 from itertools import combinations, product
 
 import pytest
@@ -106,6 +107,11 @@ def test_cross_check_rank_reads_each_side_once(A, B, rank):
                for kind in (list, set, iter)]
     assert details[0] == details[1] == details[2]
     assert details[0]["ok"] and details[0]["rank"] == rank
+
+
+def test_cross_check_rank_trials_default_is_the_suite_default():
+    trials = inspect.signature(cross_check_rank).parameters["trials"].default
+    assert trials == SuiteConfig().trials_per_instance
 
 
 def test_canonical_tetrad_failure_record_prints_the_triple(monkeypatch):
