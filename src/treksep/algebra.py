@@ -4,11 +4,12 @@
 only what Sigma_{A,B} depends on: the columns of Lambda^{-1} over the
 ancestors of A and B.  It never solves K: Sigma_{A,B} is the Schur
 complement of K in a sparse matrix N, so each trial ranks N mod PRIME and
-subtracts |U|.  N's pattern depends on the graph, A and B alone: each call
-plans the sparse elimination once (`_plan`), and each trial draws its
-parameters (`_draws`), fills N and runs the planned steps (`_eliminate`),
-which hand the rows left after a pivot that vanishes mod PRIME to a plan
-made from their own entries.  Its error is one-sided (see its docstring).
+subtracts |U|.  A trial keys every entry of N that can be nonzero, so each
+call plans the sparse elimination once (`_plan`, no fill lists) from its
+first trial's rows; each trial draws its parameters (`_draws`), fills N and
+runs the planned steps (`_eliminate`), which hand the rows left after a
+pivot that vanishes mod PRIME to a plan made from their own entries.  Its
+error is one-sided (see its docstring).
 The identities (trek rule, simple trek rule, path determinants,
 Cauchy-Binet, the subdivision translation) demand exact rational equality,
 so they run over `fractions.Fraction`, on large random integer parameters.
@@ -256,12 +257,13 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
     where column b of Phi X can be nonzero: i in an(b) & W, or i a
     bidirected neighbour of such a vertex.
 
-    N's pattern depends on (g, A, B) alone, so it is built once per call,
-    with the sorted edge lists, the walks and a symbolic elimination plan
-    (`_plan`).  Each trial then draws its parameters, fills N and runs the
-    planned steps (`_eliminate`); a pivot that vanishes mod PRIME hands the
-    rows left to a plan made from their own entries, so every trial's
-    answer is the exact rank of N mod PRIME.
+    The sorted edge lists and the walks are built once per call.  A trial
+    draws its parameters and fills N as dict rows that key every entry that
+    can be nonzero, whatever its value, so the first trial's keys are N's
+    pattern: the elimination is planned from them once (`_plan`, no fill
+    lists), and each trial runs the planned steps (`_eliminate`).  A pivot
+    that vanishes mod PRIME hands the rows left to a plan made from their
+    own entries, so every trial's answer is the exact rank of N mod PRIME.
 
     N's entries are polynomials in the parameters and its generic rank is
     |U| + rk Sigma_{A,B}, so no trial exceeds the generic rank, even when K
@@ -305,24 +307,7 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
     # for Bs[k]: (i, draw of phi_ij, j) with (Phi X)_{i,b} += phi_ij x_b[j]
     phi_terms = [[(i, t, j) for j, _ in walks[b] if j in phi_at for i, t in phi_at[j]]
                  for b in Bs]
-    supports = [{i for i, _, _ in terms} for terms in phi_terms]
-    patterns = [[i] for i in range(width)]  # K, then X_{U,B}
-    for i, j in k_edges:
-        patterns[i].append(j)
-        patterns[j].append(i)
-    for k, b in enumerate(Bs):
-        for _, i in u_in[b]:
-            patterns[i].append(width + k)
-    s_sums = []  # for As[r]: (k, the i in an(a) where (Phi X)_{i,Bs[k]} can be nonzero)
-    for a in As:  # -X_{U,A}^T, then X_{W,A}^T Phi X_{W,B}
-        sums = []
-        for k, support in enumerate(supports):
-            over = [j for j, _ in walks[a] if j in support]
-            if over:
-                sums.append((k, over))
-        s_sums.append(sums)
-        patterns.append([i for _, i in u_in[a]] + [width + k for k, _ in sums])
-    plan = _plan(patterns)
+    plan = None
     best = 0
     for t in range(trials):
         if best == full:
@@ -340,27 +325,29 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
                 if xj:
                     for i, e in parents:
                         col[i] += d[e] * xj
-        rows = [dict.fromkeys(cols, 0) for cols in plan[1]]
+        rows = [{} for _ in range(width + len(As))]  # keyed alike in every trial
         for (i, j), val in zip(k_edges, d[k_at:]):
             rows[i][j] = rows[j][i] = val
         for i, val in enumerate(d[k_at + len(k_edges):]):
             rows[i][i] = val
-        phi_x = []  # column Bs[k] of Phi X, by vertex
+        phi_x = []  # column Bs[k] of Phi X, keyed by the i where it can be nonzero
         for k, b in enumerate(Bs):
             xb = x[b]
             for u, i in u_in[b]:
                 rows[i][width + k] = xb[u]
-            acc = dict.fromkeys(supports[k], 0)
+            acc = {}
             for i, e, j in phi_terms[k]:
-                acc[i] += d[e] * xb[j]
+                acc[i] = acc.get(i, 0) + d[e] * xb[j]
             phi_x.append(acc)
-        for row, a, sums in zip(rows[width:], As, s_sums):
+        for row, a in zip(rows[width:], As):  # -X_{U,A}^T, then X_{W,A}^T Phi X_{W,B}
             xa = x[a]
             for u, i in u_in[a]:
                 row[i] = -xa[u] % p
-            for k, over in sums:
-                acc = phi_x[k]
-                row[width + k] = sum(xa[i] * acc[i] for i in over) % p
+            for k, acc in enumerate(phi_x):
+                if over := xa.keys() & acc.keys():
+                    row[width + k] = sum(xa[i] * acc[i] for i in over) % p
+        if plan is None:
+            plan = _plan([row.keys() for row in rows])
         best = max(best, _eliminate(rows, plan) - width)
     return best
 
@@ -381,7 +368,7 @@ def _draws(rng: random.Random, p: int, count: int) -> List[int]:
     return out
 
 
-def _plan(patterns) -> Tuple[list, List[list]]:
+def _plan(patterns) -> list:
     """Symbolic elimination of rows whose entries lie in `patterns`.
 
     patterns[r] lists the columns where row r may be nonzero.  Each step
@@ -389,12 +376,10 @@ def _plan(patterns) -> Tuple[list, List[list]]:
     diagonal (column = row index) if present and otherwise on its lowest
     column, and adds the pivot row's columns to every remaining row that has
     the pivot column, which then loses it; a row that empties takes no
-    pivot.  Returns (steps, filled): steps lists (pivot row, pivot column,
-    the pivot row's columns, the rows it reaches), and filled[r] lists every
-    column row r holds at some step, fill included.
+    pivot.  Returns the steps alone, with no fill lists: (pivot row, pivot
+    column, the pivot row's columns, the rows it reaches).
     """
     live = [set(cols) for cols in patterns]
-    filled = [set(cols) for cols in patterns]
     remaining = list(range(len(live)))
     steps = []
     while remaining:
@@ -410,56 +395,50 @@ def _plan(patterns) -> Tuple[list, List[list]]:
             if c in row:
                 row |= pivot_row
                 row.discard(c)
-                filled[s] |= pivot_row
                 targets.append(s)
         steps.append((r, c, sorted(pivot_row), targets))
-    return steps, [sorted(cols) for cols in filled]
+    return steps
 
 
-def _eliminate(rows: List[Dict[int, int]], plan=None) -> int:
+def _eliminate(rows: List[Dict[int, int]], steps=None) -> int:
     """Rank mod PRIME of dict rows (column -> entry), by sparse Gaussian
     elimination in place.
 
-    With a plan from `_plan`, each row holds a key, possibly with entry 0,
-    for every column of its `filled` list, and the steps run as planned.
-    Without one, rows hold nonzero entries only, reduced mod PRIME, and the
-    plan is made from them.  Entries are reduced only where they are read:
-    a pivot row's entries, and a target row's entry in the pivot column.  A
-    planned pivot that is 0 mod PRIME stops the plan: the rows not yet
-    pivoted keep their entries that are nonzero mod PRIME and are ranked by
-    a plan made from those, whose first pivot is nonzero, so every round
-    makes progress.
+    A row holds keys for its own entries alone, a missing column reads as 0,
+    and a fill entry appears when a step first writes it.  Without `steps`
+    (from `_plan`), they are planned from the rows' keys.  Entries are
+    reduced only where they are read: a pivot row's entries, and a target
+    row's entry in the pivot column.  A planned pivot that is 0 mod PRIME
+    stops the plan: the rows not yet pivoted keep their entries that are
+    nonzero mod PRIME and are ranked by a plan made from those, whose first
+    pivot is nonzero, so every round makes progress.
     """
     p = PRIME
     rank = 0
     while True:
-        if plan is None:
-            plan = _plan([row.keys() for row in rows])
-            for row, cols in zip(rows, plan[1]):
-                for k in cols:
-                    row.setdefault(k, 0)
-        steps = plan[0]
+        if steps is None:
+            steps = _plan([row.keys() for row in rows])
         for done, (r, c, cols, targets) in enumerate(steps):
             pivot_row = rows[r]
-            pivot = pivot_row[c] % p
+            pivot = pivot_row.get(c, 0) % p
             if not pivot:
                 break
             if targets:
                 inv = pow(pivot, -1, p)
-                pairs = [(k, pivot_row[k] % p) for k in cols]
+                pairs = [(k, pivot_row.get(k, 0) % p) for k in cols]
                 for s in targets:
                     row = rows[s]
-                    f = row[c] % p * inv % p
+                    f = row.get(c, 0) % p * inv % p
                     if f:
                         for k, v in pairs:
-                            row[k] -= f * v
+                            row[k] = row.get(k, 0) - f * v
         else:
             return rank + len(steps)
         rank += done
         pivoted = {r for r, _, _, _ in steps[:done]}
         rows = [{k: v % p for k, v in row.items() if v % p}
                 for s, row in enumerate(rows) if s not in pivoted]
-        plan = None
+        steps = None
 
 
 def _path_weight(p: ParamAssignment, path) -> Fraction:

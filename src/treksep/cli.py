@@ -2,13 +2,15 @@
 
 Exit codes: 0 success / affirmative verdict, 1 negative verdict or suite
 failures, 2 usage or input error, 3 internal cross-check disagreement or
-internal error, 4 enumeration resource cap exceeded.
+internal error, 4 enumeration resource cap exceeded, 141 stdout closed by
+its reader before all of it was written (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import algebra, separation, treks, verify
@@ -20,6 +22,7 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_DISAGREE = 3
 EXIT_CAP = 4
+EXIT_PIPE = 141
 
 
 class UsageError(Exception):
@@ -69,9 +72,11 @@ def _require_flag_vertex(g: MixedGraph, flag: str, v: int) -> None:
         raise UsageError(f"{flag}: {exc}") from None
 
 
-def _require_at_least(flag: str, value: int, least: int) -> None:
+def _require_count(flag: str, value: int, least: int, most: float = float("inf")) -> None:
     if value < least:
         raise UsageError(f"{flag} must be at least {least}")
+    if value > most:
+        raise UsageError(f"{flag} must be at most {most}")
 
 
 def _emit(args, payload: dict, text_lines):
@@ -109,7 +114,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    _require_at_least("--trials", args.trials, 1)
+    _require_count("--trials", args.trials, 1)
     g = _load_graph(args.graph)
     A, B = _parse_ab(args, g)
     res = separation.min_t_separator(g, A, B)
@@ -179,7 +184,7 @@ def cmd_ci(args) -> int:
 
 
 def cmd_treks(args) -> int:
-    _require_at_least("--cap", args.cap, 1)
+    _require_count("--cap", args.cap, 1)
     g = _load_graph(args.graph)
     _require_flag_vertex(g, "--i", args.i)
     _require_flag_vertex(g, "--j", args.j)
@@ -207,9 +212,9 @@ def cmd_treks(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _require_at_least("--graphs", args.graphs, 1)
-    _require_at_least("--max-vertices", args.max_vertices, verify.MIN_VERTICES)
-    _require_at_least("--trials", args.trials, 1)
+    _require_count("--graphs", args.graphs, 1)
+    _require_count("--max-vertices", args.max_vertices, verify.MIN_VERTICES, verify.MAX_VERTICES)
+    _require_count("--trials", args.trials, 1)
     cfg = verify.SuiteConfig(seed=args.seed, max_vertices=args.max_vertices,
                              graph_count=args.graphs,
                              trials_per_instance=args.trials)
@@ -315,4 +320,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout's reader left (`... | head`): the rest goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)

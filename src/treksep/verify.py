@@ -21,6 +21,10 @@ from .graph import (DAG, MIXED, UNDIRECTED, MixedGraph, bidirected_subdivision,
 # its mixed graphs a bidirected edge between two W vertices, and
 # `random_graph` puts two vertices in W only from n = 4 on.
 MIN_VERTICES = 4
+# Largest max_vertices: criterion 8 costs about n^7 a graph, 0.69 s on one
+# 10-vertex DAG, 3.0 s at 12, 8.5 s at 14 and 27.5 s at 16 (Python 3.11,
+# 2-CPU host), so 16 keeps a graph under half a minute.
+MAX_VERTICES = 16
 
 
 @dataclass(frozen=True)
@@ -34,6 +38,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.max_vertices < MIN_VERTICES:
             raise ValueError(f"max_vertices must be at least {MIN_VERTICES}")
+        if self.max_vertices > MAX_VERTICES:
+            raise ValueError(f"max_vertices must be at most {MAX_VERTICES}")
         if self.graph_count < 1:
             raise ValueError("graph_count must be at least 1")
         if self.trials_per_instance < 1:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import treksep
-from treksep import graph, verify
+from treksep import cli, graph, verify
 from treksep.cli import _build_parser, main
 from treksep.instances import CHOKE_TEXT, SPIDER_TEXT
 
@@ -239,6 +239,8 @@ def test_rank_oracle_zero_trials_is_usage_error(choke_file, capsys):
     (["--trials", "0"], "--trials must be at least 1"),
     (["--max-vertices", "2"], "--max-vertices must be at least 4"),
     (["--max-vertices", "3"], "--max-vertices must be at least 4"),
+    (["--max-vertices", "17"], "--max-vertices must be at most 16"),
+    (["--max-vertices", "1000000000"], "--max-vertices must be at most 16"),
 ])
 def test_verify_bad_counts_are_usage_errors(flags, message, capsys):
     assert main(["verify", *flags]) == 2
@@ -271,6 +273,28 @@ def test_python_m_treksep(choke_file, tmp_path, exists, code):
     assert done.returncode == code, done.stderr
     assert done.stdout == ""
     assert (done.stderr == "") == exists
+
+
+@pytest.mark.parametrize("argv", [
+    ["treks", "--i", "1", "--j", "5"],
+    ["treks", "--i", "1", "--j", "5", "--output", "json"],
+    ["rank", "--A", "1,3", "--B", "4,5", "--oracle"],
+])
+def test_closed_stdout_exits_141_without_a_traceback(choke_file, argv):
+    # stdout's reader is gone before anything is written, as after
+    # `treksep treks ... | head -n 1` on a long listing: no traceback, no
+    # "Exception ignored" line, and the documented exit code.
+    src = str(Path(treksep.__file__).resolve().parents[1])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "treksep", argv[0], choke_file, *argv[1:]],
+                              stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write)
+    assert done.returncode == cli.EXIT_PIPE == 141
+    assert done.stderr == ""
 
 
 # One row per subcommand and error class: (subcommand, error class, argv,

@@ -48,6 +48,10 @@ def test_config_validation():
     for n in (2, 3):  # criterion 7 needs two W vertices for its bidirected edge
         with pytest.raises(ValueError, match="^max_vertices must be at least 4$"):
             SuiteConfig(max_vertices=n)
+    for n in (17, 10**9):  # criterion 8 costs about n^7 a graph
+        with pytest.raises(ValueError, match="^max_vertices must be at most 16$"):
+            SuiteConfig(max_vertices=n)
+    assert SuiteConfig(max_vertices=16).max_vertices == 16
 
 
 def test_cross_check_rank_canonical():
