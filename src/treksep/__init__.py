@@ -10,7 +10,7 @@ from .algebra import (ParamAssignment, RationalMatrix, build_covariance,
                       generic_rank_oracle, sample_parameters,
                       simple_trek_rule_covariance, trek_rule_covariance)
 from .graph import (DAG, MIXED, UNDIRECTED, GraphError, InvalidGraphError,
-                    MixedGraph, ParseError, ancestors, bidirected_subdivision,
+                    MixedGraph, ParseError, bidirected_subdivision,
                     graph_class, make_graph, parse_graph, serialize,
                     topological_order, validate)
 from .separation import (RankResult, SeparationTriple, ci_implied,
@@ -25,7 +25,7 @@ __all__ = [
     "DAG", "MIXED", "UNDIRECTED",
     "MixedGraph", "GraphError", "ParseError", "InvalidGraphError",
     "parse_graph", "serialize", "make_graph", "validate", "graph_class",
-    "topological_order", "ancestors", "bidirected_subdivision",
+    "topological_order", "bidirected_subdivision",
     "Trek", "CapExceededError",
     "enumerate_simple_treks", "trek_monomial",
     "SeparationTriple", "RankResult", "min_t_separator", "generic_rank",

@@ -2,14 +2,17 @@
 
 `generic_rank_oracle` works over F_p, p = PRIME = 2^61 - 1, and touches
 only what Sigma_{A,B} depends on: the columns of Lambda^{-1} over the
-ancestors of A and B.  It never solves K: Sigma_{A,B} is the Schur
-complement of K in a sparse matrix N, so each trial ranks N mod PRIME and
-subtracts |U|.  A trial keys every entry of N that can be nonzero, so each
-call plans the sparse elimination once (`_plan`, no fill lists) from its
-first trial's rows; each trial draws its parameters (`_draws`), fills N and
-runs the planned steps (`_eliminate`), which hand the rows left after a
-pivot that vanishes mod PRIME to a plan made from their own entries.  Its
-error is one-sided (see its docstring).
+ancestors of A and B, each summed by a walk of an(v) that lists every
+vertex before its parents (`graph._ancestor_walk`), and the blocks of K on
+the components U' of the undirected graph on U that meet both an(A) and
+an(B) (`_kept_components`).  It never solves K: Sigma_{A,B} is the Schur
+complement of K_{U'} in a sparse matrix N', so each trial ranks N' mod
+PRIME and subtracts |U'|.  A trial keys every entry of N' that can be
+nonzero, so each call plans the sparse elimination once (`_plan`, no fill
+lists) from its first trial's rows; each trial draws its parameters
+(`_draws`), fills N' and runs the planned steps (`_eliminate`), which hand
+the rows left after a pivot that vanishes mod PRIME to a plan made from
+their own entries.  Its error is one-sided (see its docstring).
 The identities (trek rule, simple trek rule, path determinants,
 Cauchy-Binet, the subdivision translation) demand exact rational equality,
 so they run over `fractions.Fraction`, on large random integer parameters.
@@ -29,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Mapping, Tuple
 
-from .graph import (DAG, UNDIRECTED, MixedGraph, _require_vertices, ancestors,
+from .graph import (DAG, UNDIRECTED, MixedGraph, _ancestor_walk, _require_vertices,
                     graph_class, topological_order)
 from .treks import (DEFAULT_CAP, _directed_paths_into, _disjoint_systems,
                     _undirected_middles, enumerate_simple_treks)
@@ -252,23 +255,35 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
     so rank Sigma_{A,B} = rank N - |U| (Guttman's rank additivity) and K is
     never solved.  Column v of X sums the directed paths into v, so it
     vanishes outside an(v): it is computed by a sweep over an(v) alone, in
-    reverse topological order, that pushes each entry up to the parents of
-    its vertex.  Entry (a, b) of the last block sums over the i in an(a)
-    where column b of Phi X can be nonzero: i in an(b) & W, or i a
-    bidirected neighbour of such a vertex.
+    the order of `graph._ancestor_walk` (v first, each vertex before its
+    parents), that pushes each entry up to the parents of its vertex.  Entry
+    (a, b) of the last block sums over the i in an(a) where column b of
+    Phi X can be nonzero: i in an(b) & W, or i a bidirected neighbour of
+    such a vertex.
 
-    The sorted edge lists and the walks are built once per call.  A trial
-    draws its parameters and fills N as dict rows that key every entry that
-    can be nonzero, whatever its value, so the first trial's keys are N's
-    pattern: the elimination is planned from them once (`_plan`, no fill
-    lists), and each trial runs the planned steps (`_eliminate`).  A pivot
-    that vanishes mod PRIME hands the rows left to a plan made from their
-    own entries, so every trial's answer is the exact rank of N mod PRIME.
+    K is block diagonal over the components of the undirected graph on U,
+    and only the components U' that meet both an(A) and an(B) are kept.  A
+    component Q that misses an(B) has X_{Q,B} = 0, so its rows of N are
+    [K_Q | 0]; when K_Q is nonsingular they clear Q's columns in the A rows,
+    and rank N = |Q| + rank(N without Q's rows and columns).  A component
+    that misses an(A) is the same on columns.  So rank Sigma_{A,B} =
+    rank N' - |U'|, with N' the N of K_{U'}.  Every parameter is still
+    drawn, those of dropped blocks included, so every entry of N' keeps its
+    value.
 
-    N's entries are polynomials in the parameters and its generic rank is
-    |U| + rk Sigma_{A,B}, so no trial exceeds the generic rank, even when K
-    is singular mod PRIME, and by Schwartz-Zippel a trial falls short with
-    probability at most deg/PRIME.  Trials stop once the rank is
+    The sorted edge lists, the walks and U' are built once per call.  A
+    trial draws its parameters and fills N' as dict rows that key every
+    entry that can be nonzero, whatever its value, so the first trial's keys
+    are the pattern of N': the elimination is planned from them once
+    (`_plan`, no fill lists), and each trial runs the planned steps
+    (`_eliminate`).  A pivot that vanishes mod PRIME hands the rows left to
+    a plan made from their own entries, so every trial's answer is the
+    exact rank of N' mod PRIME, less |U'|.
+
+    The entries of N' are polynomials in the parameters, its generic rank is
+    |U'| + rk Sigma_{A,B}, so no trial exceeds the generic rank, even when
+    a block of K is singular mod PRIME, and by Schwartz-Zippel a trial falls
+    short with probability at most deg/PRIME.  Trials stop once the rank is
     min(|A|, |B|), which no trial can exceed.  A vertex outside 1..m, or
     fewer than one trial, raises ValueError; an empty A or B answers 0.
     """
@@ -284,25 +299,30 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
     # A trial draws lam, then phi (bidirected edges, then W's diagonal), then
     # K (its off-diagonal edges, then its diagonal): draw t of a trial is
     # the value of the t-th parameter in that order.
-    lam_at = {e: t for t, e in enumerate(sorted(g.directed_edges))}
+    lam_at = {}  # j -> (parent i of j, draw of lam_ij) for each parent of j
+    for t, (i, j) in enumerate(sorted(g.directed_edges)):
+        lam_at.setdefault(j, []).append((i, t))
     phi_at = {}  # w -> (i, draw of phi_iw) for each entry of Phi's column w
-    for t, (i, j) in enumerate(sorted(g.bidirected_edges), len(lam_at)):
+    for t, (i, j) in enumerate(sorted(g.bidirected_edges), len(g.directed_edges)):
         phi_at.setdefault(i, []).append((j, t))
         phi_at.setdefault(j, []).append((i, t))
-    w_at = len(lam_at) + len(g.bidirected_edges)
+    w_at = len(g.directed_edges) + len(g.bidirected_edges)
     for t, w in enumerate(sorted(g.w_set), w_at):
         phi_at.setdefault(w, []).append((w, t))
     k_at = w_at + len(g.w_set)
-    pos = {u: i for i, u in enumerate(sorted(g.u_set))}
+    # v -> (j, lam_at[j]) for j in an(v), v first and each j before its parents
+    walks = {v: [(j, lam_at.get(j, ())) for j in _ancestor_walk(v, g._parent_lists)]
+             for v in sorted(A | B)}
+    an_a, an_b = ({j for v in side for j, _ in walks[v]} for side in (As, Bs))
+    pos = {u: i for i, u in enumerate(_kept_components(g, an_a, an_b))}
     width = len(pos)  # column width + k of N belongs to Bs[k]
-    k_edges = [(pos[i], pos[j]) for i, j in sorted(g.undirected_edges)]
-    count = k_at + len(k_edges) + width  # draws per trial
-    position = {v: k for k, v in enumerate(topological_order(g))}
-    walks = {}  # v -> (j, (parent i of j, draw of lam_ij)) for j in an(v), v first, sinks first
-    parents = g._parent_lists
-    for v in sorted(A | B):
-        walks[v] = [(j, [(i, lam_at[(i, j)]) for i in parents.get(j, ())])
-                    for j in sorted(ancestors(g, v), key=position.__getitem__, reverse=True)]
+    # K's draws, those of dropped blocks included: (row, column, draw) of each
+    # kept off-diagonal entry, then (row, draw) of each kept diagonal entry
+    undirected = sorted(g.undirected_edges)
+    k_edges = [(pos[i], pos[j], t) for t, (i, j) in enumerate(undirected, k_at) if i in pos]
+    k_diag = [(pos[u], t) for t, u in enumerate(sorted(g.u_set), k_at + len(undirected))
+              if u in pos]
+    count = k_at + len(undirected) + len(g.u_set)  # draws per trial
     u_in = {v: [(u, pos[u]) for u, _ in walk if u in pos] for v, walk in walks.items()}
     # for Bs[k]: (i, draw of phi_ij, j) with (Phi X)_{i,b} += phi_ij x_b[j]
     phi_terms = [[(i, t, j) for j, _ in walks[b] if j in phi_at for i, t in phi_at[j]]
@@ -316,8 +336,8 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
         x = {}  # column v of Lambda^{-1} mod p, keyed by the vertices of an(v)
         for v, walk in walks.items():
             # x_v[i] sums lam_ij x_v[j] over the children j of i in an(v);
-            # sinks first, each x_v[j] is complete when j is reached and is
-            # pushed up to the parents of j, which all lie in an(v)
+            # the walk lists each vertex before its parents, so x_v[j] is
+            # complete when j is reached and is pushed up to its parents
             col = x[v] = {j: 0 for j, _ in walk}
             col[v] = 1
             for j, parents in walk:
@@ -326,10 +346,10 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
                     for i, e in parents:
                         col[i] += d[e] * xj
         rows = [{} for _ in range(width + len(As))]  # keyed alike in every trial
-        for (i, j), val in zip(k_edges, d[k_at:]):
-            rows[i][j] = rows[j][i] = val
-        for i, val in enumerate(d[k_at + len(k_edges):]):
-            rows[i][i] = val
+        for i, j, e in k_edges:
+            rows[i][j] = rows[j][i] = d[e]
+        for i, e in k_diag:
+            rows[i][i] = d[e]
         phi_x = []  # column Bs[k] of Phi X, keyed by the i where it can be nonzero
         for k, b in enumerate(Bs):
             xb = x[b]
@@ -350,6 +370,28 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
             plan = _plan([row.keys() for row in rows])
         best = max(best, _eliminate(rows, plan) - width)
     return best
+
+
+def _kept_components(g: MixedGraph, an_a, an_b) -> List[int]:
+    """The vertices, in increasing order, of each component of the
+    undirected graph on U that meets both an_a and an_b."""
+    nbr = g._undirected_lists
+    seen = set()
+    kept = []
+    for u in an_b & g.u_set:
+        if u in seen:
+            continue
+        seen.add(u)
+        component = [u]
+        for x in component:
+            for y in nbr[x]:
+                if y not in seen:
+                    seen.add(y)
+                    component.append(y)
+        if not an_a.isdisjoint(component):
+            kept.extend(component)
+    kept.sort()
+    return kept
 
 
 def _draws(rng: random.Random, p: int, count: int) -> List[int]:

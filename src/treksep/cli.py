@@ -114,7 +114,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    _require_count("--trials", args.trials, 1)
+    _require_count("--trials", args.trials, 1, verify.MAX_TRIALS)
     g = _load_graph(args.graph)
     A, B = _parse_ab(args, g)
     res = separation.min_t_separator(g, A, B)
@@ -214,7 +214,7 @@ def cmd_treks(args) -> int:
 def cmd_verify(args) -> int:
     _require_count("--graphs", args.graphs, 1)
     _require_count("--max-vertices", args.max_vertices, verify.MIN_VERTICES, verify.MAX_VERTICES)
-    _require_count("--trials", args.trials, 1)
+    _require_count("--trials", args.trials, 1, verify.MAX_TRIALS)
     cfg = verify.SuiteConfig(seed=args.seed, max_vertices=args.max_vertices,
                              graph_count=args.graphs,
                              trials_per_instance=args.trials)
@@ -231,8 +231,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.total_failures == 0 else EXIT_FALSE
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with one way out for every usage error: one
+    `error: ...` line on stderr, with no usage line, and exit 2.  Its
+    subparsers are of this class too, and `main` hands it the UsageErrors
+    of the commands."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treksep",
         description="Generic ranks of covariance submatrices of Gaussian "
                     "graphical models on mixed graphs, via minimum "
@@ -304,13 +314,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        try:
+            return args.func(args)
+        except UsageError as exc:
+            parser.error(str(exc))
+    except SystemExit as exc:  # a usage error, or -h
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except treks.CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -39,7 +39,8 @@ and the undirected and bidirected neighbour lists (`_undirected_lists`,
 parse does not pay for them.
 A graph made directly through `MixedGraph(...)` lists its parents and
 children on first read too.  `_closure` climbs the parent lists, for
-`_build`'s U, `ancestors` and the an(B) of a query.
+`_build`'s U and the an(B) of a query; `_ancestor_walk` climbs them for the
+oracle's an(v), in the order its sweep needs.
 """
 
 from __future__ import annotations
@@ -349,10 +350,22 @@ def _closure(start, lists) -> set:
     return seen
 
 
-def ancestors(g: MixedGraph, v: int) -> FrozenSet[int]:
-    """Vertices with a directed path into v, including v itself."""
-    _require_vertices(g, (v,))
-    return frozenset(_closure((v,), g._parent_lists))
+def _ancestor_walk(v: int, parents) -> List[int]:
+    """an(v), v first and each vertex before its parents: a depth-first
+    post-order up the parent lists `parents`, reversed."""
+    order = []
+    seen = set()
+    stack = [v]  # a vertex to enter, or ~j: j's parents are all listed
+    while stack:
+        j = stack.pop()
+        if j < 0:
+            order.append(~j)
+        elif j not in seen:
+            seen.add(j)
+            stack.append(~j)
+            stack.extend(parents.get(j, ()))
+    order.reverse()
+    return order
 
 
 def bidirected_subdivision(g: MixedGraph) -> MixedGraph:

@@ -25,6 +25,12 @@ MIN_VERTICES = 4
 # 10-vertex DAG, 3.0 s at 12, 8.5 s at 14 and 27.5 s at 16 (Python 3.11,
 # 2-CPU host), so 16 keeps a graph under half a minute.
 MAX_VERTICES = 16
+# Largest trials_per_instance, and `rank --trials`: a trial falls short with
+# probability at most deg/PRIME, so past a few trials more buy nothing, while
+# each costs about 55 us on the choke graph and 0.15 s on a 400-vertex
+# undirected graph.  The default suite takes 1.5 s at 5 trials, 1.7 s at 100
+# and 5.2 s at 1,000 (Python 3.11, 2-CPU host).
+MAX_TRIALS = 1000
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,8 @@ class SuiteConfig:
             raise ValueError("graph_count must be at least 1")
         if self.trials_per_instance < 1:
             raise ValueError("trials_per_instance must be at least 1")
+        if self.trials_per_instance > MAX_TRIALS:
+            raise ValueError(f"trials_per_instance must be at most {MAX_TRIALS}")
 
 
 @dataclass

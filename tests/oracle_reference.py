@@ -5,11 +5,12 @@
 vertices and K was solved by dense Gauss-Jordan on [K | rhs], copied
 verbatim apart from the `_reference` suffix, so that the differential tests
 compare the library's oracle against code it shares nothing with but the
-graph helpers.  `n_matrix_reference` builds the matrix N that the oracle
-ranks in each trial, densely and from these helpers, so that the tests can
-check the oracle's N and its planned pattern entry by entry.  `PRIME` is
-this module's own name: a test that changes the prime changes it here and
-in `treksep.algebra` alike.
+graph helpers.  `n_matrix_reference` builds the whole matrix N, densely
+and from these helpers; `kept_u_reference` finds, from the edge sets alone,
+the U vertices whose K block the oracle keeps, and `kept_n_matrix_reference`
+restricts N to them, so that the tests can check the oracle's N and its
+planned pattern entry by entry.  `PRIME` is this module's own name: a test
+that changes the prime changes it here and in `treksep.algebra` alike.
 """
 
 from __future__ import annotations
@@ -101,6 +102,46 @@ def n_matrix_reference(g: MixedGraph, A, B, seed: int) -> List[List[int]]:
         for i, u in enumerate(u_vs):
             rows[r][i] = -x[a][u] % p
     return rows
+
+
+def kept_u_reference(g: MixedGraph, A, B) -> List[int]:
+    """The U vertices, in increasing order, whose component of the
+    undirected graph on U holds an ancestor of A and an ancestor of B."""
+    label = {u: u for u in g.u_set}  # union-find over the undirected edges
+
+    def root(u):
+        while label[u] != u:
+            u = label[u]
+        return u
+
+    for i, j in g.undirected_edges:
+        label[root(i)] = root(j)
+
+    def roots_of_ancestors(side):
+        seen = set(side)
+        changed = True
+        while changed:
+            changed = False
+            for i, j in g.directed_edges:
+                if j in seen and i not in seen:
+                    seen.add(i)
+                    changed = True
+        return {root(u) for u in seen if u in label}
+
+    both = roots_of_ancestors(A) & roots_of_ancestors(B)
+    return [u for u in sorted(g.u_set) if root(u) in both]
+
+
+def kept_n_matrix_reference(g: MixedGraph, A, B, seed: int) -> List[List[int]]:
+    """`n_matrix_reference` with the rows and columns of the U vertices
+    outside `kept_u_reference` removed."""
+    rows = n_matrix_reference(g, A, B, seed)
+    width = len(g.u_set)
+    kept = set(kept_u_reference(g, A, B))
+    u_idx = [i for i, u in enumerate(sorted(g.u_set)) if u in kept]
+    keep_rows = u_idx + list(range(width, len(rows)))
+    keep_cols = u_idx + list(range(width, len(rows[0])))
+    return [[rows[r][c] for c in keep_cols] for r in keep_rows]
 
 
 def _lambda_inverse_column_reference(g: MixedGraph, reverse_order, lam, a: int) -> List[int]:

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_reference
-from oracle_reference import _row_reduce_reference, n_matrix_reference
+from oracle_reference import (_row_reduce_reference, kept_n_matrix_reference,
+                              kept_u_reference, n_matrix_reference)
 from treksep import algebra
 from treksep.algebra import (RationalMatrix, build_covariance,
                              cauchy_binet_two_ways,
@@ -264,11 +265,12 @@ def test_planned_elimination_falls_back_to_the_exact_rank(monkeypatch):
 
 def test_planned_pattern_holds_every_nonzero(monkeypatch):
     # The first trial's rows are N's pattern, Phi's bidirected entries
-    # included: each trial's N must equal the dense reference, each of its
-    # nonzeros must lie in the pattern that the plan was made from, and each
-    # trial's rows must have exactly the first trial's keys, whatever their
-    # values.  Mod 5 entries vanish by accident often, so a fill that keys
-    # only the nonzero entries fails.
+    # included: each trial's N must equal the dense reference restricted to
+    # the K blocks that the reference keeps, each of its nonzeros must lie in
+    # the pattern that the plan was made from, and each trial's rows must
+    # have exactly the first trial's keys, whatever their values.  Mod 5
+    # entries vanish by accident often, so a fill that keys only the nonzero
+    # entries fails.
     patterns, matrices = [], []
     plan, eliminate = algebra._plan, algebra._eliminate
     monkeypatch.setattr(algebra, "_plan",
@@ -296,7 +298,7 @@ def test_planned_pattern_holds_every_nonzero(monkeypatch):
             pattern = patterns[0]  # the others plan the rows left after a zero pivot
             for t, rows in enumerate(matrices):
                 assert [set(row) for row in rows] == pattern, (p, g, A, B, seed, t)
-                reference = n_matrix_reference(g, A, B, seed + t)
+                reference = kept_n_matrix_reference(g, A, B, seed + t)
                 assert len(rows) == len(reference), (p, g, A, B, seed)
                 for r, (row, want) in enumerate(zip(rows, reference)):
                     nonzero = {k: v for k, v in enumerate(want) if v}
@@ -304,6 +306,31 @@ def test_planned_pattern_holds_every_nonzero(monkeypatch):
                         (p, g, A, B, seed, t, r)
                     assert nonzero.keys() <= pattern[r], (p, g, A, B, seed, t, r)
             checked += 1
+
+
+def test_dropped_k_blocks_leave_each_trial_rank_unchanged():
+    # The oracle keeps only the K blocks whose component of the undirected
+    # graph on U meets both an(A) and an(B).  A dropped block adds its size
+    # to rank N and nothing else, so a trial's answer is the rank of the
+    # whole reference N, every K block in it, less |U|.  Keeping only the U
+    # vertices of an(A) and an(B) would cut the paths of K^{-1} that run
+    # through the rest of their components, and changes the answer.
+    queries = dropped = 0
+    for cls in (UNDIRECTED, MIXED):
+        rng = random.Random(f"dropped-blocks/{cls}")
+        for _ in range(150):
+            n = rng.randint(4, 14)
+            g = random_graph(cls, n, rng.getrandbits(32), rng.choice((0.15, 0.3)))
+            A = rng.sample(range(1, n + 1), rng.randint(1, 3))
+            B = rng.sample(range(1, n + 1), rng.randint(1, 3))
+            seed = rng.getrandbits(32)
+            width = len(g.u_set)
+            want = _row_reduce_reference(n_matrix_reference(g, A, B, seed), width + len(B))
+            assert generic_rank_oracle(g, A, B, seed, trials=1) == want - width, \
+                (g, A, B, seed)
+            queries += 1
+            dropped += len(kept_u_reference(g, A, B)) < width
+    assert dropped >= 0.3 * queries, (dropped, queries)
 
 
 def test_oracle_rejects_zero_trials():

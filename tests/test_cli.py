@@ -233,6 +233,65 @@ def test_rank_oracle_zero_trials_is_usage_error(choke_file, capsys):
     assert captured.err == "error: --trials must be at least 1\n"
 
 
+@pytest.mark.parametrize("trials", ["1001", "1000000000"])
+def test_rank_oracle_trials_above_maximum_is_usage_error(choke_file, capsys, trials):
+    assert main(["rank", choke_file, "--A", "1,3", "--B", "4,5",
+                 "--oracle", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --trials must be at most {verify.MAX_TRIALS}\n"
+
+
+def test_rank_oracle_at_the_trial_maximum_runs(choke_file, capsys):
+    assert main(["rank", choke_file, "--A", "1,3", "--B", "4,5",
+                 "--oracle", "--trials", str(verify.MAX_TRIALS)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        f"oracle rank 1 (seed 31415, trials {verify.MAX_TRIALS}): agrees"
+
+
+# argparse's own errors, one line each: (argv, the line; or its start, then
+# "...", where the rest differs between Python releases).  {choke} is a
+# graph path.
+_ARGPARSE_ROWS = [
+    ([], "error: the following arguments are required: command"),
+    (["validate"], "error: the following arguments are required: graph"),
+    (["rank", "{choke}", "--A", "1"], "error: the following arguments are required: --B"),
+    (["tsep", "{choke}", "--B", "4"], "error: the following arguments are required: --A"),
+    (["dsep", "{choke}", "--A", "1"], "error: the following arguments are required: --B"),
+    (["ci", "{choke}", "--A", "1"], "error: the following arguments are required: --B"),
+    (["treks", "{choke}", "--i", "1"], "error: the following arguments are required: --j"),
+    (["verify", "--graphs", "two"], "error: argument --graphs: invalid int value: 'two'"),
+    (["rank", "{choke}", "--A", "1", "--B", "4", "--j", ""],
+     "error: unrecognized arguments: --j..."),
+    (["rank", "{choke}", "--A", "1", "--B", "4", "--output", "xml"],
+     "error: argument --output: invalid choice: 'xml'..."),
+    (["treks", "{choke}", "--i", "1", "--j", "4", "--output", "xml"],
+     "error: argument --output: invalid choice: 'xml'..."),
+    (["rank", "{choke}", "--A", "1", "--B", "4", "--seed", "x"],
+     "error: argument --seed: invalid int value: 'x'"),
+    (["verify", "--seed", "1.5"], "error: argument --seed: invalid int value: '1.5'"),
+]
+
+
+@pytest.mark.parametrize("argv, line", _ARGPARSE_ROWS)
+def test_argparse_error_is_one_stderr_line(choke_file, capsys, argv, line):
+    assert main([arg.format(choke=choke_file) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), captured.err
+    if line.endswith("..."):
+        assert captured.err.startswith(line[:-3]), captured.err
+    else:
+        assert captured.err == line + "\n"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["rank", "-h"], ["verify", "--help"]])
+def test_help_still_prints_usage(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: treksep") and captured.err == ""
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--graphs", "0"], "--graphs must be at least 1"),
     (["--max-vertices", "1"], "--max-vertices must be at least 4"),
@@ -241,6 +300,8 @@ def test_rank_oracle_zero_trials_is_usage_error(choke_file, capsys):
     (["--max-vertices", "3"], "--max-vertices must be at least 4"),
     (["--max-vertices", "17"], "--max-vertices must be at most 16"),
     (["--max-vertices", "1000000000"], "--max-vertices must be at most 16"),
+    (["--trials", "1001"], "--trials must be at most 1000"),
+    (["--graphs", "1", "--trials", "1000000000"], "--trials must be at most 1000"),
 ])
 def test_verify_bad_counts_are_usage_errors(flags, message, capsys):
     assert main(["verify", *flags]) == 2

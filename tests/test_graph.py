@@ -4,9 +4,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from graph_reference import _closure_reference
 from treksep import graph
 from treksep.graph import (DAG, MIXED, UNDIRECTED, InvalidGraphError,
-                           MixedGraph, ParseError, ancestors,
+                           MixedGraph, ParseError, _ancestor_walk,
                            bidirected_subdivision, graph_class, make_graph,
                            parse_graph, serialize, topological_order, validate)
 from treksep.instances import CHOKE_TEXT, choke_graph
@@ -133,18 +134,24 @@ def test_topological_order_edgeless_tie_break():
     assert topological_order(make_graph(3)) == [1, 2, 3]
 
 
+def _check_walk(g, v):
+    """`_ancestor_walk` lists an(v) once each, v first and each vertex
+    before its parents."""
+    walk = _ancestor_walk(v, g._parent_lists)
+    where = {x: k for k, x in enumerate(walk)}
+    assert len(where) == len(walk) and walk[0] == v
+    assert set(walk) == _closure_reference(
+        (v,), lambda x: [i for i, j in g.directed_edges if j == x])
+    assert all(where[i] > where[j] for i, j in g.directed_edges if j in where)
+    return walk
+
+
 def test_ancestors_descendants():
     g = choke_graph()
-    assert ancestors(g, 5) == {1, 2, 3, 4, 5}
-    assert ancestors(g, 1) == {1}
-    assert {v for v in g.vertices if 2 in ancestors(g, v)} == {2, 4, 5}  # descendants
-    assert ancestors(make_graph(3), 2) == {2}
-
-
-@pytest.mark.parametrize("v", [0, 6, 99])
-def test_ancestors_descendants_reject_out_of_range(v):
-    with pytest.raises(ValueError, match=r"vertex \d+ out of range \[1,5\]"):
-        ancestors(choke_graph(), v)
+    assert set(_check_walk(g, 5)) == {1, 2, 3, 4, 5}
+    assert _check_walk(g, 1) == [1]
+    assert {v for v in g.vertices if 2 in _check_walk(g, v)} == {2, 4, 5}  # descendants
+    assert _check_walk(make_graph(3), 2) == [2]
 
 
 _RANGE_CHECKED = {
@@ -161,7 +168,6 @@ _RANGE_CHECKED = {
     "d_sep_via_t_sep": lambda g, v: d_sep_via_t_sep(g, {1}, {2}, {v}),
     "enumerate_simple_treks": lambda g, v: enumerate_simple_treks(g, 1, v),
     "vanishing_tetrad": lambda g, v: vanishing_tetrad(g, (1, 2), (3, v)),
-    "ancestors": ancestors,
 }
 
 
@@ -228,6 +234,23 @@ def test_topological_order_respects_edges(case):
     assert sorted(order) == list(g.vertices)
     pos = {v: i for i, v in enumerate(order)}
     assert all(pos[i] < pos[j] for i, j in g.directed_edges)
+
+
+@given(graph_cases)
+def test_ancestor_walk_lists_each_vertex_before_its_parents(case):
+    cls, n, seed = case
+    g = random_graph(cls, n, seed, 0.5)
+    for v in g.vertices:
+        _check_walk(g, v)
+
+
+def test_ancestor_walk_on_larger_graphs():
+    rng = random.Random("ancestor-walk")
+    for _ in range(20):
+        g = random_graph(rng.choice((DAG, MIXED)), rng.randint(20, 40), rng.getrandbits(32),
+                         rng.choice((0.05, 0.1, 0.3)))
+        for v in rng.sample(range(1, g.m + 1), 5):
+            _check_walk(g, v)
 
 
 def _relabelled_text(g, rng):

@@ -54,6 +54,15 @@ def test_config_validation():
     assert SuiteConfig(max_vertices=16).max_vertices == 16
 
 
+def test_suite_config_bounds_the_trials():
+    for trials in (verify.MAX_TRIALS + 1, 10**9):  # more trials buy nothing
+        with pytest.raises(ValueError, match=f"^trials_per_instance must be at most "
+                                             f"{verify.MAX_TRIALS}$"):
+            SuiteConfig(trials_per_instance=trials)
+    assert SuiteConfig(trials_per_instance=verify.MAX_TRIALS).trials_per_instance \
+        == verify.MAX_TRIALS
+
+
 def test_cross_check_rank_canonical():
     detail = cross_check_rank(choke_graph(), CHOKE_A, CHOKE_B, 1)
     assert detail["ok"] and detail["rank"] == detail["oracle_rank"] == 1
