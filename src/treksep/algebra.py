@@ -14,14 +14,19 @@ lists) from its first trial's rows; each trial draws its parameters
 the rows left after a pivot that vanishes mod PRIME to a plan made from
 their own entries.  Its error is one-sided (see its docstring).
 The identities (trek rule, simple trek rule, path determinants,
-Cauchy-Binet, the subdivision translation) demand exact rational equality,
-so they run over `fractions.Fraction`, on large random integer parameters.
-No floating point is involved anywhere.
+Cauchy-Binet, the subdivision translation) demand exact equality.  They are
+polynomial identities with integer coefficients, run on large random
+integer parameters: on a DAG, Lambda = I - L is unit triangular, so
+Lambda^{-1}, Sigma, every trek sum and every minor are plain `int`s.  Only
+K^{-1} brings in `fractions.Fraction`.  The code is number-generic: sums
+start from 0 and products from 1, so ints in give ints out and Fractions in
+give Fractions out.  No floating point is involved anywhere.
 
-Over Q, rank, det and inverse share one Gauss-Jordan, `_gauss_jordan`.  The
-simple trek rule reads a_v = sigma_vv off the covariance it is given, and
-the path-system sides of the determinant expansions come from
-`treks._disjoint_systems`.
+`det` is one fraction-free Bareiss elimination (`_bareiss`), whose every
+division is exact; rank and inverse share one Gauss-Jordan over Q,
+`_gauss_jordan`, which divides only by Fractions.  The simple trek rule
+reads a_v = sigma_vv off the covariance it is given, and the path-system
+sides of the determinant expansions come from `treks._disjoint_systems`.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Mapping, Tuple
+from math import lcm
+from typing import Dict, List, Mapping, Tuple, Union
 
 from .graph import (DAG, UNDIRECTED, MixedGraph, _ancestor_walk, _require_vertices,
                     graph_class, topological_order)
@@ -40,6 +46,8 @@ from .treks import (DEFAULT_CAP, _directed_paths_into, _disjoint_systems,
 SCALE = 10**6
 PRIME = 2**61 - 1
 
+Rational = Union[int, Fraction]
+
 
 class SingularMatrixError(ArithmeticError):
     pass
@@ -47,26 +55,30 @@ class SingularMatrixError(ArithmeticError):
 
 @dataclass
 class RationalMatrix:
-    """Dense matrix over arbitrary-precision rationals (0-based indexing)."""
+    """Dense matrix over arbitrary-precision rationals (0-based indexing).
+
+    Entries are `int`s, or `Fraction`s where a rational such as K^{-1}
+    enters; `from_rows` keeps ints and turns anything else into a Fraction.
+    """
 
     rows: int
     cols: int
-    entries: List[List[Fraction]]
+    entries: List[List[Rational]]
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, [[Fraction(0)] * cols for _ in range(rows)])
+        return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n):
         m = cls.zeros(n, n)
         for i in range(n):
-            m.entries[i][i] = Fraction(1)
+            m.entries[i][i] = 1
         return m
 
     @classmethod
     def from_rows(cls, rows):
-        rows = [[Fraction(x) for x in row] for row in rows]
+        rows = [[x if type(x) is int else Fraction(x) for x in row] for row in rows]
         cols = len(rows[0]) if rows else 0
         for i, row in enumerate(rows):
             if len(row) != cols:
@@ -108,38 +120,81 @@ class RationalMatrix:
         return self.rows
 
     def rank(self) -> int:
-        return _gauss_jordan([row[:] for row in self.entries], self.cols)[0]
+        return _gauss_jordan([row[:] for row in self.entries], self.cols)
 
-    def det(self) -> Fraction:
-        return _gauss_jordan([row[:] for row in self.entries], self._side())[1]
+    def det(self) -> Rational:
+        """The exact determinant: an `int` when every entry is an integer,
+        and otherwise a `Fraction`.
+
+        Each row is scaled to integers by the lcm d_i of its denominators,
+        the integer matrix runs through `_bareiss`, and the result is
+        divided once, as Fraction(det, d_1 ... d_n).
+        """
+        self._side()
+        scale = 1
+        rows = []
+        for row in self.entries:
+            d = lcm(*(x.denominator for x in row))
+            scale *= d
+            rows.append([x.numerator * (d // x.denominator) for x in row])
+        det = _bareiss(rows)
+        return det if scale == 1 else Fraction(det, scale)
 
     def inverse(self) -> "RationalMatrix":
         n = self._side()
-        a = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+        a = [row[:] + [1 if i == j else 0 for j in range(n)]
              for i, row in enumerate(self.entries)]
-        if _gauss_jordan(a, n)[0] < n:
+        if _gauss_jordan(a, n) < n:
             raise SingularMatrixError("matrix is singular")
-        return RationalMatrix.from_rows([row[n:] for row in a])
+        return RationalMatrix(n, n, [row[n:] for row in a])
 
 
-def _gauss_jordan(rows: List[List[Fraction]], width: int) -> Tuple[int, Fraction]:
-    """Exact Gauss-Jordan on the first `width` columns of rows, in place.
+def _bareiss(rows: List[List[int]]) -> int:
+    """Determinant of a square int matrix by fraction-free (Bareiss)
+    elimination, in place.
 
-    Returns (rank, det): det is the determinant when the rows form a
-    width x width matrix of full rank, and 0 otherwise.  Columns past
-    `width` are carried along, so [M | I] reduces to [I | M^{-1}].
+    Step k replaces each entry below and right of the pivot p_k by
+    (p_k a_ij - a_ik a_kj) // p_{k-1} (p_{-1} = 1).  By Sylvester's identity
+    the quotient is a minor of the matrix, so the floor division is exact
+    and every entry stays an int.  A zero pivot swaps in the first row below
+    it with a nonzero entry in its column, which flips the sign; with none
+    the determinant is 0.  The last pivot is the determinant, up to sign.
+    """
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n):
+        if not rows[k][k]:
+            swap = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for row in rows[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(pivot * x - f * y) // prev
+                           for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
+        prev = pivot
+    return sign * prev
+
+
+def _gauss_jordan(rows: List[List[Rational]], width: int) -> int:
+    """Exact Gauss-Jordan on the first `width` columns of rows, in place;
+    returns the rank.
+
+    Each pivot row is divided by Fraction(pivot), so an int entry never
+    meets `/` with an int.  Columns past `width` are carried along, so
+    [M | I] reduces to [I | M^{-1}].
     """
     rank = 0
-    det = Fraction(1)
     for col in range(width):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         if pivot != rank:
             rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            det = -det
-        pv = rows[rank][col]
-        det *= pv
+        pv = Fraction(rows[rank][col])
         # Left of col the pivot row is zero, so only its tail is touched.
         tail = [x / pv for x in rows[rank][col:]]
         rows[rank][col:] = tail
@@ -148,7 +203,7 @@ def _gauss_jordan(rows: List[List[Fraction]], width: int) -> Tuple[int, Fraction
             if r != rank and f:
                 row[col:] = [x - f * y for x, y in zip(row[col:], tail)]
         rank += 1
-    return rank, det if rank == len(rows) == width else Fraction(0)
+    return rank
 
 
 def submatrix_for(matrix: RationalMatrix, A, B) -> RationalMatrix:
@@ -158,40 +213,42 @@ def submatrix_for(matrix: RationalMatrix, A, B) -> RationalMatrix:
 
 @dataclass(frozen=True)
 class ParamAssignment:
-    """Exact rational parameters respecting the graph's sparsity pattern.
+    """Exact parameters respecting the graph's sparsity pattern.
 
     `lam` maps directed edges (i, j) to entries of L (so Lambda = I - L),
     `phi` is the symmetric W-block keyed by (min, max) pairs including the
     diagonal, and `k` is the symmetric U-block in the same convention.
+    `sample_parameters` gives `int`s; Fractions are exact too.
     """
 
-    lam: Mapping[Tuple[int, int], Fraction]
-    phi: Mapping[Tuple[int, int], Fraction]
-    k: Mapping[Tuple[int, int], Fraction]
+    lam: Mapping[Tuple[int, int], Rational]
+    phi: Mapping[Tuple[int, int], Rational]
+    k: Mapping[Tuple[int, int], Rational]
 
 
 def sample_parameters(g: MixedGraph, seed: int) -> ParamAssignment:
-    """Deterministic generic integer parameters.
+    """Deterministic generic integer parameters, as plain `int`s.
 
     Off-diagonal entries are nonzero integers in [-SCALE, SCALE]; diagonals
     are 1 + (row absolute sum) + a random integer in [1, SCALE], which makes
     Phi and K diagonally dominant (hence positive definite) while keeping the
-    diagonal itself generic.
+    diagonal itself generic.  Every covariance built from them is an int
+    matrix, except where K^{-1} enters, whose entries are Fractions.
     """
     rng = random.Random(seed)
 
     def signed():
         return rng.choice((-1, 1)) * rng.randint(1, SCALE)
 
-    lam = {e: Fraction(signed()) for e in sorted(g.directed_edges)}
+    lam = {e: signed() for e in sorted(g.directed_edges)}
 
     def symmetric_block(vertices, edges):
         block = {}
         for i, j in sorted(edges):
-            block[(i, j)] = Fraction(signed())
+            block[(i, j)] = signed()
         for v in sorted(vertices):
             row = sum(abs(val) for (i, j), val in block.items() if v in (i, j))
-            block[(v, v)] = Fraction(1 + row + rng.randint(1, SCALE))
+            block[(v, v)] = 1 + row + rng.randint(1, SCALE)
         return block
 
     phi = symmetric_block(g.w_set, g.bidirected_edges)
@@ -483,14 +540,14 @@ def _eliminate(rows: List[Dict[int, int]], steps=None) -> int:
         steps = None
 
 
-def _path_weight(p: ParamAssignment, path) -> Fraction:
-    w = Fraction(1)
+def _path_weight(p: ParamAssignment, path) -> Rational:
+    w = 1
     for a, b in zip(path, path[1:]):
         w *= p.lam[(a, b)]
     return w
 
 
-def trek_rule_covariance(g: MixedGraph, p: ParamAssignment, i: int, j: int) -> Fraction:
+def trek_rule_covariance(g: MixedGraph, p: ParamAssignment, i: int, j: int) -> Rational:
     """Covariance entry as the explicit sum over all treks between i and j.
 
     Enumerates path pairs hanging off every supported (top, top) pair of the
@@ -502,7 +559,7 @@ def trek_rule_covariance(g: MixedGraph, p: ParamAssignment, i: int, j: int) -> F
                          "use build_covariance instead")
     paths_i = _directed_paths_into(g, i)
     paths_j = _directed_paths_into(g, j)
-    total = Fraction(0)
+    total = 0
     for (s, t), phi in p.phi.items():
         for left_src, right_src in {(s, t), (t, s)}:
             if left_src in paths_i and right_src in paths_j:
@@ -513,12 +570,12 @@ def trek_rule_covariance(g: MixedGraph, p: ParamAssignment, i: int, j: int) -> F
 
 
 def simple_trek_rule_covariance(g: MixedGraph, p: ParamAssignment,
-                                sigma: RationalMatrix, i: int, j: int) -> Fraction:
+                                sigma: RationalMatrix, i: int, j: int) -> Rational:
     """Covariance entry as the sum over simple treks, the trek with top v
     weighted by a_v = sigma_vv, the variance read off the covariance sigma."""
     if graph_class(g) != DAG:
         raise ValueError("the simple trek rule is defined for DAGs")
-    total = Fraction(0)
+    total = 0
     for t in enumerate_simple_treks(g, i, j, DEFAULT_CAP):
         top = t.middle[0] - 1
         total += (sigma.entries[top][top] * _path_weight(p, t.left)
@@ -526,7 +583,7 @@ def simple_trek_rule_covariance(g: MixedGraph, p: ParamAssignment,
     return total
 
 
-def gvl_minor_two_ways(g: MixedGraph, p: ParamAssignment, R, S) -> Tuple[Fraction, Fraction]:
+def gvl_minor_two_ways(g: MixedGraph, p: ParamAssignment, R, S) -> Tuple[Rational, Rational]:
     """Minor of Lambda^{-1} two ways: exact determinant vs the signed sum
     over vertex-disjoint directed path systems from R to S."""
     if graph_class(g) != DAG:
@@ -539,10 +596,10 @@ def gvl_minor_two_ways(g: MixedGraph, p: ParamAssignment, R, S) -> Tuple[Fractio
     into = {s: _directed_paths_into(g, s) for s in Ss}
     options = {(r, s): [(path, frozenset(path)) for path in into[s].get(r, [])]
                for r in Rs for s in Ss}
-    total = Fraction(0)
+    total = 0
     for system in _disjoint_systems(Rs, Ss, options, DEFAULT_CAP):
         cols = [s for s, _ in system]  # the permutation's sign: -1 per inversion
-        weight = Fraction((-1) ** sum(x > y for x, y in combinations(cols, 2)))
+        weight = (-1) ** sum(x > y for x, y in combinations(cols, 2))
         for _, path in system:
             weight *= _path_weight(p, path)
         total += weight
@@ -550,7 +607,7 @@ def gvl_minor_two_ways(g: MixedGraph, p: ParamAssignment, R, S) -> Tuple[Fractio
 
 
 def cauchy_binet_two_ways(g: MixedGraph, p: ParamAssignment, A, B
-                          ) -> Tuple[Fraction, Fraction]:
+                          ) -> Tuple[Rational, Rational]:
     """det Sigma_{A,B} vs its phi_S-weighted expansion over column subsets S."""
     if graph_class(g) != DAG:
         raise ValueError("the phi_S expansion is defined for DAGs")
@@ -560,9 +617,9 @@ def cauchy_binet_two_ways(g: MixedGraph, p: ParamAssignment, A, B
     sigma = build_covariance(g, p)
     lhs = submatrix_for(sigma, As, Bs).det()
     lam_inv = lambda_inverse(g, p)
-    rhs = Fraction(0)
+    rhs = 0
     for subset in combinations(range(1, g.m + 1), len(As)):
-        phi_s = Fraction(1)
+        phi_s = 1
         for v in subset:
             phi_s *= p.phi[(v, v)]
         rhs += (submatrix_for(lam_inv, subset, As).det()
@@ -570,7 +627,7 @@ def cauchy_binet_two_ways(g: MixedGraph, p: ParamAssignment, A, B
     return lhs, rhs
 
 
-def undirected_minor_check(g: MixedGraph, p: ParamAssignment, A, B) -> Tuple[Fraction, bool]:
+def undirected_minor_check(g: MixedGraph, p: ParamAssignment, A, B) -> Tuple[Rational, bool]:
     """Exact minor of Sigma = K^{-1} plus a combinatorial zero/nonzero verdict.
 
     The verdict is True iff there is a system of #A vertex-disjoint paths

@@ -102,13 +102,14 @@ from (A, C) alone, and B enters only a last test.  `_bayes_ball` gives the
 vertices the ball visits, d-separated iff they miss B; each round is two
 `_spread` unions, the parents of the vertices reached going up outside C
 or coming down into C, and the children of the vertices outside C reached
-either way.  `_left_closures` gives, for every C_A within C, the left
-closure of A+C around C_A, and `_some_partition_separates` grows, per B,
-the right closure of B+C around C_B = C - C_A until it meets that left
-closure.  Each public decider is its input checks and then those two
-parts; criterion 8 walks a graph's triples by A, then C, then B, and
-computes the (A, C) parts once, before its loop over B
-(`verify._dsep_verdicts`).
+either way.  `_partition_masks` gives, for every partition C = C_A | C_B,
+the vertices that reach the left closure of A+C around C_A going up around
+C_B (one upward and one downward `_closed_up`), and drops the partitions
+whose C_A lies in that mask; `_some_partition_separates` answers each B
+with one AND per partition left: B+C is t-separated iff B misses a mask.
+Each public decider is its input checks and then those two parts;
+criterion 8 walks a graph's triples by A, then C, then B, and computes the
+(A, C) parts once, before its loop over B (`verify._dsep_verdicts`).
 """
 
 from __future__ import annotations
@@ -430,51 +431,59 @@ def d_separates(g: MixedGraph, A, B, C) -> bool:
     return not _bayes_ball(g, A, C) & _mask(B)
 
 
-def _closed_up(pmask, start, blocked, stop=0) -> int:
-    """The mask start reaches going up through pmask without entering blocked.
+def _closed_up(masks, start, blocked) -> int:
+    """The mask start reaches going up through a graph's parent masks
+    without entering blocked; given the child masks, it goes down.
 
-    Grows a frontier at a time and gives -1 as soon as it meets stop.
+    Grows a frontier at a time.
     """
     grown = frontier = start & ~blocked
     while frontier:
-        if frontier & stop:
-            return -1
         step = 0
         while frontier:
             low = frontier & -frontier
-            step |= pmask[low.bit_length() - 1]
+            step |= masks[low.bit_length() - 1]
             frontier ^= low
         frontier = step & ~blocked & ~grown
         grown |= frontier
     return grown
 
 
-def _left_closures(g: MixedGraph, A, C) -> List[Tuple[int, int, int]]:
-    """(C_A, C_B, left closure) for every partition C = C_A | C_B, as int masks.
+def _partition_masks(g: MixedGraph, A, C) -> List[int]:
+    """For each partition C = C_A | C_B that can separate, the int mask of
+    the vertices that reach its left closure going up around C_B.
 
-    The left closure grows from A+C upward around C_A.  C_A runs through the
-    subsets of C in increasing order of its mask.
+    A trek avoids C_A on the left and C_B on the right, so the partition
+    t-separates A+C from B+C iff the right closure, grown from B+C upward
+    around C_B, misses the left closure, grown from A+C upward around C_A.
+    The right closure meets it iff some vertex of B + C_A reaches it going
+    up around C_B, that is lies in the mask, the left closure's downward
+    closure around C_B.  A partition whose C_A meets its mask separates no
+    B and is dropped.  C_A runs through the subsets of C in increasing order
+    of its mask.
     """
-    pmask = g.parent_mask
+    pmask, cmask = g.parent_mask, g.child_mask
     c_all = _mask(C)
     ac = _mask(A) | c_all
     out = []
     c_a = 0
     while True:
-        out.append((c_a, c_all ^ c_a, _closed_up(pmask, ac, c_a)))
+        c_b = c_all ^ c_a
+        reach = _closed_up(cmask, _closed_up(pmask, ac, c_a), c_b)
+        if not c_a & reach:
+            out.append(reach)
         c_a = (c_a - c_all) & c_all
         if not c_a:
             return out
 
 
-def _some_partition_separates(pmask, lefts, b) -> bool:
+def _some_partition_separates(masks, b) -> bool:
     """Does some partition of C t-separate A+C from B+C in the DAG pair view?
 
-    lefts comes from `_left_closures(g, A, C)` and b is the mask of B.  The
-    right closure grows from B+C upward around C_B and fails as soon as it
-    meets the left closure: a trek avoids C_A on the left and C_B on the right.
+    masks comes from `_partition_masks(g, A, C)` and b is the mask of B: a
+    partition separates iff B misses its mask.
     """
-    return any(_closed_up(pmask, b | c_a, c_b, left) != -1 for c_a, c_b, left in lefts)
+    return any(not b & mask for mask in masks)
 
 
 def d_sep_via_t_sep(g: MixedGraph, A, B, C) -> bool:
@@ -489,7 +498,7 @@ def d_sep_via_t_sep(g: MixedGraph, A, B, C) -> bool:
         raise CapExceededError(
             20, f"partition search over {len(C)} conditioning vertices "
                 "exceeds the cap of 20")
-    return _some_partition_separates(g.parent_mask, _left_closures(g, A, C), _mask(B))
+    return _some_partition_separates(_partition_masks(g, A, C), _mask(B))
 
 
 def _ci_reached(arcs: _Arcs, g: MixedGraph, AC, C) -> int:

@@ -303,13 +303,12 @@ def _dsep_verdicts(g: MixedGraph):
     and |C| <= 3, as sorted tuples, by A, then C, then B.
 
     Each decider does most of its work from (A, C) alone: Bayes-ball's
-    visited set, the left closures of the partition search and the vertices
+    visited set, the partition search's masks and the vertices
     whose right out-node the CI search reaches.  Those parts are computed
     once per (A, C) pair that leaves a vertex for B, and each B runs the
     three per-B tests against its mask.  Every CI search reads the one set
     of trek-network arcs listed for g in this call.
     """
-    pmask = g.parent_mask
     arcs = separation._Arcs(g)
     vs = range(1, g.m + 1)
     for A in chain(combinations(vs, 1), combinations(vs, 2)):
@@ -319,12 +318,12 @@ def _dsep_verdicts(g: MixedGraph):
             if not rest_c:
                 continue
             reach = separation._bayes_ball(g, A, C)
-            lefts = separation._left_closures(g, A, C)
+            masks = separation._partition_masks(g, A, C)
             ci_reach = separation._ci_reached(arcs, g, A + C, C)
             for B in chain(combinations(rest_c, 1), combinations(rest_c, 2)):
                 b = separation._mask(B)
                 yield (A, B, C, not reach & b,
-                       separation._some_partition_separates(pmask, lefts, b),
+                       separation._some_partition_separates(masks, b),
                        not ci_reach & b)
 
 

@@ -3,7 +3,9 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,8 @@ from treksep.algebra import (RationalMatrix, build_covariance,
                              translate_subdivision_parameters,
                              trek_rule_covariance,
                              undirected_minor_check)
-from treksep.graph import DAG, MIXED, UNDIRECTED, bidirected_subdivision, make_graph
+from treksep.graph import (DAG, MIXED, UNDIRECTED, bidirected_subdivision, graph_class,
+                           make_graph)
 from treksep.instances import choke_graph, spider_graph
 from treksep.separation import min_t_separator
 from treksep.verify import random_graph
@@ -47,6 +50,107 @@ def test_rational_matrix_basics():
     assert m2.det() == 1
     inv = m2.inverse()
     assert m2.matmul(inv) == RationalMatrix.identity(2)
+
+
+def leibniz_det(rows):
+    """det as the signed sum over permutations, the sign counted by
+    inversions: shares nothing with the elimination."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        term = (-1) ** sum(x > y for x, y in combinations(perm, 2))
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def _det_cases():
+    """Seeded square matrices up to 5x5 over int and Fraction entries:
+    dense ones, sparse ones (zero pivots mid-elimination), ones with a zero
+    leading entry (a swap comes first) and singular ones."""
+    rng = random.Random("bareiss")
+    yield [], False
+    yield [[7]], False
+    yield [[Fraction(-3, 4)]], True
+    yield [[0, 2], [3, 5]], False
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        rational = rng.random() < 0.4
+        zeros = rng.choice((0.0, 0.3, 0.6))
+
+        def entry():
+            if rng.random() < zeros:
+                return 0
+            x = rng.randint(-9, 9)
+            return Fraction(x, rng.randint(1, 6)) if rational else x
+
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        shape = rng.random()
+        if shape < 0.25 and n > 1:  # a zero leading entry
+            rows[0][0] = 0
+        elif shape < 0.5 and n > 1:  # a row the sum of two others (or a copy)
+            i, j, k = (rng.randrange(n) for _ in range(3))
+            rows[i] = [x + y if j != k else x for x, y in zip(rows[j], rows[k])]
+        yield rows, rational
+
+
+def test_bareiss_det_matches_leibniz():
+    kinds = Counter()
+    for rows, rational in _det_cases():
+        expected = leibniz_det(rows)
+        got = RationalMatrix.from_rows(rows).det() if rows else RationalMatrix(0, 0, []).det()
+        assert got == expected, rows
+        if not rational:
+            assert type(got) is int, rows
+        kinds[rational, expected == 0, bool(rows) and rows[0][0] == 0] += 1
+    # int and Fraction, singular and not, each with and without a zero
+    # leading entry
+    assert len(kinds) == 8 and min(kinds.values()) >= 10, kinds
+
+
+def test_identities_on_int_parameters_return_ints():
+    # The acceptance identities on seeded DAGs, every value an int; on
+    # graphs with U, K^{-1} makes Fractions, never floats.
+    rng = random.Random("int-identities")
+    fractions = 0
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        g = random_graph(DAG, n, rng.getrandbits(32), 0.5)
+        p = sample_parameters(g, rng.getrandbits(48))
+        values = [*p.lam.values(), *p.phi.values()]
+        lam_inv = lambda_inverse(g, p)
+        sigma = build_covariance(g, p)
+        values += [x for m in (lam_inv, sigma) for row in m.entries for x in row]
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                values += [trek_rule_covariance(g, p, i, j),
+                           simple_trek_rule_covariance(g, p, sigma, i, j)]
+        size = rng.randint(1, min(3, n))
+        R, S = (rng.sample(range(1, n + 1), size) for _ in range(2))
+        values += [*gvl_minor_two_ways(g, p, R, S), *cauchy_binet_two_ways(g, p, R, S)]
+        assert all(type(v) is int for v in values), g
+    for cls in (UNDIRECTED, MIXED):
+        for _ in range(30):
+            n = rng.randint(2, 6)
+            g = random_graph(cls, n, rng.getrandbits(32), 0.6)
+            p = sample_parameters(g, rng.getrandbits(48))
+            assert all(type(v) is int for block in (p.lam, p.phi, p.k) for v in block.values())
+            assert all(type(x) is int for row in lambda_inverse(g, p).entries for x in row)
+            values = [x for row in build_covariance(g, p).entries for x in row]
+            if graph_class(g) == UNDIRECTED:
+                size = rng.randint(1, min(2, n))
+                A, B = (rng.sample(range(1, n + 1), size) for _ in range(2))
+                values.append(undirected_minor_check(g, p, A, B)[0])
+            elif g.bidirected_edges:
+                g2 = bidirected_subdivision(g)
+                p2 = translate_subdivision_parameters(g, sample_parameters(g2, 1))
+                assert all(type(v) is int for block in (p2.lam, p2.phi, p2.k)
+                           for v in block.values())
+                values += [x for row in build_covariance(g, p2).entries for x in row]
+            assert all(type(v) in (int, Fraction) for v in values), g
+            fractions += sum(type(v) is Fraction for v in values)
+    assert fractions > 100, fractions
 
 
 def test_sample_parameters_deterministic_and_shaped():
@@ -94,8 +198,8 @@ def test_build_covariance_undirected_is_k_inverse():
     k11, k22, k12 = p.k[(1, 1)], p.k[(2, 2)], p.k[(1, 2)]
     det = k11 * k22 - k12 * k12
     sigma = build_covariance(g, p)
-    assert sigma.entries == [[k22 / det, -k12 / det],
-                             [-k12 / det, k11 / det]]
+    assert sigma.entries == [[Fraction(k22, det), Fraction(-k12, det)],
+                             [Fraction(-k12, det), Fraction(k11, det)]]
 
 
 def test_lambda_inverse_is_inverse():
