@@ -212,7 +212,7 @@ def cmd_treks(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _require_count("--graphs", args.graphs, 1)
+    _require_count("--graphs", args.graphs, 1, verify.MAX_GRAPHS)
     _require_count("--max-vertices", args.max_vertices, verify.MIN_VERTICES, verify.MAX_VERTICES)
     _require_count("--trials", args.trials, 1, verify.MAX_TRIALS)
     cfg = verify.SuiteConfig(seed=args.seed, max_vertices=args.max_vertices,

@@ -65,7 +65,7 @@ is listed the first time a search reads it, so a query on a large graph
 lists only the few out-nodes it reaches; once listed, an entry never
 changes.  Criterion 8, which runs one CI search per (A, C) pair of a
 graph, lists that graph's arcs once and hands them to every search
-(`verify._dsep_verdicts`).
+(`verify._dsep_pairs`).
 
 A trek ends in a directed path down into B, so its right half lies in
 an(B), the ancestors of B; `_blank` finds an(B) with `graph._closure`,
@@ -104,12 +104,16 @@ vertices the ball visits, d-separated iff they miss B; each round is two
 or coming down into C, and the children of the vertices outside C reached
 either way.  `_partition_masks` gives, for every partition C = C_A | C_B,
 the vertices that reach the left closure of A+C around C_A going up around
-C_B (one upward and one downward `_closed_up`), and drops the partitions
-whose C_A lies in that mask; `_some_partition_separates` answers each B
-with one AND per partition left: B+C is t-separated iff B misses a mask.
-Each public decider is its input checks and then those two parts;
-criterion 8 walks a graph's triples by A, then C, then B, and computes the
-(A, C) parts once, before its loop over B (`verify._dsep_verdicts`).
+C_B (one upward and one downward closure), and drops the partitions whose
+C_A meets that mask; `_some_partition_separates` answers each B with one
+AND per partition left: B+C is t-separated iff B misses a mask.  Each
+public decider is its input checks and then those two parts, and
+`d_sep_via_t_sep` computes every closure afresh with `_closed_up`: within
+one (A, C) no closure repeats.  Criterion 8 computes the (A, C) parts once
+per pair (`verify._dsep_pairs`) and checks all the pair's Bs with three
+mask tests (`verify._pair_agrees`).  Its partition searches share one
+closure function per graph from `_kept_closures`, which keeps each closure
+by (start, blocked): pairs with one A+C share their upward closures.
 """
 
 from __future__ import annotations
@@ -396,19 +400,19 @@ def _spread(table, mask) -> int:
     return out
 
 
-def _bayes_ball(g: MixedGraph, A, C) -> int:
+def _bayes_ball(g: MixedGraph, a: int, c_set: int) -> int:
     """The mask of the vertices a ball from A visits given C (Bayes-ball).
 
-    Sets are int masks, visited a whole frontier at a time.  A vertex set B
-    disjoint from A and C is d-separated from A given C iff the mask misses B.
+    a and c_set are the masks of A and C.  Sets are int masks, visited a
+    whole frontier at a time.  A vertex set B disjoint from A and C is
+    d-separated from A given C iff the mask misses B.
     """
     pmask, cmask = g.parent_mask, g.child_mask
-    c_set = _mask(C)
     # the ball leaves a vertex outside C upward to its parents and downward
     # to its children, passes a vertex outside C downward, and bounces from
     # down to up at a vertex of C (Shachter): a ball passing down through an
     # ancestor of C reaches C, bounces, and climbs back up through it
-    up = new_up = _mask(A)
+    up = new_up = a
     down = new_down = 0
     while new_up or new_down:
         next_up = _spread(pmask, new_up & ~c_set | new_down & c_set)
@@ -428,7 +432,7 @@ def d_separates(g: MixedGraph, A, B, C) -> bool:
     """
     A, B, C = frozenset(A), frozenset(B), frozenset(C)
     _require_dsep_query(g, A, B, C)
-    return not _bayes_ball(g, A, C) & _mask(B)
+    return not _bayes_ball(g, _mask(A), _mask(C)) & _mask(B)
 
 
 def _closed_up(masks, start, blocked) -> int:
@@ -449,7 +453,31 @@ def _closed_up(masks, start, blocked) -> int:
     return grown
 
 
-def _partition_masks(g: MixedGraph, A, C) -> List[int]:
+def _kept_closures(g: MixedGraph):
+    """`_closed_up` on g's parent and child masks, each closure kept.
+
+    The function it returns is called as `_closed_up` is, and keeps each
+    closure by (start, blocked), in one dict for each table.  Criterion 8
+    makes one per graph, as it makes the graph's `_Arcs`, and hands it to
+    the partition search of every (A, C) pair: up closures repeat across
+    pairs with one A + C, and down closures across pairs whose left
+    closures agree.  It holds the graph's parent masks and not the graph.
+    """
+    up, down = {}, {}
+    parent_mask = g.parent_mask
+
+    def closed(masks, start, blocked) -> int:
+        kept = up if masks is parent_mask else down
+        key = start, blocked
+        out = kept.get(key)
+        if out is None:
+            out = kept[key] = _closed_up(masks, start, blocked)
+        return out
+
+    return closed
+
+
+def _partition_masks(g: MixedGraph, a: int, c_all: int, closed) -> List[int]:
     """For each partition C = C_A | C_B that can separate, the int mask of
     the vertices that reach its left closure going up around C_B.
 
@@ -459,17 +487,17 @@ def _partition_masks(g: MixedGraph, A, C) -> List[int]:
     The right closure meets it iff some vertex of B + C_A reaches it going
     up around C_B, that is lies in the mask, the left closure's downward
     closure around C_B.  A partition whose C_A meets its mask separates no
-    B and is dropped.  C_A runs through the subsets of C in increasing order
-    of its mask.
+    B and is dropped.  a and c_all are the masks of A and C, and C_A runs
+    through the subsets of C in increasing order of its mask.  closed is
+    `_closed_up`, or what `_kept_closures` made for g.
     """
     pmask, cmask = g.parent_mask, g.child_mask
-    c_all = _mask(C)
-    ac = _mask(A) | c_all
+    ac = a | c_all
     out = []
     c_a = 0
     while True:
         c_b = c_all ^ c_a
-        reach = _closed_up(cmask, _closed_up(pmask, ac, c_a), c_b)
+        reach = closed(cmask, closed(pmask, ac, c_a), c_b)
         if not c_a & reach:
             out.append(reach)
         c_a = (c_a - c_all) & c_all
@@ -480,8 +508,8 @@ def _partition_masks(g: MixedGraph, A, C) -> List[int]:
 def _some_partition_separates(masks, b) -> bool:
     """Does some partition of C t-separate A+C from B+C in the DAG pair view?
 
-    masks comes from `_partition_masks(g, A, C)` and b is the mask of B: a
-    partition separates iff B misses its mask.
+    masks comes from `_partition_masks` and b is the mask of B: a partition
+    separates iff B misses its mask.
     """
     return any(not b & mask for mask in masks)
 
@@ -498,7 +526,8 @@ def d_sep_via_t_sep(g: MixedGraph, A, B, C) -> bool:
         raise CapExceededError(
             20, f"partition search over {len(C)} conditioning vertices "
                 "exceeds the cap of 20")
-    return _some_partition_separates(_partition_masks(g, A, C), _mask(B))
+    return _some_partition_separates(_partition_masks(g, _mask(A), _mask(C), _closed_up),
+                                     _mask(B))
 
 
 def _ci_reached(arcs: _Arcs, g: MixedGraph, AC, C) -> int:
@@ -516,7 +545,11 @@ def _ci_reached(arcs: _Arcs, g: MixedGraph, AC, C) -> int:
         prv[3 * c - 2] = 6 * c - 5
         prv[3 * c - 1] = 6 * c - 3
     via = _search(arcs, prv, AC, (), [-1] * (6 * g.m), 0)[0]
-    return _mask(k + 1 for k, x in enumerate(via[5::6]) if x != -1)
+    out = 0
+    for v, x in enumerate(via[5::6], 1):  # the right out-node of each vertex
+        if x != -1:
+            out |= 1 << v
+    return out
 
 
 def ci_implied(g: MixedGraph, A, B, C) -> bool:

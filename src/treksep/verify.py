@@ -21,10 +21,16 @@ from .graph import (DAG, MIXED, UNDIRECTED, MixedGraph, bidirected_subdivision,
 # its mixed graphs a bidirected edge between two W vertices, and
 # `random_graph` puts two vertices in W only from n = 4 on.
 MIN_VERTICES = 4
-# Largest max_vertices: criterion 8 costs about n^7 a graph, 0.69 s on one
-# 10-vertex DAG, 3.0 s at 12, 8.5 s at 14 and 27.5 s at 16 (Python 3.11,
-# 2-CPU host), so 16 keeps a graph under half a minute.
+# Largest max_vertices: criterion 8 decides about n^7 triples a graph.  On
+# `random_graph(DAG, n, 12345, 0.4)` it takes 0.13-0.21 s of CPU at n = 10,
+# 0.40-0.59 s at 12, 1.1-1.6 s at 14 and 3.2-3.6 s at 16, with a peak RSS of
+# 46 MiB at 16, most of it the graph's kept closures (Python 3.11, 2-CPU
+# shared host), so 16 keeps a graph to seconds.
 MAX_VERTICES = 16
+# Largest graph_count, and `verify --graphs`: a graph costs about 5 ms at the
+# other defaults (`verify --graphs 1000` took 4.5-5.3 s on that host), so
+# the bound keeps such a run under ten minutes.
+MAX_GRAPHS = 100_000
 # Largest trials_per_instance, and `rank --trials`: a trial falls short with
 # probability at most deg/PRIME, so past a few trials more buy nothing, while
 # each costs about 55 us on the choke graph and 0.15 s on a 400-vertex
@@ -48,6 +54,8 @@ class SuiteConfig:
             raise ValueError(f"max_vertices must be at most {MAX_VERTICES}")
         if self.graph_count < 1:
             raise ValueError("graph_count must be at least 1")
+        if self.graph_count > MAX_GRAPHS:
+            raise ValueError(f"graph_count must be at most {MAX_GRAPHS}")
         if self.trials_per_instance < 1:
             raise ValueError("trials_per_instance must be at least 1")
         if self.trials_per_instance > MAX_TRIALS:
@@ -298,53 +306,107 @@ def criterion_subdivision(cfg: SuiteConfig) -> CheckResult:
     return out
 
 
-def _dsep_verdicts(g: MixedGraph):
-    """(A, B, C, d, t, ci) for every disjoint triple of g with |A|, |B| <= 2
-    and |C| <= 3, as sorted tuples, by A, then C, then B.
+def _dsep_pairs(g: MixedGraph):
+    """(A, C, rest, reach, masks, ci_reach) for every (A, C) pair of g, with
+    |A| <= 2 and |C| <= 3, that leaves a vertex for B, by A and then C.
 
-    Each decider does most of its work from (A, C) alone: Bayes-ball's
-    visited set, the partition search's masks and the vertices
-    whose right out-node the CI search reaches.  Those parts are computed
-    once per (A, C) pair that leaves a vertex for B, and each B runs the
-    three per-B tests against its mask.  Every CI search reads the one set
-    of trek-network arcs listed for g in this call.
+    rest is the mask of the vertices outside A + C.  The other three are
+    the parts each decider computes from (A, C) alone: Bayes-ball's visited
+    set, the partition search's kept masks and the vertices whose right
+    out-node the CI search reaches.  Every CI search reads the one set of
+    trek-network arcs listed for g in this call, and every partition search
+    the one `separation._kept_closures` made for g.
     """
-    arcs = separation._Arcs(g)
+    arcs, closed = separation._Arcs(g), separation._kept_closures(g)
     vs = range(1, g.m + 1)
+    full = separation._mask(vs)
     for A in chain(combinations(vs, 1), combinations(vs, 2)):
         rest_a = [v for v in vs if v not in A]
+        a = separation._mask(A)
         for C in chain.from_iterable(combinations(rest_a, k) for k in range(4)):
-            rest_c = [v for v in rest_a if v not in C]
-            if not rest_c:
-                continue
-            reach = separation._bayes_ball(g, A, C)
-            masks = separation._partition_masks(g, A, C)
-            ci_reach = separation._ci_reached(arcs, g, A + C, C)
-            for B in chain(combinations(rest_c, 1), combinations(rest_c, 2)):
-                b = separation._mask(B)
-                yield (A, B, C, not reach & b,
-                       separation._some_partition_separates(masks, b),
-                       not ci_reach & b)
+            c = separation._mask(C)
+            rest = full ^ a ^ c
+            if rest:
+                yield (A, C, rest, separation._bayes_ball(g, a, c),
+                       separation._partition_masks(g, a, c, closed),
+                       separation._ci_reached(arcs, g, A + C, C))
+
+
+def _dsep_verdicts(g: MixedGraph):
+    """(A, B, C, d, t, ci) for every disjoint triple of g with |A|, |B| <= 2
+    and |C| <= 3, as sorted tuples, by A, then C, then B: the per-B view of
+    criterion 8.  Each B runs the three per-B tests against the parts of its
+    (A, C) pair, computed once (`_dsep_pairs`)."""
+    for A, C, rest, reach, masks, ci_reach in _dsep_pairs(g):
+        vs = [v for v in range(1, g.m + 1) if rest >> v & 1]
+        for B in chain(combinations(vs, 1), combinations(vs, 2)):
+            b = separation._mask(B)
+            yield (A, B, C, not reach & b,
+                   separation._some_partition_separates(masks, b),
+                   not ci_reach & b)
+
+
+def _pair_agrees(rest: int, reach: int, masks, ci_reach: int) -> bool:
+    """A sufficient test, on masks, that d == t == ci for every B of rest.
+
+    rest is the mask of the vertices outside A + C, and reach, masks and
+    ci_reach the parts of `_dsep_pairs`.  It holds when (a) reach and
+    ci_reach agree on rest, (b) every vertex of rest that the ball visits
+    lies in every kept mask and (c) some kept mask misses the vertices of
+    rest it does not visit.  d and ci of a B are the ANDs of its vertices'
+    verdicts, and (a) makes them equal.  A B with a visited vertex is then
+    not d-separated, and by (b) meets every mask: not t-separated either.  A
+    B with none is d-separated, and by (c) misses a mask: t-separated.
+    """
+    if (reach ^ ci_reach) & rest:
+        return False
+    hit = rest & reach
+    missed = rest ^ hit
+    some = False
+    for mask in masks:
+        if hit & ~mask:
+            return False
+        some = some or not missed & mask
+    return some
+
+
+def _first_dsep_failure(g: MixedGraph):
+    """The first triple of g, by A, then C, then B, on which the three
+    deciders disagree, as criterion 8 records it, or None.
+
+    Every (A, C) pair runs `_pair_agrees`.  A graph with a pair that fails
+    it walks its per-B view, `_dsep_verdicts`, from the start, so the record
+    is that view's first disagreement.
+    """
+    for _, _, rest, reach, masks, ci_reach in _dsep_pairs(g):
+        if not _pair_agrees(rest, reach, masks, ci_reach):
+            break
+    else:
+        return None
+    for A, B, C, d, t, ci in _dsep_verdicts(g):
+        if not d == t == ci:
+            return {"A": sorted(A), "B": sorted(B), "C": sorted(C),
+                    "d_separates": d, "via_t_sep": t, "ci_implied": ci}
+    return None
 
 
 def criterion_dsep_equivalence(cfg: SuiteConfig) -> CheckResult:
     """d-separation == partitioned t-separation == rank-#C test, exhaustively.
 
     Every disjoint triple of each graph (|A|, |B| <= 2, |C| <= 3) is decided
-    three ways by `_dsep_verdicts`, from the parts the public deciders run
-    after their input checks, which these DAGs and triples pass by
-    construction.  The first disagreement of a graph, in the order A, then
-    C, then B, is recorded with the three verdicts; it replays through the
-    public deciders.
+    three ways, from the parts the public deciders run after their input
+    checks, which these DAGs and triples pass by construction.  Each (A, C)
+    pair computes its three parts once (`_dsep_pairs`), with one set of
+    arcs and one store of closures (`separation._kept_closures`) per graph,
+    and checks all its Bs at once with three mask tests (`_pair_agrees`).
+    A graph with a pair that fails them runs the exact per-B tests of every
+    triple, in the order A, then C, then B (`_dsep_verdicts`), and its
+    first disagreement is recorded with the three verdicts; it replays
+    through the public deciders.
     """
     out = CheckResult("dsep_equivalence")
-    for g, rng in _graph_stream(DAG, cfg, cfg.graph_count, "dsep"):
-        bad = None
-        for A, B, C, d, t, ci in _dsep_verdicts(g):
-            if not d == t == ci:
-                bad = {"A": sorted(A), "B": sorted(B), "C": sorted(C),
-                       "d_separates": d, "via_t_sep": t, "ci_implied": ci}
-                break
+    for g, _ in _graph_stream(DAG, cfg, cfg.graph_count, "dsep"):
+        bad = _first_dsep_failure(g)
         out.record(bad is None, g, {"check": "dsep_equivalence", **(bad or {})})
     return out
 

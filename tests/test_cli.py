@@ -302,6 +302,8 @@ def test_help_still_prints_usage(capsys, argv):
     (["--max-vertices", "1000000000"], "--max-vertices must be at most 16"),
     (["--trials", "1001"], "--trials must be at most 1000"),
     (["--graphs", "1", "--trials", "1000000000"], "--trials must be at most 1000"),
+    (["--graphs", "100001"], "--graphs must be at most 100000"),
+    (["--graphs", "1000000000"], "--graphs must be at most 100000"),
 ])
 def test_verify_bad_counts_are_usage_errors(flags, message, capsys):
     assert main(["verify", *flags]) == 2

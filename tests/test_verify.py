@@ -1,7 +1,8 @@
 import inspect
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from test_separation import _recorded_arcs
 
 from treksep import separation, verify
@@ -52,6 +53,14 @@ def test_config_validation():
         with pytest.raises(ValueError, match="^max_vertices must be at most 16$"):
             SuiteConfig(max_vertices=n)
     assert SuiteConfig(max_vertices=16).max_vertices == 16
+
+
+def test_suite_config_bounds_the_graphs():
+    for count in (verify.MAX_GRAPHS + 1, 10**9):  # each graph costs a few ms
+        with pytest.raises(ValueError, match=f"^graph_count must be at most "
+                                             f"{verify.MAX_GRAPHS}$"):
+            SuiteConfig(graph_count=count)
+    assert SuiteConfig(graph_count=verify.MAX_GRAPHS).graph_count == verify.MAX_GRAPHS
 
 
 def test_suite_config_bounds_the_trials():
@@ -239,24 +248,31 @@ def _per_triple_first_failure(cfg):
 
 
 def test_dsep_equivalence_failure_record_replays(monkeypatch):
-    # flip the partition search's per-B test on one triple, the sixth of the
-    # second graph: both the criterion and a per-triple loop over the public
-    # deciders make one such test per triple, in the same order
+    # drop the kept partition masks of one (A, C) pair of the second graph,
+    # its first pair with a d-separated B: no partition of C then separates
+    # A + C from B + C.  The criterion and the public `d_sep_via_t_sep` both
+    # make their masks by `_partition_masks`, so the per-triple replay over
+    # the public deciders sees the same fault
     graphs = _dsep_graphs(DSEP_CFG)
-    flip_at = len(_triples(graphs[0].m)) + 6
-    real = separation._some_partition_separates
-    calls = []
+    A0, C0 = next((list(A), list(C)) for A, _, C, d, *_ in verify._dsep_verdicts(graphs[1])
+                  if d)
+    key = separation._mask(A0), separation._mask(C0), graphs[1]
+    real = separation._partition_masks
+    hits = []
 
-    def flipped(*args):
-        calls.append(None)
-        return real(*args) != (len(calls) == flip_at)
+    def faulty(g, a, c, closed):
+        masks = real(g, a, c, closed)
+        if (a, c, g) == key:
+            hits.append(None)
+            return []
+        return masks
 
-    monkeypatch.setattr(separation, "_some_partition_separates", flipped)
+    monkeypatch.setattr(separation, "_partition_masks", faulty)
     result = verify.criterion_dsep_equivalence(DSEP_CFG)
-    assert len(calls) > flip_at
-    calls.clear()
+    assert hits
     expected = _per_triple_first_failure(DSEP_CFG)
     assert expected is not None and expected["graph"] == serialize(graphs[1])
+    assert (expected["A"], expected["C"]) == (A0, C0)
     assert result.failures == [expected]
     assert result.passes == DSEP_CFG.graph_count - 1
     monkeypatch.undo()
@@ -265,3 +281,84 @@ def test_dsep_equivalence_failure_record_replays(monkeypatch):
     assert separation.d_separates(g, A, B, C) == expected["d_separates"]
     assert separation.ci_implied(g, A, B, C) == expected["ci_implied"]
     assert separation.d_sep_via_t_sep(g, A, B, C) == (not expected["via_t_sep"])
+
+
+def _per_b_agrees(rest, reach, masks, ci_reach):
+    """d == t == ci for every B of the mask rest with |B| in {1, 2}, by the
+    per-B definition of `verify._pair_verdicts`."""
+    vs = [v for v in range(rest.bit_length()) if rest >> v & 1]
+    for B in chain(combinations(vs, 1), combinations(vs, 2)):
+        b = sum(1 << v for v in B)
+        if not (not reach & b) == any(not b & mask for mask in masks) \
+                == (not ci_reach & b):
+            return False
+    return True
+
+
+_six_bits = st.integers(0, 63)
+
+
+# rest empty; the (a), (b) and (c) cases of one vertex, each a disagreement
+# that the test would pass without its own condition; and an agreeing pair
+# that the test cannot decide: no kept mask misses all three unvisited
+# vertices, but every pair of them misses one
+@example(rest=0, reach=0b101, masks=[], ci_reach=0b11)
+@example(rest=0, reach=0, masks=[0], ci_reach=0)
+@example(rest=0b1, reach=0, masks=[0], ci_reach=0b1)
+@example(rest=0b1, reach=0b1, masks=[0], ci_reach=0b1)
+@example(rest=0b1, reach=0, masks=[0b1], ci_reach=0)
+@example(rest=0b111, reach=0, masks=[0b1, 0b10, 0b100], ci_reach=0)
+@settings(max_examples=1000, deadline=None)
+@given(rest=_six_bits, reach=_six_bits, masks=st.lists(_six_bits, max_size=4),
+       ci_reach=_six_bits)
+def test_pair_agrees_passes_only_pairs_whose_every_b_agrees(rest, reach, masks, ci_reach):
+    # the (A, C) test of criterion 8 is sufficient: a pair it passes has
+    # d == t == ci for every B of rest; a pair it fails runs the per-B tests
+    if verify._pair_agrees(rest, reach, masks, ci_reach):
+        assert _per_b_agrees(rest, reach, masks, ci_reach)
+
+
+def test_pair_agrees_decides_every_real_pair_of_the_default_suite():
+    # on the suite's own graphs the test never falls back to the per-B tests
+    cfg = SuiteConfig()
+    pairs = fallbacks = 0
+    for g in _dsep_graphs(cfg):
+        for A, C, rest, reach, masks, ci_reach in verify._dsep_pairs(g):
+            pairs += 1
+            fallbacks += not verify._pair_agrees(rest, reach, masks, ci_reach)
+    assert (pairs, fallbacks) == (23_517, 0)
+
+
+def _bayes_ball_with_no_bounce(g, a, c_set):
+    """`separation._bayes_ball` with its bounce at C dropped: a ball coming
+    down into a vertex of C no longer climbs to its parents."""
+    pmask, cmask = g.parent_mask, g.child_mask
+    up = new_up = a
+    down = new_down = 0
+    while new_up or new_down:
+        next_up = separation._spread(pmask, new_up & ~c_set)
+        next_down = separation._spread(cmask, (new_up | new_down) & ~c_set)
+        new_up = next_up & ~up
+        new_down = next_down & ~down
+        up |= new_up
+        down |= new_down
+    return up | down
+
+
+def test_dsep_equivalence_fails_a_bayes_ball_with_no_bounce(monkeypatch):
+    # the mutant of `_bayes_ball` that drops the bounce at C: criterion 8
+    # fails 81 of the default suite's 200 graphs, each with the record of the
+    # per-B view's first disagreement
+    monkeypatch.setattr(separation, "_bayes_ball", _bayes_ball_with_no_bounce)
+    cfg = SuiteConfig()
+    result = verify.criterion_dsep_equivalence(cfg)
+    assert (result.passes, len(result.failures)) == (119, 81)
+    expected = []
+    for g in _dsep_graphs(cfg):
+        for A, B, C, d, t, ci in verify._dsep_verdicts(g):
+            if not d == t == ci:
+                expected.append({"check": "dsep_equivalence", "A": sorted(A),
+                                 "B": sorted(B), "C": sorted(C), "d_separates": d,
+                                 "via_t_sep": t, "ci_implied": ci, "graph": serialize(g)})
+                break
+    assert result.failures == expected
