@@ -214,6 +214,8 @@ def cmd_treks(args) -> int:
 def cmd_verify(args) -> int:
     _require_count("--graphs", args.graphs, 1, verify.MAX_GRAPHS)
     _require_count("--max-vertices", args.max_vertices, verify.MIN_VERTICES, verify.MAX_VERTICES)
+    _require_count(f"--graphs at --max-vertices {args.max_vertices}", args.graphs, 1,
+                   verify.max_graphs(args.max_vertices))
     _require_count("--trials", args.trials, 1, verify.MAX_TRIALS)
     cfg = verify.SuiteConfig(seed=args.seed, max_vertices=args.max_vertices,
                              graph_count=args.graphs,

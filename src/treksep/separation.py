@@ -111,14 +111,17 @@ public decider is its input checks and then those two parts, and
 `d_sep_via_t_sep` computes every closure afresh with `_closed_up`: within
 one (A, C) no closure repeats.  Criterion 8 computes the (A, C) parts once
 per pair (`verify._dsep_pairs`) and checks all the pair's Bs with three
-mask tests (`verify._pair_agrees`).  Its partition searches share one
-closure function per graph from `_kept_closures`, which keeps each closure
-by (start, blocked): pairs with one A+C share their upward closures.
+mask tests (`verify._pair_agrees`); a pair that fails them runs its own
+per-B tests (`verify._pair_verdicts`).  Its partition searches share one
+`functools.cache` of `_closed_up` per direction and graph, keyed (start,
+blocked): pairs with one A+C share their upward closures, and pairs whose
+left closures agree their downward ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .graph import DAG, MixedGraph, _closure, _require_vertices, graph_class
@@ -443,38 +446,9 @@ def _closed_up(masks, start, blocked) -> int:
     """
     grown = frontier = start & ~blocked
     while frontier:
-        step = 0
-        while frontier:
-            low = frontier & -frontier
-            step |= masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = step & ~blocked & ~grown
+        frontier = _spread(masks, frontier) & ~blocked & ~grown
         grown |= frontier
     return grown
-
-
-def _kept_closures(g: MixedGraph):
-    """`_closed_up` on g's parent and child masks, each closure kept.
-
-    The function it returns is called as `_closed_up` is, and keeps each
-    closure by (start, blocked), in one dict for each table.  Criterion 8
-    makes one per graph, as it makes the graph's `_Arcs`, and hands it to
-    the partition search of every (A, C) pair: up closures repeat across
-    pairs with one A + C, and down closures across pairs whose left
-    closures agree.  It holds the graph's parent masks and not the graph.
-    """
-    up, down = {}, {}
-    parent_mask = g.parent_mask
-
-    def closed(masks, start, blocked) -> int:
-        kept = up if masks is parent_mask else down
-        key = start, blocked
-        out = kept.get(key)
-        if out is None:
-            out = kept[key] = _closed_up(masks, start, blocked)
-        return out
-
-    return closed
 
 
 def _partition_masks(g: MixedGraph, a: int, c_all: int, closed) -> List[int]:
@@ -488,16 +462,17 @@ def _partition_masks(g: MixedGraph, a: int, c_all: int, closed) -> List[int]:
     up around C_B, that is lies in the mask, the left closure's downward
     closure around C_B.  A partition whose C_A meets its mask separates no
     B and is dropped.  a and c_all are the masks of A and C, and C_A runs
-    through the subsets of C in increasing order of its mask.  closed is
-    `_closed_up`, or what `_kept_closures` made for g.
+    through the subsets of C in increasing order of its mask.  closed maps
+    a table of g, its parent or child masks, to `_closed_up` on that table
+    as a function of (start, blocked), or to a cache of it.
     """
-    pmask, cmask = g.parent_mask, g.child_mask
+    up, down = closed(g.parent_mask), closed(g.child_mask)
     ac = a | c_all
     out = []
     c_a = 0
     while True:
         c_b = c_all ^ c_a
-        reach = closed(cmask, closed(pmask, ac, c_a), c_b)
+        reach = down(up(ac, c_a), c_b)
         if not c_a & reach:
             out.append(reach)
         c_a = (c_a - c_all) & c_all
@@ -526,8 +501,8 @@ def d_sep_via_t_sep(g: MixedGraph, A, B, C) -> bool:
         raise CapExceededError(
             20, f"partition search over {len(C)} conditioning vertices "
                 "exceeds the cap of 20")
-    return _some_partition_separates(_partition_masks(g, _mask(A), _mask(C), _closed_up),
-                                     _mask(B))
+    masks = _partition_masks(g, _mask(A), _mask(C), lambda table: partial(_closed_up, table))
+    return _some_partition_separates(masks, _mask(B))
 
 
 def _ci_reached(arcs: _Arcs, g: MixedGraph, AC, C) -> int:

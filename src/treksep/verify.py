@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache, partial
 from itertools import chain, combinations
 from typing import ClassVar, Dict, List
 
@@ -31,12 +32,23 @@ MAX_VERTICES = 16
 # other defaults (`verify --graphs 1000` took 4.5-5.3 s on that host), so
 # the bound keeps such a run under ten minutes.
 MAX_GRAPHS = 100_000
+# Largest graph_count * max_vertices**5: each graph draws its n up to
+# max_vertices, so one costs about max_vertices**5 on average (3.8-5 ms at
+# 6, 11 ms at 8, 37 ms at 10, 0.10 s at 12, 0.36 s at 14, 0.54-0.70 s at 16
+# on that host).  The bound admits MAX_GRAPHS graphs at 6 and 741 at 16,
+# and `verify --graphs 741 --max-vertices 16` took 520 s at 51 MiB.
+MAX_WORK = MAX_GRAPHS * 6 ** 5
 # Largest trials_per_instance, and `rank --trials`: a trial falls short with
 # probability at most deg/PRIME, so past a few trials more buy nothing, while
 # each costs about 55 us on the choke graph and 0.15 s on a 400-vertex
 # undirected graph.  The default suite takes 1.5 s at 5 trials, 1.7 s at 100
 # and 5.2 s at 1,000 (Python 3.11, 2-CPU host).
 MAX_TRIALS = 1000
+
+
+def max_graphs(max_vertices: int) -> int:
+    """The largest graph_count that MAX_WORK admits at max_vertices."""
+    return MAX_WORK // max_vertices ** 5
 
 
 @dataclass(frozen=True)
@@ -56,6 +68,10 @@ class SuiteConfig:
             raise ValueError("graph_count must be at least 1")
         if self.graph_count > MAX_GRAPHS:
             raise ValueError(f"graph_count must be at most {MAX_GRAPHS}")
+        most = max_graphs(self.max_vertices)
+        if self.graph_count > most:
+            raise ValueError(f"graph_count at max_vertices {self.max_vertices} "
+                             f"must be at most {most}")
         if self.trials_per_instance < 1:
             raise ValueError("trials_per_instance must be at least 1")
         if self.trials_per_instance > MAX_TRIALS:
@@ -315,9 +331,11 @@ def _dsep_pairs(g: MixedGraph):
     set, the partition search's kept masks and the vertices whose right
     out-node the CI search reaches.  Every CI search reads the one set of
     trek-network arcs listed for g in this call, and every partition search
-    the one `separation._kept_closures` made for g.
+    the two closure caches made for g in it, one per direction, each a
+    `functools.cache` of `separation._closed_up` keyed (start, blocked).
     """
-    arcs, closed = separation._Arcs(g), separation._kept_closures(g)
+    arcs = separation._Arcs(g)
+    closed = cache(lambda table: cache(partial(separation._closed_up, table)))
     vs = range(1, g.m + 1)
     full = separation._mask(vs)
     for A in chain(combinations(vs, 1), combinations(vs, 2)):
@@ -332,18 +350,15 @@ def _dsep_pairs(g: MixedGraph):
                        separation._ci_reached(arcs, g, A + C, C))
 
 
-def _dsep_verdicts(g: MixedGraph):
-    """(A, B, C, d, t, ci) for every disjoint triple of g with |A|, |B| <= 2
-    and |C| <= 3, as sorted tuples, by A, then C, then B: the per-B view of
-    criterion 8.  Each B runs the three per-B tests against the parts of its
-    (A, C) pair, computed once (`_dsep_pairs`)."""
-    for A, C, rest, reach, masks, ci_reach in _dsep_pairs(g):
-        vs = [v for v in range(1, g.m + 1) if rest >> v & 1]
-        for B in chain(combinations(vs, 1), combinations(vs, 2)):
-            b = separation._mask(B)
-            yield (A, B, C, not reach & b,
-                   separation._some_partition_separates(masks, b),
-                   not ci_reach & b)
+def _pair_verdicts(rest: int, reach: int, masks, ci_reach: int):
+    """(B, d, t, ci) for every B of the mask rest with |B| <= 2, as sorted
+    tuples, by size and then lexicographically: the per-B tests of one
+    (A, C) pair, against its parts from `_dsep_pairs`."""
+    vs = [v for v in range(rest.bit_length()) if rest >> v & 1]
+    for B in chain(combinations(vs, 1), combinations(vs, 2)):
+        b = separation._mask(B)
+        yield (B, not reach & b, separation._some_partition_separates(masks, b),
+               not ci_reach & b)
 
 
 def _pair_agrees(rest: int, reach: int, masks, ci_reach: int) -> bool:
@@ -374,19 +389,17 @@ def _first_dsep_failure(g: MixedGraph):
     """The first triple of g, by A, then C, then B, on which the three
     deciders disagree, as criterion 8 records it, or None.
 
-    Every (A, C) pair runs `_pair_agrees`.  A graph with a pair that fails
-    it walks its per-B view, `_dsep_verdicts`, from the start, so the record
-    is that view's first disagreement.
+    One walk of `_dsep_pairs`: a pair that passes `_pair_agrees` has no
+    disagreement, and a pair that fails it runs its own per-B tests
+    (`_pair_verdicts`) in place, so the first disagreement of the walk is
+    the first of the graph.
     """
-    for _, _, rest, reach, masks, ci_reach in _dsep_pairs(g):
-        if not _pair_agrees(rest, reach, masks, ci_reach):
-            break
-    else:
-        return None
-    for A, B, C, d, t, ci in _dsep_verdicts(g):
-        if not d == t == ci:
-            return {"A": sorted(A), "B": sorted(B), "C": sorted(C),
-                    "d_separates": d, "via_t_sep": t, "ci_implied": ci}
+    for A, C, *parts in _dsep_pairs(g):
+        if not _pair_agrees(*parts):
+            for B, d, t, ci in _pair_verdicts(*parts):
+                if not d == t == ci:
+                    return {"A": sorted(A), "B": sorted(B), "C": sorted(C),
+                            "d_separates": d, "via_t_sep": t, "ci_implied": ci}
     return None
 
 
@@ -395,14 +408,14 @@ def criterion_dsep_equivalence(cfg: SuiteConfig) -> CheckResult:
 
     Every disjoint triple of each graph (|A|, |B| <= 2, |C| <= 3) is decided
     three ways, from the parts the public deciders run after their input
-    checks, which these DAGs and triples pass by construction.  Each (A, C)
-    pair computes its three parts once (`_dsep_pairs`), with one set of
-    arcs and one store of closures (`separation._kept_closures`) per graph,
-    and checks all its Bs at once with three mask tests (`_pair_agrees`).
-    A graph with a pair that fails them runs the exact per-B tests of every
-    triple, in the order A, then C, then B (`_dsep_verdicts`), and its
-    first disagreement is recorded with the three verdicts; it replays
-    through the public deciders.
+    checks, which these DAGs and triples pass by construction.  Each graph
+    is one walk of its (A, C) pairs (`_dsep_pairs`), with one set of arcs
+    and one closure cache per direction for the graph.  Each pair computes
+    its three parts once and checks all its Bs at once with three mask
+    tests (`_pair_agrees`); a pair that fails them runs the exact per-B
+    tests of its own triples, by B (`_pair_verdicts`).  The first
+    disagreement, in the order A, then C, then B, is recorded with the
+    three verdicts; it replays through the public deciders.
     """
     out = CheckResult("dsep_equivalence")
     for g, _ in _graph_stream(DAG, cfg, cfg.graph_count, "dsep"):

@@ -304,6 +304,12 @@ def test_help_still_prints_usage(capsys, argv):
     (["--graphs", "1", "--trials", "1000000000"], "--trials must be at most 1000"),
     (["--graphs", "100001"], "--graphs must be at most 100000"),
     (["--graphs", "1000000000"], "--graphs must be at most 100000"),
+    (["--graphs", "100000", "--max-vertices", "16"],
+     "--graphs at --max-vertices 16 must be at most 741"),
+    (["--graphs", "742", "--max-vertices", "16"],
+     "--graphs at --max-vertices 16 must be at most 741"),
+    (["--graphs", "46267", "--max-vertices", "7"],
+     "--graphs at --max-vertices 7 must be at most 46266"),
 ])
 def test_verify_bad_counts_are_usage_errors(flags, message, capsys):
     assert main(["verify", *flags]) == 2

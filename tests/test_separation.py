@@ -27,7 +27,16 @@ from treksep.separation import (NotADAGError, SeparationTriple,
                                 is_t_separating, min_t_separator,
                                 vanishing_tetrad)
 from treksep.treks import CapExceededError
-from treksep.verify import _dsep_verdicts, _menger_ok, random_graph
+from treksep.verify import _dsep_pairs, _menger_ok, _pair_verdicts, random_graph
+
+
+def _dsep_verdicts(g):
+    """(A, B, C, d, t, ci) for every disjoint triple of g with |A|, |B| <= 2
+    and |C| <= 3, as sorted tuples, by A, then C, then B: criterion 8's
+    per-B view of the whole graph, its one-pair view chained over its pairs."""
+    for A, C, *parts in _dsep_pairs(g):
+        for B, d, t, ci in _pair_verdicts(*parts):
+            yield A, B, C, d, t, ci
 
 
 def _reachable(g, A, B):

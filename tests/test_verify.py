@@ -1,9 +1,9 @@
 import inspect
-from itertools import chain, combinations, product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from test_separation import _recorded_arcs
+from test_separation import _dsep_verdicts, _recorded_arcs
 
 from treksep import separation, verify
 from treksep.graph import (DAG, MIXED, UNDIRECTED, graph_class, parse_graph,
@@ -61,6 +61,16 @@ def test_suite_config_bounds_the_graphs():
                                              f"{verify.MAX_GRAPHS}$"):
             SuiteConfig(graph_count=count)
     assert SuiteConfig(graph_count=verify.MAX_GRAPHS).graph_count == verify.MAX_GRAPHS
+    # and graph_count * max_vertices**5: a graph costs about max_vertices**5,
+    # a few ms at 6 and over half a second at 16
+    assert [verify.max_graphs(n) for n in (6, 7, 8, 16)] == [100_000, 46_266, 23_730, 741]
+    for n, count in ((16, 742), (16, verify.MAX_GRAPHS), (7, 46_267), (8, 10**5)):
+        with pytest.raises(ValueError, match=f"^graph_count at max_vertices {n} must be "
+                                             f"at most {verify.max_graphs(n)}$"):
+            SuiteConfig(max_vertices=n, graph_count=count)
+    for n, count in ((16, 741), (16, 200), (8, 20), (4, verify.MAX_GRAPHS),
+                     (5, verify.MAX_GRAPHS), (6, verify.MAX_GRAPHS)):
+        assert SuiteConfig(max_vertices=n, graph_count=count).graph_count == count
 
 
 def test_suite_config_bounds_the_trials():
@@ -194,7 +204,7 @@ def test_dsep_equivalence_decides_every_disjoint_triple_once(n):
     # once and in the order the per-triple replay below assumes
     g = random_graph(DAG, n, n, 0.4)
     decided = [(frozenset(A), frozenset(B), frozenset(C))
-               for A, B, C, *_ in verify._dsep_verdicts(g)]
+               for A, B, C, *_ in _dsep_verdicts(g)]
     assert decided == _triples(n)  # which lists each triple once
 
 
@@ -254,7 +264,7 @@ def test_dsep_equivalence_failure_record_replays(monkeypatch):
     # make their masks by `_partition_masks`, so the per-triple replay over
     # the public deciders sees the same fault
     graphs = _dsep_graphs(DSEP_CFG)
-    A0, C0 = next((list(A), list(C)) for A, _, C, d, *_ in verify._dsep_verdicts(graphs[1])
+    A0, C0 = next((list(A), list(C)) for A, _, C, d, *_ in _dsep_verdicts(graphs[1])
                   if d)
     key = separation._mask(A0), separation._mask(C0), graphs[1]
     real = separation._partition_masks
@@ -285,14 +295,9 @@ def test_dsep_equivalence_failure_record_replays(monkeypatch):
 
 def _per_b_agrees(rest, reach, masks, ci_reach):
     """d == t == ci for every B of the mask rest with |B| in {1, 2}, by the
-    per-B definition of `verify._pair_verdicts`."""
-    vs = [v for v in range(rest.bit_length()) if rest >> v & 1]
-    for B in chain(combinations(vs, 1), combinations(vs, 2)):
-        b = sum(1 << v for v in B)
-        if not (not reach & b) == any(not b & mask for mask in masks) \
-                == (not ci_reach & b):
-            return False
-    return True
+    per-B tests of `verify._pair_verdicts`."""
+    return all(d == t == ci for _, d, t, ci in
+               verify._pair_verdicts(rest, reach, masks, ci_reach))
 
 
 _six_bits = st.integers(0, 63)
@@ -345,6 +350,20 @@ def _bayes_ball_with_no_bounce(g, a, c_set):
     return up | down
 
 
+def _per_b_first_failures(cfg):
+    """The record of each graph's first disagreement in the per-B view of
+    the whole graph, for the graphs of criterion 8 that have one."""
+    expected = []
+    for g in _dsep_graphs(cfg):
+        for A, B, C, d, t, ci in _dsep_verdicts(g):
+            if not d == t == ci:
+                expected.append({"check": "dsep_equivalence", "A": sorted(A),
+                                 "B": sorted(B), "C": sorted(C), "d_separates": d,
+                                 "via_t_sep": t, "ci_implied": ci, "graph": serialize(g)})
+                break
+    return expected
+
+
 def test_dsep_equivalence_fails_a_bayes_ball_with_no_bounce(monkeypatch):
     # the mutant of `_bayes_ball` that drops the bounce at C: criterion 8
     # fails 81 of the default suite's 200 graphs, each with the record of the
@@ -353,12 +372,26 @@ def test_dsep_equivalence_fails_a_bayes_ball_with_no_bounce(monkeypatch):
     cfg = SuiteConfig()
     result = verify.criterion_dsep_equivalence(cfg)
     assert (result.passes, len(result.failures)) == (119, 81)
-    expected = []
-    for g in _dsep_graphs(cfg):
-        for A, B, C, d, t, ci in verify._dsep_verdicts(g):
-            if not d == t == ci:
-                expected.append({"check": "dsep_equivalence", "A": sorted(A),
-                                 "B": sorted(B), "C": sorted(C), "d_separates": d,
-                                 "via_t_sep": t, "ci_implied": ci, "graph": serialize(g)})
-                break
-    assert result.failures == expected
+    assert result.failures == _per_b_first_failures(cfg)
+
+
+def test_dsep_equivalence_falls_back_pair_by_pair(monkeypatch):
+    # with `_pair_agrees` failing every pair, each pair runs its own per-B
+    # tests: the default suite's 200 graphs still pass, and with the "no
+    # bounce" mutant the 81 records are the per-B view's.  Each failing
+    # graph's first pair, with C empty, agrees and a later pair disagrees,
+    # and the walk builds one set of arcs per graph, failing ones included
+    cfg = SuiteConfig()
+    graphs = _dsep_graphs(cfg)
+    monkeypatch.setattr(verify, "_pair_agrees", lambda *parts: False)
+    made = _recorded_arcs(monkeypatch)
+    result = verify.criterion_dsep_equivalence(cfg)
+    assert (result.passes, result.failures) == (200, [])
+    assert [arcs.graph for arcs in made] == graphs
+    made.clear()
+    monkeypatch.setattr(separation, "_bayes_ball", _bayes_ball_with_no_bounce)
+    result = verify.criterion_dsep_equivalence(cfg)
+    assert (result.passes, len(result.failures)) == (119, 81)
+    assert all(failure["C"] for failure in result.failures)
+    assert [arcs.graph for arcs in made] == graphs
+    assert result.failures == _per_b_first_failures(cfg)
