@@ -102,20 +102,26 @@ from (A, C) alone, and B enters only a last test.  `_bayes_ball` gives the
 vertices the ball visits, d-separated iff they miss B; each round is two
 `_spread` unions, the parents of the vertices reached going up outside C
 or coming down into C, and the children of the vertices outside C reached
-either way.  `_partition_masks` gives, for every partition C = C_A | C_B,
-the vertices that reach the left closure of A+C around C_A going up around
-C_B (one upward and one downward closure), and drops the partitions whose
-C_A meets that mask; `_some_partition_separates` answers each B with one
-AND per partition left: B+C is t-separated iff B misses a mask.  Each
-public decider is its input checks and then those two parts, and
-`d_sep_via_t_sep` computes every closure afresh with `_closed_up`: within
-one (A, C) no closure repeats.  Criterion 8 computes the (A, C) parts once
-per pair (`verify._dsep_pairs`) and checks all the pair's Bs with three
-mask tests (`verify._pair_agrees`); a pair that fails them runs its own
-per-B tests (`verify._pair_verdicts`).  Its partition searches share one
-`functools.cache` of `_closed_up` per direction and graph, keyed (start,
-blocked): pairs with one A+C share their upward closures, and pairs whose
-left closures agree their downward ones.
+either way.  `_partition_reaches` gives, for every partition C = C_A |
+C_B, the vertices that reach the left closure of A+C around C_A going up
+around C_B (one upward and one downward closure), and `_partition_masks`
+drops the partitions whose C_A meets that mask; `_some_partition_separates`
+answers each B with one AND per partition left: B+C is t-separated iff B
+misses a mask.  Each public decider is its input checks and then those
+parts, and `d_sep_via_t_sep` computes every closure afresh with
+`_closed_up`: within one (A, C) no closure repeats.  Criterion 8 computes
+the (A, C) parts once per pair (`verify._dsep_pairs`) and checks all the
+pair's Bs with three mask tests (`verify._pair_agrees`); a pair that fails
+them runs its own per-B tests (`verify._pair_verdicts`).  It runs the
+deciders' parts on one-vertex A only.  Each part is a reachability from A,
+and a reachability from a set is the union of those from its members, so
+A = {a1, a2} takes, exactly, the OR of the parts of its two vertices: the
+visited sets, the CI reaches, and each partition's reaches before the
+drop.  Seeding the public deciders with several vertices is therefore
+checked by the Tier-1 tests, not by criterion 8.  Its partition searches
+share one `functools.cache` of `_closed_up` per direction and graph, keyed
+(start, blocked): pairs with one A+C share their upward closures, and
+pairs whose left closures agree their downward ones.
 """
 
 from __future__ import annotations
@@ -451,33 +457,39 @@ def _closed_up(masks, start, blocked) -> int:
     return grown
 
 
-def _partition_masks(g: MixedGraph, a: int, c_all: int, closed) -> List[int]:
-    """For each partition C = C_A | C_B that can separate, the int mask of
-    the vertices that reach its left closure going up around C_B.
+def _partition_reaches(g: MixedGraph, a: int, c_all: int, closed) -> List[Tuple[int, int]]:
+    """(C_A, mask) for every partition C = C_A | C_B, by increasing C_A,
+    where mask holds the vertices that reach the partition's left closure
+    going up around C_B.
 
     A trek avoids C_A on the left and C_B on the right, so the partition
     t-separates A+C from B+C iff the right closure, grown from B+C upward
     around C_B, misses the left closure, grown from A+C upward around C_A.
     The right closure meets it iff some vertex of B + C_A reaches it going
     up around C_B, that is lies in the mask, the left closure's downward
-    closure around C_B.  A partition whose C_A meets its mask separates no
-    B and is dropped.  a and c_all are the masks of A and C, and C_A runs
-    through the subsets of C in increasing order of its mask.  closed maps
+    closure around C_B.  a and c_all are the masks of A and C.  closed maps
     a table of g, its parent or child masks, to `_closed_up` on that table
-    as a function of (start, blocked), or to a cache of it.
+    as a function of (start, blocked), or to a cache of it.  Both closures
+    are reachabilities, so each mask of A is the OR of its vertices' masks
+    of the same partition; `_partition_masks` makes the drop.
     """
     up, down = closed(g.parent_mask), closed(g.child_mask)
     ac = a | c_all
     out = []
     c_a = 0
     while True:
-        c_b = c_all ^ c_a
-        reach = down(up(ac, c_a), c_b)
-        if not c_a & reach:
-            out.append(reach)
+        out.append((c_a, down(up(ac, c_a), c_all ^ c_a)))
         c_a = (c_a - c_all) & c_all
         if not c_a:
             return out
+
+
+def _partition_masks(reaches) -> List[int]:
+    """The masks of `_partition_reaches` whose partitions can separate.
+
+    A partition whose C_A meets its mask separates no B and is dropped.
+    """
+    return [mask for c_a, mask in reaches if not c_a & mask]
 
 
 def _some_partition_separates(masks, b) -> bool:
@@ -501,8 +513,8 @@ def d_sep_via_t_sep(g: MixedGraph, A, B, C) -> bool:
         raise CapExceededError(
             20, f"partition search over {len(C)} conditioning vertices "
                 "exceeds the cap of 20")
-    masks = _partition_masks(g, _mask(A), _mask(C), lambda table: partial(_closed_up, table))
-    return _some_partition_separates(masks, _mask(B))
+    reaches = _partition_reaches(g, _mask(A), _mask(C), lambda table: partial(_closed_up, table))
+    return _some_partition_separates(_partition_masks(reaches), _mask(B))
 
 
 def _ci_reached(arcs: _Arcs, g: MixedGraph, AC, C) -> int:

@@ -23,20 +23,22 @@ from .graph import (DAG, MIXED, UNDIRECTED, MixedGraph, bidirected_subdivision,
 # `random_graph` puts two vertices in W only from n = 4 on.
 MIN_VERTICES = 4
 # Largest max_vertices: criterion 8 decides about n^7 triples a graph.  On
-# `random_graph(DAG, n, 12345, 0.4)` it takes 0.13-0.21 s of CPU at n = 10,
-# 0.40-0.59 s at 12, 1.1-1.6 s at 14 and 3.2-3.6 s at 16, with a peak RSS of
-# 46 MiB at 16, most of it the graph's kept closures (Python 3.11, 2-CPU
-# shared host), so 16 keeps a graph to seconds.
+# `random_graph(DAG, n, 12345, 0.4)` it takes 0.08-0.10 s of CPU at n = 10,
+# 0.23-0.25 s at 12, 0.50-0.53 s at 14 and 0.97-1.08 s at 16, with a peak
+# RSS of 32 MiB at 16, most of it the graph's closure caches and one-vertex
+# parts (Python 3.11, 2-CPU shared host), so 16 keeps a graph to about a
+# second.
 MAX_VERTICES = 16
 # Largest graph_count, and `verify --graphs`: a graph costs about 5 ms at the
 # other defaults (`verify --graphs 1000` took 4.5-5.3 s on that host), so
 # the bound keeps such a run under ten minutes.
 MAX_GRAPHS = 100_000
 # Largest graph_count * max_vertices**5: each graph draws its n up to
-# max_vertices, so one costs about max_vertices**5 on average (3.8-5 ms at
-# 6, 11 ms at 8, 37 ms at 10, 0.10 s at 12, 0.36 s at 14, 0.54-0.70 s at 16
-# on that host).  The bound admits MAX_GRAPHS graphs at 6 and 741 at 16,
-# and `verify --graphs 741 --max-vertices 16` took 520 s at 51 MiB.
+# max_vertices, so one costs about max_vertices**5 on average
+# (`run_suite` on that host: 4.2-4.3 ms at 6, 10-12 ms at 8, 29 ms at 10,
+# 62-64 ms at 12, 0.12 s at 14, 0.37-0.38 s at 16).  The bound admits
+# MAX_GRAPHS graphs at 6 and 741 at 16, and `verify --graphs 741
+# --max-vertices 16` took 249 s at 33 MiB.
 MAX_WORK = MAX_GRAPHS * 6 ** 5
 # Largest trials_per_instance, and `rank --trials`: a trial falls short with
 # probability at most deg/PRIME, so past a few trials more buy nothing, while
@@ -329,25 +331,45 @@ def _dsep_pairs(g: MixedGraph):
     rest is the mask of the vertices outside A + C.  The other three are
     the parts each decider computes from (A, C) alone: Bayes-ball's visited
     set, the partition search's kept masks and the vertices whose right
-    out-node the CI search reaches.  Every CI search reads the one set of
-    trek-network arcs listed for g in this call, and every partition search
-    the two closure caches made for g in it, one per direction, each a
-    `functools.cache` of `separation._closed_up` keyed (start, blocked).
+    out-node the CI search reaches.  The deciders run on one-vertex A
+    only, and every one-vertex A comes first.  Each part is a reachability
+    from A (the ball's, each partition's upward then downward closure, the
+    residual search's from A + C with the |C| trivial treks pushed), and a
+    reachability from a set is the union of those from its members, so
+    A = {a1, a2} takes, exactly, the OR of the parts of ({a1}, C) and
+    ({a2}, C): the visited sets, the CI reaches, and each partition's masks
+    before any partition is dropped.  Seeding the public deciders with
+    several vertices is checked by the Tier-1 tests, not by criterion 8.
+    Every CI search reads the one set of trek-network arcs listed for g in
+    this call, and every partition search the two closure caches made for
+    g in it, one per direction, each a `functools.cache` of
+    `separation._closed_up` keyed (start, blocked).
     """
     arcs = separation._Arcs(g)
     closed = cache(lambda table: cache(partial(separation._closed_up, table)))
     vs = range(1, g.m + 1)
     full = separation._mask(vs)
+    single = {}  # (a, c) -> the parts of ({a}, C), every partition kept
     for A in chain(combinations(vs, 1), combinations(vs, 2)):
         rest_a = [v for v in vs if v not in A]
         a = separation._mask(A)
         for C in chain.from_iterable(combinations(rest_a, k) for k in range(4)):
             c = separation._mask(C)
             rest = full ^ a ^ c
-            if rest:
-                yield (A, C, rest, separation._bayes_ball(g, a, c),
-                       separation._partition_masks(g, a, c, closed),
-                       separation._ci_reached(arcs, g, A + C, C))
+            if not rest:
+                continue
+            if len(A) == 1:
+                reach, reaches, ci_reach = single[a, c] = (
+                    separation._bayes_ball(g, a, c),
+                    separation._partition_reaches(g, a, c, closed),
+                    separation._ci_reached(arcs, g, A + C, C))
+            else:
+                (reach, reaches, ci_reach), (reach2, reaches2, ci_reach2) = (
+                    single[1 << v, c] for v in A)
+                reach |= reach2
+                reaches = [(c_a, x | y) for (c_a, x), (_, y) in zip(reaches, reaches2)]
+                ci_reach |= ci_reach2
+            yield A, C, rest, reach, separation._partition_masks(reaches), ci_reach
 
 
 def _pair_verdicts(rest: int, reach: int, masks, ci_reach: int):
@@ -410,12 +432,16 @@ def criterion_dsep_equivalence(cfg: SuiteConfig) -> CheckResult:
     three ways, from the parts the public deciders run after their input
     checks, which these DAGs and triples pass by construction.  Each graph
     is one walk of its (A, C) pairs (`_dsep_pairs`), with one set of arcs
-    and one closure cache per direction for the graph.  Each pair computes
-    its three parts once and checks all its Bs at once with three mask
-    tests (`_pair_agrees`); a pair that fails them runs the exact per-B
-    tests of its own triples, by B (`_pair_verdicts`).  The first
-    disagreement, in the order A, then C, then B, is recorded with the
-    three verdicts; it replays through the public deciders.
+    and one closure cache per direction for the graph.  A pair with one
+    vertex in A computes its three parts once; a pair with two takes the OR
+    of its vertices' parts, which is exact since each part is a
+    reachability from A, so the deciders are never seeded with two vertices
+    here: the Tier-1 tests check that on the public deciders.  Each pair
+    checks all its Bs at once with three mask tests (`_pair_agrees`); a
+    pair that fails them runs the exact per-B tests of its own triples, by
+    B (`_pair_verdicts`).  The first disagreement, in the order A, then C,
+    then B, is recorded with the three verdicts; it replays through the
+    public deciders.
     """
     out = CheckResult("dsep_equivalence")
     for g, _ in _graph_stream(DAG, cfg, cfg.graph_count, "dsep"):

@@ -7,6 +7,8 @@ import threading
 import time
 import weakref
 from collections import Counter
+from functools import partial
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,8 @@ from treksep.separation import (NotADAGError, SeparationTriple,
                                 is_t_separating, min_t_separator,
                                 vanishing_tetrad)
 from treksep.treks import CapExceededError
-from treksep.verify import _dsep_pairs, _menger_ok, _pair_verdicts, random_graph
+from treksep.verify import (SuiteConfig, _dsep_pairs, _menger_ok, _pair_verdicts,
+                            criterion_dsep_equivalence, random_graph)
 
 
 def _dsep_verdicts(g):
@@ -882,6 +885,45 @@ def test_shared_dsep_verdicts_match_public_and_reference_deciders():
     assert decided > 20_000, decided
     assert sum(verdicts.values()) == 60 * 36
     assert len(verdicts) == 4 and min(verdicts.values()) >= 20, verdicts
+
+
+def test_dsep_pairs_of_two_vertex_a_are_the_or_of_their_vertices_parts():
+    # criterion 8 runs its deciders on one-vertex A only and gives A = {a1,
+    # a2} the OR of the two vertices' parts: they must equal the parts the
+    # deciders give when seeded with both vertices at once
+    pairs = 0
+    for n, density, seed in product(range(2, 9), (0.2, 0.4, 0.7), range(4)):
+        g = random_graph(DAG, n, seed, density)
+        arcs = separation._Arcs(g)
+        for A, C, _, reach, masks, ci_reach in _dsep_pairs(g):
+            if len(A) == 1:
+                continue
+            a, c = separation._mask(A), separation._mask(C)
+            assert reach == separation._bayes_ball(g, a, c), (g, A, C)
+            reaches = separation._partition_reaches(
+                g, a, c, lambda table: partial(separation._closed_up, table))
+            assert masks == separation._partition_masks(reaches), (g, A, C)
+            assert ci_reach == separation._ci_reached(arcs, g, A + C, C), (g, A, C)
+            pairs += 1
+    # sum over n of C(n, 2) times the Cs of at most 3 vertices that leave one
+    assert pairs == 12 * (0 + 3 + 18 + 70 + 225 + 546 + 1176)
+
+
+def _bayes_ball_from_lowest_vertex(g, a, c_set, real=separation._bayes_ball):
+    """`separation._bayes_ball` seeded with the lowest vertex of A only."""
+    return real(g, a & -a, c_set)
+
+
+def test_dsep_equivalence_cannot_see_a_bayes_ball_seeded_with_one_vertex(monkeypatch):
+    # criterion 8 never seeds a decider with two vertices, so this mutant
+    # passes it; the public deciders' tests on |A| >= 2 fail it
+    monkeypatch.setattr(separation, "_bayes_ball", _bayes_ball_from_lowest_vertex)
+    result = criterion_dsep_equivalence(SuiteConfig())
+    assert (result.passes, result.failures) == (200, [])
+    with pytest.raises(AssertionError):
+        test_dsep_deciders_match_set_based_references()
+    with pytest.raises(AssertionError):
+        test_shared_dsep_verdicts_match_public_and_reference_deciders()
 
 
 def test_vanishing_tetrad_choke():

@@ -209,9 +209,10 @@ def test_dsep_equivalence_decides_every_disjoint_triple_once(n):
 
 
 def test_dsep_equivalence_searches_once_per_a_c_pair(monkeypatch):
-    # the three deciders' (A, C) parts are shared by every B: one CI search
-    # per distinct (A, C) pair of each graph, and no public decider or
-    # min-cut runs
+    # the three deciders' (A, C) parts are shared by every B, and a
+    # two-vertex A ORs its vertices' parts: one CI search per distinct
+    # one-vertex-A pair (a, C) of each graph that leaves a vertex for B,
+    # and no public decider or min-cut runs
     def forbidden(*args):
         raise AssertionError("criterion 8 called a public decider or a min-cut")
 
@@ -237,9 +238,11 @@ def test_dsep_equivalence_searches_once_per_a_c_pair(monkeypatch):
     graphs = _dsep_graphs(DSEP_CFG)
     assert [g for g, _ in per_graph] == graphs
     assert [id(arcs.graph) for arcs in made] == [id(g) for g, _ in per_graph]  # one set per graph
-    pairs = [len({(A, C) for A, _, C in _triples(g.m)}) for g in graphs]  # each with a B
+    pairs = [len({(A, C) for A, _, C in _triples(g.m) if len(A) == 1})  # each with a B
+             for g in graphs]
     assert [count for _, count in per_graph] == pairs
-    assert sum(pairs) < sum(len(_triples(g.m)) for g in graphs)
+    assert pairs[1] == 75  # of its 145 (A, C) pairs with a B
+    assert sum(pairs) < sum(len({(A, C) for A, _, C in _triples(g.m)}) for g in graphs)
 
 
 def _per_triple_first_failure(cfg):
@@ -258,26 +261,27 @@ def _per_triple_first_failure(cfg):
 
 
 def test_dsep_equivalence_failure_record_replays(monkeypatch):
-    # drop the kept partition masks of one (A, C) pair of the second graph,
-    # its first pair with a d-separated B: no partition of C then separates
-    # A + C from B + C.  The criterion and the public `d_sep_via_t_sep` both
-    # make their masks by `_partition_masks`, so the per-triple replay over
-    # the public deciders sees the same fault
+    # drop the partition reaches of one (A, C) pair of the second graph, its
+    # first pair with a d-separated B, which has a one-vertex A: no partition
+    # of C then separates A + C from B + C.  The criterion and the public
+    # `d_sep_via_t_sep` both build their reaches by `_partition_reaches`, so
+    # the per-triple replay over the public deciders sees the same fault
     graphs = _dsep_graphs(DSEP_CFG)
     A0, C0 = next((list(A), list(C)) for A, _, C, d, *_ in _dsep_verdicts(graphs[1])
                   if d)
+    assert len(A0) == 1  # criterion 8 runs the partition search on it
     key = separation._mask(A0), separation._mask(C0), graphs[1]
-    real = separation._partition_masks
+    real = separation._partition_reaches
     hits = []
 
     def faulty(g, a, c, closed):
-        masks = real(g, a, c, closed)
+        reaches = real(g, a, c, closed)
         if (a, c, g) == key:
             hits.append(None)
             return []
-        return masks
+        return reaches
 
-    monkeypatch.setattr(separation, "_partition_masks", faulty)
+    monkeypatch.setattr(separation, "_partition_reaches", faulty)
     result = verify.criterion_dsep_equivalence(DSEP_CFG)
     assert hits
     expected = _per_triple_first_failure(DSEP_CFG)
