@@ -32,11 +32,10 @@ sides of the determinant expansions come from `treks._disjoint_systems`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Dict, List, Mapping, Tuple, Union
 
 from .graph import (DAG, UNDIRECTED, MixedGraph, _ancestor_walk, _require_vertices,
                     graph_class, topological_order)
@@ -45,25 +44,30 @@ from .treks import (DEFAULT_CAP, _directed_paths_into, _disjoint_systems,
 
 SCALE = 10**6
 PRIME = 2**61 - 1
+# Trials of `generic_rank_oracle` unless a caller asks for others: the
+# default of the oracle, of `verify.SuiteConfig` and of the CLI's --trials.
+DEFAULT_TRIALS = 5
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 
 class SingularMatrixError(ArithmeticError):
     pass
 
 
-@dataclass
-class RationalMatrix:
+class RationalMatrix(namedtuple("RationalMatrix", "rows cols entries")):
     """Dense matrix over arbitrary-precision rationals (0-based indexing).
 
     Entries are `int`s, or `Fraction`s where a rational such as K^{-1}
     enters; `from_rows` keeps ints and turns anything else into a Fraction.
+    The shape is fixed; the entry lists are filled in place.  `m[i, j]`
+    reads an entry, not a field.
     """
 
+    __slots__ = ()
     rows: int
     cols: int
-    entries: List[List[Rational]]
+    entries: list[list[Rational]]
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -149,7 +153,7 @@ class RationalMatrix:
         return RationalMatrix(n, n, [row[n:] for row in a])
 
 
-def _bareiss(rows: List[List[int]]) -> int:
+def _bareiss(rows: list[list[int]]) -> int:
     """Determinant of a square int matrix by fraction-free (Bareiss)
     elimination, in place.
 
@@ -179,7 +183,7 @@ def _bareiss(rows: List[List[int]]) -> int:
     return sign * prev
 
 
-def _gauss_jordan(rows: List[List[Rational]], width: int) -> int:
+def _gauss_jordan(rows: list[list[Rational]], width: int) -> int:
     """Exact Gauss-Jordan on the first `width` columns of rows, in place;
     returns the rank.
 
@@ -211,8 +215,7 @@ def submatrix_for(matrix: RationalMatrix, A, B) -> RationalMatrix:
     return matrix.submatrix([a - 1 for a in sorted(A)], [b - 1 for b in sorted(B)])
 
 
-@dataclass(frozen=True)
-class ParamAssignment:
+class ParamAssignment(namedtuple("ParamAssignment", "lam phi k")):
     """Exact parameters respecting the graph's sparsity pattern.
 
     `lam` maps directed edges (i, j) to entries of L (so Lambda = I - L),
@@ -221,9 +224,10 @@ class ParamAssignment:
     `sample_parameters` gives `int`s; Fractions are exact too.
     """
 
-    lam: Mapping[Tuple[int, int], Rational]
-    phi: Mapping[Tuple[int, int], Rational]
-    k: Mapping[Tuple[int, int], Rational]
+    __slots__ = ()
+    lam: dict[tuple[int, int], Rational]
+    phi: dict[tuple[int, int], Rational]
+    k: dict[tuple[int, int], Rational]
 
 
 def sample_parameters(g: MixedGraph, seed: int) -> ParamAssignment:
@@ -300,7 +304,8 @@ def build_covariance(g: MixedGraph, p: ParamAssignment) -> RationalMatrix:
     return lam_inv.transpose().matmul(inner).matmul(lam_inv)
 
 
-def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
+def generic_rank_oracle(g: MixedGraph, A, B, seed: int,
+                        trials: int = DEFAULT_TRIALS) -> int:
     """Generic rank of Sigma_{A,B}: the largest rank mod PRIME over `trials`
     models whose parameters are drawn uniformly from 1..PRIME-1.
 
@@ -429,7 +434,7 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int, trials: int = 5) -> int:
     return best
 
 
-def _kept_components(g: MixedGraph, an_a, an_b) -> List[int]:
+def _kept_components(g: MixedGraph, an_a, an_b) -> list[int]:
     """The vertices, in increasing order, of each component of the
     undirected graph on U that meets both an_a and an_b."""
     nbr = g._undirected_lists
@@ -451,7 +456,7 @@ def _kept_components(g: MixedGraph, an_a, an_b) -> List[int]:
     return kept
 
 
-def _draws(rng: random.Random, p: int, count: int) -> List[int]:
+def _draws(rng: random.Random, p: int, count: int) -> list[int]:
     """The next `count` values of rng.randrange(1, p), drawn as randrange
     draws them: getrandbits of the bit length of p - 1, redrawn while at
     least p - 1."""
@@ -499,7 +504,7 @@ def _plan(patterns) -> list:
     return steps
 
 
-def _eliminate(rows: List[Dict[int, int]], steps=None) -> int:
+def _eliminate(rows: list[dict[int, int]], steps=None) -> int:
     """Rank mod PRIME of dict rows (column -> entry), by sparse Gaussian
     elimination in place.
 
@@ -583,7 +588,7 @@ def simple_trek_rule_covariance(g: MixedGraph, p: ParamAssignment,
     return total
 
 
-def gvl_minor_two_ways(g: MixedGraph, p: ParamAssignment, R, S) -> Tuple[Rational, Rational]:
+def gvl_minor_two_ways(g: MixedGraph, p: ParamAssignment, R, S) -> tuple[Rational, Rational]:
     """Minor of Lambda^{-1} two ways: exact determinant vs the signed sum
     over vertex-disjoint directed path systems from R to S."""
     if graph_class(g) != DAG:
@@ -607,7 +612,7 @@ def gvl_minor_two_ways(g: MixedGraph, p: ParamAssignment, R, S) -> Tuple[Rationa
 
 
 def cauchy_binet_two_ways(g: MixedGraph, p: ParamAssignment, A, B
-                          ) -> Tuple[Rational, Rational]:
+                          ) -> tuple[Rational, Rational]:
     """det Sigma_{A,B} vs its phi_S-weighted expansion over column subsets S."""
     if graph_class(g) != DAG:
         raise ValueError("the phi_S expansion is defined for DAGs")
@@ -627,7 +632,7 @@ def cauchy_binet_two_ways(g: MixedGraph, p: ParamAssignment, A, B
     return lhs, rhs
 
 
-def undirected_minor_check(g: MixedGraph, p: ParamAssignment, A, B) -> Tuple[Rational, bool]:
+def undirected_minor_check(g: MixedGraph, p: ParamAssignment, A, B) -> tuple[Rational, bool]:
     """Exact minor of Sigma = K^{-1} plus a combinatorial zero/nonzero verdict.
 
     The verdict is True iff there is a system of #A vertex-disjoint paths

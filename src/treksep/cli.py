@@ -189,25 +189,18 @@ def cmd_treks(args) -> int:
     _require_flag_vertex(g, "--i", args.i)
     _require_flag_vertex(g, "--j", args.j)
     found = treks.enumerate_simple_treks(g, args.i, args.j, args.cap)
-    payload = {"count": len(found), "treks": []}
-    lines = []
+    if args.output == "json":  # each output builds only itself
+        print(json.dumps({"count": len(found), "treks": [
+            {"left": list(t.left), "middle_kind": t.middle_kind, "middle": list(t.middle),
+             "right": list(t.right), "monomial": treks.trek_monomial(t)} for t in found]}))
+        return EXIT_OK
     for t in found:
-        mono = treks.trek_monomial(t)
-        payload["treks"].append({
-            "left": list(t.left),
-            "middle_kind": t.middle_kind,
-            "middle": list(t.middle),
-            "right": list(t.right),
-            "monomial": mono,
-        })
         mid = "" if t.middle_kind is None else f" [{t.middle_kind}: " \
             + "-".join(str(v) for v in t.middle) + "]"
-        lines.append(
-            "left " + "->".join(str(v) for v in t.left) + mid
-            + " right " + "->".join(str(v) for v in t.right)
-            + f"  {mono}")
-    lines.append(f"{len(found)} simple trek(s)")
-    _emit(args, payload, lines)
+        print("left " + "->".join(str(v) for v in t.left) + mid
+              + " right " + "->".join(str(v) for v in t.right)
+              + f"  {treks.trek_monomial(t)}")
+    print(f"{len(found)} simple trek(s)")
     return EXIT_OK
 
 
@@ -250,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "graphical models on mixed graphs, via minimum "
                     "trek-separating sets, with an exact algebraic oracle.")
     sub = parser.add_subparsers(dest="command", required=True)
-    suite = verify.SuiteConfig()  # the defaults of `verify`, and of `rank --seed/--trials`
+    suite = verify.SuiteConfig()  # the defaults of `verify`, and of `rank --seed`
 
     def common(p, graph=True):
         if graph:
@@ -268,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="cross-check with the exact algebraic oracle")
     p.add_argument("--seed", type=int, default=suite.seed)
-    p.add_argument("--trials", type=int, default=suite.trials_per_instance)
+    p.add_argument("--trials", type=int, default=algebra.DEFAULT_TRIALS)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("tsep", help="does (C_L,C_M,C_R) t-separate A from B?")
@@ -306,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=suite.seed)
     p.add_argument("--graphs", type=int, default=suite.graph_count)
     p.add_argument("--max-vertices", type=int, default=suite.max_vertices)
-    p.add_argument("--trials", type=int, default=suite.trials_per_instance)
+    p.add_argument("--trials", type=int, default=algebra.DEFAULT_TRIALS)
     p.set_defaults(func=cmd_verify)
 
     return parser

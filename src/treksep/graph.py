@@ -47,11 +47,9 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, starmap
 from operator import eq
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 DAG = "DAG"
 UNDIRECTED = "Undirected"
@@ -79,25 +77,54 @@ class ParseError(GraphError):
 class InvalidGraphError(GraphError):
     """Structural invariant violation(s) in a graph."""
 
-    def __init__(self, violations: Iterable[str]):
+    def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 
 
-@dataclass(frozen=True)
 class MixedGraph:
     """Immutable mixed graph on vertices 1..m.
 
     Undirected and bidirected edges are stored as (i, j) with i < j;
-    directed edges as ordered (i, j) pairs.
+    directed edges as ordered (i, j) pairs.  Two graphs are equal when
+    their six fields are, and a graph hashes as the tuple of its fields.
+    A plain class, not a tuple: a graph can be weakly referenced (the tests
+    check that a query frees it this way), and its adjacency index lives
+    in its instance dict.
     """
 
-    m: int
-    u_set: FrozenSet[int]
-    w_set: FrozenSet[int]
-    directed_edges: FrozenSet[Tuple[int, int]]
-    undirected_edges: FrozenSet[Tuple[int, int]]
-    bidirected_edges: FrozenSet[Tuple[int, int]]
+    def __init__(self, m: int, u_set: frozenset[int], w_set: frozenset[int],
+                 directed_edges: frozenset[tuple[int, int]],
+                 undirected_edges: frozenset[tuple[int, int]],
+                 bidirected_edges: frozenset[tuple[int, int]]):
+        self.__dict__.update(m=m, u_set=u_set, w_set=w_set, directed_edges=directed_edges,
+                             undirected_edges=undirected_edges,
+                             bidirected_edges=bidirected_edges)
+
+    def _key(self) -> tuple:
+        return (self.m, self.u_set, self.w_set, self.directed_edges, self.undirected_edges,
+                self.bidirected_edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"MixedGraph(m={self.m!r}, u_set={self.u_set!r}, w_set={self.w_set!r}, "
+                f"directed_edges={self.directed_edges!r}, "
+                f"undirected_edges={self.undirected_edges!r}, "
+                f"bidirected_edges={self.bidirected_edges!r})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {type(value).__name__} to {name!r}: "
+                             "a MixedGraph is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a MixedGraph is immutable")
 
     @property
     def vertices(self) -> range:
@@ -106,12 +133,12 @@ class MixedGraph:
     # The adjacency index (module doc).
 
     @cached_property
-    def _parent_lists(self) -> Dict[int, List[int]]:
+    def _parent_lists(self) -> dict[int, list[int]]:
         """Each vertex with a parent -> the list of its parents (`_build` stores its own)."""
         return _list_parents(self.directed_edges)
 
     @cached_property
-    def _child_lists(self) -> List[List[int]]:
+    def _child_lists(self) -> list[list[int]]:
         """_child_lists[v] lists the children of v (entry 0 unused)."""
         children = [[] for _ in range(self.m + 1)]
         for i, j in self.directed_edges:
@@ -119,17 +146,17 @@ class MixedGraph:
         return children
 
     @cached_property
-    def _undirected_lists(self) -> List[Tuple[int, ...]]:
+    def _undirected_lists(self) -> list[tuple[int, ...]]:
         """_undirected_lists[v] holds the undirected neighbours of v (entry 0 unused)."""
         return _neighbours(self.m, self.undirected_edges)
 
     @cached_property
-    def _bidirected_lists(self) -> List[Tuple[int, ...]]:
+    def _bidirected_lists(self) -> list[tuple[int, ...]]:
         """_bidirected_lists[v] holds the bidirected neighbours of v (entry 0 unused)."""
         return _neighbours(self.m, self.bidirected_edges)
 
     @cached_property
-    def parent_mask(self) -> Tuple[int, ...]:
+    def parent_mask(self) -> tuple[int, ...]:
         """parent_mask[v] has bit p set for each parent p of v (entry 0 unused)."""
         mask = [0] * (self.m + 1)
         for i, j in self.directed_edges:
@@ -137,7 +164,7 @@ class MixedGraph:
         return tuple(mask)
 
     @cached_property
-    def child_mask(self) -> Tuple[int, ...]:
+    def child_mask(self) -> tuple[int, ...]:
         """child_mask[v] has bit c set for each child c of v (entry 0 unused)."""
         mask = [0] * (self.m + 1)
         for i, j in self.directed_edges:
@@ -162,7 +189,7 @@ def _norm_pair(i, j):
     return (i, j) if i < j else (j, i)
 
 
-def _vertex_count_problem(m: int) -> Optional[str]:
+def _vertex_count_problem(m: int) -> str | None:
     """Why m is not an acceptable vertex count, or None if it is."""
     if m < 1:
         return f"vertex count must be positive, got {m}"
@@ -229,7 +256,7 @@ def _build(m, directed, undirected, bidirected, u, w, in_range) -> MixedGraph:
     return g
 
 
-def validate(g: MixedGraph) -> List[str]:
+def validate(g: MixedGraph) -> list[str]:
     """Return a list of invariant violations; an empty list means valid."""
     out = []
     universe = set(g.vertices)
@@ -269,7 +296,7 @@ def validate(g: MixedGraph) -> List[str]:
     return out
 
 
-def topological_order(g: MixedGraph) -> List[int]:
+def topological_order(g: MixedGraph) -> list[int]:
     """Kahn's procedure with a lowest-id-first tie-break."""
     order = _kahn(g)
     if len(order) != g.m:
@@ -277,7 +304,7 @@ def topological_order(g: MixedGraph) -> List[int]:
     return order
 
 
-def _list_parents(directed) -> Dict[int, List[int]]:
+def _list_parents(directed) -> dict[int, list[int]]:
     """Each head of a directed edge -> the list of its tails, in edge order."""
     par = {}
     for i, j in directed:
@@ -285,7 +312,7 @@ def _list_parents(directed) -> Dict[int, List[int]]:
     return par
 
 
-def _neighbours(m, edges) -> List[Tuple[int, ...]]:
+def _neighbours(m, edges) -> list[tuple[int, ...]]:
     """nbr[v] holds the neighbours of v along edges, a set of pairs (entry 0 unused).
 
     Tuples, not lists: the garbage collector stops tracking them, which on
@@ -311,7 +338,7 @@ def _neighbours(m, edges) -> List[Tuple[int, ...]]:
     return nbr
 
 
-def _kahn(g: MixedGraph) -> List[int]:
+def _kahn(g: MixedGraph) -> list[int]:
     """Kahn's pass, lowest id first; it misses every vertex on or below a directed cycle."""
     children = g._child_lists
     indeg = [0] * (g.m + 1)
@@ -350,7 +377,7 @@ def _closure(start, lists) -> set:
     return seen
 
 
-def _ancestor_walk(v: int, parents) -> List[int]:
+def _ancestor_walk(v: int, parents) -> list[int]:
     """an(v), v first and each vertex before its parents: a depth-first
     post-order up the parent lists `parents`, reversed."""
     order = []

@@ -126,9 +126,8 @@ pairs whose left closures agree their downward ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import partial
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .graph import DAG, MixedGraph, _closure, _require_vertices, graph_class
 from .treks import CapExceededError
@@ -142,11 +141,12 @@ class InternalError(RuntimeError):
     """A max-flow invariant failed: a bug in this module, not bad input."""
 
 
-@dataclass(frozen=True)
-class SeparationTriple:
-    c_left: FrozenSet[int] = frozenset()
-    c_mid: FrozenSet[int] = frozenset()
-    c_right: FrozenSet[int] = frozenset()
+class SeparationTriple(namedtuple("SeparationTriple", "c_left c_mid c_right",
+                                  defaults=(frozenset(),) * 3)):
+    __slots__ = ()
+    c_left: frozenset[int]
+    c_mid: frozenset[int]
+    c_right: frozenset[int]
 
     @classmethod
     def of(cls, cl=(), cm=(), cr=()) -> "SeparationTriple":
@@ -155,28 +155,41 @@ class SeparationTriple:
     def size(self) -> int:
         return len(self.c_left) + len(self.c_mid) + len(self.c_right)
 
-    def as_dict(self) -> Dict[str, List[int]]:
+    def as_dict(self) -> dict[str, list[int]]:
         """The members of each level, sorted, as `rank --output json` prints them."""
         return {"cl": sorted(self.c_left), "cm": sorted(self.c_mid), "cr": sorted(self.c_right)}
 
-    def dag_pair_view(self) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+    def dag_pair_view(self) -> tuple[frozenset[int], frozenset[int]]:
         """(C_A, C_B) with the middle layer folded into the left side."""
         return (self.c_left | self.c_mid, self.c_right)
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(namedtuple("RankResult", "rank certificate flow_value treks", defaults=((),))):
     """A rank, a separating triple and a trek system of that size.
 
     treks: one path per unit of flow, as (vertex, level) states (0 left, 1
     middle, 2 right) from a left state of A to a right state of B.  Results
-    compare without it, as it depends on the search order.
+    compare and hash without it, as it depends on the search order.
     """
 
+    __slots__ = ()
     rank: int
     certificate: SeparationTriple
     flow_value: int
-    treks: Tuple[Tuple[Tuple[int, int], ...], ...] = field(default=(), compare=False)
+    treks: tuple[tuple[tuple[int, int], ...], ...]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:3] == other[:3]
+
+    def __ne__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:3] != other[:3]
+
+    def __hash__(self):
+        return hash(self[:3])
 
 
 class _Arcs(dict):
@@ -312,7 +325,7 @@ def min_t_separator(g: MixedGraph, A, B) -> RankResult:
     fed = prv.count(-2)
     if fed != value:
         raise InternalError(f"{fed} in-nodes are fed by a source, but the flow value is {value}")
-    levels: Tuple[List[int], ...] = ([], [], [])
+    levels: tuple[list[int], ...] = ([], [], [])
     for x in order:  # the cut: split arcs from a reached in-node to an unreached out-node
         if not x & 1 and via[x + 1] == -1:
             levels[x % 6 // 2].append(x // 6 + 1)
@@ -338,7 +351,7 @@ def generic_rank(g: MixedGraph, A, B) -> int:
     return 0
 
 
-def _trek_steps(g: MixedGraph) -> Dict[Tuple[int, int], Set[Tuple[int, int]]]:
+def _trek_steps(g: MixedGraph) -> dict[tuple[int, int], set[tuple[int, int]]]:
     """Each (vertex, level) state of g -> the states a trek may step to: the
     steps that the arcs spell, read off g's edge sets (module doc)."""
     steps = {}
@@ -457,7 +470,7 @@ def _closed_up(masks, start, blocked) -> int:
     return grown
 
 
-def _partition_reaches(g: MixedGraph, a: int, c_all: int, closed) -> List[Tuple[int, int]]:
+def _partition_reaches(g: MixedGraph, a: int, c_all: int, closed) -> list[tuple[int, int]]:
     """(C_A, mask) for every partition C = C_A | C_B, by increasing C_A,
     where mask holds the vertices that reach the partition's left closure
     going up around C_B.
@@ -484,7 +497,7 @@ def _partition_reaches(g: MixedGraph, a: int, c_all: int, closed) -> List[Tuple[
             return out
 
 
-def _partition_masks(reaches) -> List[int]:
+def _partition_masks(reaches) -> list[int]:
     """The masks of `_partition_reaches` whose partitions can separate.
 
     A partition whose C_A meets its mask separates no B and is dropped.
@@ -553,7 +566,7 @@ def ci_implied(g: MixedGraph, A, B, C) -> bool:
     return not _ci_reached(_Arcs(g), g, AC, C) & _mask(B)
 
 
-def vanishing_tetrad(g: MixedGraph, ij, kl) -> Optional[SeparationTriple]:
+def vanishing_tetrad(g: MixedGraph, ij, kl) -> SeparationTriple | None:
     """Certificate for a vanishing 2x2 minor of Sigma, or None.
 
     Returns the minimum t-separating triple of `min_t_separator`, of size at

@@ -18,9 +18,7 @@ path-determinant expansions in `algebra`.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from collections import Counter, defaultdict, namedtuple
 
 from .graph import MixedGraph, _require_vertices
 
@@ -39,14 +37,14 @@ class CapExceededError(Exception):
         super().__init__(message or f"enumeration cap of {cap} exceeded")
 
 
-@dataclass(frozen=True)
-class Trek:
+class Trek(namedtuple("Trek", "left middle_kind middle right")):
     """One trek; paths are vertex tuples written source -> sink."""
 
-    left: Tuple[int, ...]
-    middle_kind: Optional[str]
-    middle: Tuple[int, ...]
-    right: Tuple[int, ...]
+    __slots__ = ()
+    left: tuple[int, ...]
+    middle_kind: str | None
+    middle: tuple[int, ...]
+    right: tuple[int, ...]
 
 
 def is_simple(t: Trek) -> bool:
@@ -62,7 +60,7 @@ def is_simple(t: Trek) -> bool:
 
 
 def _directed_paths_into(g: MixedGraph, sink: int,
-                         cap: Optional[int] = None) -> Dict[int, List[Tuple[int, ...]]]:
+                         cap: int | None = None) -> dict[int, list[tuple[int, ...]]]:
     """All self-avoiding directed paths ending at sink, grouped by source.
 
     With a cap, raises CapExceededError as soon as more than cap are listed.
@@ -83,8 +81,8 @@ def _directed_paths_into(g: MixedGraph, sink: int,
     return dict(out)
 
 
-def _undirected_middles(g: MixedGraph, starts, cap: Optional[int] = None
-                        ) -> Dict[Tuple[int, int], List[Tuple[int, ...]]]:
+def _undirected_middles(g: MixedGraph, starts, cap: int | None = None
+                        ) -> dict[tuple[int, int], list[tuple[int, ...]]]:
     """Self-avoiding undirected paths with >= 1 edge from the starts in U, keyed by (start, end).
 
     With a cap, raises CapExceededError as soon as more than cap are listed.
@@ -114,7 +112,7 @@ def _trek_sort_key(t: Trek):
 
 
 def enumerate_simple_treks(g: MixedGraph, i: int, j: int,
-                           cap: int = DEFAULT_CAP) -> List[Trek]:
+                           cap: int = DEFAULT_CAP) -> list[Trek]:
     """All simple treks between i and j, in a canonical deterministic order.
 
     The directed paths into i are listed first; then each directed path
@@ -151,7 +149,7 @@ def enumerate_simple_treks(g: MixedGraph, i: int, j: int,
                 reach.add(c)
                 stack.append(c)
 
-    treks: List[Trek] = []
+    treks: list[Trek] = []
     closing = 0
     stack = [(j,)] if j in reach else []
     while stack:

@@ -9,10 +9,9 @@ its config and returns a CheckResult; run_suite aggregates them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache, partial
 from itertools import chain, combinations
-from typing import ClassVar, Dict, List
 
 from . import algebra, instances, separation
 from .graph import (DAG, MIXED, UNDIRECTED, MixedGraph, bidirected_subdivision,
@@ -53,15 +52,19 @@ def max_graphs(max_vertices: int) -> int:
     return MAX_WORK // max_vertices ** 5
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    seed: int = 31415
-    max_vertices: int = 6
-    graph_count: int = 200
-    trials_per_instance: int = 5
-    edge_density: ClassVar[float] = 0.4  # of every random graph the criteria draw
+class SuiteConfig(namedtuple("SuiteConfig", "seed max_vertices graph_count trials_per_instance",
+                             defaults=(31415, 6, 200, algebra.DEFAULT_TRIALS))):
+    """The suite's shape; each field is checked against its bound here."""
 
-    def __post_init__(self):
+    __slots__ = ()
+    seed: int
+    max_vertices: int
+    graph_count: int
+    trials_per_instance: int
+    edge_density = 0.4  # of every random graph the criteria draw
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_vertices < MIN_VERTICES:
             raise ValueError(f"max_vertices must be at least {MIN_VERTICES}")
         if self.max_vertices > MAX_VERTICES:
@@ -78,13 +81,20 @@ class SuiteConfig:
             raise ValueError("trials_per_instance must be at least 1")
         if self.trials_per_instance > MAX_TRIALS:
             raise ValueError(f"trials_per_instance must be at most {MAX_TRIALS}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through here: checked too
+        return cls(*iterable)
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passes: int = 0
-    failures: List[dict] = field(default_factory=list)
+    """One criterion's tally: its passes, and each failure with its graph."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.passes = 0
+        self.failures: list[dict] = []
 
     @property
     def ok(self) -> bool:
@@ -97,10 +107,10 @@ class CheckResult:
             self.failures.append({**query, "graph": serialize(g)})
 
 
-@dataclass
-class SuiteReport:
-    checks: Dict[str, Dict[str, int]]
-    failures: List[dict]
+class SuiteReport(namedtuple("SuiteReport", "checks failures")):
+    __slots__ = ()
+    checks: dict[str, dict[str, int]]
+    failures: list[dict]
 
     @property
     def total_failures(self) -> int:
@@ -183,7 +193,7 @@ def _menger_ok(g: MixedGraph, A, B, res: separation.RankResult) -> bool:
 
 
 def cross_check_rank(g: MixedGraph, A, B, seed: int,
-                     trials: int = SuiteConfig.trials_per_instance) -> dict:
+                     trials: int = algebra.DEFAULT_TRIALS) -> dict:
     """Min-cut rank vs algebraic oracle, plus Menger duality on the certificate.
 
     Returns a detail dict with an overall "ok" verdict.  With A and B
