@@ -16,26 +16,24 @@ their own entries.  Its error is one-sided (see its docstring).
 The identities (trek rule, simple trek rule, path determinants,
 Cauchy-Binet, the subdivision translation) demand exact equality.  They are
 polynomial identities with integer coefficients, run on large random
-integer parameters: on a DAG, Lambda = I - L is unit triangular, so
-Lambda^{-1}, Sigma, every trek sum and every minor are plain `int`s.  Only
-K^{-1} brings in `fractions.Fraction`.  The code is number-generic: sums
-start from 0 and products from 1, so ints in give ints out and Fractions in
-give Fractions out.  No floating point is involved anywhere.
+integer parameters, and every value is a plain `int`: on a DAG,
+Lambda = I - L is unit triangular, so Lambda^{-1}, Sigma, every trek sum and
+every minor are integers; where K enters, `build_covariance` returns
+det(K) Sigma, built from the adjugate of K.  A matrix holds `int`s only,
+and no floating point or rational is involved anywhere.
 
-`det` is one fraction-free Bareiss elimination (`_bareiss`), whose every
-division is exact; rank and inverse share one Gauss-Jordan over Q,
-`_gauss_jordan`, which divides only by Fractions.  The simple trek rule
-reads a_v = sigma_vv off the covariance it is given, and the path-system
-sides of the determinant expansions come from `treks._disjoint_systems`.
+`det` and the adjugate of K come from one fraction-free Gauss-Jordan
+elimination (`_bareiss`), whose every division is exact.  The simple trek
+rule reads a_v = sigma_vv off the covariance it is given, and the
+path-system sides of the determinant expansions come from
+`treks._disjoint_systems`.
 """
 
 from __future__ import annotations
 
 import random
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .graph import (DAG, UNDIRECTED, MixedGraph, _ancestor_walk, _require_vertices,
                     graph_class, topological_order)
@@ -48,26 +46,23 @@ PRIME = 2**61 - 1
 # default of the oracle, of `verify.SuiteConfig` and of the CLI's --trials.
 DEFAULT_TRIALS = 5
 
-Rational = int | Fraction
-
 
 class SingularMatrixError(ArithmeticError):
     pass
 
 
 class RationalMatrix(namedtuple("RationalMatrix", "rows cols entries")):
-    """Dense matrix over arbitrary-precision rationals (0-based indexing).
+    """Dense matrix of arbitrary-precision `int`s (0-based indexing).
 
-    Entries are `int`s, or `Fraction`s where a rational such as K^{-1}
-    enters; `from_rows` keeps ints and turns anything else into a Fraction.
-    The shape is fixed; the entry lists are filled in place.  `m[i, j]`
-    reads an entry, not a field.
+    `from_rows` refuses any other entry, so no `//` of an elimination can
+    floor a rational.  The shape is fixed; the entry lists are filled in
+    place.  `m[i, j]` reads an entry, not a field.
     """
 
     __slots__ = ()
     rows: int
     cols: int
-    entries: list[list[Rational]]
+    entries: list[list[int]]
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -82,11 +77,14 @@ class RationalMatrix(namedtuple("RationalMatrix", "rows cols entries")):
 
     @classmethod
     def from_rows(cls, rows):
-        rows = [[x if type(x) is int else Fraction(x) for x in row] for row in rows]
+        rows = [list(row) for row in rows]
         cols = len(rows[0]) if rows else 0
         for i, row in enumerate(rows):
             if len(row) != cols:
                 raise ValueError(f"row {i} has {len(row)} entries, row 0 has {cols}")
+            for j, x in enumerate(row):
+                if type(x) is not int:
+                    raise ValueError(f"entry ({i}, {j}) is {x!r}, not an int")
         return cls(len(rows), cols, rows)
 
     def __getitem__(self, rc):
@@ -118,96 +116,42 @@ class RationalMatrix(namedtuple("RationalMatrix", "rows cols entries")):
         return RationalMatrix.from_rows(
             [[self.entries[i][j] for j in col_idx] for i in row_idx])
 
-    def _side(self) -> int:
+    def det(self) -> int:
+        """The exact determinant: `_bareiss` on a copy of the entries."""
         if self.rows != self.cols:
             raise ValueError(f"a {self.rows}x{self.cols} matrix is not square")
-        return self.rows
-
-    def rank(self) -> int:
-        return _gauss_jordan([row[:] for row in self.entries], self.cols)
-
-    def det(self) -> Rational:
-        """The exact determinant: an `int` when every entry is an integer,
-        and otherwise a `Fraction`.
-
-        Each row is scaled to integers by the lcm d_i of its denominators,
-        the integer matrix runs through `_bareiss`, and the result is
-        divided once, as Fraction(det, d_1 ... d_n).
-        """
-        self._side()
-        scale = 1
-        rows = []
-        for row in self.entries:
-            d = lcm(*(x.denominator for x in row))
-            scale *= d
-            rows.append([x.numerator * (d // x.denominator) for x in row])
-        det = _bareiss(rows)
-        return det if scale == 1 else Fraction(det, scale)
-
-    def inverse(self) -> "RationalMatrix":
-        n = self._side()
-        a = [row[:] + [1 if i == j else 0 for j in range(n)]
-             for i, row in enumerate(self.entries)]
-        if _gauss_jordan(a, n) < n:
-            raise SingularMatrixError("matrix is singular")
-        return RationalMatrix(n, n, [row[n:] for row in a])
+        return _bareiss([row[:] for row in self.entries], self.rows)
 
 
-def _bareiss(rows: list[list[int]]) -> int:
-    """Determinant of a square int matrix by fraction-free (Bareiss)
-    elimination, in place.
+def _bareiss(rows: list[list[int]], width: int) -> int:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of the `width` int
+    rows on their first `width` columns, in place; returns the determinant
+    of that square block.
 
-    Step k replaces each entry below and right of the pivot p_k by
+    Step k replaces every entry off the pivot row by
     (p_k a_ij - a_ik a_kj) // p_{k-1} (p_{-1} = 1).  By Sylvester's identity
-    the quotient is a minor of the matrix, so the floor division is exact
-    and every entry stays an int.  A zero pivot swaps in the first row below
-    it with a nonzero entry in its column, which flips the sign; with none
-    the determinant is 0.  The last pivot is the determinant, up to sign.
+    each quotient is, up to sign, a minor of the rows, so the floor division
+    is exact and every entry stays an int.  A zero pivot swaps in the first
+    row below it with a nonzero entry in its column and negates the row it
+    moves down, which keeps the determinant; with none the determinant is 0.
+    After the last step [M | I] reads [p I | p M^{-1}], and the last pivot p
+    is det M.
     """
-    n = len(rows)
-    sign, prev = 1, 1
-    for k in range(n):
+    prev = 1
+    for k in range(width):
         if not rows[k][k]:
-            swap = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            swap = next((r for r in range(k + 1, width) if rows[r][k]), None)
             if swap is None:
                 return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
+            rows[k], rows[swap] = rows[swap], [-x for x in rows[k]]
         pivot_row = rows[k]
         pivot = pivot_row[k]
-        for row in rows[k + 1:]:
-            f = row[k]
-            row[k + 1:] = [(pivot * x - f * y) // prev
-                           for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                row[:] = [(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)]
         prev = pivot
-    return sign * prev
-
-
-def _gauss_jordan(rows: list[list[Rational]], width: int) -> int:
-    """Exact Gauss-Jordan on the first `width` columns of rows, in place;
-    returns the rank.
-
-    Each pivot row is divided by Fraction(pivot), so an int entry never
-    meets `/` with an int.  Columns past `width` are carried along, so
-    [M | I] reduces to [I | M^{-1}].
-    """
-    rank = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        if pivot != rank:
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = Fraction(rows[rank][col])
-        # Left of col the pivot row is zero, so only its tail is touched.
-        tail = [x / pv for x in rows[rank][col:]]
-        rows[rank][col:] = tail
-        for r, row in enumerate(rows):
-            f = row[col]
-            if r != rank and f:
-                row[col:] = [x - f * y for x, y in zip(row[col:], tail)]
-        rank += 1
-    return rank
+    return prev
 
 
 def submatrix_for(matrix: RationalMatrix, A, B) -> RationalMatrix:
@@ -221,13 +165,14 @@ class ParamAssignment(namedtuple("ParamAssignment", "lam phi k")):
     `lam` maps directed edges (i, j) to entries of L (so Lambda = I - L),
     `phi` is the symmetric W-block keyed by (min, max) pairs including the
     diagonal, and `k` is the symmetric U-block in the same convention.
-    `sample_parameters` gives `int`s; Fractions are exact too.
+    Parameters are `int`s, as `sample_parameters` gives them: K's rows go
+    through `RationalMatrix.from_rows`, so any other K entry raises.
     """
 
     __slots__ = ()
-    lam: dict[tuple[int, int], Rational]
-    phi: dict[tuple[int, int], Rational]
-    k: dict[tuple[int, int], Rational]
+    lam: dict[tuple[int, int], int]
+    phi: dict[tuple[int, int], int]
+    k: dict[tuple[int, int], int]
 
 
 def sample_parameters(g: MixedGraph, seed: int) -> ParamAssignment:
@@ -236,8 +181,8 @@ def sample_parameters(g: MixedGraph, seed: int) -> ParamAssignment:
     Off-diagonal entries are nonzero integers in [-SCALE, SCALE]; diagonals
     are 1 + (row absolute sum) + a random integer in [1, SCALE], which makes
     Phi and K diagonally dominant (hence positive definite) while keeping the
-    diagonal itself generic.  Every covariance built from them is an int
-    matrix, except where K^{-1} enters, whose entries are Fractions.
+    diagonal itself generic.  Every covariance built from them, scaled by
+    det K as `build_covariance` gives it, is an int matrix.
     """
     rng = random.Random(seed)
 
@@ -274,32 +219,33 @@ def lambda_inverse(g: MixedGraph, p: ParamAssignment) -> RationalMatrix:
     return inv
 
 
-def _symmetric_matrix(block, vertices):
-    vs = sorted(vertices)
-    pos = {v: i for i, v in enumerate(vs)}
-    m = RationalMatrix.zeros(len(vs), len(vs))
-    for (i, j), val in block.items():
-        m.entries[pos[i]][pos[j]] = val
-        m.entries[pos[j]][pos[i]] = val
-    return m, vs
-
-
 def build_covariance(g: MixedGraph, p: ParamAssignment) -> RationalMatrix:
-    """Exact covariance from the factorization Sigma = Lambda^{-T} (K^{-1} (+) Phi) Lambda^{-1}."""
+    """det(K) Sigma, exactly, as an int matrix: from the factorization
+    Sigma = Lambda^{-T} (K^{-1} (+) Phi) Lambda^{-1}, the matrix
+    Lambda^{-T} (det(K) K^{-1} (+) det(K) Phi) Lambda^{-1}.
+
+    `_bareiss` reduces [K | I] to [det(K) I | det(K) K^{-1}], the adjugate
+    of K.  The determinant of the empty K is 1, so on a graph with no U
+    vertex, every DAG included, this is Sigma itself.  A singular K raises
+    SingularMatrixError.
+    """
     n = g.m
+    u_vs = sorted(g.u_set)
+    width = len(u_vs)
+    pos = {u: i for i, u in enumerate(u_vs)}
+    k = [[int(i + width == j) for j in range(2 * width)] for i in range(width)]  # [0 | I]
+    for (i, j), val in p.k.items():
+        k[pos[i]][pos[j]] = k[pos[j]][pos[i]] = val
+    rows = RationalMatrix.from_rows(k).entries
+    det = _bareiss(rows, width)
+    if not det:
+        raise SingularMatrixError("K is singular")
     inner = RationalMatrix.zeros(n, n)
-    if g.u_set:
-        kmat, u_vs = _symmetric_matrix(p.k, g.u_set)
-        try:
-            kinv = kmat.inverse()
-        except SingularMatrixError:
-            raise SingularMatrixError("K is singular") from None
-        for a, va in enumerate(u_vs):
-            for b, vb in enumerate(u_vs):
-                inner.entries[va - 1][vb - 1] = kinv.entries[a][b]
+    for a, va in enumerate(u_vs):
+        for b, vb in enumerate(u_vs):
+            inner.entries[va - 1][vb - 1] = rows[a][width + b]
     for (i, j), val in p.phi.items():
-        inner.entries[i - 1][j - 1] = val
-        inner.entries[j - 1][i - 1] = val
+        inner.entries[i - 1][j - 1] = inner.entries[j - 1][i - 1] = det * val
     lam_inv = lambda_inverse(g, p)
     return lam_inv.transpose().matmul(inner).matmul(lam_inv)
 
@@ -545,14 +491,14 @@ def _eliminate(rows: list[dict[int, int]], steps=None) -> int:
         steps = None
 
 
-def _path_weight(p: ParamAssignment, path) -> Rational:
+def _path_weight(p: ParamAssignment, path) -> int:
     w = 1
     for a, b in zip(path, path[1:]):
         w *= p.lam[(a, b)]
     return w
 
 
-def trek_rule_covariance(g: MixedGraph, p: ParamAssignment, i: int, j: int) -> Rational:
+def trek_rule_covariance(g: MixedGraph, p: ParamAssignment, i: int, j: int) -> int:
     """Covariance entry as the explicit sum over all treks between i and j.
 
     Enumerates path pairs hanging off every supported (top, top) pair of the
@@ -575,7 +521,7 @@ def trek_rule_covariance(g: MixedGraph, p: ParamAssignment, i: int, j: int) -> R
 
 
 def simple_trek_rule_covariance(g: MixedGraph, p: ParamAssignment,
-                                sigma: RationalMatrix, i: int, j: int) -> Rational:
+                                sigma: RationalMatrix, i: int, j: int) -> int:
     """Covariance entry as the sum over simple treks, the trek with top v
     weighted by a_v = sigma_vv, the variance read off the covariance sigma."""
     if graph_class(g) != DAG:
@@ -588,7 +534,7 @@ def simple_trek_rule_covariance(g: MixedGraph, p: ParamAssignment,
     return total
 
 
-def gvl_minor_two_ways(g: MixedGraph, p: ParamAssignment, R, S) -> tuple[Rational, Rational]:
+def gvl_minor_two_ways(g: MixedGraph, p: ParamAssignment, R, S) -> tuple[int, int]:
     """Minor of Lambda^{-1} two ways: exact determinant vs the signed sum
     over vertex-disjoint directed path systems from R to S."""
     if graph_class(g) != DAG:
@@ -612,7 +558,7 @@ def gvl_minor_two_ways(g: MixedGraph, p: ParamAssignment, R, S) -> tuple[Rationa
 
 
 def cauchy_binet_two_ways(g: MixedGraph, p: ParamAssignment, A, B
-                          ) -> tuple[Rational, Rational]:
+                          ) -> tuple[int, int]:
     """det Sigma_{A,B} vs its phi_S-weighted expansion over column subsets S."""
     if graph_class(g) != DAG:
         raise ValueError("the phi_S expansion is defined for DAGs")
@@ -632,12 +578,14 @@ def cauchy_binet_two_ways(g: MixedGraph, p: ParamAssignment, A, B
     return lhs, rhs
 
 
-def undirected_minor_check(g: MixedGraph, p: ParamAssignment, A, B) -> tuple[Rational, bool]:
-    """Exact minor of Sigma = K^{-1} plus a combinatorial zero/nonzero verdict.
+def undirected_minor_check(g: MixedGraph, p: ParamAssignment, A, B) -> tuple[int, bool]:
+    """Exact minor of det(K) Sigma plus a combinatorial zero/nonzero verdict.
 
-    The verdict is True iff there is a system of #A vertex-disjoint paths
-    from A to B in the doubling of the undirected graph, which by the
-    path-determinant expansion decides generic vanishing of the minor.
+    Sigma = K^{-1} (+) Phi, and the minor is det(K)^{#A} times the minor of
+    Sigma: an int, and zero exactly when the minor of Sigma is.  The verdict
+    is True iff there is a system of #A vertex-disjoint paths from A to B in
+    the doubling of the undirected graph, which by the path-determinant
+    expansion decides generic vanishing of the minor.
     """
     if graph_class(g) != UNDIRECTED:
         raise ValueError("expects a purely undirected graph")

@@ -10,7 +10,10 @@ trek systems: `min_t_separator` returns one with its separator, and the
 tests hold its rank against `exists_noncrossing_system_reference`.
 `TrekSystem` stands in for the library class of that name, which
 `has_sided_intersection_reference` reads.  `_undirected_middles` now lists
-only the paths from the starts it is given, which are the rows here.
+only the paths from the starts it is given, which are the rows here.  The
+library's minor is now that of det(K) Sigma, so the reference takes its
+minor of Sigma from `rational_reference.covariance_reference`, not from the
+library's `build_covariance`, and scales it by det(K)^{#A}.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Tuple
 
-from treksep.algebra import (ParamAssignment, _path_weight, build_covariance,
-                             lambda_inverse, submatrix_for)
+from rational_reference import covariance_reference, det_reference
+from treksep.algebra import ParamAssignment, _path_weight, lambda_inverse, submatrix_for
 from treksep.graph import DAG, UNDIRECTED, MixedGraph, graph_class
 from treksep.treks import (DEFAULT_CAP, MIDDLE_BIDIRECTED, CapExceededError,
                            Trek, _directed_paths_into, _undirected_middles,
@@ -154,7 +157,7 @@ def gvl_minor_two_ways_reference(g: MixedGraph, p: ParamAssignment, R, S,
 
 def undirected_minor_check_reference(g: MixedGraph, p: ParamAssignment, A, B,
                            cap: int = DEFAULT_CAP) -> Tuple[Fraction, bool]:
-    """Exact minor of Sigma = K^{-1} plus a combinatorial zero/nonzero verdict.
+    """Exact minor of det(K) Sigma plus a combinatorial zero/nonzero verdict.
 
     The verdict is True iff there is a system of #A vertex-disjoint paths
     from A to B in the doubling of the undirected graph, which by the
@@ -165,13 +168,13 @@ def undirected_minor_check_reference(g: MixedGraph, p: ParamAssignment, A, B,
     As, Bs = sorted(set(A)), sorted(set(B))
     if len(As) != len(Bs):
         raise ValueError("A and B must have equal size")
-    sigma = build_covariance(g, p)
-    minor = submatrix_for(sigma, As, Bs).det()
+    ell = len(As)
+    sigma, det_k = covariance_reference(g, p)
+    minor = det_k ** ell * det_reference([[sigma[a - 1][b - 1] for b in Bs] for a in As])
 
     middles = _undirected_middles(g, As)
     paths = {(a, b): [(a,)] if a == b else middles.get((a, b), [])
              for a in As for b in Bs}
-    ell = len(As)
     budget = [cap]
 
     def extend(perm, k, used):

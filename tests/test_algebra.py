@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 import oracle_reference
 from oracle_reference import (_row_reduce_reference, kept_n_matrix_reference,
                               kept_u_reference, n_matrix_reference)
+from rational_reference import covariance_reference, rank_reference
 from treksep import algebra
-from treksep.algebra import (RationalMatrix, build_covariance,
-                             cauchy_binet_two_ways,
+from treksep.algebra import (ParamAssignment, RationalMatrix, SingularMatrixError,
+                             build_covariance, cauchy_binet_two_ways,
                              generic_rank_oracle, gvl_minor_two_ways,
                              lambda_inverse, sample_parameters,
                              simple_trek_rule_covariance, submatrix_for,
@@ -34,6 +35,12 @@ from treksep.verify import random_graph
     ([[1], [2, 5]], "row 1 has 2 entries, row 0 has 1"),
     ([[1, 2], [3]], "row 1 has 1 entries, row 0 has 2"),
     ([[1, 2], [3, 4], []], "row 2 has 0 entries, row 0 has 2"),
+    # An elimination divides with //, which would floor a rational to a
+    # wrong determinant: a matrix holds ints only.
+    ([[1, Fraction(1, 2)]], "entry (0, 1) is Fraction(1, 2), not an int"),
+    ([[1, 2], [3, 4.0]], "entry (1, 1) is 4.0, not an int"),
+    ([[Fraction(3)]], "entry (0, 0) is Fraction(3, 1), not an int"),
+    ([[True]], "entry (0, 0) is True, not an int"),
 ])
 def test_from_rows_rejects_ragged_rows(rows, message):
     with pytest.raises(ValueError) as exc:
@@ -43,13 +50,32 @@ def test_from_rows_rejects_ragged_rows(rows, message):
 
 def test_rational_matrix_basics():
     m = RationalMatrix.from_rows([[1, 2], [2, 4]])
-    assert m.rank() == 1
     assert m.det() == 0
-    assert RationalMatrix.zeros(3, 3).rank() == 0
+    assert RationalMatrix.zeros(3, 3).det() == 0
     m2 = RationalMatrix.from_rows([[2, 1], [1, 1]])
     assert m2.det() == 1
-    inv = m2.inverse()
-    assert m2.matmul(inv) == RationalMatrix.identity(2)
+    adjugate = RationalMatrix.from_rows([[1, -1], [-1, 2]])
+    assert m2.matmul(adjugate) == RationalMatrix.identity(2)
+
+
+def test_a_rational_parameter_raises_instead_of_flooring():
+    g = make_graph(2, undirected=[(1, 2)])
+    p = sample_parameters(g, 5)
+    for bad in (Fraction(1, 3), 0.5):
+        with pytest.raises(ValueError, match=r"^entry \(1, 1\) is .*, not an int$"):
+            build_covariance(g, p._replace(k={**p.k, (2, 2): bad}))
+    dag = make_graph(3, directed=[(1, 2), (2, 3)])
+    p = sample_parameters(dag, 5)
+    with pytest.raises(ValueError, match=r"^entry \(0, 0\) is Fraction\(1, 2\), not an int$"):
+        gvl_minor_two_ways(dag, p._replace(lam={**p.lam, (1, 2): Fraction(1, 2)}), {1}, {2})
+
+
+def test_singular_k_is_refused():
+    g = make_graph(2, undirected=[(1, 2)])
+    p = ParamAssignment(lam={}, phi={}, k={(1, 1): 1, (2, 2): 1, (1, 2): 1})
+    with pytest.raises(SingularMatrixError) as exc:
+        build_covariance(g, p)
+    assert str(exc.value) == "K is singular"
 
 
 def leibniz_det(rows):
@@ -66,24 +92,19 @@ def leibniz_det(rows):
 
 
 def _det_cases():
-    """Seeded square matrices up to 5x5 over int and Fraction entries:
-    dense ones, sparse ones (zero pivots mid-elimination), ones with a zero
-    leading entry (a swap comes first) and singular ones."""
+    """Seeded square int matrices up to 5x5: dense ones, sparse ones (zero
+    pivots mid-elimination), ones with a zero leading entry (a swap comes
+    first) and singular ones."""
     rng = random.Random("bareiss")
-    yield [], False
-    yield [[7]], False
-    yield [[Fraction(-3, 4)]], True
-    yield [[0, 2], [3, 5]], False
+    yield []
+    yield [[7]]
+    yield [[0, 2], [3, 5]]
     for _ in range(400):
         n = rng.randint(1, 5)
-        rational = rng.random() < 0.4
         zeros = rng.choice((0.0, 0.3, 0.6))
 
         def entry():
-            if rng.random() < zeros:
-                return 0
-            x = rng.randint(-9, 9)
-            return Fraction(x, rng.randint(1, 6)) if rational else x
+            return 0 if rng.random() < zeros else rng.randint(-9, 9)
 
         rows = [[entry() for _ in range(n)] for _ in range(n)]
         shape = rng.random()
@@ -92,28 +113,24 @@ def _det_cases():
         elif shape < 0.5 and n > 1:  # a row the sum of two others (or a copy)
             i, j, k = (rng.randrange(n) for _ in range(3))
             rows[i] = [x + y if j != k else x for x, y in zip(rows[j], rows[k])]
-        yield rows, rational
+        yield rows
 
 
 def test_bareiss_det_matches_leibniz():
     kinds = Counter()
-    for rows, rational in _det_cases():
+    for rows in _det_cases():
         expected = leibniz_det(rows)
         got = RationalMatrix.from_rows(rows).det() if rows else RationalMatrix(0, 0, []).det()
-        assert got == expected, rows
-        if not rational:
-            assert type(got) is int, rows
-        kinds[rational, expected == 0, bool(rows) and rows[0][0] == 0] += 1
-    # int and Fraction, singular and not, each with and without a zero
-    # leading entry
-    assert len(kinds) == 8 and min(kinds.values()) >= 10, kinds
+        assert got == expected and type(got) is int, rows
+        kinds[expected == 0, bool(rows) and rows[0][0] == 0] += 1
+    # singular and not, each with and without a zero leading entry
+    assert len(kinds) == 4 and min(kinds.values()) >= 10, kinds
 
 
 def test_identities_on_int_parameters_return_ints():
-    # The acceptance identities on seeded DAGs, every value an int; on
-    # graphs with U, K^{-1} makes Fractions, never floats.
+    # The acceptance identities on seeded DAGs, and det(K) Sigma with its
+    # minors on graphs with U: every value an int.
     rng = random.Random("int-identities")
-    fractions = 0
     for _ in range(30):
         n = rng.randint(2, 6)
         g = random_graph(DAG, n, rng.getrandbits(32), 0.5)
@@ -148,9 +165,7 @@ def test_identities_on_int_parameters_return_ints():
                 assert all(type(v) is int for block in (p2.lam, p2.phi, p2.k)
                            for v in block.values())
                 values += [x for row in build_covariance(g, p2).entries for x in row]
-            assert all(type(v) in (int, Fraction) for v in values), g
-            fractions += sum(type(v) is Fraction for v in values)
-    assert fractions > 100, fractions
+            assert all(type(v) is int for v in values), g
 
 
 def test_sample_parameters_deterministic_and_shaped():
@@ -196,10 +211,28 @@ def test_build_covariance_undirected_is_k_inverse():
     g = make_graph(2, undirected=[(1, 2)])
     p = sample_parameters(g, 11)
     k11, k22, k12 = p.k[(1, 1)], p.k[(2, 2)], p.k[(1, 2)]
-    det = k11 * k22 - k12 * k12
-    sigma = build_covariance(g, p)
-    assert sigma.entries == [[Fraction(k22, det), Fraction(-k12, det)],
-                             [Fraction(-k12, det), Fraction(k11, det)]]
+    # det(K) K^{-1}: the adjugate
+    assert build_covariance(g, p).entries == [[k22, -k12], [-k12, k11]]
+
+
+def test_build_covariance_is_det_k_times_the_fraction_covariance():
+    # det(K) Sigma, Phi's block scaled too, against Sigma built over Q by
+    # inverting Lambda and K; with U empty det K = 1 and it is Sigma itself.
+    rng = random.Random("covariance-vs-fractions")
+    seen = Counter()
+    for cls in (DAG, UNDIRECTED, MIXED):
+        for _ in range(150):
+            n = rng.randint(2, 8)
+            g = random_graph(cls, n, rng.getrandbits(32), rng.choice((0.3, 0.5, 0.8)))
+            p = sample_parameters(g, rng.getrandbits(48))
+            got = build_covariance(g, p).entries
+            sigma, det_k = covariance_reference(g, p)
+            assert all(type(x) is int for row in got for x in row), g
+            assert got == [[det_k * x for x in row] for row in sigma], g
+            seen[graph_class(g), bool(g.u_set), bool(g.u_set and g.w_set)] += 1
+    assert sum(seen.values()) >= 400
+    assert seen[DAG, False, False] and seen[UNDIRECTED, True, True] \
+        and seen[MIXED, True, True], seen
 
 
 def test_lambda_inverse_is_inverse():
@@ -230,13 +263,17 @@ def test_oracle_on_canonical_instances():
 
 
 def fraction_rank_reference(g, A, B, seed, trials=5):
-    """The rank oracle over Q: the whole Sigma from build_covariance, the
-    exact rank of its A x B block, the largest over `trials` samples."""
+    """The rank oracle over Q: the whole Sigma from the tests' own
+    `covariance_reference`, the exact rank of its A x B block, the largest
+    over `trials` samples."""
     if not A or not B:
         return 0
-    return max(submatrix_for(build_covariance(g, sample_parameters(g, seed + t)),
-                             A, B).rank()
-               for t in range(trials))
+    ranks = []
+    for t in range(trials):
+        sigma, _ = covariance_reference(g, sample_parameters(g, seed + t))
+        ranks.append(rank_reference([[sigma[a - 1][b - 1] for b in sorted(B)]
+                                     for a in sorted(A)]))
+    return max(ranks)
 
 
 def _small_queries(cls, count, seed):
@@ -528,7 +565,7 @@ def test_simple_trek_rule_diagonal():
 def test_gvl_identity_and_trivial_case():
     g = choke_graph()
     p = sample_parameters(g, 29)
-    assert gvl_minor_two_ways(g, p, {1}, {1}) == (Fraction(1), Fraction(1))
+    assert gvl_minor_two_ways(g, p, {1}, {1}) == (1, 1)
     det_side, path_side = gvl_minor_two_ways(g, p, {1}, {4})
     expected = p.lam[(1, 2)] * p.lam[(2, 4)] + p.lam[(1, 3)] * p.lam[(3, 4)]
     assert det_side == path_side == expected
@@ -606,8 +643,9 @@ print(sys.flags.optimize)
 wide = RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
 for call in (lambda: RationalMatrix.from_rows([[1, 2]]).matmul(
                  RationalMatrix.from_rows([[1], [2], [3]])),
-             wide.det, wide.inverse,
-             lambda: RationalMatrix.from_rows([[1, 2], [3]]).rank()):
+             wide.det,
+             lambda: RationalMatrix.from_rows([[1, 2], [3]]),
+             lambda: RationalMatrix.from_rows([[1, 2], [3, 0.5]])):
     try:
         print("returned", call())
     except ValueError as exc:
@@ -625,11 +663,11 @@ def test_shape_checks_hold_under_python_O():
         "1",
         "ValueError: cannot multiply a 1x2 matrix by a 3x1 matrix",
         "ValueError: a 2x3 matrix is not square",
-        "ValueError: a 2x3 matrix is not square",
-        "ValueError: row 1 has 1 entries, row 0 has 2"]
+        "ValueError: row 1 has 1 entries, row 0 has 2",
+        "ValueError: entry (1, 1) is 0.5, not an int"]
 
 
 def test_submatrix_for_orders_rows():
     m = RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     sub = submatrix_for(m, {3, 1}, {2})
-    assert sub.entries == [[Fraction(2)], [Fraction(8)]]
+    assert sub.entries == [[2], [8]]

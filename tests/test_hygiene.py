@@ -139,8 +139,6 @@ KEPT_UNREAD = {
         "ROADMAP item 4 gates it as the exact Sigma equality of criterion 7",
     ("verify.py", "CheckResult.ok"):
         "the acceptance tests read it",
-    ("algebra.py", "RationalMatrix.rank"):
-        "the Fraction rank reference of tests/test_algebra.py calls it",
 }
 
 
