@@ -501,22 +501,20 @@ def _path_weight(p: ParamAssignment, path) -> int:
 def trek_rule_covariance(g: MixedGraph, p: ParamAssignment, i: int, j: int) -> int:
     """Covariance entry as the explicit sum over all treks between i and j.
 
-    Enumerates path pairs hanging off every supported (top, top) pair of the
-    Phi block, so it is an independent check of the matrix factorization.
+    Pairs the path weights into i and into j, summed by source, through every
+    supported (top, top) pair of Phi: an independent check of the factorization.
     Undirected edges make the trek set infinite and are rejected.
     """
     if g.undirected_edges:
         raise ValueError("trek set may be infinite with undirected edges; "
                          "use build_covariance instead")
-    paths_i = _directed_paths_into(g, i)
-    paths_j = _directed_paths_into(g, j)
+    sum_i, sum_j = ({src: sum(_path_weight(p, path) for path in paths)
+                     for src, paths in _directed_paths_into(g, v).items()} for v in (i, j))
     total = 0
     for (s, t), phi in p.phi.items():
         for left_src, right_src in {(s, t), (t, s)}:
-            if left_src in paths_i and right_src in paths_j:
-                lsum = sum(_path_weight(p, path) for path in paths_i[left_src])
-                rsum = sum(_path_weight(p, path) for path in paths_j[right_src])
-                total += phi * lsum * rsum
+            if left_src in sum_i and right_src in sum_j:
+                total += phi * sum_i[left_src] * sum_j[right_src]
     return total
 
 

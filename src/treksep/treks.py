@@ -4,7 +4,8 @@ A trek between i and j is a triple (left, middle, right): two directed
 paths into i and j plus a middle segment joining their sources.  The middle
 is trivial (the shared source), an undirected path, or a single bidirected
 edge.  Simple treks have self-avoiding segments that overlap only at the
-two sources.  `trek_monomial` writes a trek's term of the trek rule (the
+two sources, which `enumerate_simple_treks` tests with one vertex mask a
+segment.  `trek_monomial` writes a trek's term of the trek rule (the
 lambdas of its two paths times the phi, or the psis, of its middle) as text.
 
 Trek systems are not listed here.  `separation.min_t_separator` returns a
@@ -45,18 +46,6 @@ class Trek(namedtuple("Trek", "left middle_kind middle right")):
     middle_kind: str | None
     middle: tuple[int, ...]
     right: tuple[int, ...]
-
-
-def is_simple(t: Trek) -> bool:
-    """Segments self-avoiding and overlapping only at the two sources."""
-    for seg in (t.left, t.middle, t.right):
-        if len(set(seg)) != len(seg):
-            return False
-    counts = Counter()
-    for seg in (t.left, t.middle, t.right):
-        counts.update(set(seg))
-    allowed = {t.left[0], t.right[0]}
-    return all(v in allowed for v, c in counts.items() if c > 1)
 
 
 def _directed_paths_into(g: MixedGraph, sink: int,
@@ -126,20 +115,30 @@ def enumerate_simple_treks(g: MixedGraph, i: int, j: int,
     paths into j that meet them, so the work done before the error grows
     with the cap, not with the graph.  Raises ValueError for out-of-range
     endpoints.
+
+    Each left path, middle and closing right path, self-avoiding as built,
+    gets one vertex mask, and a pair is kept iff L & (M | R) | M & R has no
+    bit but the two sources'.  Bits number the vertices as this call meets
+    them: a mask keyed by id would be an int as wide as the largest id.
     """
     _require_vertices(g, (i, j))
     paths_i = _directed_paths_into(g, i, cap)
 
-    # turns[t]: the middles (kind, segment, source s of the left path) that a
-    # right path with source t can close a trek with
+    bit = {}  # each vertex met -> the next bit of a numbering local to this call
+
+    def mask(path):  # the bits of a self-avoiding path sum to their OR
+        return sum(bit.setdefault(v, 1 << len(bit)) for v in path)
+
+    lefts = {s: [(left, mask(left)) for left in paths] for s, paths in paths_i.items()}
+    # turns[t]: (kind, segment, left path's source s, mask) of each middle a path from t closes
     turns = defaultdict(list)
     for s in paths_i:
-        turns[s].append((None, (s,), s))
+        turns[s].append((None, (s,), s, mask((s,))))
         for t in g._bidirected_lists[s]:
-            turns[t].append((MIDDLE_BIDIRECTED, (s, t), s))
+            turns[t].append((MIDDLE_BIDIRECTED, (s, t), s, mask((s, t))))
     if g.undirected_edges:
         for (s, t), mids in _undirected_middles(g, paths_i, cap).items():
-            turns[t].extend((MIDDLE_UNDIRECTED, mid, s) for mid in mids)
+            turns[t].extend((MIDDLE_UNDIRECTED, mid, s, mask(mid)) for mid in mids)
 
     reach = set(turns)  # the vertices below a turn: a path into j can climb to one
     stack = list(reach)
@@ -154,12 +153,14 @@ def enumerate_simple_treks(g: MixedGraph, i: int, j: int,
     stack = [(j,)] if j in reach else []
     while stack:
         right = stack.pop()
-        if right[0] in turns:
-            for kind, middle, s in turns[right[0]]:
-                for left in paths_i[s]:
-                    trek = Trek(left, kind, middle, right)
-                    if is_simple(trek):
-                        treks.append(trek)
+        t = right[0]
+        if t in turns:
+            r = mask(right)
+            for kind, middle, s, m in turns[t]:
+                others = ~(bit[s] | bit[t])  # only the sources may lie on two segments
+                for left, l in lefts[s]:
+                    if not (l & (m | r) | m & r) & others:
+                        treks.append(Trek(left, kind, middle, right))
                         if len(treks) > cap:
                             raise CapExceededError(cap)
             closing += 1
@@ -167,7 +168,7 @@ def enumerate_simple_treks(g: MixedGraph, i: int, j: int,
                 raise CapExceededError(
                     cap, f"enumeration cap of {cap} exceeded by the directed paths into "
                          f"{j} that meet a path into {i}")
-        for p in g._parent_lists.get(right[0], ()):
+        for p in g._parent_lists.get(t, ()):
             if p in reach and p not in right:
                 stack.append((p,) + right)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -189,6 +190,26 @@ def test_treks_cap_bounds_the_paths_listed(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: enumeration cap of 10 exceeded by the directed paths into 39\n"
+
+
+@pytest.mark.parametrize("output, digest", [
+    ("text", "2bfc80c95f22645fa32205a8dd525a9ed5a03dd7fc5a3b1fa2c4b0298f9fcb11"),
+    ("json", "770f866a7c1a7043d70888dfb5e3182acd796c3f96dc259e61b94da4e1262d89"),
+], ids=["text", "json"])
+def test_treks_dense_listing_is_pinned(tmp_path, capsys, output, digest):
+    # the complete DAG on 12 vertices: 29,525 simple treks between 11 and 12,
+    # out of 699,051 left/right path pairs that meet; the digests pin the
+    # bytes of both outputs
+    path = tmp_path / "dense.graph"
+    path.write_text("v 12\n" + "".join(f"e {a} -> {b}\n" for a in range(1, 13)
+                                        for b in range(a + 1, 13)))
+    assert main(["treks", str(path), "--i", "11", "--j", "12", "--output", output]) == 0
+    out = capsys.readouterr().out
+    if output == "json":
+        assert json.loads(out)["count"] == 29525
+    else:
+        assert out.endswith("\n29525 simple trek(s)\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

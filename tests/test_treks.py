@@ -1,15 +1,17 @@
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from brute_force_reference import (TrekSystem, exists_noncrossing_system_reference,
                                    has_sided_intersection_reference)
-from treksep.graph import DAG, make_graph
+from trek_reference import is_simple_reference, simple_treks_reference
+from treksep.graph import DAG, MAX_VERTICES, MIXED, UNDIRECTED, make_graph
 from treksep.instances import choke_graph, spider_graph
 from treksep.separation import RankResult, SeparationTriple, min_t_separator
 from treksep.treks import (MIDDLE_BIDIRECTED, CapExceededError, Trek,
-                           enumerate_simple_treks, is_simple, trek_monomial)
+                           enumerate_simple_treks, trek_monomial)
 from treksep.verify import _menger_ok, random_graph
 
 
@@ -97,6 +99,43 @@ def test_cap_counts_the_paths_into_j_that_meet_a_path_into_i():
     with pytest.raises(CapExceededError, match="^enumeration cap of 15 exceeded by the "
                                                "directed paths into 6 that meet a path into 4$"):
         enumerate_simple_treks(g, 4, 6, cap=15)
+
+
+@pytest.mark.parametrize("cls", [DAG, UNDIRECTED, MIXED])
+def test_listing_matches_the_reference_on_every_ordered_pair(cls):
+    # 150 seeded graphs a class, n 2-8: the same treks, as multisets, as a
+    # listing that walks the edge sets itself and tests each triple whole
+    pairs = 0
+    for seed in range(150):
+        n = 2 + seed % 7
+        g = random_graph(cls, n, seed, 0.45)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert Counter(enumerate_simple_treks(g, i, j)) \
+                    == Counter(simple_treks_reference(g, i, j)), (cls, seed, i, j)
+                pairs += 1
+    assert pairs == 4292
+
+
+def test_listing_on_the_highest_ids_costs_what_it_lists():
+    # the complete DAG on the ten highest ids of a MAX_VERTICES graph lists
+    # the treks of the complete 10-vertex DAG, relabelled, and about as fast:
+    # a mask keyed by vertex id would be a million bits wide.  Building the
+    # graph takes seconds, so only the listing is timed.
+    shift = MAX_VERTICES - 10
+    small = _complete_dag(10)
+    g = make_graph(MAX_VERTICES,
+                   directed=[(a + shift, b + shift) for a, b in small.directed_edges])
+    start = time.process_time()
+    found = enumerate_simple_treks(g, MAX_VERTICES - 1, MAX_VERTICES)
+    elapsed = time.process_time() - start
+
+    def shifted(path):
+        return tuple(v + shift for v in path)
+
+    assert found == [Trek(shifted(t.left), t.middle_kind, shifted(t.middle), shifted(t.right))
+                     for t in enumerate_simple_treks(small, 9, 10)]
+    assert elapsed < 1
 
 
 def test_self_trek_is_only_trivial_when_sink_shared():
@@ -192,7 +231,7 @@ def test_enumerated_treks_are_simple(case, data):
     i = data.draw(st.integers(1, n))
     j = data.draw(st.integers(1, n))
     for t in enumerate_simple_treks(g, i, j):
-        assert is_simple(t)
+        assert is_simple_reference(t)
         assert t.left[-1] == i and t.right[-1] == j
 
 
