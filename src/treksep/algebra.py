@@ -16,11 +16,12 @@ their own entries.  Its error is one-sided (see its docstring).
 The identities (trek rule, simple trek rule, path determinants,
 Cauchy-Binet, the subdivision translation) demand exact equality.  They are
 polynomial identities with integer coefficients, run on large random
-integer parameters, and every value is a plain `int`: on a DAG,
-Lambda = I - L is unit triangular, so Lambda^{-1}, Sigma, every trek sum and
-every minor are integers; where K enters, `build_covariance` returns
-det(K) Sigma, built from the adjugate of K.  A matrix holds `int`s only,
-and no floating point or rational is involved anywhere.
+integer parameters, and every value is a plain `int`: Lambda = I - L is
+unit triangular, so on a graph with no U vertex (a DAG that declares no
+`u` vertex, say) Lambda^{-1}, Sigma, every trek sum and every minor are
+integers; where K enters, `build_covariance` returns det(K) Sigma, built
+from the adjugate of K.  A matrix holds `int`s only, and no floating point
+or rational is involved anywhere.
 
 `det` and the adjugate of K come from one fraction-free Gauss-Jordan
 elimination (`_bareiss`), whose every division is exact.  The simple trek
@@ -226,8 +227,8 @@ def build_covariance(g: MixedGraph, p: ParamAssignment) -> RationalMatrix:
 
     `_bareiss` reduces [K | I] to [det(K) I | det(K) K^{-1}], the adjugate
     of K.  The determinant of the empty K is 1, so on a graph with no U
-    vertex, every DAG included, this is Sigma itself.  A singular K raises
-    SingularMatrixError.
+    vertex, every DAG that declares no `u` vertex included, this is Sigma
+    itself.  A singular K raises SingularMatrixError.
     """
     n = g.m
     u_vs = sorted(g.u_set)
@@ -498,24 +499,25 @@ def _path_weight(p: ParamAssignment, path) -> int:
     return w
 
 
-def trek_rule_covariance(g: MixedGraph, p: ParamAssignment, i: int, j: int) -> int:
-    """Covariance entry as the explicit sum over all treks between i and j.
+def trek_rule_covariance(g: MixedGraph, p: ParamAssignment) -> RationalMatrix:
+    """The covariance as the explicit sum over all treks, as an int matrix.
 
-    Pairs the path weights into i and into j, summed by source, through every
-    supported (top, top) pair of Phi: an independent check of the factorization.
-    Undirected edges make the trek set infinite and are rejected.
+    The directed paths into each vertex are listed once and their weights
+    summed by source; entry (i, j) pairs the sums into i and into j through
+    every supported (top, top) pair of Phi: an independent check of the
+    factorization, equal to `build_covariance(g, p)` on every graph with no
+    U vertex.  A U vertex is rejected: K never enters the sum, and
+    undirected edges make the trek set infinite.
     """
-    if g.undirected_edges:
-        raise ValueError("trek set may be infinite with undirected edges; "
-                         "use build_covariance instead")
-    sum_i, sum_j = ({src: sum(_path_weight(p, path) for path in paths)
-                     for src, paths in _directed_paths_into(g, v).items()} for v in (i, j))
-    total = 0
-    for (s, t), phi in p.phi.items():
-        for left_src, right_src in {(s, t), (t, s)}:
-            if left_src in sum_i and right_src in sum_j:
-                total += phi * sum_i[left_src] * sum_j[right_src]
-    return total
+    if g.u_set:
+        raise ValueError("the trek rule leaves K out and needs U empty (undirected edges "
+                         "make the trek set infinite); use build_covariance instead")
+    sums = [{src: sum(_path_weight(p, path) for path in paths)
+             for src, paths in _directed_paths_into(g, v).items()} for v in range(1, g.m + 1)]
+    tops = [(phi, pair) for (s, t), phi in p.phi.items() for pair in {(s, t), (t, s)}]
+    return RationalMatrix.from_rows(
+        [[sum(phi * sum_i[s] * sum_j[t] for phi, (s, t) in tops if s in sum_i and t in sum_j)
+          for sum_j in sums] for sum_i in sums])
 
 
 def simple_trek_rule_covariance(g: MixedGraph, p: ParamAssignment,
@@ -558,8 +560,8 @@ def gvl_minor_two_ways(g: MixedGraph, p: ParamAssignment, R, S) -> tuple[int, in
 def cauchy_binet_two_ways(g: MixedGraph, p: ParamAssignment, A, B
                           ) -> tuple[int, int]:
     """det Sigma_{A,B} vs its phi_S-weighted expansion over column subsets S."""
-    if graph_class(g) != DAG:
-        raise ValueError("the phi_S expansion is defined for DAGs")
+    if graph_class(g) != DAG or g.u_set:
+        raise ValueError("the phi_S expansion is defined for DAGs with no U vertex")
     As, Bs = sorted(set(A)), sorted(set(B))
     if len(As) != len(Bs):
         raise ValueError("A and B must have equal size")

@@ -39,8 +39,9 @@ and the undirected and bidirected neighbour lists (`_undirected_lists`,
 parse does not pay for them.
 A graph made directly through `MixedGraph(...)` lists its parents and
 children on first read too.  `_closure` climbs the parent lists, for
-`_build`'s U and the an(B) of a query; `_ancestor_walk` climbs them for the
-oracle's an(v), in the order its sweep needs.
+`_build`'s U and the an(B) of a query, and descends the child lists for the
+vertices below a trek's turns; `_ancestor_walk` climbs the parent lists for
+the oracle's an(v), in the order its sweep needs.
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ def _build(m, directed, undirected, bidirected, u, w, in_range) -> MixedGraph:
     w0 = declared_w.union(*bidirected)
 
     par = _list_parents(directed)
-    closure = _closure(u0, par)  # ancestral closure of U
+    closure = _closure(u0, par.get)  # ancestral closure of U
 
     universe = set(range(1, m + 1))
     stray_w = declared_w - universe
@@ -364,13 +365,14 @@ def _require_vertices(g: MixedGraph, vertices) -> None:
             raise ValueError(f"vertex {v} out of range [1,{m}]")
 
 
-def _closure(start, lists) -> set:
-    """The vertices of start and every vertex reached from them along lists,
-    a map from a vertex to the vertices it leads to, such as `_parent_lists`."""
+def _closure(start, step) -> set:
+    """The vertices of start and every vertex reached from them by step, a
+    map from a vertex to the vertices it leads to (None for none), such as
+    `_parent_lists.get`."""
     seen = set(start)
     stack = list(seen)
     while stack:
-        for x in lists.get(stack.pop(), ()):
+        for x in step(stack.pop()) or ():
             if x not in seen:
                 seen.add(x)
                 stack.append(x)

@@ -236,7 +236,7 @@ def _blank(g: MixedGraph, B):
     is the closure of B in the parent lists of g.
     """
     via = [-1, -1, -1, -1, -3, -1] * g.m
-    for v in _closure(B, g._parent_lists):  # 6v - 2 is the right in-node of v
+    for v in _closure(B, g._parent_lists.get):  # 6v - 2 is the right in-node of v
         via[6 * v - 2] = -1
     return via
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
 
-from .graph import MixedGraph, _require_vertices
+from .graph import MixedGraph, _closure, _require_vertices
 
 DEFAULT_CAP = 100_000
 
@@ -140,13 +140,8 @@ def enumerate_simple_treks(g: MixedGraph, i: int, j: int,
         for (s, t), mids in _undirected_middles(g, paths_i, cap).items():
             turns[t].extend((MIDDLE_UNDIRECTED, mid, s, mask(mid)) for mid in mids)
 
-    reach = set(turns)  # the vertices below a turn: a path into j can climb to one
-    stack = list(reach)
-    while stack:
-        for c in g._child_lists[stack.pop()]:
-            if c not in reach:
-                reach.add(c)
-                stack.append(c)
+    # the vertices below a turn: a path into j can climb to one
+    reach = _closure(turns, g._child_lists.__getitem__)
 
     treks: list[Trek] = []
     closing = 0

@@ -22,10 +22,10 @@ from .graph import (DAG, MIXED, UNDIRECTED, MixedGraph, bidirected_subdivision,
 # `random_graph` puts two vertices in W only from n = 4 on.
 MIN_VERTICES = 4
 # Largest max_vertices: criterion 8 decides about n^7 triples a graph.  On
-# `random_graph(DAG, n, 12345, 0.4)` it takes 0.08-0.10 s of CPU at n = 10,
-# 0.23-0.25 s at 12, 0.50-0.53 s at 14 and 0.97-1.08 s at 16, with a peak
-# RSS of 32 MiB at 16, most of it the graph's closure caches and one-vertex
-# parts (Python 3.11, 2-CPU shared host), so 16 keeps a graph to about a
+# `random_graph(DAG, n, 12345, 0.4)` it takes 0.04-0.06 s of CPU at n = 10,
+# 0.12-0.17 s at 12, 0.26-0.38 s at 14 and 0.53-0.77 s at 16, with a peak
+# RSS of 31 MiB at 16, most of it the graph's closure caches and one-vertex
+# parts (Python 3.11, 2-CPU shared host), so 16 keeps a graph under a
 # second.
 MAX_VERTICES = 16
 # Largest graph_count, and `verify --graphs`: a graph costs about 5 ms at the
@@ -228,14 +228,9 @@ def criterion_trek_rule(cfg: SuiteConfig) -> CheckResult:
     for g, rng in _graph_stream(DAG, cfg, cfg.graph_count, "trek_rule"):
         p = algebra.sample_parameters(g, rng.getrandbits(48))
         sigma = algebra.build_covariance(g, p)
-        ok = True
-        for i in range(1, g.m + 1):
-            for j in range(i, g.m + 1):
-                entry = sigma.entries[i - 1][j - 1]
-                if (algebra.trek_rule_covariance(g, p, i, j) != entry
-                        or algebra.simple_trek_rule_covariance(g, p, sigma, i, j)
-                        != entry):
-                    ok = False
+        ok = algebra.trek_rule_covariance(g, p) == sigma and all(
+            algebra.simple_trek_rule_covariance(g, p, sigma, i, j) == sigma[i - 1, j - 1]
+            for i in range(1, g.m + 1) for j in range(i, g.m + 1))
         out.record(ok, g, {"check": "trek_rule_identity"})
     return out
 

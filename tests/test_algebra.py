@@ -138,11 +138,11 @@ def test_identities_on_int_parameters_return_ints():
         values = [*p.lam.values(), *p.phi.values()]
         lam_inv = lambda_inverse(g, p)
         sigma = build_covariance(g, p)
-        values += [x for m in (lam_inv, sigma) for row in m.entries for x in row]
+        values += [x for m in (lam_inv, sigma, trek_rule_covariance(g, p))
+                   for row in m.entries for x in row]
         for i in range(1, n + 1):
             for j in range(i, n + 1):
-                values += [trek_rule_covariance(g, p, i, j),
-                           simple_trek_rule_covariance(g, p, sigma, i, j)]
+                values.append(simple_trek_rule_covariance(g, p, sigma, i, j))
         size = rng.randint(1, min(3, n))
         R, S = (rng.sample(range(1, n + 1), size) for _ in range(2))
         values += [*gvl_minor_two_ways(g, p, R, S), *cauchy_binet_two_ways(g, p, R, S)]
@@ -537,21 +537,39 @@ def test_oracle_empty_side_answers_zero():
 def test_trek_rule_single_edge():
     g = make_graph(2, directed=[(1, 2)])
     p = sample_parameters(g, 17)
-    assert trek_rule_covariance(g, p, 1, 2) == p.phi[(1, 1)] * p.lam[(1, 2)]
-    assert trek_rule_covariance(g, p, 2, 2) == \
-        p.phi[(2, 2)] + p.phi[(1, 1)] * p.lam[(1, 2)] ** 2
+    sigma = trek_rule_covariance(g, p)
+    assert sigma[0, 1] == p.phi[(1, 1)] * p.lam[(1, 2)]
+    assert sigma[1, 1] == p.phi[(2, 2)] + p.phi[(1, 1)] * p.lam[(1, 2)] ** 2
 
 
 def test_trek_rule_no_common_ancestor():
     g = make_graph(3, directed=[(1, 3), (2, 3)])
     p = sample_parameters(g, 19)
-    assert trek_rule_covariance(g, p, 1, 2) == 0
+    assert trek_rule_covariance(g, p)[0, 1] == 0
 
 
 def test_trek_rule_rejects_undirected():
     g = make_graph(2, undirected=[(1, 2)])
     with pytest.raises(ValueError, match="undirected"):
-        trek_rule_covariance(g, sample_parameters(g, 1), 1, 2)
+        trek_rule_covariance(g, sample_parameters(g, 1))
+
+
+def test_trek_rule_rejects_a_declared_u_vertex():
+    # graph_class reads only the edges, so this is a DAG; but its U is {1},
+    # and a sum over Phi alone would give 0 where det(K) Sigma_11 is 1.
+    g = make_graph(2, directed=[(1, 2)], u=[1])
+    p = sample_parameters(g, 1)
+    assert graph_class(g) == DAG and build_covariance(g, p)[0, 0] == 1
+    with pytest.raises(ValueError, match="undirected"):
+        trek_rule_covariance(g, p)
+
+
+def test_cauchy_binet_rejects_a_declared_u_vertex():
+    # a DAG by its edges, with U = {1}: K has no place in the phi_S expansion
+    g = make_graph(3, directed=[(1, 2), (2, 3)], u=[1])
+    assert graph_class(g) == DAG
+    with pytest.raises(ValueError, match="no U vertex"):
+        cauchy_binet_two_ways(g, sample_parameters(g, 1), {1}, {3})
 
 
 def test_simple_trek_rule_diagonal():
@@ -618,11 +636,34 @@ def test_trek_rules_match_factorization(case):
     g = random_graph(DAG, n, seed, 0.5)
     p = sample_parameters(g, seed + 1)
     sigma = build_covariance(g, p)
+    assert trek_rule_covariance(g, p) == sigma
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            entry = sigma.entries[i - 1][j - 1]
-            assert trek_rule_covariance(g, p, i, j) == entry
-            assert simple_trek_rule_covariance(g, p, sigma, i, j) == entry
+            assert simple_trek_rule_covariance(g, p, sigma, i, j) == sigma[i - 1, j - 1]
+
+
+def test_trek_rule_is_the_covariance_with_bidirected_tops(monkeypatch):
+    # DAGs, and graphs with directed and bidirected edges and no U vertex,
+    # numbered in a random topological order: a bidirected top (s, t) adds
+    # its term both ways round, and each vertex's paths are listed once.
+    listed = []
+    listing = algebra._directed_paths_into
+    monkeypatch.setattr(algebra, "_directed_paths_into",
+                        lambda g, v: listed.append(v) or listing(g, v))
+    rng = random.Random("trek-rule-bidirected")
+    kinds = Counter()
+    for k in range(300):
+        n = rng.randint(2, 7)
+        order = rng.sample(range(1, n + 1), n)
+        directed = [e for e in combinations(order, 2) if rng.random() < 0.4]
+        bidirected = [e for e in combinations(order, 2) if k % 3 and rng.random() < 0.4]
+        g = make_graph(n, directed=directed, bidirected=bidirected)
+        p = sample_parameters(g, rng.getrandbits(48))
+        listed.clear()
+        assert trek_rule_covariance(g, p) == build_covariance(g, p), (n, directed, bidirected)
+        assert sorted(listed) == list(range(1, n + 1))
+        kinds[graph_class(g), bool(set(directed) & set(bidirected))] += 1
+    assert kinds[DAG, False] >= 100 and kinds[MIXED, True] >= 100, kinds
 
 
 @settings(max_examples=25, deadline=None)
