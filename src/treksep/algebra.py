@@ -36,7 +36,7 @@ import random
 from collections import namedtuple
 from itertools import combinations
 
-from .graph import (DAG, UNDIRECTED, MixedGraph, _ancestor_walk, _require_vertices,
+from .graph import (DAG, UNDIRECTED, MixedGraph, _ancestor_walk, _closure, _require_vertices,
                     graph_class, topological_order)
 from .treks import (DEFAULT_CAP, _directed_paths_into, _disjoint_systems,
                     _undirected_middles, enumerate_simple_treks)
@@ -383,24 +383,10 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int,
 
 def _kept_components(g: MixedGraph, an_a, an_b) -> list[int]:
     """The vertices, in increasing order, of each component of the
-    undirected graph on U that meets both an_a and an_b."""
-    nbr = g._undirected_lists
-    seen = set()
-    kept = []
-    for u in an_b & g.u_set:
-        if u in seen:
-            continue
-        seen.add(u)
-        component = [u]
-        for x in component:
-            for y in nbr[x]:
-                if y not in seen:
-                    seen.add(y)
-                    component.append(y)
-        if not an_a.isdisjoint(component):
-            kept.extend(component)
-    kept.sort()
-    return kept
+    undirected graph on U that meets both an_a and an_b: the closure of a
+    set's U vertices is the union of the components that meet the set."""
+    step = g._undirected_lists.__getitem__
+    return sorted(_closure(an_a & g.u_set, step) & _closure(an_b & g.u_set, step))
 
 
 def _draws(rng: random.Random, p: int, count: int) -> list[int]:
@@ -539,6 +525,7 @@ def gvl_minor_two_ways(g: MixedGraph, p: ParamAssignment, R, S) -> tuple[int, in
     over vertex-disjoint directed path systems from R to S."""
     if graph_class(g) != DAG:
         raise ValueError("path-determinant expansion is defined for DAGs")
+    _require_vertices(g, sorted({*R, *S}))
     Rs, Ss = sorted(set(R)), sorted(set(S))
     if len(Rs) != len(Ss):
         raise ValueError("R and S must have equal size")
@@ -562,6 +549,7 @@ def cauchy_binet_two_ways(g: MixedGraph, p: ParamAssignment, A, B
     """det Sigma_{A,B} vs its phi_S-weighted expansion over column subsets S."""
     if graph_class(g) != DAG or g.u_set:
         raise ValueError("the phi_S expansion is defined for DAGs with no U vertex")
+    _require_vertices(g, sorted({*A, *B}))
     As, Bs = sorted(set(A)), sorted(set(B))
     if len(As) != len(Bs):
         raise ValueError("A and B must have equal size")
@@ -589,6 +577,7 @@ def undirected_minor_check(g: MixedGraph, p: ParamAssignment, A, B) -> tuple[int
     """
     if graph_class(g) != UNDIRECTED:
         raise ValueError("expects a purely undirected graph")
+    _require_vertices(g, sorted({*A, *B}))
     As, Bs = sorted(set(A)), sorted(set(B))
     if len(As) != len(Bs):
         raise ValueError("A and B must have equal size")

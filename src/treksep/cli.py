@@ -245,19 +245,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     suite = verify.SuiteConfig()  # the defaults of `verify`, and of `rank --seed`
 
-    def common(p, graph=True):
+    def common(p, *vertex_sets, graph=True):
         if graph:
             p.add_argument("graph", help="graph file")
         p.add_argument("--output", choices=("text", "json"), default="text")
+        for flag in vertex_sets:
+            p.add_argument(flag, required=flag in ("--A", "--B"), default="",
+                           help="comma-separated vertex ids")
 
     p = sub.add_parser("validate", help="check a graph file")
     p.add_argument("graph")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("rank", help="generic rank of Sigma_{A,B}")
-    common(p)
-    p.add_argument("--A", required=True, help="comma-separated vertex ids")
-    p.add_argument("--B", required=True, help="comma-separated vertex ids")
+    common(p, "--A", "--B")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check with the exact algebraic oracle")
     p.add_argument("--seed", type=int, default=suite.seed)
@@ -265,26 +266,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("tsep", help="does (C_L,C_M,C_R) t-separate A from B?")
-    common(p)
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
-    p.add_argument("--CL", default="")
-    p.add_argument("--CM", default="")
-    p.add_argument("--CR", default="")
+    common(p, "--A", "--B", "--CL", "--CM", "--CR")
     p.set_defaults(func=cmd_tsep)
 
     p = sub.add_parser("dsep", help="d-separation, two independent algorithms")
-    common(p)
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
-    p.add_argument("--C", default="")
+    common(p, "--A", "--B", "--C")
     p.set_defaults(func=cmd_dsep)
 
     p = sub.add_parser("ci", help="is X_A independent of X_B given X_C, generically?")
-    common(p)
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
-    p.add_argument("--C", default="")
+    common(p, "--A", "--B", "--C")
     p.set_defaults(func=cmd_ci)
 
     p = sub.add_parser("treks", help="list simple treks between two vertices")

@@ -22,28 +22,29 @@ from .graph import (DAG, MIXED, UNDIRECTED, MixedGraph, bidirected_subdivision,
 # `random_graph` puts two vertices in W only from n = 4 on.
 MIN_VERTICES = 4
 # Largest max_vertices: criterion 8 decides about n^7 triples a graph.  On
-# `random_graph(DAG, n, 12345, 0.4)` it takes 0.04-0.06 s of CPU at n = 10,
-# 0.12-0.17 s at 12, 0.26-0.38 s at 14 and 0.53-0.77 s at 16, with a peak
+# `random_graph(DAG, n, 12345, 0.4)` it takes 0.03 s of CPU at n = 10,
+# 0.08 s at 12, 0.18-0.19 s at 14 and 0.37-0.38 s at 16, with a peak
 # RSS of 31 MiB at 16, most of it the graph's closure caches and one-vertex
 # parts (Python 3.11, 2-CPU shared host), so 16 keeps a graph under a
 # second.
 MAX_VERTICES = 16
-# Largest graph_count, and `verify --graphs`: a graph costs about 5 ms at the
-# other defaults (`verify --graphs 1000` took 4.5-5.3 s on that host), so
-# the bound keeps such a run under ten minutes.
+# Largest graph_count, and `verify --graphs`: a graph costs about 1.6 ms of
+# CPU at the other defaults (`run_suite` on 1,000 graphs took 1.56-1.57 s on
+# that host), so the bound keeps such a run to about three minutes
+# (`verify --graphs 100000` took 158 s at 16 MiB).
 MAX_GRAPHS = 100_000
 # Largest graph_count * max_vertices**5: each graph draws its n up to
-# max_vertices, so one costs about max_vertices**5 on average
-# (`run_suite` on that host: 4.2-4.3 ms at 6, 10-12 ms at 8, 29 ms at 10,
-# 62-64 ms at 12, 0.12 s at 14, 0.37-0.38 s at 16).  The bound admits
+# max_vertices, so one costs at most about max_vertices**5 on average
+# (`run_suite` on that host, CPU per graph: 1.6 ms at 6, 3.6 ms at 8, 8.3 ms
+# at 10, 20 ms at 12, 40 ms at 14, 79 ms at 16).  The bound admits
 # MAX_GRAPHS graphs at 6 and 741 at 16, and `verify --graphs 741
-# --max-vertices 16` took 249 s at 33 MiB.
+# --max-vertices 16` took 59 s at 33 MiB.
 MAX_WORK = MAX_GRAPHS * 6 ** 5
 # Largest trials_per_instance, and `rank --trials`: a trial falls short with
 # probability at most deg/PRIME, so past a few trials more buy nothing, while
-# each costs about 55 us on the choke graph and 0.15 s on a 400-vertex
-# undirected graph.  The default suite takes 1.5 s at 5 trials, 1.7 s at 100
-# and 5.2 s at 1,000 (Python 3.11, 2-CPU host).
+# each costs about 22 us on the choke graph and 0.08 s on a 400-vertex
+# undirected graph.  The default suite takes 0.32 s of CPU at 5 trials, 0.49 s
+# at 100 and 2.18 s at 1,000 (Python 3.11, 2-CPU host).
 MAX_TRIALS = 1000
 
 
@@ -132,19 +133,12 @@ def random_graph(cls: str, n: int, seed: int, density: float) -> MixedGraph:
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = random.Random(seed)
-    directed, undirected, bidirected = [], [], []
-    if cls == DAG:
-        for i, j in combinations(range(1, n + 1), 2):
-            if rng.random() < density:
-                directed.append((i, j))
-        return make_graph(n, directed=directed)
-    if cls == UNDIRECTED:
-        for i, j in combinations(range(1, n + 1), 2):
-            if rng.random() < density:
-                undirected.append((i, j))
-        return make_graph(n, undirected=undirected)
+    if cls in (DAG, UNDIRECTED):
+        edges = [pair for pair in combinations(range(1, n + 1), 2) if rng.random() < density]
+        return make_graph(n, edges) if cls == DAG else make_graph(n, undirected=edges)
     if cls != MIXED:
         raise ValueError(f"unknown graph class {cls!r}")
+    directed, undirected, bidirected = [], [], []
     u = set(range(1, (n + 1) // 2 + 1))
     for i, j in combinations(range(1, n + 1), 2):
         if rng.random() >= density:

@@ -616,6 +616,21 @@ def test_undirected_minor_check_path_graph():
     assert minor_s > 0 and verdict_s
 
 
+@pytest.mark.parametrize("identity, g", [
+    (gvl_minor_two_ways, choke_graph()),
+    (cauchy_binet_two_ways, choke_graph()),
+    (undirected_minor_check, make_graph(3, undirected=[(1, 2), (2, 3)])),
+], ids=["gvl", "cauchy_binet", "undirected_minor"])
+def test_minor_identities_reject_vertices_out_of_range(identity, g):
+    # submatrix_for reads vertex v as row v - 1: vertex 0 would be read as
+    # vertex m, and vertex m + 1 would index past the matrix
+    p = sample_parameters(g, 1)
+    for bad in (0, g.m + 1):
+        with pytest.raises(ValueError) as exc:
+            identity(g, p, {bad}, {1})
+        assert str(exc.value) == f"vertex {bad} out of range [1,{g.m}]"
+
+
 def test_subdivision_parameter_translation():
     g = make_graph(4, directed=[(1, 3), (2, 4)], bidirected=[(1, 2)])
     g2 = bidirected_subdivision(g)

@@ -1,4 +1,6 @@
+import hashlib
 import inspect
+import json
 from itertools import combinations, product
 
 import pytest
@@ -399,3 +401,31 @@ def test_dsep_equivalence_falls_back_pair_by_pair(monkeypatch):
     assert all(failure["C"] for failure in result.failures)
     assert [arcs.graph for arcs in made] == graphs
     assert result.failures == _per_b_first_failures(cfg)
+
+
+# The answers, pinned: a change that keeps every rank, verdict and draw keeps
+# these three digests.  With no failure the suite's report holds only pass
+# counts, and criterion 8 draws only DAGs, so the third digest pins the edge
+# draw of every class.
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_default_suite_report_is_pinned():
+    report = run_suite(SuiteConfig())
+    assert _sha256(json.dumps(report.to_dict(), sort_keys=True)) == \
+        "bc1fa6abe3693c2e3164435fc45c0cf113264e41e4adee97267344ed0b208f53"
+
+
+def test_criterion_8_verdicts_are_pinned():
+    verdicts = [v for g in _dsep_graphs(SuiteConfig()) for v in _dsep_verdicts(g)]
+    assert len(verdicts) == 94_596
+    assert _sha256(repr(sorted(verdicts))) == \
+        "f7f719f1c3684709a31689331d8b8642ebc7b4279f57a42405c9c7ddfbfd0f6b"
+
+
+def test_random_graphs_are_pinned():
+    text = "".join(serialize(random_graph(cls, n, seed, 0.4)) for cls in (DAG, UNDIRECTED, MIXED)
+                   for n in range(1, 9) for seed in range(20))
+    assert _sha256(text) == "e5dd440dfc2ca63affd8d1af75829eaa7fd810c47391a22fc742610d1852225a"
