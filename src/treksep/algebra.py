@@ -12,7 +12,10 @@ nonzero, so each call plans the sparse elimination once (`_plan`, no fill
 lists) from its first trial's rows; each trial draws its parameters
 (`_draws`), fills N' and runs the planned steps (`_eliminate`), which hand
 the rows left after a pivot that vanishes mod PRIME to a plan made from
-their own entries.  Its error is one-sided (see its docstring).
+their own entries.  Its error is one-sided, and trials stop once one
+reaches min(|A|, |B|) or the plan's pivot count less |U'|: the pivot count
+bounds the term rank of N', so no trial exceeds either, and an answer that
+reaches one is exact (see its docstring).
 The identities (trek rule, simple trek rule, path determinants,
 Cauchy-Binet, the subdivision translation) demand exact equality.  They are
 polynomial identities with integer coefficients, run on large random
@@ -293,7 +296,15 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int,
     |U'| + rk Sigma_{A,B}, so no trial exceeds the generic rank, even when
     a block of K is singular mod PRIME, and by Schwartz-Zippel a trial falls
     short with probability at most deg/PRIME.  Trials stop once the rank is
-    min(|A|, |B|), which no trial can exceed.  A vertex outside 1..m, or
+    min(|A|, |B|, len(plan) - |U'|), which no trial can exceed: every trial
+    keys the first trial's entries, and a nonzero r-minor needs r of them
+    in distinct rows and columns, so its rank is at most the term rank of
+    that pattern; a step of `_plan` lowers a maximum matching by at most
+    one (a row matched to the pivot column is a target, and takes over the
+    pivot row's column), so the term rank is at most len(plan).  An answer
+    that reaches the bound is exact, not only probable: a minor nonzero mod
+    PRIME is nonzero as a polynomial, so a trial's rank bounds the generic
+    rank from below, and the bound from above.  A vertex outside 1..m, or
     fewer than one trial, raises ValueError; an empty A or B answers 0.
     """
     if trials < 1:
@@ -377,6 +388,7 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int,
                     row[width + k] = sum(xa[i] * acc[i] for i in over) % p
         if plan is None:
             plan = _plan([row.keys() for row in rows])
+            full = min(full, len(plan) - width)
         best = max(best, _eliminate(rows, plan) - width)
     return best
 

@@ -33,24 +33,28 @@ MAX_VERTICES = 16
 # that host), so the bound keeps such a run to about three minutes
 # (`verify --graphs 100000` took 158 s at 16 MiB).
 MAX_GRAPHS = 100_000
-# Largest graph_count * max_vertices**5: each graph draws its n up to
-# max_vertices, so one costs at most about max_vertices**5 on average
-# (`run_suite` on that host, CPU per graph: 1.6 ms at 6, 3.6 ms at 8, 8.3 ms
-# at 10, 20 ms at 12, 40 ms at 14, 79 ms at 16).  The bound admits
-# MAX_GRAPHS graphs at 6 and 741 at 16, and `verify --graphs 741
-# --max-vertices 16` took 59 s at 33 MiB.
-MAX_WORK = MAX_GRAPHS * 6 ** 5
+# Largest graph_count * max_vertices**4: each graph draws its n up to
+# max_vertices, and one costs about max_vertices**4 on average (`run_suite`
+# on that host, CPU per graph: 1.5 ms at 6, 3.6 ms at 8, 9.0 ms at 10,
+# 19 ms at 12, 39 ms at 14, 77 ms at 16; x51 from 6 to 16, where
+# (16/6)**4 is 51 and (16/6)**5 is 135).  So the largest run admitted at
+# any size takes at most about as long as the largest at 6: the bound
+# admits MAX_GRAPHS graphs at 6, 31,640 at 8 and 1,977 at 16, and
+# `verify --graphs 1977 --max-vertices 16` took 166 s at 33 MiB, against
+# 157 s for `verify --graphs 100000`.
+MAX_WORK = MAX_GRAPHS * 6 ** 4
 # Largest trials_per_instance, and `rank --trials`: a trial falls short with
 # probability at most deg/PRIME, so past a few trials more buy nothing, while
 # each costs about 22 us on the choke graph and 0.08 s on a 400-vertex
-# undirected graph.  The default suite takes 0.32 s of CPU at 5 trials, 0.49 s
-# at 100 and 2.18 s at 1,000 (Python 3.11, 2-CPU host).
+# undirected graph.  The default suite takes 0.31 s of CPU at 5 trials, 0.32 s
+# at 100 and 0.41 s at 1,000 (Python 3.11, 2-CPU host, best of 3), since a
+# call stops at the first trial that reaches its bound.
 MAX_TRIALS = 1000
 
 
 def max_graphs(max_vertices: int) -> int:
     """The largest graph_count that MAX_WORK admits at max_vertices."""
-    return MAX_WORK // max_vertices ** 5
+    return MAX_WORK // max_vertices ** 4
 
 
 class SuiteConfig(namedtuple("SuiteConfig", "seed max_vertices graph_count trials_per_instance",

@@ -344,10 +344,86 @@ def test_oracle_small_prime_is_one_sided(monkeypatch):
             calls.clear()
             answer = generic_rank_oracle(g, A, B, seed)
             assert answer <= min_t_separator(g, A, B).rank, (g, A, B, seed)
-            # Trials stop early only at full rank.
-            assert len(calls) == 5 or 0 < len(calls) and answer == min(len(A), len(B))
+            # Trials stop early only at min(|A|, |B|) or at the first plan's
+            # pivot count less |U'|, which no trial can exceed.
+            rows, plan = calls[0]
+            width = len(rows) - len(A)
+            assert len(calls) == 5 or answer == min(len(A), len(B), len(plan) - width), \
+                (g, A, B, seed)
             singular += bool(singular_k_trials(g, seed, len(calls)))
     assert singular
+
+
+def term_rank_reference(pattern):
+    """The most nonzero entries of a 0/1 pattern (row r lists its columns)
+    in distinct rows and columns: a maximum bipartite matching grown by one
+    augmenting path per row (Kuhn)."""
+    owner = {}  # column -> the row matched to it
+
+    def augment(r, seen):
+        for c in pattern[r]:
+            if c not in seen:
+                seen.add(c)
+                if c not in owner or augment(owner[c], seen):
+                    owner[c] = r
+                    return True
+        return False
+
+    return sum(augment(r, set()) for r in range(len(pattern)))
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 5), (5, 3)], ids=["4x4", "3x5", "5x3"])
+def test_plan_takes_at_least_the_term_rank_in_pivots(shape):
+    # The oracle stops once a trial reaches len(plan) - |U'|: that is sound
+    # only if no pattern has a term rank above its plan's pivot count.
+    rows_n, cols_n = shape
+    for bits in range(1 << rows_n * cols_n):
+        pattern = [[c for c in range(cols_n) if bits >> (r * cols_n + c) & 1]
+                   for r in range(rows_n)]
+        assert len(algebra._plan(pattern)) >= term_rank_reference(pattern), pattern
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 2**61 - 1])
+def test_every_trial_rank_is_within_the_plan_bound(monkeypatch, p):
+    # Every trial keys the entries of the first, so no trial ranks N' above
+    # the first plan's pivot count, whatever the prime.
+    monkeypatch.setattr(algebra, "PRIME", p)
+    trials = []
+    eliminate = algebra._eliminate
+
+    def recorded(rows, plan):
+        size = len(rows)
+        rank = eliminate(rows, plan)
+        trials.append((size, plan, rank))
+        return rank
+
+    monkeypatch.setattr(algebra, "_eliminate", recorded)
+    below = 0
+    for cls in (DAG, UNDIRECTED, MIXED):
+        for g, A, B, seed in _small_queries(cls, 60, 4):
+            trials.clear()
+            generic_rank_oracle(g, A, B, seed)
+            size, first, _ = trials[0]
+            width = size - len(A)
+            below += len(first) - width < min(len(A), len(B))
+            for _, plan, rank in trials:
+                assert plan is first, (g, A, B, seed)
+                assert rank - width <= len(plan) - width, (g, A, B, seed)
+    assert below  # the bound is below min(|A|, |B|) on some queries
+
+
+def test_oracle_stops_at_the_plan_bound(monkeypatch):
+    # Sigma_{A,B} has one nonzero entry, sigma_13, so N' has one keyed entry
+    # and the plan one pivot: the first trial reaches the bound and is the
+    # only one, though min(|A|, |B|) is 2.
+    calls = []
+    eliminate = algebra._eliminate
+    monkeypatch.setattr(algebra, "_eliminate", lambda *args: calls.append(1) or eliminate(*args))
+    g = make_graph(4, directed=[(1, 3)])
+    for seed in range(20):
+        calls.clear()
+        assert generic_rank_oracle(g, {1, 2}, {3, 4}, seed) == 1
+        assert len(calls) == 1, seed
 
 
 PINNED_P5 = Path(__file__).parent / "data" / "pinned_oracle_p5.json"

@@ -326,11 +326,11 @@ def test_help_still_prints_usage(capsys, argv):
     (["--graphs", "100001"], "--graphs must be at most 100000"),
     (["--graphs", "1000000000"], "--graphs must be at most 100000"),
     (["--graphs", "100000", "--max-vertices", "16"],
-     "--graphs at --max-vertices 16 must be at most 741"),
-    (["--graphs", "742", "--max-vertices", "16"],
-     "--graphs at --max-vertices 16 must be at most 741"),
-    (["--graphs", "46267", "--max-vertices", "7"],
-     "--graphs at --max-vertices 7 must be at most 46266"),
+     "--graphs at --max-vertices 16 must be at most 1977"),
+    (["--graphs", "1978", "--max-vertices", "16"],
+     "--graphs at --max-vertices 16 must be at most 1977"),
+    (["--graphs", "53978", "--max-vertices", "7"],
+     "--graphs at --max-vertices 7 must be at most 53977"),
 ])
 def test_verify_bad_counts_are_usage_errors(flags, message, capsys):
     assert main(["verify", *flags]) == 2

@@ -118,7 +118,7 @@ def test_suite_config_refuses_positional_fields_too():
     # keyword refusals are in test_verify.py
     for args, message in (((1, 3), "max_vertices must be at least 4"),
                           ((1, 6, 0), "graph_count must be at least 1"),
-                          ((1, 16, 742), "graph_count at max_vertices 16 must be at most 741"),
+                          ((1, 16, 1978), "graph_count at max_vertices 16 must be at most 1977"),
                           ((1, 6, 200, 1001), "trials_per_instance must be at most 1000")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             SuiteConfig(*args)

@@ -63,14 +63,14 @@ def test_suite_config_bounds_the_graphs():
                                              f"{verify.MAX_GRAPHS}$"):
             SuiteConfig(graph_count=count)
     assert SuiteConfig(graph_count=verify.MAX_GRAPHS).graph_count == verify.MAX_GRAPHS
-    # and graph_count * max_vertices**5: a graph costs about max_vertices**5,
-    # a few ms at 6 and over half a second at 16
-    assert [verify.max_graphs(n) for n in (6, 7, 8, 16)] == [100_000, 46_266, 23_730, 741]
-    for n, count in ((16, 742), (16, verify.MAX_GRAPHS), (7, 46_267), (8, 10**5)):
+    # and graph_count * max_vertices**4: a graph costs about max_vertices**4,
+    # a few ms at 6 and under a tenth of a second at 16
+    assert [verify.max_graphs(n) for n in (6, 7, 8, 16)] == [100_000, 53_977, 31_640, 1_977]
+    for n, count in ((16, 1_978), (16, verify.MAX_GRAPHS), (7, 53_978), (8, 10**5)):
         with pytest.raises(ValueError, match=f"^graph_count at max_vertices {n} must be "
                                              f"at most {verify.max_graphs(n)}$"):
             SuiteConfig(max_vertices=n, graph_count=count)
-    for n, count in ((16, 741), (16, 200), (8, 20), (4, verify.MAX_GRAPHS),
+    for n, count in ((16, 1_977), (16, 200), (8, 20), (4, verify.MAX_GRAPHS),
                      (5, verify.MAX_GRAPHS), (6, verify.MAX_GRAPHS)):
         assert SuiteConfig(max_vertices=n, graph_count=count).graph_count == count
 
