@@ -12,7 +12,12 @@ Where each check lives:
   line number, for its syntax: the `v <m>` header and the range of m, each
   id's form and range, the edge operator, a repeated edge (either
   orientation for `--` and `<->`) and ids listed under both `u` and `w`.
-- `make_graph` turns the pairs an outside caller gives into ints, stores
+  It lists each kind's pairs and freezes each list once; a repeated edge
+  shows as a set shorter than its list.  Only then, or when a line raises
+  ParseError, does `_raise_repeat` rescan the lines before the fault for a
+  repeat, so the first fault in line order wins.
+- `make_graph` turns the ids an outside caller gives, edge ends and the u
+  and w sets, into ints (refusing one that is not integral), stores
   undirected and bidirected pairs as i < j, and checks the range of m
   before building anything and then, on the whole set, the range of the
   edge ids.
@@ -50,7 +55,7 @@ import heapq
 from collections import defaultdict
 from functools import cached_property
 from itertools import chain, starmap
-from operator import eq
+from operator import eq, index
 
 DAG = "DAG"
 UNDIRECTED = "Undirected"
@@ -199,6 +204,14 @@ def _vertex_count_problem(m: int) -> str | None:
     return None
 
 
+def _vertex_id(v) -> int:
+    """v as a vertex id: a str int() reads, or a value operator.index takes."""
+    try:
+        return int(v) if isinstance(v, str) else index(v)
+    except (TypeError, ValueError):
+        raise InvalidGraphError([f"vertex id {v!r} is not an integer"]) from None
+
+
 def make_graph(m, directed=(), undirected=(), bidirected=(), u=None, w=None) -> MixedGraph:
     """Build and validate a MixedGraph, inferring the U/W partition.
 
@@ -207,14 +220,16 @@ def make_graph(m, directed=(), undirected=(), bidirected=(), u=None, w=None) -> 
     directed edge can point from W into U.  Everything else lands in W,
     which matches the pure-DAG convention of a diagonal Phi over all
     vertices.  Raises InvalidGraphError on any rule violation, and before
-    building anything when m is not in 1..MAX_VERTICES.
+    building anything when m is not in 1..MAX_VERTICES or an edge, u or w
+    id is not an integer.
     """
     problem = _vertex_count_problem(m)
     if problem:
         raise InvalidGraphError([problem])
-    edges = (frozenset((int(i), int(j)) for i, j in directed),
-             frozenset(_norm_pair(int(i), int(j)) for i, j in undirected),
-             frozenset(_norm_pair(int(i), int(j)) for i, j in bidirected))
+    edges = (frozenset((_vertex_id(i), _vertex_id(j)) for i, j in directed),
+             frozenset(_norm_pair(_vertex_id(i), _vertex_id(j)) for i, j in undirected),
+             frozenset(_norm_pair(_vertex_id(i), _vertex_id(j)) for i, j in bidirected))
+    u, w = (set(map(_vertex_id, ids or ())) for ids in (u, w))
     in_range = set(range(1, m + 1)).issuperset(chain.from_iterable(chain(*edges)))
     return _build(m, *edges, u, w, in_range)
 
@@ -358,10 +373,11 @@ def _kahn(g: MixedGraph) -> list[int]:
 
 
 def _require_vertices(g: MixedGraph, vertices) -> None:
-    """Raise ValueError for the first of vertices, in the order given, outside 1..m."""
+    """Raise ValueError for the first of vertices, in the order given, that is
+    not an int in 1..m."""
     m = g.m
     for v in vertices:
-        if not 1 <= v <= m:
+        if not (isinstance(v, int) and 1 <= v <= m):
             raise ValueError(f"vertex {v} out of range [1,{m}]")
 
 
@@ -429,79 +445,102 @@ def parse_graph(text: str) -> MixedGraph:
     Raises ParseError for syntax problems and InvalidGraphError when the
     parsed graph breaks a structural invariant.
     """
-    m = None
-    explicit_u, explicit_w = set(), set()
-    edge_sets = {op: set() for op in _EDGE_KINDS}
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    rows = enumerate(map(str.split, lines), start=1)
+    for line_no, tokens in rows:
+        if tokens:
+            break
+    else:
+        raise ParseError(1, "empty graph file: missing `v <m>` directive")
+    if tokens[0] != "v":
+        raise ParseError(line_no, "first directive must be `v <m>`")
+    if len(tokens) != 2:
+        raise ParseError(line_no, "`v` takes exactly one argument")
+    try:
+        m = int(tokens[1])
+    except ValueError:
+        raise ParseError(line_no, f"bad vertex count {tokens[1]!r}") from None
+    problem = _vertex_count_problem(m)
+    if problem:
+        raise ParseError(line_no, problem)
 
     def want_id(tok, line_no):
         try:
             v = int(tok)
         except ValueError:
             raise ParseError(line_no, f"expected a vertex id, got {tok!r}") from None
-        if v < 1 or (m is not None and v > m):
+        if not 0 < v <= m:
             raise ParseError(line_no, f"vertex id {v} out of range [1,{m}]")
         return v
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if "#" in raw:
-            raw = raw.split("#", 1)[0]
-        tokens = raw.split()
-        if not tokens:
-            continue
-        kind = tokens[0]
-        if m is None:
-            if kind != "v":
-                raise ParseError(line_no, "first directive must be `v <m>`")
-            if len(tokens) != 2:
-                raise ParseError(line_no, "`v` takes exactly one argument")
-            try:
-                m = int(tokens[1])
-            except ValueError:
-                raise ParseError(line_no, f"bad vertex count {tokens[1]!r}") from None
-            problem = _vertex_count_problem(m)
-            if problem:
-                raise ParseError(line_no, problem)
-            continue
-        if kind == "e":
-            if len(tokens) != 4:
-                raise ParseError(line_no, "edge lines look like `e <i> <op> <j>`")
-            _, a, op, b = tokens
-            try:
-                i, j = int(a), int(b)
-            except ValueError:
-                i = j = 0
-            if not (0 < i <= m and 0 < j <= m):  # want_id raises for the first bad id
-                i, j = want_id(a, line_no), want_id(b, line_no)
-            edges = edge_sets.get(op)
-            if edges is None:
-                raise ParseError(line_no, f"unknown edge kind {op!r}")
-            size = len(edges)  # undirected and bidirected pairs are stored with i < j
-            edges.add((j, i) if j < i and op != "->" else (i, j))
-            if len(edges) == size:
-                raise ParseError(line_no, f"duplicate {_EDGE_KINDS[op]} edge {i} {op} {j}")
-            continue
-        if kind == "v":
-            raise ParseError(line_no, "duplicate `v` directive")
-        if kind in ("u", "w"):
-            target = explicit_u if kind == "u" else explicit_w
-            if len(tokens) < 2:
-                raise ParseError(line_no, f"`{kind}` needs at least one vertex id")
-            for tok in tokens[1:]:
-                target.add(want_id(tok, line_no))
-            continue
-        raise ParseError(line_no, f"unknown directive {kind!r}")
-
-    if m is None:
-        raise ParseError(1, "empty graph file: missing `v <m>` directive")
+    pairs = {op: [] for op in _EDGE_KINDS}  # undirected and bidirected pairs i < j
+    declared = {"u": set(), "w": set()}
+    try:
+        for line_no, tokens in rows:
+            if len(tokens) == 4 and tokens[0] == "e":
+                _, a, op, b = tokens
+                try:
+                    i, j = int(a), int(b)
+                except ValueError:
+                    i = j = 0
+                if not (0 < i <= m and 0 < j <= m):  # want_id raises for the first bad id
+                    i, j = want_id(a, line_no), want_id(b, line_no)
+                listed = pairs.get(op)
+                if listed is None:
+                    raise ParseError(line_no, f"unknown edge kind {op!r}")
+                listed.append((j, i) if j < i and op != "->" else (i, j))
+            elif tokens:
+                kind = tokens[0]
+                if kind == "e":
+                    raise ParseError(line_no, "edge lines look like `e <i> <op> <j>`")
+                if kind == "v":
+                    raise ParseError(line_no, "duplicate `v` directive")
+                if kind not in declared:
+                    raise ParseError(line_no, f"unknown directive {kind!r}")
+                if len(tokens) < 2:
+                    raise ParseError(line_no, f"`{kind}` needs at least one vertex id")
+                try:
+                    ids = list(map(int, tokens[1:]))
+                except ValueError:
+                    ids = [0]
+                if not (0 < min(ids) and max(ids) <= m):  # want_id raises for the first bad id
+                    ids = [want_id(tok, line_no) for tok in tokens[1:]]
+                declared[kind].update(ids)
+    except ParseError as exc:
+        _raise_repeat(lines, exc.line_no)  # a repeated edge before the fault wins
+        raise
+    edge_sets = []
+    for listed in pairs.values():
+        edges = frozenset(listed)
+        if len(edges) < len(listed):
+            _raise_repeat(lines, len(lines) + 1)
+        # iter(): frozenset(edges) is edges itself, but the edge order the
+        # index lists is that of a frozenset built pair by pair from it
+        edge_sets.append(frozenset(iter(edges)))
+    explicit_u, explicit_w = declared["u"], declared["w"]
     both = explicit_u & explicit_w
     if both:
         raise ParseError(1, "vertices listed under both `u` and `w`: "
                          + ",".join(str(v) for v in sorted(both)))
-    # iter(): a frozenset built from a set copies its table, but the edge
-    # order the index lists is that of a frozenset built pair by pair
-    directed, undirected, bidirected = (frozenset(iter(edge_sets[op])) for op in _EDGE_KINDS)
     # each edge id was range-checked on its line
-    return _build(m, directed, undirected, bidirected, explicit_u, explicit_w, True)
+    return _build(m, *edge_sets, explicit_u, explicit_w, True)
+
+
+def _raise_repeat(lines, stop: int) -> None:
+    """Raise ParseError for the first edge line before line `stop` that
+    repeats an earlier edge; `parse_graph` read every line before it cleanly."""
+    seen = set()
+    for line_no, tokens in enumerate(map(str.split, lines[:stop - 1]), start=1):
+        if len(tokens) == 4 and tokens[0] == "e":
+            _, a, op, b = tokens
+            i, j = int(a), int(b)
+            edge = (op, j, i) if j < i and op != "->" else (op, i, j)
+            if edge in seen:
+                raise ParseError(line_no,
+                                 f"duplicate {_EDGE_KINDS[op]} edge {i} {op} {j}") from None
+            seen.add(edge)
 
 
 def serialize(g: MixedGraph) -> str:

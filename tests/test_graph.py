@@ -95,6 +95,20 @@ def test_make_graph_reports_a_declared_block_id_out_of_range(block, v):
     assert exc.value.violations == ["U and W do not partition the vertex set"]
 
 
+@pytest.mark.parametrize("kwargs,bad", [
+    (dict(directed=[(1.7, 2.9)]), 1.7),  # int() would build the edge 1 -> 2
+    (dict(undirected=[(1, 2.5)]), 2.5),
+    (dict(bidirected=[(2.0, 3)]), 2.0),
+    (dict(u={1.5}), 1.5),
+    (dict(w=[None]), None),
+    (dict(directed=[("x", "2")]), "x"),
+])
+def test_make_graph_refuses_a_non_integral_id(kwargs, bad):
+    with pytest.raises(InvalidGraphError) as exc:
+        make_graph(3, **kwargs)
+    assert exc.value.violations == [f"vertex id {bad!r} is not an integer"]
+
+
 def test_parse_error_reports_line_number():
     with pytest.raises(ParseError) as exc:
         parse_graph("v 3\ne 1 -> 2\ne 9 -> 3")
@@ -171,7 +185,7 @@ _RANGE_CHECKED = {
 }
 
 
-@pytest.mark.parametrize("v", [0, 6], ids=["0", "m+1"])
+@pytest.mark.parametrize("v", [0, 6, 2.5], ids=["0", "m+1", "non-int"])
 @pytest.mark.parametrize("entry", sorted(_RANGE_CHECKED))
 def test_every_entry_point_reports_an_out_of_range_vertex(entry, v):
     with pytest.raises(ValueError) as caught:

@@ -283,6 +283,30 @@ def test_large_texts_parse_as_before():
     assert any(i > j for i, j in h.directed_edges) and _u_sinks(h) < h.u_set
 
 
+# Texts with several faults: the first in line order wins, a repeated edge
+# included, and a u/w conflict only when no line is at fault.
+_SEVERAL_FAULTS = (
+    "v 4\ne 1 -> 2\ne 1 -> 2\ne 1 -> x\n",  # repeated edge, then a malformed id
+    "v 4\ne 2 -- 1\ne 1 -- 2\ne 1 -> 9\n",  # repeated edge, then an id out of range
+    "v 4\ne 1 -> 2\ne 3 <-> 4\ne 4 <-> 3\ne 1 => 2\nq\n",  # then two bad lines
+    "v 4\ne 1 -> 2\ne 1 ->\ne 1 -> 2\n",  # malformed line, then a repeated edge
+    "v 4\ne 1 -> 2\nu 1 0\ne 1 -> 2\n",  # bad u id, then a repeated edge
+    "v 4\ne 1 -> 2\ne 2 -> 1\ne 1 -> 2\nv 4\n",  # a cycle is no line fault
+    "v 4\nu 1\nw 1\ne 1 -> 2\ne 1 -> 2\n",  # u/w conflict and a repeated edge
+    "v 4\nu 1 2\ne 3 <-> 4\nw 2 3\ne 4 <-> 3\n",
+    "v 4\nu 1\nw 1\n",
+    "v 40\nu " + " ".join(map(str, range(1, 21))) + " 2x " + " ".join(map(str, range(21, 41))),
+    "v 40\nu " + " ".join(map(str, range(1, 21))) + " 41 " + " ".join(map(str, range(21, 41))),
+    "v 40\nw " + " ".join(map(str, range(1, 21))) + " 0 x 22\ne 1 -> 2\ne 1 -> 2\n",
+)
+
+
+def test_the_first_fault_wins_as_before():
+    for text in _SEVERAL_FAULTS:
+        got = _same_parse(text)
+        assert isinstance(got[0], type), text
+
+
 def test_make_graph_builds_as_before():
     out_of_range = 0
     # the second seed draws edge ids from 0..m+1: about 30% of all cases
