@@ -16,30 +16,33 @@ Where each check lives:
   shows as a set shorter than its list.  Only then, or when a line raises
   ParseError, does `_raise_repeat` rescan the lines before the fault for a
   repeat, so the first fault in line order wins.
-- `make_graph` turns the ids an outside caller gives, edge ends and the u
-  and w sets, into ints (refusing one that is not integral), stores
-  undirected and bidirected pairs as i < j, and checks the range of m
-  before building anything and then, on the whole set, the range of the
-  edge ids.
-- `_build`, behind both, infers U (declared U vertices and the ends of
+- `make_graph` turns the vertex count and the ids an outside caller gives,
+  edge ends and the u and w sets, into ints (refusing one that is not
+  integral), stores undirected and bidirected pairs as i < j, and checks
+  the range of m before building anything and then, on the whole set, the
+  range of the edge ids.
+- `_build`, behind both, lists the parents and children of the directed
+  edges in one pass and infers U (declared U vertices and the ends of
   undirected edges, closed under directed ancestors) and W (the rest of
   1..m, plus any declared W id outside it).  U is closed under directed
   ancestors, so most invariants hold by construction; `_build` checks each
-  of the others once, on whole sets, and returns the graph when they all
+  of the others once, on whole sets, acyclicity by counting the vertices
+  Kahn's pass reaches in any order, and returns the graph when they all
   pass and the edge ids were in range.
 - `validate` checks a built graph: U and W partition 1..m; no self-loop
   and no id out of range; undirected edges inside U, bidirected edges inside
   W; no directed edge from W into U; no directed cycle.  `_build` runs it
   only to list the violations of a graph that failed its checks, after the
-  vertices that land in both U and W.
+  vertices that land in both U and W.  Only `topological_order` needs the
+  lowest-id-first order of Kahn's pass, and only it pays for a heap.
 
 Only a check that fails sorts its edges, to list its violations in edge
 order.
 
 A graph keeps the one adjacency index of the package, which every module
-but `separation._trek_steps` reads: the parent lists of `_build`'s closure
-pass and the child lists of Kahn's pass (`_parent_lists`, `_child_lists`),
-and the undirected and bidirected neighbour lists (`_undirected_lists`,
+but `separation._trek_steps` reads: the parent and child lists that
+`_build` makes in one pass (`_parent_lists`, `_child_lists`), and the
+undirected and bidirected neighbour lists (`_undirected_lists`,
 `_bidirected_lists`), which `_neighbours` lists on first read, so that a
 parse does not pay for them.
 A graph made directly through `MixedGraph(...)` lists its parents and
@@ -141,15 +144,12 @@ class MixedGraph:
     @cached_property
     def _parent_lists(self) -> dict[int, list[int]]:
         """Each vertex with a parent -> the list of its parents (`_build` stores its own)."""
-        return _list_parents(self.directed_edges)
+        return _list_directed(self.m, self.directed_edges)[0]
 
     @cached_property
     def _child_lists(self) -> list[list[int]]:
-        """_child_lists[v] lists the children of v (entry 0 unused)."""
-        children = [[] for _ in range(self.m + 1)]
-        for i, j in self.directed_edges:
-            children[i].append(j)
-        return children
+        """_child_lists[v] lists the children of v (entry 0 unused; `_build` stores its own)."""
+        return _list_directed(self.m, self.directed_edges)[1]
 
     @cached_property
     def _undirected_lists(self) -> list[tuple[int, ...]]:
@@ -204,12 +204,12 @@ def _vertex_count_problem(m: int) -> str | None:
     return None
 
 
-def _vertex_id(v) -> int:
-    """v as a vertex id: a str int() reads, or a value operator.index takes."""
+def _vertex_id(v, what="vertex id") -> int:
+    """v as a plain int: a str int() reads, or a value operator.index takes."""
     try:
         return int(v) if isinstance(v, str) else index(v)
     except (TypeError, ValueError):
-        raise InvalidGraphError([f"vertex id {v!r} is not an integer"]) from None
+        raise InvalidGraphError([f"{what} {v!r} is not an integer"]) from None
 
 
 def make_graph(m, directed=(), undirected=(), bidirected=(), u=None, w=None) -> MixedGraph:
@@ -220,9 +220,10 @@ def make_graph(m, directed=(), undirected=(), bidirected=(), u=None, w=None) -> 
     directed edge can point from W into U.  Everything else lands in W,
     which matches the pure-DAG convention of a diagonal Phi over all
     vertices.  Raises InvalidGraphError on any rule violation, and before
-    building anything when m is not in 1..MAX_VERTICES or an edge, u or w
-    id is not an integer.
+    building anything when m is not an integer in 1..MAX_VERTICES or an
+    edge, u or w id is not an integer.  m and the ids convert by one rule.
     """
+    m = _vertex_id(m, "vertex count")
     problem = _vertex_count_problem(m)
     if problem:
         raise InvalidGraphError([problem])
@@ -244,7 +245,7 @@ def _build(m, directed, undirected, bidirected, u, w, in_range) -> MixedGraph:
     u0.update(*undirected)
     w0 = declared_w.union(*bidirected)
 
-    par = _list_parents(directed)
+    par, children = _list_directed(m, directed, in_range)
     closure = _closure(u0, par.get)  # ancestral closure of U
 
     universe = set(range(1, m + 1))
@@ -253,18 +254,18 @@ def _build(m, directed, undirected, bidirected, u, w, in_range) -> MixedGraph:
     w_set = universe - u_set
     w_set.update(stray_w)  # kept, so that validate reports them as it does for U
     g = MixedGraph(m, u_set, frozenset(w_set), directed, undirected, bidirected)
-    object.__setattr__(g, "_parent_lists", par)  # the graph keeps it as its index
+    vars(g).update(_parent_lists=par, _child_lists=children)  # the graph keeps its index
 
     # When these checks pass, validate would find nothing, so it runs only to
     # list what failed.  U is then the closure, inside 1..m, and W the rest
     # of 1..m, so they partition it.  Undirected ends seed U; bidirected ends
     # lie in 1..m outside U, hence in W.  U is closed under directed
     # ancestors, so no directed edge enters U from W.  Kahn's pass reaching
-    # every vertex rules out a directed cycle, a directed self-loop included;
-    # the other edges are checked for loops here.
+    # every vertex, in any order, rules out a directed cycle, a directed
+    # self-loop included; the other edges are checked for loops here.
     if not (in_range and closure.isdisjoint(w0) and not stray_w and universe.issuperset(closure)
             and not any(starmap(eq, chain(undirected, bidirected)))
-            and len(_kahn(g)) == m):
+            and len(_kahn(g, ordered=False)) == m):
         violations = [f"vertex {v} cannot be in both U and W" for v in sorted(closure & w0)]
         violations.extend(validate(g))
         if violations:
@@ -305,7 +306,7 @@ def validate(g: MixedGraph) -> list[str]:
             if i in w_set and j in u_set:
                 out.append(f"U->W direction violated: directed edge {i} -> {j} points from W into U")
 
-    order = _kahn(g)
+    order = _kahn(g, ordered=False)
     if len(order) != g.m:
         reached = set(order)
         out.append("directed cycle: " + ",".join(str(v) for v in g.vertices if v not in reached))
@@ -320,12 +321,18 @@ def topological_order(g: MixedGraph) -> list[int]:
     return order
 
 
-def _list_parents(directed) -> dict[int, list[int]]:
-    """Each head of a directed edge -> the list of its tails, in edge order."""
+def _list_directed(m, directed, in_range=True) -> tuple[dict[int, list[int]], list[list[int]]]:
+    """The parent lists (each head of an edge -> its tails) and the child
+    lists (children[v] holds v's heads, entry 0 unused) of directed, each in
+    edge order, made in one pass.  Unless every id is known to lie in 1..m,
+    the child lists are a defaultdict: `validate` stops at a stray id before
+    it reads them."""
     par = {}
+    children = [[] for _ in range(m + 1)] if in_range else defaultdict(list)
     for i, j in directed:
         par.setdefault(j, []).append(i)
-    return par
+        children[i].append(j)
+    return par, children
 
 
 def _neighbours(m, edges) -> list[tuple[int, ...]]:
@@ -354,21 +361,24 @@ def _neighbours(m, edges) -> list[tuple[int, ...]]:
     return nbr
 
 
-def _kahn(g: MixedGraph) -> list[int]:
-    """Kahn's pass, lowest id first; it misses every vertex on or below a directed cycle."""
+def _kahn(g: MixedGraph, ordered=True) -> list[int]:
+    """Kahn's pass, lowest id first when ordered; it misses every vertex on
+    or below a directed cycle, whichever ready vertex it takes next, so
+    without order it pops the last from a plain list instead of a heap."""
+    pop, push = (heapq.heappop, heapq.heappush) if ordered else (list.pop, list.append)
     children = g._child_lists
     indeg = [0] * (g.m + 1)
     for v, ps in g._parent_lists.items():
         indeg[v] = len(ps)
-    heap = [v for v in g.vertices if not indeg[v]]  # ascending, hence a heap
+    ready = [v for v in g.vertices if not indeg[v]]  # ascending, hence a heap
     order = []
-    while heap:  # the heap pops lowest id first, whatever order children come in
-        v = heapq.heappop(heap)
+    while ready:
+        v = pop(ready)
         order.append(v)
         for c in children[v]:
             indeg[c] -= 1
             if not indeg[c]:
-                heapq.heappush(heap, c)
+                push(ready, c)
     return order
 
 

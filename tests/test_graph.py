@@ -4,13 +4,13 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from graph_reference import _closure_reference
+from graph_reference import _closure_reference, _kahn_reference
 from treksep import graph
 from treksep.graph import (DAG, MIXED, UNDIRECTED, InvalidGraphError,
                            MixedGraph, ParseError, _ancestor_walk,
                            bidirected_subdivision, graph_class, make_graph,
                            parse_graph, serialize, topological_order, validate)
-from treksep.instances import CHOKE_TEXT, choke_graph
+from treksep.instances import CHOKE_TEXT, SPIDER_TEXT, choke_graph, spider_graph
 from treksep.algebra import generic_rank_oracle
 from treksep.separation import (SeparationTriple, ci_implied, d_sep_via_t_sep,
                                 d_separates, generic_rank, is_t_separating,
@@ -107,6 +107,59 @@ def test_make_graph_refuses_a_non_integral_id(kwargs, bad):
     with pytest.raises(InvalidGraphError) as exc:
         make_graph(3, **kwargs)
     assert exc.value.violations == [f"vertex id {bad!r} is not an integer"]
+
+
+@pytest.mark.parametrize("m,problem", [
+    *((m, f"vertex count {m!r} is not an integer") for m in (2.5, 3.0, None, "x", "2.5", [3])),
+    ("0", "vertex count must be positive, got 0"),
+    ("1000001", "vertex count 1000001 exceeds the limit of 1000000"),
+], ids=repr)
+def test_make_graph_refuses_a_vertex_count(m, problem):
+    # refused before anything is built; m converts by the rule for an id
+    with pytest.raises(InvalidGraphError) as exc:
+        make_graph(m, directed=[(1, 2)])
+    assert exc.value.violations == [problem]
+
+
+@pytest.mark.parametrize("m,count", [(True, 1), ("3", 3), (" 3 ", 3)])
+def test_make_graph_reads_a_vertex_count_as_it_reads_an_id(m, count):
+    # a bool is the int it stands for and a str converts by int(), as an id
+    # does; the graph keeps a plain int, which serialize writes back
+    g = make_graph(m, directed=[(1, 3)] if count == 3 else ())
+    assert type(g.m) is int and g.m == count and g.vertices == range(1, count + 1)
+    assert g == make_graph(count, directed=g.directed_edges)
+    assert serialize(g).startswith(f"v {count}\n") and parse_graph(serialize(g)) == g
+
+
+def test_building_a_graph_pops_no_heap(monkeypatch):
+    # acyclicity is decided by how many vertices Kahn's pass reaches, which
+    # no pop order changes; only topological_order pops lowest id first
+    texts = [SPIDER_TEXT, "v 4\ne 3 -> 1\ne 1 -> 4\ne 4 -> 3\ne 2 -> 1\n"]
+    specs = [dict(m=7, directed=spider_graph().directed_edges),
+             dict(m=4, directed=[(3, 1), (1, 4), (4, 3), (2, 1)], u={2})]
+
+    def outcome(build, arg):
+        try:
+            return build(**arg) if isinstance(arg, dict) else build(arg)
+        except InvalidGraphError as exc:
+            return exc.violations
+
+    cases = [(parse_graph, t) for t in texts] + [(make_graph, k) for k in specs]
+    today = [outcome(build, arg) for build, arg in cases]
+    assert [type(got) for got in today] == [MixedGraph, list] * 2
+    assert today[1] == today[3] == ["directed cycle: 1,3,4"]
+
+    def refuse(heap):
+        raise AssertionError("a heap popped while building a graph")
+
+    monkeypatch.setattr(graph.heapq, "heappop", refuse)
+    assert [outcome(build, arg) for build, arg in cases] == today
+    assert validate(today[0]) == [] and validate(today[2]) == []
+    with pytest.raises(AssertionError, match="a heap popped"):
+        topological_order(today[0])
+    monkeypatch.undo()
+    for g in today[0], today[2]:
+        assert topological_order(g) == _kahn_reference(g) == [3, 6, 7, 1, 2, 4, 5]
 
 
 def test_parse_error_reports_line_number():
@@ -285,12 +338,12 @@ def test_directed_index_lists_the_directed_edges(monkeypatch):
     # parent lists are made once, and any other graph lists them on first read
     listed = []
 
-    def counted(directed):
+    def counted(m, directed, *in_range):
         listed.append(directed)
-        return real(directed)
+        return real(m, directed, *in_range)
 
-    real = graph._list_parents
-    monkeypatch.setattr(graph, "_list_parents", counted)
+    real = graph._list_directed
+    monkeypatch.setattr(graph, "_list_directed", counted)
     rng = random.Random("directed index")
     kinds = Counter()
     for seed in range(60):

@@ -6,13 +6,14 @@ each edge set and each block iterating in the same order (the adjacency of
 type, message, line number and violation list.  The texts are seeded:
 valid DAG, Undirected and Mixed graphs written with shuffled lines, either
 orientation, tabs, comments and blank lines, and one 1,000-vertex graph of
-the benchmark's large shape; each of these again with one mutation from
+the benchmark's large shape, with its ids as drawn and shuffled; each of
+these again with one mutation from
 `_MUTATIONS`; and hand-made edge sets for `make_graph` and `validate`.
 """
 
 import random
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -281,6 +282,34 @@ def test_large_texts_parse_as_before():
         _same_parse("\n".join(mutate(list(lines), 1000, rng)) + "\n")
     h = _same_relabelled_parse(got[0], random.Random("parse-differential/large/relabel"))
     assert any(i > j for i, j in h.directed_edges) and _u_sinks(h) < h.u_set
+
+
+def _directed_lists(g):
+    """The parent and child lists of g's directed edges, each in edge-set order."""
+    parents, children = defaultdict(list), defaultdict(list)
+    for i, j in g.directed_edges:
+        parents[j].append(i)
+        children[i].append(j)
+    return list(parents.items()), [children[v] for v in range(g.m + 1)]
+
+
+def test_large_shuffled_texts_parse_as_before():
+    # the large shape with its ids shuffled, so that directed edges run both
+    # up and down the ids: the same graph, edge orders and directed index as
+    # the reference, and each cycle one mutation closes reported as before
+    rng = random.Random("parse-differential/large/shuffled")
+    h = _relabelled(parse_graph("\n".join(_large_lines(rng)) + "\n"), rng)
+    lines = _lines(h, rng)
+    got = _same_parse("\n".join(lines) + "\n")
+    g = got[0]
+    assert g == h and sum(i > j for i, j in g.directed_edges) > 500
+    assert (list(g._parent_lists.items()), g._child_lists) == _directed_lists(
+        parse_graph_reference("\n".join(lines) + "\n"))
+    cycles = 0
+    for _ in range(12):
+        got = _same_parse("\n".join(_cycle(list(lines), 1000, rng)) + "\n")
+        cycles += got[0] is InvalidGraphError and "directed cycle: " in got[1]
+    assert cycles >= 6, cycles
 
 
 # Texts with several faults: the first in line order wins, a repeated edge
