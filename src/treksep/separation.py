@@ -8,7 +8,7 @@ directed path into B), and each level is split into an in-node and an
 out-node joined by a split arc of capacity 1.  Nodes are ints: level l of
 v (left 0, middle 1, right 2) has in-node 2*(3*(v-1)+l) and out-node one
 more, 6m nodes in all.  Split arc e is in-node e.  The other arcs leave an
-out-node, and `_Arcs` lists them per out-node, as the in-nodes they enter,
+out-node, and `_search` lists them per out-node, as the in-nodes they enter,
 each once: from the left out-node of v the middle in-node of v (a trek
 turns at its top vertex), the left in-nodes of the parents (up) and, if v
 has a bidirected edge, the right in-nodes of v and of its bidirected
@@ -20,7 +20,7 @@ undirected and bidirected lists are the graph's own adjacency index (see
 that the arcs spell once more, from the graph's edge sets and never the
 index.  `is_t_separating` searches them (`_t_separates`), with no flow,
 and so does the Menger check (`verify._menger_ok`), which thus shares no
-code with `_Arcs`, `_search` or the index: a wrong index entry fails it.
+code with `_search` or the index: a wrong index entry fails it.
 
 A bidirected edge i <-> j, a latent common parent of i and j, is the
 middle of the treks whose left path climbs to i or j and whose right path
@@ -59,13 +59,23 @@ not reached, all of which carry a unit and were queued: the unique minimal
 source-side minimum cut, whichever paths were augmented, and so in
 whatever order the arcs are listed.  Read back through `prv` from the
 right in-nodes of B, the flow spells the witness: one trek per unit, no
-two sharing a (vertex, level).  The arcs depend on the graph alone.
-Each query lists its own and drops them when it returns, and each entry
-is listed the first time a search reads it, so a query on a large graph
-lists only the few out-nodes it reaches; once listed, an entry never
-changes.  Criterion 8, which runs one CI search per (A, C) pair of a
-graph, lists that graph's arcs once and hands them to every search
-(`verify._dsep_pairs`).
+two sharing a (vertex, level).
+
+A query keeps one `via`, one `prv` and one store of arc entries, a plain
+dict from k to the entry of out-node 2k+1, for all its searches.  The
+arcs depend on the graph alone.  `_search` lists an out-node's entry
+from the index the first time it dequeues that out-node, and keeps it in
+the store, so a query on a large graph lists only the few out-nodes it
+reaches; once listed, an entry never changes.  Criterion 8, which runs
+one CI search per (A, C) pair of a graph, lists that graph's arcs into
+one store and hands it to every search (`verify._dsep_pairs`).  A search
+sets `via` only at the in-node and out-node of each node it queues and of
+each end it reaches, so after augmenting, `min_t_separator` resets just
+those and the next search starts from the blank `via` again.  `prv` is
+written only by the augmentations, so the check that as many in-nodes are
+fed by a source as the flow value counts -2 over the in-nodes they wrote.
+Beyond `_blank` and `prv`, made once per query, no search touches a
+whole-graph list.
 
 A trek ends in a directed path down into B, so its right half lies in
 an(B), the ancestors of B; `_blank` finds an(B) with `graph._closure`,
@@ -73,12 +83,12 @@ which climbs the graph's parent lists from B.  The right levels of the
 other vertices are dead ends: their arcs lead only down to the right
 levels of children, outside an(B) again, so no path from them reaches B,
 no unit of flow ever enters them and none of their residual arcs goes
-back.  A query with B therefore starts each search from a `via` in which
-the right in-node of every vertex outside an(B) is -3, a node never to
-enter.  No live node is first reached from a pruned one, so the live nodes
-get the same `via`, the same augmenting paths and the same cut as with no
-pruning.  `_ci_reached` has no B and needs its full reach: it prunes
-nothing.
+back.  A query with B therefore makes, once, a blank `via` in which the
+right in-node of every vertex outside an(B) is -3, a node never to enter,
+and every search starts from it.  No live node is first reached from a
+pruned one, so the live nodes get the same `via`, the same augmenting
+paths and the same cut as with no pruning.  `_ci_reached` has no B and
+needs its full reach: it prunes nothing.
 
 A CI query X_A _||_ X_B | X_C holds generically iff rank Sigma_{A+C, B+C}
 = |C|, and that rank is at least |C|: the trivial treks c - c, one per c
@@ -91,7 +101,7 @@ only at its ends: the right out-node of c in C is never reached, since its
 right in-node carries a unit and no unit came from that out-node, so the
 ends B+C reduce to B.  `_ci_reached` runs the search from A+C to its end,
 with no end to stop it, and gives the vertices whose right out-node it
-reached; CI holds iff they miss B.
+queued; CI holds iff they miss B.
 
 The two d-separation deciders, Bayes-ball (`d_separates`) and the search
 over partitions C = C_A | C_B (`d_sep_via_t_sep`), work on int masks of
@@ -192,42 +202,6 @@ class RankResult(namedtuple("RankResult", "rank certificate flow_value treks", d
         return hash(self[:3])
 
 
-class _Arcs(dict):
-    """The arcs of a trek network: entry k lists the in-nodes out-node 2k+1 enters.
-
-    An entry is listed the first time it is read, from the graph's
-    adjacency index: its parent and child lists, and its undirected and
-    bidirected neighbour lists, which the graph lists with
-    `graph._neighbours` the first time either is read.  Then it is kept as
-    it is.  It starts with the level step, left to middle and middle to
-    right.  Entries are tuples of ints, which the garbage collector stops
-    tracking the first time it sees them, so kept entries add nothing to
-    later collections.  The arcs hold the graph's index lists and not the
-    graph, and live as long as the query, or the graph's criterion 8 loop,
-    that made them.
-    """
-
-    def __init__(self, g: MixedGraph):
-        super().__init__()
-        self.lists = g._parent_lists, g._child_lists, g._undirected_lists, g._bidirected_lists
-
-    def __missing__(self, k):
-        parents, children, undirected, bidirected = self.lists
-        v = k // 3 + 1
-        level = k % 3
-        if level == 0:  # to the middle of v, up to the parents, over to the right
-            arcs = (6 * v - 4, *[6 * p - 6 for p in parents.get(v, ())])
-            over = bidirected[v]
-            if over:
-                arcs += (6 * v - 2, *[6 * j - 2 for j in over])
-        elif level == 1:  # to the right of v, across to the undirected neighbours
-            arcs = (6 * v - 2, *[6 * j - 4 for j in undirected[v]])
-        else:  # down to the children
-            arcs = tuple([6 * c - 2 for c in children[v]])
-        self[k] = arcs
-        return arcs
-
-
 def _blank(g: MixedGraph, B):
     """The `via` of a search towards B that has reached nothing yet.
 
@@ -241,25 +215,33 @@ def _blank(g: MixedGraph, B):
     return via
 
 
-def _search(arcs, prv, A, B, blank, want):
+def _search(arcs, g: MixedGraph, prv, via, A, B, want):
     """Breadth-first search of the residual network from the left in-nodes of A.
 
-    arcs holds the arcs of the graph, prv the flow and blank the `via` to
-    start from, which is not changed (module doc).  Returns (via, order,
-    ends): via[x] is the node that first reached node x (-1 if unreached, -2
-    for a left in-node of A, -3 for a node never to enter), order lists the
-    reached nodes that were queued and ends lists augmenting paths with
-    distinct seeds, by the right out-node of B each ends at.
+    arcs holds the arc entries of g listed so far, prv the flow and via the
+    `via` to start from, which the search fills in (module doc): via[x] is
+    the node that first reached node x (-1 if unreached, -2 for a left
+    in-node of A, -3 for a node never to enter).  Returns (order, ends,
+    reached): order lists the reached nodes that were queued, ends lists
+    augmenting paths with distinct seeds, by the right out-node of B each
+    ends at, and reached lists every end reached, kept or not.  The search
+    sets via only at the in-node and out-node of each node of order and of
+    reached.
 
     A free in-node is marked with its out-node, and only the out-node is
-    queued.  A reached end is not queued; it is kept unless a kept end
-    traces back through `via` to the same seed.  The search returns once
-    the out-node that reached the `want`-th kept end has listed its arcs,
-    or when its queue empties.
+    queued.  An out-node missing from arcs gets its entry listed from g's
+    adjacency index when it is dequeued, level step first.  Entries are
+    tuples of ints, which the garbage collector stops tracking the first
+    time it sees them, so kept entries add nothing to later collections.
+    A reached end is not queued; it is kept unless a kept end traces back
+    through `via` to the same seed.  The search returns once the out-node
+    that reached the `want`-th kept end has listed its arcs, or when its
+    queue empties.
     """
+    parents, children = g._parent_lists.get, g._child_lists
+    undirected, bidirected = g._undirected_lists, g._bidirected_lists
     ends = {6 * b - 1 for b in B}
-    seeds, found = set(), []
-    via = blank.copy()
+    seeds, found, reached = set(), [], []
     order = [6 * a - 6 for a in A]
     for u in order:
         via[u] = -2
@@ -270,8 +252,23 @@ def _search(arcs, prv, A, B, blank, want):
             if unit != -1 and via[u - 1] == -1:
                 via[u - 1] = u
                 order.append(u - 1)
+            k = u >> 1
+            entry = arcs.get(k)
+            if entry is None:  # dequeued for the first time: list its entry
+                v = k // 3 + 1
+                level = k % 3
+                if level == 0:  # to the middle of v, up to the parents, over to the right
+                    entry = (6 * v - 4, *[6 * p - 6 for p in parents(v, ())])
+                    over = bidirected[v]
+                    if over:
+                        entry += (6 * v - 2, *[6 * j - 2 for j in over])
+                elif level == 1:  # to the right of v, across to the undirected neighbours
+                    entry = (6 * v - 2, *[6 * j - 4 for j in undirected[v]])
+                else:  # down to the children
+                    entry = tuple([6 * c - 2 for c in children[v]])
+                arcs[k] = entry
             full = False
-            for x in arcs[u >> 1]:
+            for x in entry:
                 if via[x] == -1:
                     via[x] = u
                     if prv[x >> 1] != -1:  # it carries a unit: queue the in-node
@@ -281,6 +278,7 @@ def _search(arcs, prv, A, B, blank, want):
                     if x + 1 not in ends:
                         order.append(x + 1)
                         continue
+                    reached.append(x + 1)
                     s = u
                     while via[s] >= 0:  # back to the seed
                         s = via[s]
@@ -289,7 +287,7 @@ def _search(arcs, prv, A, B, blank, want):
                         found.append(x + 1)
                         full = len(found) == want
             if full:
-                return via, order, found
+                return order, found, reached
             continue
         # an in-node (a seed, or one carrying a unit): its free split arc, or
         # back to where its unit came from
@@ -297,7 +295,7 @@ def _search(arcs, prv, A, B, blank, want):
         if x >= 0 and via[x] == -1:
             via[x] = u
             order.append(x)
-    return via, order, found
+    return order, found, reached
 
 
 def min_t_separator(g: MixedGraph, A, B) -> RankResult:
@@ -306,12 +304,12 @@ def min_t_separator(g: MixedGraph, A, B) -> RankResult:
     if not A or not B:
         raise ValueError("A and B must be nonempty")
     _require_vertices(g, sorted(A | B))
-    arcs, prv = _Arcs(g), [-1] * (3 * g.m)
-    blank = _blank(g, B)
+    arcs, prv, via = {}, [-1] * (3 * g.m), _blank(g, B)
     most = min(len(A), len(B))  # the seeds, and the ends, bound the flow
     value = 0
+    wrote = set()  # the in-nodes whose unit an augmentation set
     while True:
-        via, order, ends = _search(arcs, prv, A, B, blank, most - value)
+        order, ends, reached = _search(arcs, g, prv, via, A, B, most - value)
         if not ends:
             break
         for x in ends:  # every augmenting path carries one unit
@@ -319,10 +317,13 @@ def min_t_separator(g: MixedGraph, A, B) -> RankResult:
                 u = via[x]
                 if not x & 1:
                     prv[x >> 1] = -1 if u == x + 1 else u
+                    wrote.add(x >> 1)
                 x = u
         value += len(ends)
+        for x in order + reached:  # back to the blank via
+            via[x & -2] = via[x | 1] = -1
 
-    fed = prv.count(-2)
+    fed = [prv[k] for k in wrote].count(-2)
     if fed != value:
         raise InternalError(f"{fed} in-nodes are fed by a source, but the flow value is {value}")
     levels: tuple[list[int], ...] = ([], [], [])
@@ -530,11 +531,11 @@ def d_sep_via_t_sep(g: MixedGraph, A, B, C) -> bool:
     return _some_partition_separates(_partition_masks(reaches), _mask(B))
 
 
-def _ci_reached(arcs: _Arcs, g: MixedGraph, AC, C) -> int:
+def _ci_reached(arcs, g: MixedGraph, AC, C) -> int:
     """The mask of the vertices whose right out-node the CI search from A+C reaches.
 
-    arcs holds the arcs of g; the caller checks that A+C is a nonempty set of
-    vertices of g.  The |C| trivial treks c - c are pushed first, and one
+    arcs is a store of g's arc entries (module doc); the caller checks that
+    A+C is a nonempty set of vertices of g.  The |C| trivial treks c - c are pushed first, and one
     full search runs, stopped by no end.  The right out-node of c in C is
     never reached, as its right in-node carries a unit, so CI holds iff the
     mask misses B.
@@ -544,11 +545,10 @@ def _ci_reached(arcs: _Arcs, g: MixedGraph, AC, C) -> int:
         prv[3 * c - 3] = -2
         prv[3 * c - 2] = 6 * c - 5
         prv[3 * c - 1] = 6 * c - 3
-    via = _search(arcs, prv, AC, (), [-1] * (6 * g.m), 0)[0]
     out = 0
-    for v, x in enumerate(via[5::6], 1):  # the right out-node of each vertex
-        if x != -1:
-            out |= 1 << v
+    for x in _search(arcs, g, prv, [-1] * (6 * g.m), AC, (), 0)[0]:
+        if x % 6 == 5:  # a right out-node: with no end to stop it, each one reached is queued
+            out |= 1 << (x // 6 + 1)
     return out
 
 
@@ -563,7 +563,7 @@ def ci_implied(g: MixedGraph, A, B, C) -> bool:
     _require_vertices(g, sorted(AC | BC))
     if not AC or not BC:
         return True  # C is empty as well: rank 0 = |C|
-    return not _ci_reached(_Arcs(g), g, AC, C) & _mask(B)
+    return not _ci_reached({}, g, AC, C) & _mask(B)
 
 
 def vanishing_tetrad(g: MixedGraph, ij, kl) -> SeparationTriple | None:

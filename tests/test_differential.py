@@ -95,9 +95,9 @@ def test_wide_queries_on_large_graphs_match_the_network(monkeypatch):
     real = separation._search
 
     def recorded(*args):
-        via, order, ends = real(*args)
+        order, ends, reached = real(*args)
         augmented.append(len(ends))
-        return via, order, ends
+        return order, ends, reached
 
     monkeypatch.setattr(separation, "_search", recorded)
     rng = random.Random("differential/large/wide")

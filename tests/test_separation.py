@@ -47,10 +47,18 @@ def _reachable(g, A, B):
     return not is_t_separating(g, A, B, SeparationTriple())
 
 
+def _entries(g):
+    """Every arc entry of g, in order: entry k lists the in-nodes out-node
+    2k+1 enters.  A search from every vertex of g, with no flow, reaches and
+    so lists every out-node."""
+    arcs = {}
+    separation._search(arcs, g, [-1] * (3 * g.m), [-1] * (6 * g.m), g.vertices, (), 0)
+    return [arcs[k] for k in range(3 * g.m)]
+
+
 def test_aux_graph_simple_dag():
     g = make_graph(2, directed=[(1, 2)])
-    arcs = separation._Arcs(g)  # entry k: the in-nodes out-node 2k+1 enters
-    assert [arcs[k] for k in range(3 * 2)] == [(2,), (4,), (10,), (8, 0), (10,), ()]
+    assert _entries(g) == [(2,), (4,), (10,), (8, 0), (10,), ()]
     assert _reachable(g, {1}, {2})
 
 
@@ -65,8 +73,8 @@ def test_aux_graph_undirected_middle():
 
 def test_aux_graph_bidirected_middle():
     g = make_graph(2, bidirected=[(1, 2)])
-    arcs = separation._Arcs(g)  # over: the right in-nodes of 1 and 2, each once
-    assert [arcs[k] for k in range(3 * 2)] == [(2, 4, 10), (4,), (), (8, 10, 4), (10,), ()]
+    # over: the right in-nodes of 1 and 2, each once
+    assert _entries(g) == [(2, 4, 10), (4,), (), (8, 10, 4), (10,), ()]
     assert _reachable(g, {1}, {2})
     # a middle cut at 1 leaves the trek 1 <- (latent) -> 1 open
     assert not is_t_separating(g, {1}, {1}, SeparationTriple.of(cm={1}))
@@ -115,25 +123,26 @@ def test_network_cache_alternating_graphs():
 
 
 def _recorded_arcs(monkeypatch):
-    """Patch in an `_Arcs` that records each arc set made, in order.
+    """Wrap `separation._search`; the list returned gets (graph, arc store)
+    for each store searched, in the order of their first searches.
 
-    Each records its graph and every entry as it was first listed; an entry
-    listed twice fails the query.
+    Every entry stays the object its first listing made: a later search of
+    the store that lists it again, or changes it, fails the query.
     """
-    made = []
+    made, listed = [], {}  # id(arcs) -> (arcs, each entry as first listed)
+    real = separation._search
 
-    class Recorded(separation._Arcs):
-        def __init__(self, g):
-            super().__init__(g)
-            self.graph, self.listed = g, {}
-            made.append(self)
+    def recorded(arcs, g, *rest):
+        if id(arcs) not in listed:
+            made.append((g, arcs))
+            listed[id(arcs)] = arcs, {}
+        out = real(arcs, g, *rest)
+        first = listed[id(arcs)][1]
+        for k, entry in arcs.items():
+            assert first.setdefault(k, entry) is entry, k
+        return out
 
-        def __missing__(self, k):
-            assert k not in self.listed, k
-            self.listed[k] = entry = super().__missing__(k)
-            return entry
-
-    monkeypatch.setattr(separation, "_Arcs", Recorded)
+    monkeypatch.setattr(separation, "_search", recorded)
     return made
 
 
@@ -150,12 +159,10 @@ def test_network_cache_is_never_mutated(monkeypatch):
         is_t_separating(g, set(), {1}, SeparationTriple())
     ci_implied(g, {1, 2}, {5}, {7})
     min_t_separator(g, set(g.vertices), set(g.vertices))
-    assert len(made) == 3 and all(arcs.graph is g for arcs in made)
-    assert len(made[2]) > len(made[0]) > 0
+    assert len(made) == 3 and all(graph is g for graph, _ in made)
+    assert len(made[2][1]) > len(made[0][1]) > 0
     reference = forward_arcs_reference(g)
-    for arcs in made:
-        assert arcs.keys() == arcs.listed.keys()
-        assert all(arcs[k] is entry for k, entry in arcs.listed.items())
+    for _, arcs in made:
         assert all(set(entry) == set(reference[k]) for k, entry in arcs.items())
 
 
@@ -172,10 +179,10 @@ def _check_entries_read(g, queries, made):
         res = min_t_separator(g, A, B)
         is_t_separating(g, A, B, res.certificate)
         ci_implied(g, A, B, C)
-    assert made and all(arcs.graph is g for arcs in made)
+    assert made and all(graph is g for graph, _ in made)
     reference = forward_arcs_reference(g)
     read = {}
-    for arcs in made:
+    for _, arcs in made:
         for k, entry in arcs.items():
             assert len(set(entry)) == len(entry), (k, entry)
             assert set(entry) == set(reference[k]), (k, entry, reference[k])
@@ -217,12 +224,12 @@ def test_arcs_built_once_per_graph_by_dsep_verdicts_and_once_per_query(monkeypat
         min_t_separator(g, A, B)
         is_t_separating(g, A, B, SeparationTriple.of(cl=A))
     ci_implied(g1, {1}, {5}, {4})
-    assert [arcs.graph for arcs in made] == [g1] * 3 + [g2] * 2 + [g1] * 2
+    assert [graph for graph, _ in made] == [g1] * 3 + [g2] * 2 + [g1] * 2
     made.clear()
     graphs = [g1] + [random_graph(DAG, 5, seed, 0.5) for seed in range(3)]
     for g in graphs:
         assert len(list(_dsep_verdicts(g))) > 1
-    assert [arcs.graph for arcs in made] == graphs
+    assert [graph for graph, _ in made] == graphs
 
 
 def test_a_query_keeps_no_reference_to_its_graph():
@@ -327,8 +334,8 @@ def test_a_query_on_a_large_sparse_graph_lists_few_arc_entries(monkeypatch):
     B = A[:4] + rng.sample(range(1, n + 1), 4)
     made = _recorded_arcs(monkeypatch)
     assert min_t_separator(g, A, B).rank >= 4
-    [arcs] = made
-    assert arcs.graph is g and 0 < len(arcs) < 0.01 * 3 * n, len(arcs)
+    [(graph, arcs)] = made
+    assert graph is g and 0 < len(arcs) < 0.01 * 3 * n, len(arcs)
 
 
 @pytest.mark.parametrize("op", ["--", "<->"])
@@ -357,9 +364,9 @@ print(separation.is_t_separating(g, CHOKE_A, CHOKE_B,
                                  separation.SeparationTriple.of(cr={5})))
 real = separation._search
 
-def forgetful(arcs, prv, *rest):  # loses the units that a source feeds
+def forgetful(arcs, g, prv, *rest):  # loses the units that a source feeds
     prv[:] = [-1 if unit == -2 else unit for unit in prv]
-    return real(arcs, prv, *rest)
+    return real(arcs, g, prv, *rest)
 
 separation._search = forgetful
 try:
@@ -384,12 +391,12 @@ def test_cut_wider_than_the_flow_raises(monkeypatch):
     # a last search that leaves one more out-node unreached widens the cut
     real = separation._search
 
-    def widened(*args):
-        via, order, end = real(*args)
-        if not end:
+    def widened(arcs, g, prv, via, *rest):
+        order, ends, reached = real(arcs, g, prv, via, *rest)
+        if not ends:
             x = next(x for x in order if not x & 1 and via[x + 1] != -1)
             via[x + 1] = -1
-        return via, order, end
+        return order, ends, reached
 
     monkeypatch.setattr(separation, "_search", widened)
     with pytest.raises(separation.InternalError,
@@ -397,15 +404,63 @@ def test_cut_wider_than_the_flow_raises(monkeypatch):
         min_t_separator(choke_graph(), CHOKE_A, CHOKE_B)
 
 
+def test_an_in_node_past_the_seeds_fed_by_a_source_raises(monkeypatch):
+    # the flow check counts the units fed by a source among the in-nodes the
+    # augmentations wrote, not at the seeds alone: a last search that marks
+    # a written in-node past the seeds as fed leaves one more than the value
+    real = separation._search
+
+    def overfed(arcs, g, prv, *rest):
+        order, ends, reached = real(arcs, g, prv, *rest)
+        if not ends:
+            prv[next(k for k, unit in enumerate(prv) if unit >= 0)] = -2
+        return order, ends, reached
+
+    monkeypatch.setattr(separation, "_search", overfed)
+    with pytest.raises(separation.InternalError,
+                       match="2 in-nodes are fed by a source, but the flow value is 1"):
+        min_t_separator(choke_graph(), CHOKE_A, CHOKE_B)
+
+
+@pytest.mark.parametrize("cls", [DAG, UNDIRECTED, MIXED])
+def test_every_search_of_a_query_starts_from_a_blank_via(monkeypatch, cls):
+    # a query keeps one via and resets only what each augmenting search set:
+    # its queued nodes, their in-nodes and every end it reached, kept or
+    # not.  Each search must start from the via of a fresh query
+    starts, rejected = [], []
+    real = separation._search
+
+    def recorded(arcs, g, prv, via, A, B, want):
+        starts.append(via == separation._blank(g, B))
+        order, ends, reached = real(arcs, g, prv, via, A, B, want)
+        if ends and len(reached) > len(ends):  # a later search follows the rejected ends
+            rejected.append(len(reached) - len(ends))
+        return order, ends, reached
+
+    monkeypatch.setattr(separation, "_search", recorded)
+    rng = random.Random(f"blank starts/{cls}")
+    cases = [(make_graph(3, directed=[(1, 2), (1, 3)]), {1}, {2, 3})]  # the end at 3 rejected
+    for _ in range(300):
+        n = rng.randint(2, 14)
+        g = random_graph(cls, n, rng.randrange(10**6), rng.choice((0.2, 0.4, 0.6)))
+        cases.append((g, _sample(rng, n, 1, 5), _sample(rng, n, 1, 8)))
+    for g, A, B in cases:
+        res = min_t_separator(g, A, B)
+        assert res == min_t_separator_reference(g, A, B), (A, B)
+    assert len(starts) > len(cases) and all(starts)
+    assert len(rejected) >= 30, rejected
+
+
 def _recorded_searches(monkeypatch):
-    """Wrap `separation._search`; the list returned gets (via, ends) per search."""
+    """Wrap `separation._search`; the list returned gets (via, ends) per
+    search, via as the search left it."""
     searches = []
     real = separation._search
 
-    def recorded(*args):
-        via, order, ends = real(*args)
-        searches.append((via, list(ends)))
-        return via, order, ends
+    def recorded(arcs, g, prv, via, *rest):
+        order, ends, reached = real(arcs, g, prv, via, *rest)
+        searches.append((via.copy(), list(ends)))
+        return order, ends, reached
 
     monkeypatch.setattr(separation, "_search", recorded)
     return searches
@@ -458,9 +513,9 @@ def test_searches_enter_no_right_level_outside_the_ancestors_of_b(monkeypatch):
     real = separation._search
 
     def recorded(*args):
-        via, order, end = real(*args)
+        order, ends, reached = real(*args)
         orders.append(order)
-        return via, order, end
+        return order, ends, reached
 
     monkeypatch.setattr(separation, "_search", recorded)
     rng = random.Random("pruned right levels")
@@ -894,7 +949,7 @@ def test_dsep_pairs_of_two_vertex_a_are_the_or_of_their_vertices_parts():
     pairs = 0
     for n, density, seed in product(range(2, 9), (0.2, 0.4, 0.7), range(4)):
         g = random_graph(DAG, n, seed, density)
-        arcs = separation._Arcs(g)
+        arcs = {}
         for A, C, _, reach, masks, ci_reach in _dsep_pairs(g):
             if len(A) == 1:
                 continue

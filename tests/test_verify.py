@@ -97,15 +97,16 @@ def test_menger_duality_fails_on_a_network_that_climbs_to_the_right_level(monkey
     # (6p - 2) where the parent's left in-node (6p - 6) belongs.  The flow
     # still yields a separating triple of the flow's size, so only the
     # witness check sees the step from (v, left) to (p, right).
-    original = separation._Arcs.__missing__
+    real = separation._search
 
-    def climbs_to_the_right(self, k):
-        arcs = original(self, k)
-        if k % 3 == 0:  # a left out-node: its left in-nodes are those 0 mod 6
-            self[k] = arcs = tuple(x + 4 if x % 6 == 0 else x for x in arcs)
-        return arcs
+    def climbs_to_the_right(arcs, g, *rest):
+        if not arcs:  # a query's first search: list every entry, then the wrong ones
+            real(arcs, g, [-1] * (3 * g.m), [-1] * (6 * g.m), g.vertices, (), 0)
+            for k in range(0, 3 * g.m, 3):  # a left out-node: its left in-nodes are 0 mod 6
+                arcs[k] = tuple(x + 4 if x % 6 == 0 else x for x in arcs[k])
+        return real(arcs, g, *rest)
 
-    monkeypatch.setattr(separation._Arcs, "__missing__", climbs_to_the_right)
+    monkeypatch.setattr(separation, "_search", climbs_to_the_right)
     result = verify.criterion_menger(SuiteConfig())
     assert result.failures and result.passes  # 145 of 600 fail when written
 
@@ -222,12 +223,12 @@ def test_dsep_equivalence_searches_once_per_a_c_pair(monkeypatch):
                  "min_t_separator", "generic_rank"):
         monkeypatch.setattr(separation, name, forbidden)
     made = _recorded_arcs(monkeypatch)
-    searched = []  # the graph of each search, read from the arcs it searches
+    searched = []  # the graph of each search
     real_search = separation._search
 
-    def counted_search(arcs, *rest):
-        searched.append(arcs.graph)
-        return real_search(arcs, *rest)
+    def counted_search(arcs, g, *rest):
+        searched.append(g)
+        return real_search(arcs, g, *rest)
 
     monkeypatch.setattr(separation, "_search", counted_search)
     result = verify.criterion_dsep_equivalence(DSEP_CFG)
@@ -239,7 +240,7 @@ def test_dsep_equivalence_searches_once_per_a_c_pair(monkeypatch):
         per_graph[-1][1] += 1
     graphs = _dsep_graphs(DSEP_CFG)
     assert [g for g, _ in per_graph] == graphs
-    assert [id(arcs.graph) for arcs in made] == [id(g) for g, _ in per_graph]  # one set per graph
+    assert [id(graph) for graph, _ in made] == [id(g) for g, _ in per_graph]  # one set per graph
     pairs = [len({(A, C) for A, _, C in _triples(g.m) if len(A) == 1})  # each with a B
              for g in graphs]
     assert [count for _, count in per_graph] == pairs
@@ -393,13 +394,13 @@ def test_dsep_equivalence_falls_back_pair_by_pair(monkeypatch):
     made = _recorded_arcs(monkeypatch)
     result = verify.criterion_dsep_equivalence(cfg)
     assert (result.passes, result.failures) == (200, [])
-    assert [arcs.graph for arcs in made] == graphs
+    assert [graph for graph, _ in made] == graphs
     made.clear()
     monkeypatch.setattr(separation, "_bayes_ball", _bayes_ball_with_no_bounce)
     result = verify.criterion_dsep_equivalence(cfg)
     assert (result.passes, len(result.failures)) == (119, 81)
     assert all(failure["C"] for failure in result.failures)
-    assert [arcs.graph for arcs in made] == graphs
+    assert [graph for graph, _ in made] == graphs
     assert result.failures == _per_b_first_failures(cfg)
 
 
