@@ -8,14 +8,14 @@ bidirected one.
 
 Where each check lives:
 
-- `parse_graph` reads a file in one pass and raises ParseError, with the
-  line number, for its syntax: the `v <m>` header and the range of m, each
-  id's form and range, the edge operator, a repeated edge (either
-  orientation for `--` and `<->`) and ids listed under both `u` and `w`.
-  It lists each kind's pairs and freezes each list once; a repeated edge
-  shows as a set shorter than its list.  Only then, or when a line raises
-  ParseError, does `_raise_repeat` rescan the lines before the fault for a
-  repeat, so the first fault in line order wins.
+- `parse_graph` raises ParseError, with the line number, for a file's
+  syntax: the `v <m>` header and the range of m, each id's form and range,
+  the edge operator, a repeated edge (either orientation for `--` and
+  `<->`) and ids listed under both `u` and `w`.  Past the header, its one
+  pass lists each kind's pairs and freezes each list once, and only
+  detects a fault: a repeated edge shows as a set shorter than its list.
+  `_first_fault` then rescans the lines in order and names the first
+  faulty one, a repeated edge included.
 - `make_graph` turns the vertex count and the ids an outside caller gives,
   edge ends and the u and w sets, into ints (refusing one that is not
   integral), stores undirected and bidirected pairs as i < j, and checks
@@ -458,77 +458,53 @@ def parse_graph(text: str) -> MixedGraph:
     lines = text.splitlines()
     if "#" in text:
         lines = [line.partition("#")[0] for line in lines]
-    rows = enumerate(map(str.split, lines), start=1)
-    for line_no, tokens in rows:
+    rows = map(str.split, lines)
+    for start, tokens in enumerate(rows, start=1):
         if tokens:
             break
     else:
         raise ParseError(1, "empty graph file: missing `v <m>` directive")
     if tokens[0] != "v":
-        raise ParseError(line_no, "first directive must be `v <m>`")
+        raise ParseError(start, "first directive must be `v <m>`")
     if len(tokens) != 2:
-        raise ParseError(line_no, "`v` takes exactly one argument")
+        raise ParseError(start, "`v` takes exactly one argument")
     try:
         m = int(tokens[1])
     except ValueError:
-        raise ParseError(line_no, f"bad vertex count {tokens[1]!r}") from None
+        raise ParseError(start, f"bad vertex count {tokens[1]!r}") from None
     problem = _vertex_count_problem(m)
     if problem:
-        raise ParseError(line_no, problem)
+        raise ParseError(start, problem)
 
-    def want_id(tok, line_no):
-        try:
-            v = int(tok)
-        except ValueError:
-            raise ParseError(line_no, f"expected a vertex id, got {tok!r}") from None
-        if not 0 < v <= m:
-            raise ParseError(line_no, f"vertex id {v} out of range [1,{m}]")
-        return v
-
+    # Past the header, line `start`, the loop only detects a fault: a bad id
+    # or operator, a line that is no edge, u or w line (a KeyError), a u or w
+    # line with no id (min() of nothing) or a repeated edge (a set shorter
+    # than its list).  _first_fault names the first.
     pairs = {op: [] for op in _EDGE_KINDS}  # undirected and bidirected pairs i < j
     declared = {"u": set(), "w": set()}
     try:
-        for line_no, tokens in rows:
+        for tokens in rows:
             if len(tokens) == 4 and tokens[0] == "e":
                 _, a, op, b = tokens
-                try:
-                    i, j = int(a), int(b)
-                except ValueError:
-                    i = j = 0
-                if not (0 < i <= m and 0 < j <= m):  # want_id raises for the first bad id
-                    i, j = want_id(a, line_no), want_id(b, line_no)
-                listed = pairs.get(op)
-                if listed is None:
-                    raise ParseError(line_no, f"unknown edge kind {op!r}")
-                listed.append((j, i) if j < i and op != "->" else (i, j))
+                i, j = int(a), int(b)
+                if not (0 < i <= m and 0 < j <= m):
+                    raise ValueError
+                pairs[op].append((j, i) if j < i and op != "->" else (i, j))
             elif tokens:
-                kind = tokens[0]
-                if kind == "e":
-                    raise ParseError(line_no, "edge lines look like `e <i> <op> <j>`")
-                if kind == "v":
-                    raise ParseError(line_no, "duplicate `v` directive")
-                if kind not in declared:
-                    raise ParseError(line_no, f"unknown directive {kind!r}")
-                if len(tokens) < 2:
-                    raise ParseError(line_no, f"`{kind}` needs at least one vertex id")
-                try:
-                    ids = list(map(int, tokens[1:]))
-                except ValueError:
-                    ids = [0]
-                if not (0 < min(ids) and max(ids) <= m):  # want_id raises for the first bad id
-                    ids = [want_id(tok, line_no) for tok in tokens[1:]]
-                declared[kind].update(ids)
-    except ParseError as exc:
-        _raise_repeat(lines, exc.line_no)  # a repeated edge before the fault wins
-        raise
-    edge_sets = []
-    for listed in pairs.values():
-        edges = frozenset(listed)
-        if len(edges) < len(listed):
-            _raise_repeat(lines, len(lines) + 1)
-        # iter(): frozenset(edges) is edges itself, but the edge order the
-        # index lists is that of a frozenset built pair by pair from it
-        edge_sets.append(frozenset(iter(edges)))
+                ids = list(map(int, tokens[1:]))
+                if not (0 < min(ids) and max(ids) <= m):
+                    raise ValueError
+                declared[tokens[0]].update(ids)
+        edge_sets = []
+        for listed in pairs.values():
+            edges = frozenset(listed)
+            if len(edges) < len(listed):
+                raise ValueError
+            # iter(): frozenset(edges) is edges itself, but the edge order the
+            # index lists is that of a frozenset built pair by pair from it
+            edge_sets.append(frozenset(iter(edges)))
+    except (ValueError, KeyError):
+        raise _first_fault(lines, start, m) from None
     explicit_u, explicit_w = declared["u"], declared["w"]
     both = explicit_u & explicit_w
     if both:
@@ -538,19 +514,41 @@ def parse_graph(text: str) -> MixedGraph:
     return _build(m, *edge_sets, explicit_u, explicit_w, True)
 
 
-def _raise_repeat(lines, stop: int) -> None:
-    """Raise ParseError for the first edge line before line `stop` that
-    repeats an earlier edge; `parse_graph` read every line before it cleanly."""
+def _first_fault(lines, start: int, m: int) -> ParseError:
+    """The ParseError for the first faulty line after the `v` header, line
+    `start`, of a graph with m vertices: an edge that repeats an earlier one
+    is the fault of its line.  `parse_graph` calls it only once it has
+    detected a fault."""
     seen = set()
-    for line_no, tokens in enumerate(map(str.split, lines[:stop - 1]), start=1):
-        if len(tokens) == 4 and tokens[0] == "e":
+    for line_no, tokens in enumerate(map(str.split, lines[start:]), start=start + 1):
+        if not tokens:
+            continue
+        kind = tokens[0]
+        if kind == "e" and len(tokens) != 4:
+            return ParseError(line_no, "edge lines look like `e <i> <op> <j>`")
+        if kind == "v":
+            return ParseError(line_no, "duplicate `v` directive")
+        if kind not in ("e", "u", "w"):
+            return ParseError(line_no, f"unknown directive {kind!r}")
+        if len(tokens) < 2:
+            return ParseError(line_no, f"`{kind}` needs at least one vertex id")
+        for tok in (tokens[1], tokens[3]) if kind == "e" else tokens[1:]:
+            try:
+                v = int(tok)
+            except ValueError:
+                return ParseError(line_no, f"expected a vertex id, got {tok!r}")
+            if not 0 < v <= m:
+                return ParseError(line_no, f"vertex id {v} out of range [1,{m}]")
+        if kind == "e":
             _, a, op, b = tokens
+            if op not in _EDGE_KINDS:
+                return ParseError(line_no, f"unknown edge kind {op!r}")
             i, j = int(a), int(b)
             edge = (op, j, i) if j < i and op != "->" else (op, i, j)
             if edge in seen:
-                raise ParseError(line_no,
-                                 f"duplicate {_EDGE_KINDS[op]} edge {i} {op} {j}") from None
+                return ParseError(line_no, f"duplicate {_EDGE_KINDS[op]} edge {i} {op} {j}")
             seen.add(edge)
+    raise AssertionError("parse_graph detected a fault that no line has")
 
 
 def serialize(g: MixedGraph) -> str:

@@ -707,6 +707,19 @@ def test_minor_identities_reject_vertices_out_of_range(identity, g):
         assert str(exc.value) == f"vertex {bad} out of range [1,{g.m}]"
 
 
+@pytest.mark.parametrize("identity, g, message", [
+    (gvl_minor_two_ways, choke_graph(), "R and S must have equal size"),
+    (cauchy_binet_two_ways, choke_graph(), "A and B must have equal size"),
+    (undirected_minor_check, make_graph(3, undirected=[(1, 2), (2, 3)]),
+     "A and B must have equal size"),
+], ids=["gvl", "cauchy_binet", "undirected_minor"])
+def test_minor_identities_reject_sets_of_unequal_size(identity, g, message):
+    p = sample_parameters(g, 1)
+    with pytest.raises(ValueError) as exc:
+        identity(g, p, {1}, {2, 3})
+    assert str(exc.value) == message
+
+
 def test_subdivision_parameter_translation():
     g = make_graph(4, directed=[(1, 3), (2, 4)], bidirected=[(1, 2)])
     g2 = bidirected_subdivision(g)

@@ -8,7 +8,8 @@ valid DAG, Undirected and Mixed graphs written with shuffled lines, either
 orientation, tabs, comments and blank lines, and one 1,000-vertex graph of
 the benchmark's large shape, with its ids as drawn and shuffled; each of
 these again with one mutation from
-`_MUTATIONS`; and hand-made edge sets for `make_graph` and `validate`.
+`_MUTATIONS`; every one-token corruption of one small file; and hand-made
+edge sets for `make_graph` and `validate`.
 """
 
 import random
@@ -334,6 +335,33 @@ def test_the_first_fault_wins_as_before():
     for text in _SEVERAL_FAULTS:
         got = _same_parse(text)
         assert isinstance(got[0], type), text
+
+
+# A valid file with a line of each kind; every one-token corruption of it
+# must parse, or fail, as before.  Without its `#`, the comment repeats line 3.
+_BASE_LINES = ("v 6", "u 1 2", "e 1 -> 2", "e 1 -- 2", "e 5 <-> 6", "e 3 -> 5",
+               "# e 1 -> 2", "", "w 6")
+_CORRUPT_TOKENS = ("x", "0", "7", "-1", "1.5", "=>", "->", "--", "<->", "e", "v", "u", "w",
+                   "q", "3")
+
+
+def test_one_token_corruptions_parse_as_before():
+    lines = list(_BASE_LINES)
+    texts = set()
+    for k, line in enumerate(lines):
+        tokens = line.split()
+        for t in range(len(tokens)):
+            for new in _CORRUPT_TOKENS + (None,):  # None drops the token
+                changed = tokens[:t] + ([new] if new else []) + tokens[t + 1:]
+                texts.add("\n".join(lines[:k] + [" ".join(changed)] + lines[k + 1:]))
+        for at in range(len(lines) + 1):  # the line repeated at every position
+            texts.add("\n".join(lines[:at] + [line] + lines[at:]))
+    outcomes = Counter()
+    for text in sorted(texts):
+        got = _same_parse(text)
+        outcomes[got[0] if isinstance(got[0], type) else MixedGraph] += 1
+    assert len(texts) > 400 and set(outcomes) == {ParseError, InvalidGraphError, MixedGraph}, \
+        outcomes
 
 
 def test_make_graph_builds_as_before():
