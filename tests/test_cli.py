@@ -111,6 +111,13 @@ def test_rank_bad_ids(choke_file, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_rank_skips_empty_id_tokens(choke_file, capsys):
+    assert main(["rank", choke_file, "--A", "1,3", "--B", "4,5", "--output", "json"]) == 0
+    plain = capsys.readouterr()
+    assert main(["rank", choke_file, "--A", "1,,3", "--B", " 4 , 5 ", "--output", "json"]) == 0
+    assert capsys.readouterr() == plain
+
+
 def test_rank_singleton_overlap(choke_file, capsys):
     assert main(["rank", choke_file, "--A", "1", "--B", "1"]) == 0
     assert "rank 1" in capsys.readouterr().out
@@ -154,6 +161,16 @@ def test_dsep_conditioning_cap_exits_4(tmp_path, capsys, output):
     assert captured.out == ""
     assert captured.err == ("error: partition search over 21 conditioning "
                             "vertices exceeds the cap of 20\n")
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_dsep_refuses_a_graph_that_is_not_a_dag(tmp_path, capsys, output):
+    path = tmp_path / "mixed.graph"
+    path.write_text("v 3\ne 1 -> 2\ne 2 <-> 3\n")
+    assert main(["dsep", str(path), "--A", "1", "--B", "3", "--output", output]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: d-separation queries require a purely directed graph\n"
 
 
 def test_ci(choke_file, capsys):
@@ -229,6 +246,23 @@ def test_verify_small_run(capsys):
     assert payload["seed"] == 1
     assert payload["failures"] == []
     assert payload["checks"]["canonical_instances"]["failures"] == 0
+
+
+def test_verify_text_lists_each_criterion_in_order(capsys):
+    assert main(["verify", "--graphs", "1", "--max-vertices", "4", "--seed", "1"]) == 0
+    cfg = verify.SuiteConfig(seed=1, max_vertices=4, graph_count=1)
+    assert capsys.readouterr().out.splitlines() == ["seed 1"] + [
+        f"{result.name}: {result.passes} passed, 0 failed"
+        for result in (criterion(cfg) for criterion in verify.ALL_CRITERIA)]
+
+
+def test_verify_text_writes_each_failure_as_json(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "_menger_ok", lambda *args: False)
+    assert main(["verify", "--graphs", "1", "--max-vertices", "4", "--seed", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL ")]
+    assert fails and lines[1 + len(verify.ALL_CRITERIA):] == fails
+    assert all("check" in json.loads(line[len("FAIL "):]) for line in fails)
 
 
 def test_verify_defaults_are_the_suite_config_defaults():
