@@ -455,7 +455,8 @@ def parse_graph(text: str) -> MixedGraph:
     Raises ParseError for syntax problems and InvalidGraphError when the
     parsed graph breaks a structural invariant.
     """
-    lines = text.splitlines()
+    # only \n, \r\n and \r end a line, as open()'s universal newlines read them
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if "#" in text:
         lines = [line.partition("#")[0] for line in lines]
     rows = map(str.split, lines)

@@ -157,7 +157,8 @@ def enumerate_simple_treks(g: MixedGraph, i: int, j: int,
                     if not (l & (m | r) | m & r) & others:
                         treks.append(Trek(left, kind, middle, right))
                         if len(treks) > cap:
-                            raise CapExceededError(cap)
+                            raise CapExceededError(cap, f"enumeration cap of {cap} exceeded by "
+                                                        f"the simple treks between {i} and {j}")
             closing += 1
             if closing > cap:
                 raise CapExceededError(
@@ -219,7 +220,8 @@ def _disjoint_systems(rows, cols, options, cap: int):
             for item, tokens in options[(row, col)]:
                 budget -= 1
                 if budget < 0:
-                    raise CapExceededError(cap)
+                    raise CapExceededError(cap, f"enumeration cap of {cap} exceeded by the vertex-"
+                                                f"disjoint path systems from {rows} to {cols}")
                 if not tokens & used:
                     yield from extend(chosen + ((col, item),),
                                       [c for c in free if c != col], used | tokens)

@@ -3,15 +3,17 @@
 `parse_graph`, `make_graph`, `validate`, `_kahn`, `_closure` and
 `_norm_pair` as they stood before parsing converted each id once and
 validation ran on whole sets, copied verbatim apart from the `_reference`
-suffix and the child lists that `_kahn_reference` builds from the directed
-edges, so that `tests/test_parse_differential.py` compares the library
-against code it shares nothing with but the graph type, the exceptions and
-the vertex-count rule.
+suffix, the child lists that `_kahn_reference` builds from the directed
+edges and the line ends that `parse_graph_reference` splits at (only \n,
+\r\n and \r), so that `tests/test_parse_differential.py` compares the
+library against code it shares nothing with but the graph type, the
+exceptions and the vertex-count rule.
 """
 
 from __future__ import annotations
 
 import heapq
+import re
 from typing import List
 
 from treksep.graph import (InvalidGraphError, MixedGraph, ParseError,
@@ -162,7 +164,8 @@ def parse_graph_reference(text: str) -> MixedGraph:
             raise ParseError(line_no, f"vertex id {v} out of range [1,{m}]")
         return v
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # a line ends only at \n, \r\n or \r, as under open()'s universal newlines
+    for line_no, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import treksep
-from treksep import algebra, cli, graph, verify
+from treksep import algebra, cli, graph, separation, verify
 from treksep.cli import _build_parser, main
 from treksep.instances import CHOKE_TEXT, SPIDER_TEXT
 
@@ -27,39 +28,6 @@ def spider_file(tmp_path):
     return str(path)
 
 
-def test_validate_ok(choke_file, capsys):
-    assert main(["validate", choke_file]) == 0
-    assert capsys.readouterr().out == ""
-
-
-def test_validate_cycle(tmp_path, capsys):
-    path = tmp_path / "bad.graph"
-    path.write_text("v 2\ne 1 -> 2\ne 2 -> 1\n")
-    assert main(["validate", str(path)]) == 1
-    assert "directed cycle" in capsys.readouterr().out
-
-
-def test_validate_missing_file():
-    assert main(["validate", "/nonexistent/g.graph"]) == 2
-
-
-def test_validate_parse_error(tmp_path):
-    path = tmp_path / "bad.graph"
-    path.write_text("e 1 -> 2\n")
-    assert main(["validate", str(path)]) == 2
-
-
-@pytest.mark.parametrize("argv", [["validate"], ["rank", "--A", "1", "--B", "2"]])
-def test_non_utf8_file_is_usage_error(tmp_path, capsys, argv):
-    path = tmp_path / "bin.g"
-    path.write_bytes(b"v 2\ne 1 -> 2\n\xff\n")
-    assert main([argv[0], str(path), *argv[1:]]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (f"error: cannot read {path}: 'utf-8' codec can't decode "
-                            "byte 0xff in position 13: invalid start byte\n")
-
-
 @pytest.mark.parametrize("argv", [["validate"], ["rank", "--A", "1", "--B", "2"]])
 def test_vertex_count_above_limit_is_usage_error(tmp_path, capsys, monkeypatch, argv):
     def no_build(*args, **kwargs):
@@ -75,138 +43,11 @@ def test_vertex_count_above_limit_is_usage_error(tmp_path, capsys, monkeypatch, 
                             "exceeds the limit of 1000000\n")
 
 
-def test_rank_text(choke_file, capsys):
-    assert main(["rank", choke_file, "--A", "1,3", "--B", "4,5"]) == 0
-    out = capsys.readouterr().out
-    assert "rank 1" in out and "C_R={4}" in out
-    assert "pair view" in out  # DAG extra line
-
-
-def test_rank_json_schema(choke_file, capsys):
-    assert main(["rank", choke_file, "--A", "1,3", "--B", "4,5",
-                 "--output", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert list(payload) == ["rank", "certificate"]
-    assert payload["rank"] == 1
-    assert payload["certificate"] == {"cl": [], "cm": [], "cr": [4]}
-
-
-def test_rank_with_oracle(spider_file, capsys):
-    assert main(["rank", spider_file, "--A", "1,2,3", "--B", "4,5,6",
-                 "--oracle", "--seed", "5", "--output", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert list(payload) == ["rank", "certificate", "oracle_rank", "agrees"]
-    assert payload["rank"] == payload["oracle_rank"] == 2
-    assert payload["agrees"] is True
-
-
-def test_rank_seed_echoed_in_text(choke_file, capsys):
-    assert main(["rank", choke_file, "--A", "1", "--B", "5",
-                 "--oracle", "--seed", "77"]) == 0
-    assert "seed 77" in capsys.readouterr().out
-
-
-def test_rank_bad_ids(choke_file, capsys):
-    assert main(["rank", choke_file, "--A", "1,9", "--B", "4"]) == 2
-    assert "out of range" in capsys.readouterr().err
-
-
 def test_rank_skips_empty_id_tokens(choke_file, capsys):
     assert main(["rank", choke_file, "--A", "1,3", "--B", "4,5", "--output", "json"]) == 0
     plain = capsys.readouterr()
     assert main(["rank", choke_file, "--A", "1,,3", "--B", " 4 , 5 ", "--output", "json"]) == 0
     assert capsys.readouterr() == plain
-
-
-def test_rank_singleton_overlap(choke_file, capsys):
-    assert main(["rank", choke_file, "--A", "1", "--B", "1"]) == 0
-    assert "rank 1" in capsys.readouterr().out
-
-
-def test_tsep(choke_file, capsys):
-    assert main(["tsep", choke_file, "--A", "1,3", "--B", "4,5",
-                 "--CR", "4"]) == 0
-    assert capsys.readouterr().out.strip() == "yes"
-    assert main(["tsep", choke_file, "--A", "1,3", "--B", "4,5",
-                 "--CR", "5"]) == 1
-    assert capsys.readouterr().out.strip() == "no"
-    assert main(["tsep", choke_file, "--A", "1,3", "--B", "4,5",
-                 "--CL", "1,3"]) == 0
-
-
-def test_dsep(tmp_path, capsys):
-    chain = tmp_path / "chain.graph"
-    chain.write_text("v 3\ne 1 -> 2\ne 2 -> 3\n")
-    assert main(["dsep", str(chain), "--A", "1", "--B", "3", "--C", "2"]) == 0
-    assert capsys.readouterr().out.strip() == "yes/yes"
-    collider = tmp_path / "collider.graph"
-    collider.write_text("v 3\ne 1 -> 3\ne 2 -> 3\n")
-    assert main(["dsep", str(collider), "--A", "1", "--B", "2", "--C", "3"]) == 1
-    assert capsys.readouterr().out.strip() == "no/no"
-
-
-def test_dsep_rejects_overlap(tmp_path, capsys):
-    chain = tmp_path / "chain.graph"
-    chain.write_text("v 3\ne 1 -> 2\ne 2 -> 3\n")
-    assert main(["dsep", str(chain), "--A", "1", "--B", "1"]) == 2
-
-
-@pytest.mark.parametrize("output", ["text", "json"])
-def test_dsep_conditioning_cap_exits_4(tmp_path, capsys, output):
-    empty = tmp_path / "empty.graph"
-    empty.write_text("v 23\n")
-    assert main(["dsep", str(empty), "--A", "1", "--B", "2",
-                 "--C", ",".join(map(str, range(3, 24))), "--output", output]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: partition search over 21 conditioning "
-                            "vertices exceeds the cap of 20\n")
-
-
-@pytest.mark.parametrize("output", ["text", "json"])
-def test_dsep_refuses_a_graph_that_is_not_a_dag(tmp_path, capsys, output):
-    path = tmp_path / "mixed.graph"
-    path.write_text("v 3\ne 1 -> 2\ne 2 <-> 3\n")
-    assert main(["dsep", str(path), "--A", "1", "--B", "3", "--output", output]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: d-separation queries require a purely directed graph\n"
-
-
-def test_ci(choke_file, capsys):
-    assert main(["ci", choke_file, "--A", "1", "--B", "5", "--C", "4"]) == 0
-    assert main(["ci", choke_file, "--A", "1", "--B", "5"]) == 1
-
-
-def test_treks_listing(choke_file, capsys):
-    assert main(["treks", choke_file, "--i", "1", "--j", "4",
-                 "--output", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["count"] == 2
-    monos = {t["monomial"] for t in payload["treks"]}
-    assert monos == {"lambda(1,2)*lambda(2,4)*phi(1,1)",
-                     "lambda(1,3)*lambda(3,4)*phi(1,1)"}
-
-
-def test_treks_empty(spider_file, capsys):
-    assert main(["treks", spider_file, "--i", "3", "--j", "6",
-                 "--output", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["count"] == 0
-
-
-def test_treks_cap(choke_file, capsys):
-    assert main(["treks", choke_file, "--i", "1", "--j", "4", "--cap", "1"]) == 4
-
-
-def test_treks_cap_bounds_the_paths_listed(tmp_path, capsys):
-    # a complete DAG on 40 vertices: 2^37 directed paths end at 39
-    path = tmp_path / "complete.graph"
-    path.write_text("v 40\n" + "".join(f"e {a} -> {b}\n" for a in range(1, 41)
-                                        for b in range(a + 1, 41)))
-    assert main(["treks", str(path), "--i", "39", "--j", "40", "--cap", "10"]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: enumeration cap of 10 exceeded by the directed paths into 39\n"
 
 
 @pytest.mark.parametrize("output, digest", [
@@ -227,16 +68,6 @@ def test_treks_dense_listing_is_pinned(tmp_path, capsys, output, digest):
     else:
         assert out.endswith("\n29525 simple trek(s)\n")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize("cap", ["0", "-1"])
-@pytest.mark.parametrize("output", ["text", "json"])
-def test_treks_cap_below_one_is_usage_error(choke_file, capsys, cap, output):
-    assert main(["treks", choke_file, "--i", "1", "--j", "4",
-                 "--cap", cap, "--output", output]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --cap must be at least 1\n"
 
 
 def test_verify_small_run(capsys):
@@ -275,35 +106,6 @@ def test_verify_defaults_are_the_suite_config_defaults():
                                         verify.SuiteConfig().trials_per_instance)
 
 
-def test_usage_error_exit_code():
-    assert main(["rank"]) == 2
-    assert main([]) == 2
-
-
-def test_rank_oracle_zero_trials_is_usage_error(choke_file, capsys):
-    assert main(["rank", choke_file, "--A", "1,2", "--B", "5",
-                 "--oracle", "--trials", "0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --trials must be at least 1\n"
-
-
-@pytest.mark.parametrize("trials", ["1001", "1000000000"])
-def test_rank_oracle_trials_above_maximum_is_usage_error(choke_file, capsys, trials):
-    assert main(["rank", choke_file, "--A", "1,3", "--B", "4,5",
-                 "--oracle", "--trials", trials]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: --trials must be at most {verify.MAX_TRIALS}\n"
-
-
-def test_rank_oracle_at_the_trial_maximum_runs(choke_file, capsys):
-    assert main(["rank", choke_file, "--A", "1,3", "--B", "4,5",
-                 "--oracle", "--trials", str(verify.MAX_TRIALS)]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == \
-        f"oracle rank 1 (seed 31415, trials {verify.MAX_TRIALS}): agrees"
-
-
 # argparse's own errors, one line each: (argv, the line; or its start, then
 # "...", where the rest differs between Python releases).  {choke} is a
 # graph path.
@@ -325,6 +127,7 @@ _ARGPARSE_ROWS = [
     (["rank", "{choke}", "--A", "1", "--B", "4", "--seed", "x"],
      "error: argument --seed: invalid int value: 'x'"),
     (["verify", "--seed", "1.5"], "error: argument --seed: invalid int value: '1.5'"),
+    (["rank"], "error: the following arguments are required: graph, --A, --B"),
 ]
 
 
@@ -345,6 +148,55 @@ def test_help_still_prints_usage(capsys, argv):
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: treksep") and captured.err == ""
+
+
+def test_validate_missing_file():
+    assert main(["validate", "/nonexistent/g.graph"]) == 2
+
+
+def test_validate_parse_error(tmp_path):
+    path = tmp_path / "bad.graph"
+    path.write_text("e 1 -> 2\n")
+    assert main(["validate", str(path)]) == 2
+
+
+def test_rank_bad_ids(choke_file, capsys):
+    assert main(["rank", choke_file, "--A", "1,9", "--B", "4"]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_dsep_conditioning_cap_exits_4(tmp_path, capsys, output):
+    empty = tmp_path / "empty.graph"
+    empty.write_text("v 23\n")
+    assert main(["dsep", str(empty), "--A", "1", "--B", "2",
+                 "--C", ",".join(map(str, range(3, 24))), "--output", output]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: partition search over 21 conditioning "
+                            "vertices exceeds the cap of 20\n")
+
+
+def test_treks_cap(choke_file, capsys):
+    assert main(["treks", choke_file, "--i", "1", "--j", "4", "--cap", "1"]) == 4
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_treks_cap_below_one_is_usage_error(choke_file, capsys, cap, output):
+    assert main(["treks", choke_file, "--i", "1", "--j", "4",
+                 "--cap", cap, "--output", output]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --cap must be at least 1\n"
+
+
+def test_rank_oracle_zero_trials_is_usage_error(choke_file, capsys):
+    assert main(["rank", choke_file, "--A", "1,2", "--B", "5",
+                 "--oracle", "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --trials must be at least 1\n"
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -374,8 +226,6 @@ def test_verify_bad_counts_are_usage_errors(flags, message, capsys):
 
 
 def test_internal_error_exits_3(choke_file, capsys, monkeypatch):
-    from treksep import separation
-
     def broken(*args, **kwargs):
         raise separation.InternalError("certificate size 0 differs from flow value 1")
 
@@ -408,8 +258,6 @@ def test_rank_oracle_disagreement_exits_3(spider_file, capsys, monkeypatch, outp
 @pytest.mark.parametrize("output", ["text", "json"])
 def test_dsep_disagreement_exits_3(tmp_path, capsys, monkeypatch, output):
     # a partition search that answers the opposite of Bayes-ball
-    from treksep import separation
-
     chain = tmp_path / "chain.graph"
     chain.write_text("v 3\ne 1 -> 2\ne 2 -> 3\n")
     real = separation.d_sep_via_t_sep
@@ -484,19 +332,43 @@ def test_closed_stdout_exits_141_without_a_traceback(choke_file, argv):
     assert done.stderr == ""
 
 
-# One row per subcommand and error class: (subcommand, error class, argv,
-# exit code, the one stderr line).  {choke}, {bad}, {missing} and {wide} are
-# graph paths; "internal" rows run with a flow search that raises (tsep runs
-# none: it checks its triple by a search of the graph itself).
+# The graph files of the tables below, each {name} a path in a row's argv
+# and message.  {missing} names a file that is never written.
+_GRAPHS = {
+    "choke": CHOKE_TEXT.encode(),
+    "spider": SPIDER_TEXT.encode(),
+    "bad": b"e 1 -> 2\n",
+    "wide": b"v 23\n",
+    "cycle": b"v 2\ne 1 -> 2\ne 2 -> 1\n",
+    "chain": b"v 3\ne 1 -> 2\ne 2 -> 3\n",
+    "collider": b"v 3\ne 1 -> 3\ne 2 -> 3\n",
+    "mixed": b"v 3\ne 1 -> 2\ne 2 <-> 3\n",
+    "binary": b"v 2\ne 1 -> 2\n\xff\n",
+    "bom": b"\xef\xbb\xbfv 3\ne 1 -> 2\n",  # UTF-8 with a byte-order mark
+    # the complete DAG on 40 vertices: 2^37 directed paths end at 39
+    "complete": ("v 40\n" + "".join(f"e {a} -> {b}\n" for a in range(1, 41)
+                                    for b in range(a + 1, 41))).encode(),
+}
+
+# One row per run that ends in an error: (subcommand, error class, argv, exit
+# code, the one stderr line); stdout stays empty.  "internal" rows run with a
+# flow search that raises (tsep runs none: it checks its triple by a search
+# of the graph itself).
 _ERROR_ROWS = [
     ("validate", "missing file", ["{missing}"], 2,
      "error: cannot read {missing}: No such file or directory"),
     ("validate", "parse error", ["{bad}"], 2,
      "error: {bad}: line 1: first directive must be `v <m>`"),
+    ("validate", "undecodable file", ["{binary}"], 2,
+     "error: cannot read {binary}: 'utf-8' codec can't decode byte 0xff in position 13: "
+     "invalid start byte"),
     ("rank", "missing file", ["{missing}", "--A", "1", "--B", "4"], 2,
      "error: cannot read {missing}: No such file or directory"),
     ("rank", "parse error", ["{bad}", "--A", "1", "--B", "4"], 2,
      "error: {bad}: line 1: first directive must be `v <m>`"),
+    ("rank", "undecodable file", ["{binary}", "--A", "1", "--B", "2"], 2,
+     "error: cannot read {binary}: 'utf-8' codec can't decode byte 0xff in position 13: "
+     "invalid start byte"),
     ("rank", "out-of-range id", ["{choke}", "--A", "1,9", "--B", "4"], 2,
      "error: --A: vertex 9 out of range [1,5]"),
     ("rank", "empty set", ["{choke}", "--A", "", "--B", "4"], 2,
@@ -504,6 +376,12 @@ _ERROR_ROWS = [
     ("rank", "count below minimum",
      ["{choke}", "--A", "1", "--B", "4", "--oracle", "--trials", "0"], 2,
      "error: --trials must be at least 1"),
+    ("rank", "count above maximum",
+     ["{choke}", "--A", "1,3", "--B", "4,5", "--oracle", "--trials", "1001"], 2,
+     "error: --trials must be at most 1000"),
+    ("rank", "count above maximum",
+     ["{choke}", "--A", "1,3", "--B", "4,5", "--oracle", "--trials", "1000000000"], 2,
+     "error: --trials must be at most 1000"),
     ("rank", "internal error", ["{choke}", "--A", "1", "--B", "4"], 3,
      "internal error: injected"),
     ("tsep", "missing file", ["{missing}", "--A", "1", "--B", "4"], 2,
@@ -521,6 +399,8 @@ _ERROR_ROWS = [
      "error: cannot read {missing}: No such file or directory"),
     ("dsep", "parse error", ["{bad}", "--A", "1", "--B", "4"], 2,
      "error: {bad}: line 1: first directive must be `v <m>`"),
+    ("dsep", "not a DAG", ["{mixed}", "--A", "1", "--B", "3"], 2,
+     "error: d-separation queries require a purely directed graph"),
     ("dsep", "out-of-range id", ["{choke}", "--A", "1", "--B", "4", "--C", "9"], 2,
      "error: --C: vertex 9 out of range [1,5]"),
     ("dsep", "empty set", ["{choke}", "--A", "1", "--B", ""], 2,
@@ -529,6 +409,8 @@ _ERROR_ROWS = [
     ("dsep", "two faults", ["{choke}", "--A", "", "--B", "5", "--C", "99"], 2,
      "error: --C: vertex 99 out of range [1,5]"),
     ("dsep", "overlapping sets", ["{choke}", "--A", "1", "--B", "4", "--C", "4"], 2,
+     "error: --A, --B and --C must be pairwise disjoint"),
+    ("dsep", "overlapping sets", ["{chain}", "--A", "1", "--B", "1"], 2,
      "error: --A, --B and --C must be pairwise disjoint"),
     ("dsep", "cap exceeded",
      ["{wide}", "--A", "1", "--B", "2", "--C", ",".join(map(str, range(3, 24)))], 4,
@@ -552,43 +434,132 @@ _ERROR_ROWS = [
     ("treks", "out-of-range id", ["{choke}", "--i", "9", "--j", "4"], 2,
      "error: --i: vertex 9 out of range [1,5]"),
     ("treks", "cap exceeded", ["{choke}", "--i", "1", "--j", "4", "--cap", "1"], 4,
-     "error: enumeration cap of 1 exceeded"),
+     "error: enumeration cap of 1 exceeded by the simple treks between 1 and 4"),
+    # the cap bounds the paths listed, not only the treks kept
+    ("treks", "cap exceeded", ["{complete}", "--i", "39", "--j", "40", "--cap", "10"], 4,
+     "error: enumeration cap of 10 exceeded by the directed paths into 39"),
     ("treks", "count below minimum", ["{choke}", "--i", "1", "--j", "4", "--cap", "0"], 2,
+     "error: --cap must be at least 1"),
+    ("treks", "count below minimum", ["{choke}", "--i", "1", "--j", "4", "--cap", "-1"], 2,
      "error: --cap must be at least 1"),
     ("verify", "count below minimum", ["--graphs", "0"], 2,
      "error: --graphs must be at least 1"),
+    ("verify", "count below minimum", ["--max-vertices", "1"], 2,
+     "error: --max-vertices must be at least 4"),
+    ("verify", "count below minimum", ["--max-vertices", "2"], 2,
+     "error: --max-vertices must be at least 4"),
+    ("verify", "count below minimum", ["--max-vertices", "3"], 2,
+     "error: --max-vertices must be at least 4"),
+    ("verify", "count below minimum", ["--trials", "0"], 2,
+     "error: --trials must be at least 1"),
+    ("verify", "count above maximum", ["--graphs", "100001"], 2,
+     "error: --graphs must be at most 100000"),
+    ("verify", "count above maximum", ["--graphs", "1000000000"], 2,
+     "error: --graphs must be at most 100000"),
+    ("verify", "count above maximum", ["--max-vertices", "17"], 2,
+     "error: --max-vertices must be at most 16"),
+    ("verify", "count above maximum", ["--max-vertices", "1000000000"], 2,
+     "error: --max-vertices must be at most 16"),
+    ("verify", "count above maximum", ["--trials", "1001"], 2,
+     "error: --trials must be at most 1000"),
+    ("verify", "count above maximum", ["--graphs", "1", "--trials", "1000000000"], 2,
+     "error: --trials must be at most 1000"),
+    # graphs x max-vertices^4 is bounded, beyond each count's own bound
+    ("verify", "work above maximum", ["--graphs", "100000", "--max-vertices", "16"], 2,
+     "error: --graphs at --max-vertices 16 must be at most 1977"),
+    ("verify", "work above maximum", ["--graphs", "1978", "--max-vertices", "16"], 2,
+     "error: --graphs at --max-vertices 16 must be at most 1977"),
+    ("verify", "work above maximum", ["--graphs", "53978", "--max-vertices", "7"], 2,
+     "error: --graphs at --max-vertices 7 must be at most 53977"),
     ("verify", "internal error", ["--graphs", "1", "--max-vertices", "4"], 3,
      "internal error: injected"),
 ]
 
+# One row per run that ends in an answer: (subcommand, what it shows, argv,
+# exit code, the text stdout, the json stdout); stderr stays empty.
+_ANSWER_ROWS = [
+    ("validate", "valid graph", ["{choke}"], 0, "", None),
+    ("validate", "directed cycle", ["{cycle}"], 1, "directed cycle: 1,2\n", None),
+    ("validate", "byte-order mark", ["{bom}"], 0, "", None),
+    ("rank", "DAG", ["{choke}", "--A", "1,3", "--B", "4,5"], 0,
+     "rank 1; C_L={} C_M={} C_R={4}\npair view: C_A={} C_B={4}\n",
+     '{"rank": 1, "certificate": {"cl": [], "cm": [], "cr": [4]}}\n'),
+    ("rank", "singleton overlap", ["{choke}", "--A", "1", "--B", "1"], 0,
+     "rank 1; C_L={1} C_M={} C_R={}\npair view: C_A={1} C_B={}\n",
+     '{"rank": 1, "certificate": {"cl": [1], "cm": [], "cr": []}}\n'),
+    ("rank", "byte-order mark", ["{bom}", "--A", "1", "--B", "2"], 0,
+     "rank 1; C_L={1} C_M={} C_R={}\npair view: C_A={1} C_B={}\n",
+     '{"rank": 1, "certificate": {"cl": [1], "cm": [], "cr": []}}\n'),
+    ("rank", "oracle", ["{spider}", "--A", "1,2,3", "--B", "4,5,6", "--oracle", "--seed", "5"], 0,
+     "rank 2; C_L={3,7} C_M={} C_R={}\npair view: C_A={3,7} C_B={}\n"
+     "oracle rank 2 (seed 5, trials 5): agrees\n",
+     '{"rank": 2, "certificate": {"cl": [3, 7], "cm": [], "cr": []}, "oracle_rank": 2, '
+     '"agrees": true}\n'),
+    ("rank", "oracle seed", ["{choke}", "--A", "1", "--B", "5", "--oracle", "--seed", "77"], 0,
+     "rank 1; C_L={1} C_M={} C_R={}\npair view: C_A={1} C_B={}\n"
+     "oracle rank 1 (seed 77, trials 5): agrees\n",
+     '{"rank": 1, "certificate": {"cl": [1], "cm": [], "cr": []}, "oracle_rank": 1, '
+     '"agrees": true}\n'),
+    ("rank", "oracle trial maximum",
+     ["{choke}", "--A", "1,3", "--B", "4,5", "--oracle", "--trials", "1000"], 0,
+     "rank 1; C_L={} C_M={} C_R={4}\npair view: C_A={} C_B={4}\n"
+     "oracle rank 1 (seed 31415, trials 1000): agrees\n",
+     '{"rank": 1, "certificate": {"cl": [], "cm": [], "cr": [4]}, "oracle_rank": 1, '
+     '"agrees": true}\n'),
+    ("tsep", "separated by C_R", ["{choke}", "--A", "1,3", "--B", "4,5", "--CR", "4"], 0,
+     "yes\n", '{"separates": true}\n'),
+    ("tsep", "not separated", ["{choke}", "--A", "1,3", "--B", "4,5", "--CR", "5"], 1,
+     "no\n", '{"separates": false}\n'),
+    ("tsep", "separated by C_L", ["{choke}", "--A", "1,3", "--B", "4,5", "--CL", "1,3"], 0,
+     "yes\n", '{"separates": true}\n'),
+    ("dsep", "chain", ["{chain}", "--A", "1", "--B", "3", "--C", "2"], 0,
+     "yes/yes\n", '{"d_separates": true, "via_t_separation": true}\n'),
+    ("dsep", "collider", ["{collider}", "--A", "1", "--B", "2", "--C", "3"], 1,
+     "no/no\n", '{"d_separates": false, "via_t_separation": false}\n'),
+    ("ci", "implied", ["{choke}", "--A", "1", "--B", "5", "--C", "4"], 0,
+     "yes\n", '{"ci_implied": true}\n'),
+    ("ci", "not implied", ["{choke}", "--A", "1", "--B", "5"], 1,
+     "no\n", '{"ci_implied": false}\n'),
+    ("treks", "listing", ["{choke}", "--i", "1", "--j", "4"], 0,
+     "left 1 right 1->2->4  lambda(1,2)*lambda(2,4)*phi(1,1)\n"
+     "left 1 right 1->3->4  lambda(1,3)*lambda(3,4)*phi(1,1)\n2 simple trek(s)\n",
+     '{"count": 2, "treks": [{"left": [1], "middle_kind": null, "middle": [1], '
+     '"right": [1, 2, 4], "monomial": "lambda(1,2)*lambda(2,4)*phi(1,1)"}, '
+     '{"left": [1], "middle_kind": null, "middle": [1], "right": [1, 3, 4], '
+     '"monomial": "lambda(1,3)*lambda(3,4)*phi(1,1)"}]}\n'),
+    ("treks", "none", ["{spider}", "--i", "3", "--j", "6"], 0,
+     "0 simple trek(s)\n", '{"count": 0, "treks": []}\n'),
+]
 
-def _error_cases():
-    for command, kind, argv, code, line in _ERROR_ROWS:
+
+# Each row once per output, its id such as `rank-empty-set-json`; a later row
+# of the same subcommand and kind adds its number: `treks-cap-exceeded-2-text`.
+def _cases(rows):
+    seen = Counter()
+    for command, kind, *rest in rows:
+        seen[command, kind] += 1
+        name = f"{command} {kind}" + (f" {seen[command, kind]}" if seen[command, kind] > 1 else "")
         # validate has no --output option: it reports in text only
         for output in ("text",) if command == "validate" else ("text", "json"):
-            yield pytest.param(command, kind, argv, code, line, output,
-                               id=f"{command}-{kind.replace(' ', '-')}-{output}")
+            yield pytest.param(command, kind, *rest, output,
+                               id=f"{name} {output}".replace(" ", "-"))
 
 
 def test_error_table_covers_every_subcommand_and_class():
     assert {row[0] for row in _ERROR_ROWS} \
         == {"validate", "rank", "tsep", "dsep", "ci", "treks", "verify"}
     assert {row[1] for row in _ERROR_ROWS} == {
-        "missing file", "parse error", "out-of-range id", "empty set",
-        "overlapping sets", "cap exceeded", "count below minimum", "internal error",
-        "two faults"}
+        "missing file", "parse error", "undecodable file", "out-of-range id", "empty set",
+        "overlapping sets", "not a DAG", "cap exceeded", "count below minimum",
+        "count above maximum", "work above maximum", "internal error", "two faults"}
 
 
-@pytest.mark.parametrize("command, kind, argv, code, line, output", _error_cases())
+@pytest.mark.parametrize("command, kind, argv, code, line, output", _cases(_ERROR_ROWS))
 def test_error_ends_in_one_stderr_line(tmp_path, capsys, monkeypatch,
                                        command, kind, argv, code, line, output):
-    from treksep import separation
-
-    paths = {"choke": tmp_path / "choke.graph", "bad": tmp_path / "bad.graph",
-             "missing": tmp_path / "missing.graph", "wide": tmp_path / "wide.graph"}
-    paths["choke"].write_text(CHOKE_TEXT)
-    paths["bad"].write_text("e 1 -> 2\n")
-    paths["wide"].write_text("v 23\n")
+    paths = {name: tmp_path / f"{name}.graph" for name in (*_GRAPHS, "missing")}
+    for name, data in _GRAPHS.items():
+        paths[name].write_bytes(data)
     if kind == "internal error":
         def broken(*args, **kwargs):
             raise separation.InternalError("injected")
@@ -598,6 +569,18 @@ def test_error_ends_in_one_stderr_line(tmp_path, capsys, monkeypatch,
     if output == "json":
         argv += ["--output", "json"]
     assert main(argv) == code
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == line.format(**paths) + "\n"
+    assert capsys.readouterr() == ("", line.format(**paths) + "\n")
+
+
+@pytest.mark.parametrize("command, kind, argv, code, text, json_text, output",
+                         _cases(_ANSWER_ROWS))
+def test_answer_is_exact_stdout(tmp_path, capsys, command, kind, argv, code, text, json_text,
+                                output):
+    paths = {name: tmp_path / f"{name}.graph" for name in _GRAPHS}
+    for name, data in _GRAPHS.items():
+        paths[name].write_bytes(data)
+    argv = [command, *(arg.format(**paths) for arg in argv)]
+    if output == "json":
+        argv += ["--output", "json"]
+    assert main(argv) == code
+    assert capsys.readouterr() == (text if output == "text" else json_text, "")

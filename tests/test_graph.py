@@ -35,6 +35,25 @@ def test_parse_comments_and_blank_lines():
     assert g.directed_edges == {(1, 2), (2, 3)}
 
 
+@pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                  "\u2028", "\u2029"])
+def test_a_line_ends_only_where_the_file_breaks_it(char):
+    # str.splitlines() ends a line at each of these too: a comment's tail
+    # would parse as a line, and each later line number would be one too high
+    assert parse_graph(f"v 3\ne 1 -> 2 # note{char}more\ne 2 -> 3\n").directed_edges \
+        == {(1, 2), (2, 3)}
+    with pytest.raises(ParseError, match=r"^line 3: vertex id 9 out of range \[1,3\]$"):
+        parse_graph(f"v 3\ne 1 -> 2{char}\ne 2 -> 9\n")
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_each_universal_newline_ends_a_line(end):
+    assert parse_graph(end.join(["v 3", "e 1 -> 2 # note", "e 2 -> 3", ""])).directed_edges \
+        == {(1, 2), (2, 3)}
+    with pytest.raises(ParseError, match=r"^line 3: vertex id 9 out of range \[1,3\]$"):
+        parse_graph(end.join(["v 3", "e 1 -> 2", "e 2 -> 9", ""]))
+
+
 def test_parse_u_w_conflict_via_edges():
     with pytest.raises(InvalidGraphError, match="vertex 1 cannot be in both U and W"):
         parse_graph("v 2\ne 1 -- 2\ne 1 <-> 2")

@@ -1,8 +1,10 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-no module-level private function or class goes unreferenced, no
-module-level function or method has a parameter (but `self` or `cls`) it
-never reads, no public function, method or property is read only from the
-tests, and no module uses an `assert` statement, which `python -O` strips.
+"""Source hygiene: no module of the package, and no Python file under
+`tests/` (the references and the `tests/data` scripts too), imports a name
+it never uses.  In the package, no module-level private function or class
+goes unreferenced, no module-level function or method has a parameter (but
+`self` or `cls`) it never reads, no public function, method or property is
+read only from the tests, and no module uses an `assert` statement, which
+`python -O` strips.
 
 `__init__.py` is exempt from the import check, since its imports are the
 package's re-exports, and its re-exports are no reads for the public-name
@@ -19,6 +21,7 @@ import treksep
 
 PACKAGE = sorted(Path(treksep.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+TESTS = Path(__file__).parent
 
 
 def unused_imports(source: str) -> list:
@@ -165,7 +168,7 @@ def test_checker_flags_an_unreferenced_private_definition():
     assert unreferenced_private(sources) == [("a", "_Gone"), ("a", "_dead")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.rglob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -16,8 +16,6 @@ import random
 import re
 from collections import Counter, defaultdict
 
-import pytest
-
 from graph_reference import (_kahn_reference, make_graph_reference,
                              parse_graph_reference, validate_reference)
 from treksep.graph import (DAG, MIXED, UNDIRECTED, InvalidGraphError,
@@ -249,7 +247,8 @@ _REQUIRED_MESSAGES = {
 
 
 def test_texts_parse_as_before():
-    for text in ("", "\n\n", "# only a comment\n", " \t\n# v 3\n", "v 3", "v 3 # three\n"):
+    for text in ("", "\n\n", "# only a comment\n", " \t\n# v 3\n", "v 3", "v 3 # three\n",
+                 "v 3\r\ne 1 -> 2 # a\fb\re 2 -> 3\u2028\n", "v 3\re 1 -> 2\x85\re 2 -> 9\r\n"):
         _same_parse(text)
     seen, messages = Counter(), set()
     for cls in (DAG, UNDIRECTED, MIXED):

@@ -10,7 +10,7 @@ from trek_reference import is_simple_reference, simple_treks_reference
 from treksep.graph import DAG, MAX_VERTICES, MIXED, UNDIRECTED, make_graph
 from treksep.instances import choke_graph, spider_graph
 from treksep.separation import RankResult, SeparationTriple, min_t_separator
-from treksep.treks import (MIDDLE_BIDIRECTED, CapExceededError, Trek,
+from treksep.treks import (MIDDLE_BIDIRECTED, CapExceededError, Trek, _disjoint_systems,
                            enumerate_simple_treks, trek_monomial)
 from treksep.verify import _menger_ok, random_graph
 
@@ -72,8 +72,19 @@ def test_monomial_writes_a_repeated_factor_with_its_exponent():
 
 def test_cap_exceeded():
     g = choke_graph()
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match="^enumeration cap of 1 exceeded by the "
+                                               "simple treks between 1 and 4$"):
         enumerate_simple_treks(g, 1, 4, cap=1)
+
+
+def test_disjoint_systems_spend_one_unit_of_the_cap_per_option_tried():
+    # two systems, each row trying one option per free column: four units
+    options = {(r, c): [((r, c), frozenset({r, c}))] for r in (1, 2) for c in (3, 4)}
+    assert list(_disjoint_systems([1, 2], [3, 4], options, 4)) \
+        == [((3, (1, 3)), (4, (2, 4))), ((4, (1, 4)), (3, (2, 3)))]
+    with pytest.raises(CapExceededError, match=r"^enumeration cap of 3 exceeded by the vertex-"
+                                               r"disjoint path systems from \[1, 2\] to \[3, 4\]$"):
+        list(_disjoint_systems([1, 2], [3, 4], options, 3))
 
 
 def _complete_dag(n):
