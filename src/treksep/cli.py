@@ -16,7 +16,7 @@ import sys
 
 from . import algebra, separation, treks, verify
 from .graph import (DAG, GraphError, InvalidGraphError, MixedGraph, ParseError,
-                    _require_vertices, graph_class, parse_graph)
+                    _ascii_int, _require_vertices, graph_class, parse_graph)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -57,7 +57,7 @@ def _parse_ids(raw: str, g: MixedGraph, flag: str) -> frozenset:
         if not tok:
             continue
         try:
-            v = int(tok)
+            v = _ascii_int(tok)
         except ValueError:
             raise UsageError(f"{flag}: {tok!r} is not a vertex id") from None
         _require_flag_vertex(g, flag, v)
@@ -71,6 +71,14 @@ def _require_flag_vertex(g: MixedGraph, flag: str, v: int) -> None:
         _require_vertices(g, (v,))
     except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from None
+
+
+def _int_flag(raw: str) -> int:
+    """The type of every int flag: _ascii_int, refusing as argparse refuses for int."""
+    try:
+        return _ascii_int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
 
 
 def _require_count(flag: str, value: int, least: int, most: float = float("inf")) -> None:
@@ -262,8 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, "--A", "--B")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check with the exact algebraic oracle")
-    p.add_argument("--seed", type=int, default=suite.seed)
-    p.add_argument("--trials", type=int, default=algebra.DEFAULT_TRIALS)
+    p.add_argument("--seed", type=_int_flag, default=suite.seed)
+    p.add_argument("--trials", type=_int_flag, default=algebra.DEFAULT_TRIALS)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("tsep", help="does (C_L,C_M,C_R) t-separate A from B?")
@@ -280,17 +288,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("treks", help="list simple treks between two vertices")
     common(p)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--cap", type=int, default=treks.DEFAULT_CAP)
+    p.add_argument("--i", type=_int_flag, required=True)
+    p.add_argument("--j", type=_int_flag, required=True)
+    p.add_argument("--cap", type=_int_flag, default=treks.DEFAULT_CAP)
     p.set_defaults(func=cmd_treks)
 
     p = sub.add_parser("verify", help="run the randomized cross-check suite")
     common(p, graph=False)
-    p.add_argument("--seed", type=int, default=suite.seed)
-    p.add_argument("--graphs", type=int, default=suite.graph_count)
-    p.add_argument("--max-vertices", type=int, default=suite.max_vertices)
-    p.add_argument("--trials", type=int, default=algebra.DEFAULT_TRIALS)
+    p.add_argument("--seed", type=_int_flag, default=suite.seed)
+    p.add_argument("--graphs", type=_int_flag, default=suite.graph_count)
+    p.add_argument("--max-vertices", type=_int_flag, default=suite.max_vertices)
+    p.add_argument("--trials", type=_int_flag, default=algebra.DEFAULT_TRIALS)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -204,10 +204,19 @@ def _vertex_count_problem(m: int) -> str | None:
     return None
 
 
+def _ascii_int(tok: str) -> int:
+    """The int that tok writes in the ASCII digits 0-9, perhaps after a `-`
+    (a negative id is out of range); ValueError for anything else.  int()
+    alone also reads a `+`, `_` between digits and non-ASCII digits."""
+    if tok.isascii() and "+" not in tok and "_" not in tok:
+        return int(tok)
+    raise ValueError(tok)
+
+
 def _vertex_id(v, what="vertex id") -> int:
-    """v as a plain int: a str int() reads, or a value operator.index takes."""
+    """v as a plain int: a str `_ascii_int` reads, or a value operator.index takes."""
     try:
-        return int(v) if isinstance(v, str) else index(v)
+        return _ascii_int(v) if isinstance(v, str) else index(v)
     except (TypeError, ValueError):
         raise InvalidGraphError([f"{what} {v!r} is not an integer"]) from None
 
@@ -452,13 +461,20 @@ def parse_graph(text: str) -> MixedGraph:
 
     Grammar: `v <m>` first, then optional `u`/`w` membership lines and
     `e i -> j`, `e i -- j`, `e i <-> j` edge lines.  `#` starts a comment.
-    Raises ParseError for syntax problems and InvalidGraphError when the
-    parsed graph breaks a structural invariant.
+    m and every id are written in the ASCII digits 0-9.  Raises ParseError
+    for syntax problems and InvalidGraphError when the parsed graph breaks
+    a structural invariant.
     """
     # only \n, \r\n and \r end a line, as open()'s universal newlines read them
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    body = text
     if "#" in text:
         lines = [line.partition("#")[0] for line in lines]
+        body = "\n".join(lines)
+    # ids and the count are ASCII digits: int() reads them as _ascii_int does
+    # unless the body holds a `+`, a `_` or a non-ASCII character, and one
+    # test of the whole body keeps that check out of the line loop
+    read = int if body.isascii() and "+" not in body and "_" not in body else _ascii_int
     rows = map(str.split, lines)
     for start, tokens in enumerate(rows, start=1):
         if tokens:
@@ -470,7 +486,7 @@ def parse_graph(text: str) -> MixedGraph:
     if len(tokens) != 2:
         raise ParseError(start, "`v` takes exactly one argument")
     try:
-        m = int(tokens[1])
+        m = read(tokens[1])
     except ValueError:
         raise ParseError(start, f"bad vertex count {tokens[1]!r}") from None
     problem = _vertex_count_problem(m)
@@ -487,12 +503,12 @@ def parse_graph(text: str) -> MixedGraph:
         for tokens in rows:
             if len(tokens) == 4 and tokens[0] == "e":
                 _, a, op, b = tokens
-                i, j = int(a), int(b)
+                i, j = read(a), read(b)
                 if not (0 < i <= m and 0 < j <= m):
                     raise ValueError
                 pairs[op].append((j, i) if j < i and op != "->" else (i, j))
             elif tokens:
-                ids = list(map(int, tokens[1:]))
+                ids = list(map(read, tokens[1:]))
                 if not (0 < min(ids) and max(ids) <= m):
                     raise ValueError
                 declared[tokens[0]].update(ids)
@@ -535,7 +551,7 @@ def _first_fault(lines, start: int, m: int) -> ParseError:
             return ParseError(line_no, f"`{kind}` needs at least one vertex id")
         for tok in (tokens[1], tokens[3]) if kind == "e" else tokens[1:]:
             try:
-                v = int(tok)
+                v = _ascii_int(tok)
             except ValueError:
                 return ParseError(line_no, f"expected a vertex id, got {tok!r}")
             if not 0 < v <= m:

@@ -4,10 +4,12 @@
 `_norm_pair` as they stood before parsing converted each id once and
 validation ran on whole sets, copied verbatim apart from the `_reference`
 suffix, the child lists that `_kahn_reference` builds from the directed
-edges and the line ends that `parse_graph_reference` splits at (only \n,
-\r\n and \r), so that `tests/test_parse_differential.py` compares the
-library against code it shares nothing with but the graph type, the
-exceptions and the vertex-count rule.
+edges, the line ends that `parse_graph_reference` splits at (only \n,
+\r\n and \r) and the ids and vertex count it reads (ASCII digits after
+an optional `-`, as `_read_int_reference` matches them), so that
+`tests/test_parse_differential.py` compares the library against code it
+shares nothing with but the graph type, the exceptions and the
+vertex-count rule.
 """
 
 from __future__ import annotations
@@ -143,6 +145,13 @@ def _closure_reference(start, step) -> set:
 
 
 
+def _read_int_reference(tok: str) -> int:
+    """int(tok) for a token of ASCII digits, perhaps after a `-`; ValueError otherwise."""
+    if re.fullmatch(r"-?[0-9]+", tok) is None:
+        raise ValueError(tok)
+    return int(tok)
+
+
 def parse_graph_reference(text: str) -> MixedGraph:
     """Parse the line-based graph format.
 
@@ -157,7 +166,7 @@ def parse_graph_reference(text: str) -> MixedGraph:
 
     def want_id(tok, line_no):
         try:
-            v = int(tok)
+            v = _read_int_reference(tok)
         except ValueError:
             raise ParseError(line_no, f"expected a vertex id, got {tok!r}") from None
         if v < 1 or (m is not None and v > m):
@@ -177,7 +186,7 @@ def parse_graph_reference(text: str) -> MixedGraph:
             if len(tokens) != 2:
                 raise ParseError(line_no, "`v` takes exactly one argument")
             try:
-                m = int(tokens[1])
+                m = _read_int_reference(tokens[1])
             except ValueError:
                 raise ParseError(line_no, f"bad vertex count {tokens[1]!r}") from None
             problem = _vertex_count_problem(m)

@@ -106,43 +106,6 @@ def test_verify_defaults_are_the_suite_config_defaults():
                                         verify.SuiteConfig().trials_per_instance)
 
 
-# argparse's own errors, one line each: (argv, the line; or its start, then
-# "...", where the rest differs between Python releases).  {choke} is a
-# graph path.
-_ARGPARSE_ROWS = [
-    ([], "error: the following arguments are required: command"),
-    (["validate"], "error: the following arguments are required: graph"),
-    (["rank", "{choke}", "--A", "1"], "error: the following arguments are required: --B"),
-    (["tsep", "{choke}", "--B", "4"], "error: the following arguments are required: --A"),
-    (["dsep", "{choke}", "--A", "1"], "error: the following arguments are required: --B"),
-    (["ci", "{choke}", "--A", "1"], "error: the following arguments are required: --B"),
-    (["treks", "{choke}", "--i", "1"], "error: the following arguments are required: --j"),
-    (["verify", "--graphs", "two"], "error: argument --graphs: invalid int value: 'two'"),
-    (["rank", "{choke}", "--A", "1", "--B", "4", "--j", ""],
-     "error: unrecognized arguments: --j..."),
-    (["rank", "{choke}", "--A", "1", "--B", "4", "--output", "xml"],
-     "error: argument --output: invalid choice: 'xml'..."),
-    (["treks", "{choke}", "--i", "1", "--j", "4", "--output", "xml"],
-     "error: argument --output: invalid choice: 'xml'..."),
-    (["rank", "{choke}", "--A", "1", "--B", "4", "--seed", "x"],
-     "error: argument --seed: invalid int value: 'x'"),
-    (["verify", "--seed", "1.5"], "error: argument --seed: invalid int value: '1.5'"),
-    (["rank"], "error: the following arguments are required: graph, --A, --B"),
-]
-
-
-@pytest.mark.parametrize("argv, line", _ARGPARSE_ROWS)
-def test_argparse_error_is_one_stderr_line(choke_file, capsys, argv, line):
-    assert main([arg.format(choke=choke_file) for arg in argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), captured.err
-    if line.endswith("..."):
-        assert captured.err.startswith(line[:-3]), captured.err
-    else:
-        assert captured.err == line + "\n"
-
-
 @pytest.mark.parametrize("argv", [["-h"], ["rank", "-h"], ["verify", "--help"]])
 def test_help_still_prints_usage(capsys, argv):
     assert main(argv) == 0
@@ -340,14 +303,29 @@ _GRAPHS = {
     "bad": b"e 1 -> 2\n",
     "wide": b"v 23\n",
     "cycle": b"v 2\ne 1 -> 2\ne 2 -> 1\n",
+    "triangle": b"v 3\ne 1 -> 2\ne 2 -> 3\ne 3 -> 1\n",
+    # ids that do not increase along the edges: the cycle 4 -> 6 -> 5 -> 4
+    # and the vertex 2 below it are listed, 1 and 3 are not
+    "shuffled": b"v 6\ne 6 -> 5\ne 5 -> 4\ne 4 -> 6\ne 4 -> 2\ne 3 -> 1\n",
     "chain": b"v 3\ne 1 -> 2\ne 2 -> 3\n",
     "collider": b"v 3\ne 1 -> 3\ne 2 -> 3\n",
     "mixed": b"v 3\ne 1 -> 2\ne 2 <-> 3\n",
+    # an undirected middle 1 -- 2 and a bidirected middle 3 <-> 4
+    "middles": b"v 4\ne 1 -- 2\ne 2 -> 3\ne 3 <-> 4\n",
     "binary": b"v 2\ne 1 -> 2\n\xff\n",
     "bom": b"\xef\xbb\xbfv 3\ne 1 -> 2\n",  # UTF-8 with a byte-order mark
     # the complete DAG on 40 vertices: 2^37 directed paths end at 39
     "complete": ("v 40\n" + "".join(f"e {a} -> {b}\n" for a in range(1, 41)
                                     for b in range(a + 1, 41))).encode(),
+    # two or three faults each: the edge repeated on line 3 comes first, and
+    # with the last two lines swapped the unknown operator does
+    "repeat": b"v 3\ne 1 -> 2\ne 1 -> 2\ne 1 -> x\n",
+    "first": b"v 3\ne 1 -> 2\ne 1 -> 2\ne 1 => 3\n",
+    "swapped": b"v 3\ne 1 -> 2\ne 1 => 3\ne 1 -> 2\n",
+    # ids that int() reads as 10, 1 and 11, and the format refuses
+    "underscore": b"v 12\ne 1_0 -> 2\n",
+    "plus": b"v 3\nu +1\n",
+    "arabic": "v 12\ne 1 -> ١١\n".encode(),
 }
 
 # One row per run that ends in an error: (subcommand, error class, argv, exit
@@ -362,6 +340,18 @@ _ERROR_ROWS = [
     ("validate", "undecodable file", ["{binary}"], 2,
      "error: cannot read {binary}: 'utf-8' codec can't decode byte 0xff in position 13: "
      "invalid start byte"),
+    ("validate", "parse error", ["{repeat}"], 2,
+     "error: {repeat}: line 3: duplicate directed edge 1 -> 2"),
+    ("validate", "parse error", ["{first}"], 2,
+     "error: {first}: line 3: duplicate directed edge 1 -> 2"),
+    ("validate", "parse error", ["{swapped}"], 2,
+     "error: {swapped}: line 3: unknown edge kind '=>'"),
+    ("validate", "malformed id", ["{underscore}"], 2,
+     "error: {underscore}: line 2: expected a vertex id, got '1_0'"),
+    ("validate", "malformed id", ["{plus}"], 2,
+     "error: {plus}: line 2: expected a vertex id, got '+1'"),
+    ("validate", "malformed id", ["{arabic}"], 2,
+     "error: {arabic}: line 2: expected a vertex id, got '١١'"),
     ("rank", "missing file", ["{missing}", "--A", "1", "--B", "4"], 2,
      "error: cannot read {missing}: No such file or directory"),
     ("rank", "parse error", ["{bad}", "--A", "1", "--B", "4"], 2,
@@ -373,6 +363,12 @@ _ERROR_ROWS = [
      "error: --A: vertex 9 out of range [1,5]"),
     ("rank", "empty set", ["{choke}", "--A", "", "--B", "4"], 2,
      "error: --A and --B must be nonempty"),
+    ("rank", "malformed id", ["{choke}", "--A", "+1,0_3", "--B", "4,5"], 2,
+     "error: --A: '+1' is not a vertex id"),
+    ("rank", "malformed id", ["{choke}", "--A", "1_0", "--B", "4"], 2,
+     "error: --A: '1_0' is not a vertex id"),
+    ("rank", "malformed id", ["{choke}", "--A", "١١", "--B", "4"], 2,
+     "error: --A: '١١' is not a vertex id"),
     ("rank", "count below minimum",
      ["{choke}", "--A", "1", "--B", "4", "--oracle", "--trials", "0"], 2,
      "error: --trials must be at least 1"),
@@ -481,6 +477,8 @@ _ANSWER_ROWS = [
     ("validate", "valid graph", ["{choke}"], 0, "", None),
     ("validate", "directed cycle", ["{cycle}"], 1, "directed cycle: 1,2\n", None),
     ("validate", "byte-order mark", ["{bom}"], 0, "", None),
+    ("validate", "directed cycle", ["{triangle}"], 1, "directed cycle: 1,2,3\n", None),
+    ("validate", "shuffled cycle", ["{shuffled}"], 1, "directed cycle: 2,4,5,6\n", None),
     ("rank", "DAG", ["{choke}", "--A", "1,3", "--B", "4,5"], 0,
      "rank 1; C_L={} C_M={} C_R={4}\npair view: C_A={} C_B={4}\n",
      '{"rank": 1, "certificate": {"cl": [], "cm": [], "cr": [4]}}\n'),
@@ -506,15 +504,35 @@ _ANSWER_ROWS = [
      "oracle rank 1 (seed 31415, trials 1000): agrees\n",
      '{"rank": 1, "certificate": {"cl": [], "cm": [], "cr": [4]}, "oracle_rank": 1, '
      '"agrees": true}\n'),
+    # at the suite's default seed and trials
+    ("rank", "oracle defaults", ["{choke}", "--A", "1,3", "--B", "4,5", "--oracle"], 0,
+     "rank 1; C_L={} C_M={} C_R={4}\npair view: C_A={} C_B={4}\n"
+     "oracle rank 1 (seed 31415, trials 5): agrees\n",
+     '{"rank": 1, "certificate": {"cl": [], "cm": [], "cr": [4]}, "oracle_rank": 1, '
+     '"agrees": true}\n'),
+    # the hub 7 has parents 3 and 6, ids on either side of it
+    ("rank", "hub", ["{spider}", "--A", "1,2,3", "--B", "4,5,6"], 0,
+     "rank 2; C_L={3,7} C_M={} C_R={}\npair view: C_A={3,7} C_B={}\n",
+     '{"rank": 2, "certificate": {"cl": [3, 7], "cm": [], "cr": []}}\n'),
+    # every trek from {1,2} to {3,4} crosses the middle level of 2
+    ("rank", "middle level", ["{middles}", "--A", "1,2", "--B", "3,4"], 0,
+     "rank 1; C_L={} C_M={2} C_R={}\n",
+     '{"rank": 1, "certificate": {"cl": [], "cm": [2], "cr": []}}\n'),
     ("tsep", "separated by C_R", ["{choke}", "--A", "1,3", "--B", "4,5", "--CR", "4"], 0,
      "yes\n", '{"separates": true}\n'),
     ("tsep", "not separated", ["{choke}", "--A", "1,3", "--B", "4,5", "--CR", "5"], 1,
      "no\n", '{"separates": false}\n'),
     ("tsep", "separated by C_L", ["{choke}", "--A", "1,3", "--B", "4,5", "--CL", "1,3"], 0,
      "yes\n", '{"separates": true}\n'),
+    ("tsep", "not separated", ["{choke}", "--A", "1,3", "--B", "4,5", "--CM", "4"], 1,
+     "no\n", '{"separates": false}\n'),
     ("dsep", "chain", ["{chain}", "--A", "1", "--B", "3", "--C", "2"], 0,
      "yes/yes\n", '{"d_separates": true, "via_t_separation": true}\n'),
     ("dsep", "collider", ["{collider}", "--A", "1", "--B", "2", "--C", "3"], 1,
+     "no/no\n", '{"d_separates": false, "via_t_separation": false}\n'),
+    ("dsep", "separated", ["{choke}", "--A", "1", "--B", "5", "--C", "4"], 0,
+     "yes/yes\n", '{"d_separates": true, "via_t_separation": true}\n'),
+    ("dsep", "not separated", ["{choke}", "--A", "1", "--B", "5"], 1,
      "no/no\n", '{"d_separates": false, "via_t_separation": false}\n'),
     ("ci", "implied", ["{choke}", "--A", "1", "--B", "5", "--C", "4"], 0,
      "yes\n", '{"ci_implied": true}\n'),
@@ -529,58 +547,153 @@ _ANSWER_ROWS = [
      '"monomial": "lambda(1,3)*lambda(3,4)*phi(1,1)"}]}\n'),
     ("treks", "none", ["{spider}", "--i", "3", "--j", "6"], 0,
      "0 simple trek(s)\n", '{"count": 0, "treks": []}\n'),
+    ("treks", "listing", ["{choke}", "--i", "1", "--j", "5"], 0,
+     "left 1 right 1->2->4->5  lambda(1,2)*lambda(2,4)*lambda(4,5)*phi(1,1)\n"
+     "left 1 right 1->3->4->5  lambda(1,3)*lambda(3,4)*lambda(4,5)*phi(1,1)\n"
+     "2 simple trek(s)\n",
+     '{"count": 2, "treks": [{"left": [1], "middle_kind": null, "middle": [1], '
+     '"right": [1, 2, 4, 5], "monomial": "lambda(1,2)*lambda(2,4)*lambda(4,5)*phi(1,1)"}, '
+     '{"left": [1], "middle_kind": null, "middle": [1], "right": [1, 3, 4, 5], '
+     '"monomial": "lambda(1,3)*lambda(3,4)*lambda(4,5)*phi(1,1)"}]}\n'),
+    # each trek's monomial is text, whatever its middle
+    ("treks", "undirected middle", ["{middles}", "--i", "1", "--j", "3"], 0,
+     "left 1 [undirected: 1-2] right 2->3  lambda(2,3)*psi(1,2)\n1 simple trek(s)\n",
+     '{"count": 1, "treks": [{"left": [1], "middle_kind": "undirected", "middle": [1, 2], '
+     '"right": [2, 3], "monomial": "lambda(2,3)*psi(1,2)"}]}\n'),
+    ("treks", "bidirected middle", ["{middles}", "--i", "3", "--j", "4"], 0,
+     "left 3 [bidirected: 3-4] right 4  phi(3,4)\n1 simple trek(s)\n",
+     '{"count": 1, "treks": [{"left": [3], "middle_kind": "bidirected", "middle": [3, 4], '
+     '"right": [4], "monomial": "phi(3,4)"}]}\n'),
+]
+
+# argparse's own errors, one line each: (argv, the line; or its start, then
+# "...", where the rest differs between Python releases).
+_ARGPARSE_ROWS = [
+    ([], "error: the following arguments are required: command"),
+    (["validate"], "error: the following arguments are required: graph"),
+    (["rank", "{choke}", "--A", "1"], "error: the following arguments are required: --B"),
+    (["tsep", "{choke}", "--B", "4"], "error: the following arguments are required: --A"),
+    (["dsep", "{choke}", "--A", "1"], "error: the following arguments are required: --B"),
+    (["ci", "{choke}", "--A", "1"], "error: the following arguments are required: --B"),
+    (["treks", "{choke}", "--i", "1"], "error: the following arguments are required: --j"),
+    (["verify", "--graphs", "two"], "error: argument --graphs: invalid int value: 'two'"),
+    # the empty value joins the message after a space
+    (["rank", "{choke}", "--A", "1", "--B", "4", "--j", ""],
+     "error: unrecognized arguments: --j "),
+    (["rank", "{choke}", "--A", "1", "--B", "4", "--output", "xml"],
+     "error: argument --output: invalid choice: 'xml'..."),
+    (["treks", "{choke}", "--i", "1", "--j", "4", "--output", "xml"],
+     "error: argument --output: invalid choice: 'xml'..."),
+    (["rank", "{choke}", "--A", "1", "--B", "4", "--seed", "x"],
+     "error: argument --seed: invalid int value: 'x'"),
+    (["verify", "--seed", "1.5"], "error: argument --seed: invalid int value: '1.5'"),
+    (["rank"], "error: the following arguments are required: graph, --A, --B"),
+    # every int flag, --i and --j and the counts alike, reads ASCII digits as an id does
+    (["treks", "{choke}", "--i", "1_0", "--j", "5"],
+     "error: argument --i: invalid int value: '1_0'"),
+    (["treks", "{choke}", "--i", "+1", "--j", "5"],
+     "error: argument --i: invalid int value: '+1'"),
+    (["treks", "{choke}", "--i", "١", "--j", "5"],
+     "error: argument --i: invalid int value: '١'"),
+    (["rank", "{choke}", "--A", "1", "--B", "4", "--oracle", "--trials", "1_0"],
+     "error: argument --trials: invalid int value: '1_0'"),
 ]
 
 
-# Each row once per output, its id such as `rank-empty-set-json`; a later row
-# of the same subcommand and kind adds its number: `treks-cap-exceeded-2-text`.
+# A case is (kind, argv, exit code, stdout, stderr), each {name} in its argv
+# and stderr a path of write_graphs.  An error or answer row gives one case
+# per output, its id such as `rank-empty-set-json`; a later row of the same
+# subcommand and kind adds its number: `treks-cap-exceeded-2-text`.
 def _cases(rows):
     seen = Counter()
-    for command, kind, *rest in rows:
+    for command, kind, argv, code, *expected in rows:
         seen[command, kind] += 1
         name = f"{command} {kind}" + (f" {seen[command, kind]}" if seen[command, kind] > 1 else "")
         # validate has no --output option: it reports in text only
         for output in ("text",) if command == "validate" else ("text", "json"):
-            yield pytest.param(command, kind, *rest, output,
-                               id=f"{name} {output}".replace(" ", "-"))
+            flags = ["--output", "json"] if output == "json" else []
+            if len(expected) == 1:  # an error row: empty stdout, one stderr line
+                out, err = "", expected[0] + "\n"
+            else:  # an answer row: its text or json stdout, empty stderr
+                out, err = expected[output == "json"], ""
+            case = (kind, [command, *argv, *flags], code, out, err)
+            yield f"{name} {output}".replace(" ", "-"), case
+
+
+# An argparse row's id is its index and its line, as pytest named it.
+def _argparse_cases():
+    for n, (argv, line) in enumerate(_ARGPARSE_ROWS):
+        yield f"argv{n}-{line}", ("argparse", argv, 2, "", line + "\n")
+
+
+# Every case of the three tables, by id: Tier-1 runs each through
+# `cli.main`, and `run_cli_rows.py` all but the internal errors through the
+# installed `treksep`.
+CASES = [*_cases(_ERROR_ROWS), *_cases(_ANSWER_ROWS), *_argparse_cases()]
+
+
+def write_graphs(directory: Path) -> dict:
+    """Write each graph of _GRAPHS into directory; the path of each by name,
+    and of `missing`, which is never written."""
+    paths = {name: str(directory / f"{name}.graph") for name in (*_GRAPHS, "missing")}
+    for name, data in _GRAPHS.items():
+        Path(paths[name]).write_bytes(data)
+    return paths
+
+
+def check_case(case, paths, run) -> None:
+    """Run a case through run(argv) -> (exit code, stdout, stderr), and raise
+    AssertionError unless all three are the case's, exactly.  A line that
+    ends in "..." gives the start of a one-line stderr."""
+    _, argv, code, out, err = case
+    argv = [arg.format(**paths) for arg in argv]
+    want = (code, out, err.format(**paths))
+    got = tuple(run(argv))
+    if err.endswith("...\n") and got[2].count("\n") == 1 and got[2].endswith("\n"):
+        got = (*got[:2], got[2][:len(want[2]) - 4] + "...\n")
+    if got != want:
+        raise AssertionError(f"{argv}\n  got  {got!r}\n  want {want!r}")
+
+
+def _params(cases):
+    return [pytest.param(case, id=name) for name, case in cases]
+
+
+@pytest.fixture(scope="module")
+def graph_paths(tmp_path_factory):
+    return write_graphs(tmp_path_factory.mktemp("graphs"))
+
+
+@pytest.fixture
+def run_main(capsys):
+    """`cli.main` in-process, as run(argv) -> (exit code, stdout, stderr)."""
+    return lambda argv: (main(argv), *capsys.readouterr())
 
 
 def test_error_table_covers_every_subcommand_and_class():
     assert {row[0] for row in _ERROR_ROWS} \
         == {"validate", "rank", "tsep", "dsep", "ci", "treks", "verify"}
     assert {row[1] for row in _ERROR_ROWS} == {
-        "missing file", "parse error", "undecodable file", "out-of-range id", "empty set",
-        "overlapping sets", "not a DAG", "cap exceeded", "count below minimum",
+        "missing file", "parse error", "undecodable file", "out-of-range id", "malformed id",
+        "empty set", "overlapping sets", "not a DAG", "cap exceeded", "count below minimum",
         "count above maximum", "work above maximum", "internal error", "two faults"}
 
 
-@pytest.mark.parametrize("command, kind, argv, code, line, output", _cases(_ERROR_ROWS))
-def test_error_ends_in_one_stderr_line(tmp_path, capsys, monkeypatch,
-                                       command, kind, argv, code, line, output):
-    paths = {name: tmp_path / f"{name}.graph" for name in (*_GRAPHS, "missing")}
-    for name, data in _GRAPHS.items():
-        paths[name].write_bytes(data)
-    if kind == "internal error":
+@pytest.mark.parametrize("case", _params(_cases(_ERROR_ROWS)))
+def test_error_ends_in_one_stderr_line(graph_paths, run_main, monkeypatch, case):
+    if case[0] == "internal error":
         def broken(*args, **kwargs):
             raise separation.InternalError("injected")
 
         monkeypatch.setattr(separation, "_search", broken)
-    argv = [command, *(arg.format(**paths) for arg in argv)]
-    if output == "json":
-        argv += ["--output", "json"]
-    assert main(argv) == code
-    assert capsys.readouterr() == ("", line.format(**paths) + "\n")
+    check_case(case, graph_paths, run_main)
 
 
-@pytest.mark.parametrize("command, kind, argv, code, text, json_text, output",
-                         _cases(_ANSWER_ROWS))
-def test_answer_is_exact_stdout(tmp_path, capsys, command, kind, argv, code, text, json_text,
-                                output):
-    paths = {name: tmp_path / f"{name}.graph" for name in _GRAPHS}
-    for name, data in _GRAPHS.items():
-        paths[name].write_bytes(data)
-    argv = [command, *(arg.format(**paths) for arg in argv)]
-    if output == "json":
-        argv += ["--output", "json"]
-    assert main(argv) == code
-    assert capsys.readouterr() == (text if output == "text" else json_text, "")
+@pytest.mark.parametrize("case", _params(_cases(_ANSWER_ROWS)))
+def test_answer_is_exact_stdout(graph_paths, run_main, case):
+    check_case(case, graph_paths, run_main)
+
+
+@pytest.mark.parametrize("case", _params(_argparse_cases()))
+def test_argparse_error_is_one_stderr_line(graph_paths, run_main, case):
+    check_case(case, graph_paths, run_main)

@@ -121,6 +121,10 @@ def test_make_graph_reports_a_declared_block_id_out_of_range(block, v):
     (dict(u={1.5}), 1.5),
     (dict(w=[None]), None),
     (dict(directed=[("x", "2")]), "x"),
+    # a string id is ASCII digits, as in a file: int() would read 10, 1 and 1
+    (dict(directed=[("1_0", "2")]), "1_0"),
+    (dict(u={"+1"}), "+1"),
+    (dict(w=["١"]), "١"),
 ])
 def test_make_graph_refuses_a_non_integral_id(kwargs, bad):
     with pytest.raises(InvalidGraphError) as exc:
@@ -129,7 +133,8 @@ def test_make_graph_refuses_a_non_integral_id(kwargs, bad):
 
 
 @pytest.mark.parametrize("m,problem", [
-    *((m, f"vertex count {m!r} is not an integer") for m in (2.5, 3.0, None, "x", "2.5", [3])),
+    *((m, f"vertex count {m!r} is not an integer") for m in (2.5, 3.0, None, "x", "2.5", [3],
+                                                                   "+3", "3_0", "٣")),
     ("0", "vertex count must be positive, got 0"),
     ("1000001", "vertex count 1000001 exceeds the limit of 1000000"),
 ], ids=repr)
@@ -142,8 +147,8 @@ def test_make_graph_refuses_a_vertex_count(m, problem):
 
 @pytest.mark.parametrize("m,count", [(True, 1), ("3", 3), (" 3 ", 3)])
 def test_make_graph_reads_a_vertex_count_as_it_reads_an_id(m, count):
-    # a bool is the int it stands for and a str converts by int(), as an id
-    # does; the graph keeps a plain int, which serialize writes back
+    # a bool is the int it stands for and a str of ASCII digits converts by
+    # int(), as an id does; the graph keeps a plain int, which serialize writes back
     g = make_graph(m, directed=[(1, 3)] if count == 3 else ())
     assert type(g.m) is int and g.m == count and g.vertices == range(1, count + 1)
     assert g == make_graph(count, directed=g.directed_edges)

@@ -9,9 +9,14 @@ read only from the tests, and no module uses an `assert` statement, which
 `__init__.py` is exempt from the import check, since its imports are the
 package's re-exports, and its re-exports are no reads for the public-name
 check.
+
+CI's installed-script step runs `treksep` itself only for what no row of
+`test_cli.py`'s tables can state; every other run is a row, which the step
+runs through `run_cli_rows.py`.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -22,6 +27,7 @@ import treksep
 PACKAGE = sorted(Path(treksep.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 TESTS = Path(__file__).parent
+WORKFLOW = TESTS.parent / ".github" / "workflows" / "tier1.yml"
 
 
 def unused_imports(source: str) -> list:
@@ -232,3 +238,45 @@ def test_no_unread_parameters_of_private_functions(path):
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_assert_statements(path):
     assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+# The runs of `treksep` that CI's installed-script step makes itself: each
+# checks what a row cannot (a memory limit, a closed pipe, a count and a
+# digest of long output, help text), and the step names each in a comment.
+STEP_ONLY_RUNS = {
+    'treksep rank "$1" --A 1 --B 2',  # under `ulimit -v`
+    'treksep treks "$RUNNER_TEMP/dense.graph" --i 11 --j 12',  # into `head`; its count
+    "treksep verify --graphs 2",
+    "treksep verify --graphs 20 --max-vertices 8",
+    "treksep verify --graphs 3 --max-vertices 16",
+    "treksep verify --output json",  # its sha256
+    'treksep "$cmd" -h',  # the help loop
+}
+
+
+def installed_script_runs(workflow: str) -> list:
+    """Each run of `treksep` in the step "Installed console script" of a
+    workflow, comments left out: the command from `treksep` to the first
+    redirection, pipe, separator, quote or parenthesis that ends it."""
+    step = workflow.split("- name: Installed console script", 1)[1].split("- name:", 1)[0]
+    script = "\n".join(line for line in step.splitlines() if not line.lstrip().startswith("#"))
+    pieces = re.split(r"\s*(?:\n|[0-9]?[<>]|[|;&'`()]|\$\(|\b(?:exec|do|then|else)\s)\s*", script)
+    return [piece for piece in pieces if piece.startswith("treksep ")]
+
+
+def test_checker_lists_each_run_of_the_installed_script():
+    workflow = ("      - name: Installed console script\n        run: |\n"
+                "          # treksep rank in a comment\n"
+                "          test \"$(treksep treks g --i 1 --j 2 | tail -n 1)\" = x\n"
+                "          bash -c 'ulimit -v 9; exec treksep rank \"$1\" --A 1' _ g > o 2> e\n"
+                "          python -c 'import treksep; treksep.parse_graph(x)'\n"
+                "          for c in a b; do treksep \"$c\" -h; done\n"
+                "      - name: Next\n        run: treksep validate g\n")
+    assert installed_script_runs(workflow) == [
+        "treksep treks g --i 1 --j 2", 'treksep rank "$1" --A 1', 'treksep "$c" -h']
+
+
+def test_installed_script_step_runs_only_what_no_row_states():
+    workflow = WORKFLOW.read_text(encoding="utf-8")
+    assert set(installed_script_runs(workflow)) == STEP_ONLY_RUNS
+    assert "\n          python tests/run_cli_rows.py\n" in workflow

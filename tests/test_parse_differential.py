@@ -341,7 +341,7 @@ def test_the_first_fault_wins_as_before():
 _BASE_LINES = ("v 6", "u 1 2", "e 1 -> 2", "e 1 -- 2", "e 5 <-> 6", "e 3 -> 5",
                "# e 1 -> 2", "", "w 6")
 _CORRUPT_TOKENS = ("x", "0", "7", "-1", "1.5", "=>", "->", "--", "<->", "e", "v", "u", "w",
-                   "q", "3")
+                   "q", "3", "1_0", "+1", "١١")
 
 
 def test_one_token_corruptions_parse_as_before():
