@@ -311,7 +311,7 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int,
         raise ValueError("trials must be at least 1")
     p = PRIME
     A, B = set(A), set(B)
-    _require_vertices(g, sorted(A | B))
+    _require_vertices(g, A | B)
     As, Bs = sorted(A), sorted(B)
     full = min(len(As), len(Bs))
     if not full:
@@ -537,7 +537,7 @@ def gvl_minor_two_ways(g: MixedGraph, p: ParamAssignment, R, S) -> tuple[int, in
     over vertex-disjoint directed path systems from R to S."""
     if graph_class(g) != DAG:
         raise ValueError("path-determinant expansion is defined for DAGs")
-    _require_vertices(g, sorted({*R, *S}))
+    _require_vertices(g, {*R, *S})
     Rs, Ss = sorted(set(R)), sorted(set(S))
     if len(Rs) != len(Ss):
         raise ValueError("R and S must have equal size")
@@ -561,7 +561,7 @@ def cauchy_binet_two_ways(g: MixedGraph, p: ParamAssignment, A, B
     """det Sigma_{A,B} vs its phi_S-weighted expansion over column subsets S."""
     if graph_class(g) != DAG or g.u_set:
         raise ValueError("the phi_S expansion is defined for DAGs with no U vertex")
-    _require_vertices(g, sorted({*A, *B}))
+    _require_vertices(g, {*A, *B})
     As, Bs = sorted(set(A)), sorted(set(B))
     if len(As) != len(Bs):
         raise ValueError("A and B must have equal size")
@@ -589,7 +589,7 @@ def undirected_minor_check(g: MixedGraph, p: ParamAssignment, A, B) -> tuple[int
     """
     if graph_class(g) != UNDIRECTED:
         raise ValueError("expects a purely undirected graph")
-    _require_vertices(g, sorted({*A, *B}))
+    _require_vertices(g, {*A, *B})
     As, Bs = sorted(set(A)), sorted(set(B))
     if len(As) != len(Bs):
         raise ValueError("A and B must have equal size")

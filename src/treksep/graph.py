@@ -392,12 +392,20 @@ def _kahn(g: MixedGraph, ordered=True) -> list[int]:
 
 
 def _require_vertices(g: MixedGraph, vertices) -> None:
-    """Raise ValueError for the first of vertices, in the order given, that is
-    not an int in 1..m."""
+    """Raise ValueError unless every one of vertices is an int in 1..m.
+
+    The error names the first that is not in an order that is the same in
+    every run and compares no int with another type: the members that are
+    not ints first, by type name and repr (a string's hash, and so where it
+    falls in a set, varies from run to run), then the ints in increasing
+    order.
+    """
     m = g.m
-    for v in vertices:
-        if not (isinstance(v, int) and 1 <= v <= m):
-            raise ValueError(f"vertex {v} out of range [1,{m}]")
+    bad = [v for v in vertices if not (isinstance(v, int) and 1 <= v <= m)]
+    if bad:
+        first = min(bad, key=lambda v: (1, v, "") if isinstance(v, int)
+                    else (0, type(v).__name__, repr(v)))
+        raise ValueError(f"vertex {first} out of range [1,{m}]")
 
 
 def _closure(start, step) -> set:

@@ -9,7 +9,7 @@ out-node joined by a split arc of capacity 1.  Nodes are ints, numbered
 level by level: with M = m + 1, the middle in-node of v is v, the left
 in-node M + v and the right in-node 2M + v, and each out-node is its
 in-node + 3M, 6M nodes in all (those of the unused vertex 0 are never
-entered).  The other arcs leave an out-node, and `_search` lists them per
+entered).  The other arcs leave an out-node, and `_listed` lists them per
 out-node, as the in-nodes they enter, each once: from the left out-node of
 v the middle in-node of v (a trek turns at its top vertex), the left
 in-nodes of the parents (up) and, if v has a bidirected edge, the right
@@ -23,7 +23,8 @@ undirected and bidirected lists are the graph's own adjacency index (see
 that the arcs spell once more, from the graph's edge sets and never the
 index.  `is_t_separating` searches them (`_t_separates`), with no flow,
 and so does the Menger check (`verify._menger_ok`), which thus shares no
-code with `_search` or the index: a wrong index entry fails it.
+code with the searches, `_listed` or the index: a wrong index entry fails
+it.
 
 A bidirected edge i <-> j, a latent common parent of i and j, is the
 middle of the treks whose left path climbs to i or j and whose right path
@@ -33,19 +34,30 @@ i <- (latent) -> i does not pass the middle level of i.
 The network has no source or sink: paths from a left in-node of A to a
 right out-node of B are the treks from A to B, and unit split capacities
 turn minimum blocking sets into minimum cuts (Menger).  The other arcs are
-never saturated, so each augmenting path carries one unit.  One
-breadth-first search from all of A augments several: every end it reaches
-(a right out-node of B) leads back through `via` to one seed (a left
-in-node of A), and it keeps the ends whose seeds differ.  Each node has
-one `via`, so paths from distinct seeds share no node, and augmenting one
-path changes the flow only at its own in-nodes: the others stay
-augmenting.  A search stops once it keeps min(|A|, |B|) minus the flow
-value ends, as no more can be augmented, so a query of rank r runs at
-most r + 1 searches and as few as 2 (Ford-Fulkerson with a cheap blocking
-step: no level graph, no depth-first search).  An in-node's only arc out
-is its split arc, so it carries at most one unit, which came in by one
-arc, and the whole flow is one int per in-node, `prv[e]` for in-node e
-(3M entries):
+never saturated, so each augmenting path carries one unit.
+
+A query starts with one pass on the zero flow (`_first_pass`), a greedy
+maximal set of paths as in Hopcroft and Karp's matching: one depth-first
+search per seed (a left in-node of A), each entering no node that an
+earlier one entered and stopping at the first end (a right out-node of B)
+it reaches.  The paths found share no node, and all are augmented at once.
+A node that a search entered and left behind reaches no end but through a
+path, so once the paths' states are deleted no seed they leave reaches an
+end they leave; a pass that finds no path leaves a zero flow that is
+maximum, and the query searches no further.  Breadth-first searches from
+all of A (`_search`) finish the flow, and the last gives the cut.  Each
+augments several paths: every end it reaches leads back through `via` to
+one seed, and it keeps the ends whose seeds differ.  Each node has one
+`via`, so paths from distinct seeds share no node, and augmenting one path
+changes the flow only at its own in-nodes: the others stay augmenting.  A
+search stops once it keeps min(|A|, |B|) minus the flow value ends, as no
+more can be augmented, so a query of rank r runs at most r + 1 searches,
+the pass included, and most often 2 (Ford-Fulkerson with a cheap blocking
+step: no level graph, and depth first on the zero flow only).
+
+An in-node's only arc out is its split arc, so it carries at most one
+unit, which came in by one arc, and the whole flow is one int per
+in-node, `prv[e]` for in-node e (3M entries):
 
   -1      no unit: the split arc is free;
   p >= 0  the unit came from out-node p, and the only residual arc goes
@@ -66,19 +78,20 @@ two sharing a (vertex, level).
 
 A query keeps one `via`, one `prv` and one store of arc entries, a plain
 dict from each out-node listed to its entry, for all its searches.  The
-arcs depend on the graph alone.  `_search` lists an out-node's entry
-from the index the first time it dequeues that out-node, and keeps it in
-the store, so a query on a large graph lists only the few out-nodes it
+arcs depend on the graph alone.  A search has an out-node's entry listed
+from the index (`_listed`, the one reader of the child, undirected and
+bidirected lists here) the first time it reaches that out-node, and kept
+in the store, so a query on a large graph lists only the few out-nodes it
 reaches; once listed, an entry never changes.  Criterion 8, which runs
 one CI search per (A, C) pair of a graph, lists that graph's arcs into
-one store and hands it to every search (`verify._dsep_pairs`).  A search
-sets `via` only at the in-node and out-node of each node it queues and of
-each end it reaches, so after augmenting, `min_t_separator` resets just
-those and the next search starts from the blank `via` again.  `prv` is
-written only by the augmentations, so the check that as many in-nodes are
-fed by a source as the flow value counts -2 over the in-nodes they wrote.
-Beyond `_blank` and `prv`, made once per query, no search touches a
-whole-graph list.
+one store and hands it to every search (`verify._dsep_pairs`).  The pass
+and each search set `via` only at the in-node and out-node of each node
+they enter and of each end they reach, so after augmenting,
+`min_t_separator` resets just those and the next search starts from the
+blank `via` again.  `prv` is written only by the augmentations, so the
+check that as many in-nodes are fed by a source as the flow value counts
+-2 over the in-nodes they wrote.  Beyond `_blank` and `prv`, made once per
+query, no search touches a whole-graph list.
 
 A trek ends in a directed path down into B, so its right half lies in
 an(B), the ancestors of B; `_blank` finds an(B) with `graph._closure`,
@@ -220,6 +233,79 @@ def _blank(g: MixedGraph, B):
     return via
 
 
+def _listed(arcs, g: MixedGraph, u):
+    """The arc entry of out-node u, listed from g's adjacency index into arcs.
+
+    The level step comes first.  A middle out-node's entry is its right
+    in-node and the neighbour tuple of its vertex, built with no loop in
+    Python.  Entries are tuples of ints, which the garbage collector stops
+    tracking the first time it sees them, so kept entries add nothing to
+    later collections.  The searches call this only for an out-node missing
+    from arcs, so each entry of a store is listed once.
+    """
+    M = g.m + 1
+    R = 2 * M  # the right in-node of vertex 0
+    w = u - 3 * M
+    if w < M:  # w is the vertex: to its right, across to its undirected neighbours
+        entry = (R + w, *g._undirected_lists[w])
+    elif w < R:  # to the middle of v, up to the parents, over to the right
+        v = w - M
+        entry = (v, *[M + p for p in g._parent_lists.get(v, ())])
+        over = g._bidirected_lists[v]
+        if over:
+            entry += (R + v, *[R + j for j in over])
+    else:  # down to the children
+        entry = tuple([R + c for c in g._child_lists[w - R]])
+    arcs[u] = entry
+    return entry
+
+
+def _first_pass(arcs, g: MixedGraph, via, A, B):
+    """Node-disjoint augmenting paths on the zero flow, by one depth-first search per seed.
+
+    arcs and via are as for `_search`, which this pass precedes (module
+    doc).  The flow is zero, so every in-node entered leads on to its
+    out-node, and a search's path is the chain of out-nodes on its stack.
+    The pass stops early once every end is taken.  Returns (order, ends):
+    order lists the in-nodes entered, and ends the right out-node at which
+    each path ends.  via is set as `_search` sets it, at the in-node and
+    out-node of each node of order.
+    """
+    M = g.m + 1
+    R, T = 2 * M, 3 * M  # the right in-node and the middle out-node of vertex 0
+    last = {R + b for b in B}  # an end is the out-node of one of them
+    order, found = [], []
+    for a in A:
+        x = M + a
+        if via[x] != -1:  # an earlier search entered it
+            continue
+        u = x + T
+        via[x], via[u] = -2, x
+        order.append(x)
+        entry = arcs.get(u)
+        todo = [iter(_listed(arcs, g, u) if entry is None else entry)]
+        while todo:
+            for x in todo[-1]:
+                if via[x] == -1:
+                    break
+            else:  # no arc left: back to the out-node before
+                todo.pop()
+                u = via[u - T]
+                continue
+            via[x] = u
+            u = x + T
+            via[u] = x
+            order.append(x)
+            if x in last:
+                found.append(u)
+                if len(found) == len(last):  # every end is taken
+                    return order, found
+                break
+            entry = arcs.get(u)
+            todo.append(iter(_listed(arcs, g, u) if entry is None else entry))
+    return order, found
+
+
 def _search(arcs, g: MixedGraph, prv, via, A, B, want):
     """Breadth-first search of the residual network from the left in-nodes of A.
 
@@ -234,21 +320,15 @@ def _search(arcs, g: MixedGraph, prv, via, A, B, want):
     reached.
 
     A free in-node is marked with its out-node, and only the out-node is
-    queued.  An out-node missing from arcs gets its entry listed from g's
-    adjacency index when it is dequeued, level step first; a middle
-    out-node's entry is its right in-node and the neighbour tuple of its
-    vertex, built with no loop in Python.  Entries are tuples of ints,
-    which the garbage collector stops tracking the first time it sees them,
-    so kept entries add nothing to later collections.  A reached end is not
-    queued; it is kept unless a kept end traces back through `via` to the
-    same seed.  The search returns once the out-node that reached the
-    `want`-th kept end has listed its arcs, or when its queue empties.
+    queued.  An out-node missing from arcs gets its entry from `_listed`
+    when it is dequeued.  A reached end is not queued; it is kept unless a
+    kept end traces back through `via` to the same seed.  The search
+    returns once the out-node that reached the `want`-th kept end has
+    listed its arcs, or when its queue empties.
     """
-    parents, children = g._parent_lists.get, g._child_lists
-    undirected, bidirected = g._undirected_lists, g._bidirected_lists
     M = g.m + 1
-    R, T = 2 * M, 3 * M  # the right in-node and the middle out-node of vertex 0
-    ends = {T + R + b for b in B}
+    T = 3 * M  # the middle out-node of vertex 0
+    ends = {T + 2 * M + b for b in B}
     seeds, found, reached = set(), [], []
     order = [M + a for a in A]
     for u in order:
@@ -262,17 +342,7 @@ def _search(arcs, g: MixedGraph, prv, via, A, B, want):
                 order.append(w)
             entry = arcs.get(u)
             if entry is None:  # dequeued for the first time: list its entry
-                if w < M:  # w is the vertex: to its right, across to its undirected neighbours
-                    entry = (R + w, *undirected[w])
-                elif w < R:  # to the middle of v, up to the parents, over to the right
-                    v = w - M
-                    entry = (v, *[M + p for p in parents(v, ())])
-                    over = bidirected[v]
-                    if over:
-                        entry += (R + v, *[R + j for j in over])
-                else:  # down to the children
-                    entry = tuple([R + c for c in children[w - R]])
-                arcs[u] = entry
+                entry = _listed(arcs, g, u)
             full = False
             for x in entry:
                 if via[x] == -1:
@@ -311,17 +381,16 @@ def min_t_separator(g: MixedGraph, A, B) -> RankResult:
     A, B = frozenset(A), frozenset(B)
     if not A or not B:
         raise ValueError("A and B must be nonempty")
-    _require_vertices(g, sorted(A | B))
+    _require_vertices(g, A | B)
     M = g.m + 1
     R, T = 2 * M, 3 * M
     arcs, prv, via = {}, [-1] * T, _blank(g, B)
     most = min(len(A), len(B))  # the seeds, and the ends, bound the flow
     value = 0
     wrote = set()  # the in-nodes whose unit an augmentation set
-    while True:
-        order, ends, reached = _search(arcs, g, prv, via, A, B, most - value)
-        if not ends:
-            break
+    order, ends = _first_pass(arcs, g, via, A, B)
+    reached = []  # the pass's ends are in its order
+    while ends:
         for x in ends:  # every augmenting path carries one unit
             while x != -2:
                 u = via[x]
@@ -333,6 +402,7 @@ def min_t_separator(g: MixedGraph, A, B) -> RankResult:
         for x in order + reached:  # back to the blank via
             x %= T
             via[x] = via[x + T] = -1
+        order, ends, reached = _search(arcs, g, prv, via, A, B, most - value)
 
     fed = [prv[k] for k in wrote].count(-2)
     if fed != value:
@@ -359,7 +429,7 @@ def generic_rank(g: MixedGraph, A, B) -> int:
     A, B = frozenset(A), frozenset(B)
     if A and B:
         return min_t_separator(g, A, B).rank
-    _require_vertices(g, sorted(A | B))
+    _require_vertices(g, A | B)
     return 0
 
 
@@ -383,11 +453,11 @@ def _trek_steps(g: MixedGraph) -> dict[tuple[int, int], set[tuple[int, int]]]:
 
 def is_t_separating(g: MixedGraph, A, B, c: SeparationTriple) -> bool:
     """Does deleting c (layer by layer) block every trek from A to B?"""
-    _require_vertices(g, sorted(c.c_left | c.c_mid | c.c_right))
+    _require_vertices(g, c.c_left | c.c_mid | c.c_right)
     A, B = frozenset(A), frozenset(B)
     if not A or not B:
         raise ValueError("A and B must be nonempty")
-    _require_vertices(g, sorted(A | B))
+    _require_vertices(g, A | B)
     return _t_separates(_trek_steps(g), A, B, c)
 
 
@@ -418,7 +488,7 @@ def _mask(vertices) -> int:
 def _require_dsep_query(g: MixedGraph, A, B, C):
     if graph_class(g) != DAG:
         raise NotADAGError("operation is defined for DAGs only")
-    _require_vertices(g, sorted({*A, *B, *C}))
+    _require_vertices(g, {*A, *B, *C})
     A, B, C = set(A), set(B), set(C)
     if A & B or A & C or B & C:
         raise ValueError("A, B and C must be pairwise disjoint")
@@ -574,7 +644,7 @@ def ci_implied(g: MixedGraph, A, B, C) -> bool:
     """
     A, B, C = frozenset(A), frozenset(B), frozenset(C)
     AC, BC = A | C, B | C
-    _require_vertices(g, sorted(AC | BC))
+    _require_vertices(g, AC | BC)
     if not AC or not BC:
         return True  # C is empty as well: rank 0 = |C|
     return not _ci_reached({}, g, AC, C) & _mask(B)

@@ -121,7 +121,8 @@ def enumerate_simple_treks(g: MixedGraph, i: int, j: int,
     bit but the two sources'.  Bits number the vertices as this call meets
     them: a mask keyed by id would be an int as wide as the largest id.
     """
-    _require_vertices(g, (i, j))
+    for v in (i, j):  # i first, should both be out of range
+        _require_vertices(g, (v,))
     paths_i = _directed_paths_into(g, i, cap)
 
     bit = {}  # each vertex met -> the next bit of a numbering local to this call

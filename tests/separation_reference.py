@@ -4,11 +4,12 @@
 `is_t_separating` and `ci_implied` as they stood before the search ran on
 the graph's adjacency lists, copied verbatim apart from the `_reference`
 suffix, so that the differential tests compare the library against code it
-shares nothing with but the result types.  `forward_arcs_reference`,
-added since, reads that network's arcs per out-node.  Nodes keep the
-numbering the library used when this code was copied, vertex by vertex:
-level l of vertex v (left 0, middle 1, right 2) has in-node 2*(3*(v-1)+l)
-and out-node one more.  The library now numbers its nodes level by level;
+shares nothing with but the result types.  `leaves_no_trek_reference` and
+`forward_arcs_reference`, added since, run that network's search on what
+is left of it once given paths are deleted, and read its arcs per
+out-node.  Nodes keep the numbering the library used when this code was
+copied, vertex by vertex: level l of vertex v (left 0, middle 1, right 2)
+has in-node 2*(3*(v-1)+l) and out-node one more.  The library now numbers its nodes level by level;
 `library_state` and `library_node`, written from the layout its module doc
 gives, translate its node ids into (vertex, level, side) states and back,
 so that tests can set the two side by side.
@@ -174,6 +175,25 @@ def ci_implied_reference(g: MixedGraph, A, B, C) -> bool:
             cap[e ^ 1] += 1
     return _search_reference(net, AC, BC)[2] == -1
 
+
+
+def leaves_no_trek_reference(g: MixedGraph, A, B, treks) -> bool:
+    """Once the states of treks are deleted, does no trek run from a vertex of
+    A whose left state they leave to a vertex of B whose right state they
+    leave?
+
+    treks are node-disjoint paths of (vertex, level) states, level 0 left, 1
+    middle and 2 right; True says that no path could be added to them.
+    """
+    used = {state for trek in treks for state in trek}
+    A = frozenset(a for a in A if (a, 0) not in used)
+    B = frozenset(b for b in B if (b, 2) not in used)
+    if not A or not B:
+        return True
+    levels: Tuple[List[int], ...] = ([], [], [])
+    for v, level in used:
+        levels[level].append(v)
+    return is_t_separating_reference(g, A, B, SeparationTriple.of(*levels))
 
 
 def forward_arcs_reference(g: MixedGraph) -> List[List[int]]:

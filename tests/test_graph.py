@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,12 +15,13 @@ from treksep.graph import (DAG, MIXED, UNDIRECTED, InvalidGraphError,
                            bidirected_subdivision, graph_class, make_graph,
                            parse_graph, serialize, topological_order, validate)
 from treksep.instances import CHOKE_TEXT, SPIDER_TEXT, choke_graph, spider_graph
-from treksep.algebra import generic_rank_oracle
+from treksep.algebra import (cauchy_binet_two_ways, generic_rank_oracle, gvl_minor_two_ways,
+                             sample_parameters, undirected_minor_check)
 from treksep.separation import (SeparationTriple, ci_implied, d_sep_via_t_sep,
                                 d_separates, generic_rank, is_t_separating,
                                 min_t_separator, vanishing_tetrad)
 from treksep.treks import enumerate_simple_treks
-from treksep.verify import random_graph
+from treksep.verify import cross_check_rank, random_graph
 
 
 def test_parse_minimal_dag():
@@ -245,6 +250,7 @@ def test_ancestors_descendants():
     assert _check_walk(make_graph(3), 2) == [2]
 
 
+_PATH = make_graph(5, undirected=[(1, 2), (2, 3), (3, 4), (4, 5)])  # undirected, m as the choke's
 _RANGE_CHECKED = {
     "min_t_separator": lambda g, v: min_t_separator(g, {1}, {v}),
     "is_t_separating": lambda g, v: is_t_separating(
@@ -259,15 +265,42 @@ _RANGE_CHECKED = {
     "d_sep_via_t_sep": lambda g, v: d_sep_via_t_sep(g, {1}, {2}, {v}),
     "enumerate_simple_treks": lambda g, v: enumerate_simple_treks(g, 1, v),
     "vanishing_tetrad": lambda g, v: vanishing_tetrad(g, (1, 2), (3, v)),
+    "cross_check_rank": lambda g, v: cross_check_rank(g, {1}, {v}, 1),
+    "cross_check_rank_empty_side": lambda g, v: cross_check_rank(g, [], [v], 1),
+    "gvl_minor_two_ways": lambda g, v: gvl_minor_two_ways(g, sample_parameters(g, 1), {1}, {v}),
+    "cauchy_binet_two_ways": lambda g, v: cauchy_binet_two_ways(
+        g, sample_parameters(g, 1), {1}, {v}),
+    "undirected_minor_check": lambda g, v: undirected_minor_check(
+        _PATH, sample_parameters(_PATH, 1), {1}, {v}),
 }
 
 
-@pytest.mark.parametrize("v", [0, 6, 2.5], ids=["0", "m+1", "non-int"])
+@pytest.mark.parametrize("v", [0, 6, 2.5, "a"], ids=["0", "m+1", "non-int", "str"])
 @pytest.mark.parametrize("entry", sorted(_RANGE_CHECKED))
 def test_every_entry_point_reports_an_out_of_range_vertex(entry, v):
+    # each puts v in a set with an int: a str there must not be compared with it
     with pytest.raises(ValueError) as caught:
         _RANGE_CHECKED[entry](choke_graph(), v)
     assert str(caught.value) == f"vertex {v} out of range [1,5]"
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
+def test_the_vertex_named_does_not_depend_on_string_hashing(hash_seed):
+    # of several bad members, the error names the same one in every run:
+    # first what is not an int, by type name and repr, then the least int
+    script = ("from treksep import make_graph, generic_rank\n"
+              "for B in ({0, 9}, {9, 'b', 'a', 'c', 0, 2.5}, {'z', 'y', 'x', 'w', 'v', 'u'}):\n"
+              "    try:\n"
+              "        generic_rank(make_graph(5), {1}, B)\n"
+              "    except ValueError as exc:\n"
+              "        print(exc)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONHASHSEED": hash_seed,
+                                           "PYTHONPATH": str(Path(graph.__file__).parents[1])})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["vertex 0 out of range [1,5]",
+                                        "vertex 2.5 out of range [1,5]",
+                                        "vertex u out of range [1,5]"]
 
 
 def test_is_t_separating_reports_a_bad_triple_member_before_a_bad_query_vertex():

@@ -4,7 +4,9 @@ it never uses.  In the package, no module-level private function or class
 goes unreferenced, no module-level function or method has a parameter (but
 `self` or `cls`) it never reads, no public function, method or property is
 read only from the tests, and no module uses an `assert` statement, which
-`python -O` strips.
+`python -O` strips.  In `separation`, one function alone reads the
+adjacency index lists that become arc entries, so that the first pass and
+the breadth-first search share one listing.
 
 `__init__.py` is exempt from the import check, since its imports are the
 package's re-exports, and its re-exports are no reads for the public-name
@@ -151,6 +153,23 @@ KEPT_UNREAD = {
 }
 
 
+def attribute_readers(source: str, names) -> list:
+    """(definition, attribute) for each of names that a module-level function
+    or class of source reads as an attribute, "<module>" for code outside
+    them."""
+    out = set()
+    for node in ast.parse(source).body:
+        label = getattr(node, "name", "<module>")
+        out.update((label, sub.attr) for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and sub.attr in names)
+    return sorted(out)
+
+
+# The adjacency index lists that `separation` turns into arc entries, all in
+# one function (its `_parent_lists` also gives `_blank` the ancestors of B).
+INDEX_LISTS = {"_child_lists", "_undirected_lists", "_bidirected_lists"}
+
+
 def assert_lines(source: str) -> list:
     """Line of each `assert` statement."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
@@ -195,6 +214,21 @@ def test_checker_flags_an_unread_parameter():
     assert unread_parameters(source) == [("Box.size", "unused"), ("_C._m", "unused"),
                                          ("_f", "c"), ("_f", "opts"), ("_f", "rest"),
                                          ("public", "unused")]
+
+
+def test_checker_lists_each_reader_of_an_attribute():
+    source = ("import x\nLISTS = x._child_lists\n\n"
+              "def _f(g):\n    return g._child_lists, g.child_lists\n\n"
+              "class C:\n    def m(self, g):\n        return g._undirected_lists[1]\n")
+    assert attribute_readers(source, INDEX_LISTS) == [
+        ("<module>", "_child_lists"), ("C", "_undirected_lists"), ("_f", "_child_lists")]
+
+
+def test_only_the_lister_reads_the_index_lists_in_separation():
+    source = (Path(treksep.__file__).parent / "separation.py").read_text(encoding="utf-8")
+    assert attribute_readers(source, INDEX_LISTS) == [
+        ("_listed", "_bidirected_lists"), ("_listed", "_child_lists"),
+        ("_listed", "_undirected_lists")]
 
 
 def test_checker_flags_an_assert_statement():

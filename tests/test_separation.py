@@ -1,4 +1,5 @@
 import gc
+import inspect
 import os
 import random
 import subprocess
@@ -16,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 import treksep
 from separation_reference import (ci_implied_reference, forward_arcs_reference,
-                                  is_t_separating_reference, library_node, library_state,
-                                  min_t_separator_reference, reference_node)
+                                  is_t_separating_reference, leaves_no_trek_reference,
+                                  library_node, library_state, min_t_separator_reference,
+                                  reference_node)
 from test_differential import _large_graph, _relabelled, _sample
 from treksep import separation
 from treksep.algebra import generic_rank_oracle
@@ -132,27 +134,48 @@ def test_network_cache_alternating_graphs():
             assert _cache_answers(g, i) == alone[id(g)][i]
 
 
+def _watch_searches(monkeypatch, after, before=None):
+    """Wrap `separation._first_pass` and `separation._search`: each call runs
+    before(name, args) if given, the search, then after(name, args, out),
+    with name the search's, args its arguments by parameter name and out
+    what it returned."""
+    def watched(name, real):
+        bind = inspect.signature(real).bind
+
+        def call(*args):
+            named = bind(*args).arguments
+            if before:
+                before(name, named)
+            out = real(*args)
+            after(name, named, out)
+            return out
+
+        return call
+
+    for name in ("_first_pass", "_search"):
+        monkeypatch.setattr(separation, name, watched(name, getattr(separation, name)))
+
+
 def _recorded_arcs(monkeypatch):
-    """Wrap `separation._search`; the list returned gets (graph, arc store)
-    for each store searched, in the order of their first searches.
+    """Wrap both searches (`_watch_searches`); the list returned gets
+    (graph, arc store) for each store searched, in the order of their first
+    searches.
 
     Every entry stays the object its first listing made: a later search of
     the store that lists it again, or changes it, fails the query.
     """
     made, listed = [], {}  # id(arcs) -> (arcs, each entry as first listed)
-    real = separation._search
 
-    def recorded(arcs, g, *rest):
+    def after(name, args, out):
+        arcs = args["arcs"]
         if id(arcs) not in listed:
-            made.append((g, arcs))
+            made.append((args["g"], arcs))
             listed[id(arcs)] = arcs, {}
-        out = real(arcs, g, *rest)
         first = listed[id(arcs)][1]
         for k, entry in arcs.items():
             assert first.setdefault(k, entry) is entry, k
-        return out
 
-    monkeypatch.setattr(separation, "_search", recorded)
+    _watch_searches(monkeypatch, after)
     return made
 
 
@@ -449,75 +472,123 @@ def test_an_in_node_past_the_seeds_fed_by_a_source_raises(monkeypatch):
         min_t_separator(choke_graph(), CHOKE_A, CHOKE_B)
 
 
+def _detours(cls, k, rng):
+    """(graph, A, B): k copies of a query of rank 2 whose first pass finds
+    one unit, on a graph of class cls.
+
+    In copy i, seeds a1 < a2 of A both need x: the pass's search from a1
+    takes a1 - x - b1 (a trek turning at a1 in a DAG, where a search tries
+    the level step before the parents), and a2 is left with no path.  The
+    first search after the pass sends a2 through x and a1 round by p to b2,
+    and reaches b3 too: an end that traces back to the same seed and is
+    rejected.  A also holds one vertex per copy that lies on no trek, so the
+    flow stays below min(|A|, |B|) and that search runs to its end.  The
+    ids of A are 1..3k, which a frozenset iterates in increasing order; the
+    other ids are shuffled.  In an undirected graph a1 has x and p as
+    neighbours and tries first whichever its list names first, so a copy
+    leaves a unit to the later searches only if that is x.
+    """
+    others = list(range(3 * k + 1, 8 * k + 1))
+    rng.shuffle(others)
+    edges = {"directed": [], "undirected": [], "bidirected": []}
+    B = set()
+    for i in range(k):
+        a1, a2 = 3 * i + 1, 3 * i + 2
+        x, p, b1, b2, b3 = others[5 * i:5 * i + 5]
+        B |= {b1, b2, b3}
+        if cls == UNDIRECTED:
+            edges["undirected"] += [(a1, x), (x, b1), (a2, x), (a1, p), (p, b2), (p, b3)]
+            continue
+        edges["directed"] += [(a1, x), (x, b1), (p, a1), (p, b2), (p, b3)]
+        if cls == DAG:
+            edges["directed"].append((a2, x))
+        else:
+            edges["bidirected"].append((a2, x))
+            edges["undirected"].append((b2, b3))
+    return make_graph(8 * k, **edges), set(range(1, 3 * k + 1)), B
+
+
 @pytest.mark.parametrize("cls", [DAG, UNDIRECTED, MIXED])
 def test_every_search_of_a_query_starts_from_a_blank_via(monkeypatch, cls):
-    # a query keeps one via and resets only what each augmenting search set:
-    # its queued nodes, their in-nodes and every end it reached, kept or
-    # not.  Each search must start from the via of a fresh query
-    starts, rejected = [], []
-    real = separation._search
+    # a query keeps one via and resets only what the first pass and each
+    # augmenting search set: their queued nodes, their in-nodes and every
+    # end they reached, kept or not.  Each search must start from the via of
+    # a fresh query.  The first pass leaves few units to the later searches
+    # on small random graphs, so the detours leave at least two each
+    starts, rejected, later = [], [], []  # later: the units of each search of one query
 
-    def recorded(arcs, g, prv, via, A, B, want):
-        starts.append(via == separation._blank(g, B))
-        order, ends, reached = real(arcs, g, prv, via, A, B, want)
-        if ends and len(reached) > len(ends):  # a later search follows the rejected ends
-            rejected.append(len(reached) - len(ends))
-        return order, ends, reached
+    def before(name, args):
+        starts.append(args["via"] == separation._blank(args["g"], args["B"]))
 
-    monkeypatch.setattr(separation, "_search", recorded)
+    def after(name, args, out):
+        if name == "_search":
+            order, ends, reached = out
+            later.append(len(ends))
+            if ends and len(reached) > len(ends):  # a later search follows the rejected ends
+                rejected.append(len(reached) - len(ends))
+
+    _watch_searches(monkeypatch, after, before)
     rng = random.Random(f"blank starts/{cls}")
     cases = [(make_graph(3, directed=[(1, 2), (1, 3)]), {1}, {2, 3})]  # the end at 3 rejected
     for _ in range(300):
         n = rng.randint(2, 14)
         g = random_graph(cls, n, rng.randrange(10**6), rng.choice((0.2, 0.4, 0.6)))
         cases.append((g, _sample(rng, n, 1, 5), _sample(rng, n, 1, 8)))
-    for g, A, B in cases:
+    detours = [_detours(cls, 3 + k % 4, rng) for k in range(40)]
+    left = 0  # the queries whose first pass leaves two or more units to the searches
+    for g, A, B in cases + detours:
+        later.clear()
         res = min_t_separator(g, A, B)
         assert res == min_t_separator_reference(g, A, B), (A, B)
-    assert len(starts) > len(cases) and all(starts)
+        left += sum(later) >= 2
+    assert len(starts) > len(cases) + len(detours) and all(starts)
     assert len(rejected) >= 30, rejected
+    assert left >= 30, left
 
 
 def _recorded_searches(monkeypatch):
-    """Wrap `separation._search`; the list returned gets (via, ends) per
-    search, via as the search left it."""
+    """Wrap both searches (`_watch_searches`); the list returned gets
+    (name, via, ends) per search, via as the search left it."""
     searches = []
-    real = separation._search
-
-    def recorded(arcs, g, prv, via, *rest):
-        order, ends, reached = real(arcs, g, prv, via, *rest)
-        searches.append((via.copy(), list(ends)))
-        return order, ends, reached
-
-    monkeypatch.setattr(separation, "_search", recorded)
+    _watch_searches(monkeypatch, lambda name, args, out: searches.append(
+        (name, args["via"].copy(), list(out[1]))))
     return searches
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_disjoint_chains_take_two_searches(monkeypatch, k):
-    # chain i runs 4i+1 -> ... -> 4i+4: one search augments all k paths from
-    # k distinct seeds, and the second finds that the flow is maximum
+    # chain i runs 4i+1 -> ... -> 4i+4: the first pass augments all k paths
+    # from k distinct seeds, and one search finds that the flow is maximum
     directed = [(4 * i + s, 4 * i + s + 1) for i in range(k) for s in range(1, 4)]
     g = make_graph(4 * k, directed=directed)
     searches = _recorded_searches(monkeypatch)
     res = min_t_separator(g, {4 * i + 1 for i in range(k)}, {4 * i + 4 for i in range(k)})
     assert res.rank == k
-    assert [len(ends) for _, ends in searches] == [k, 0]
+    assert [(name, len(ends)) for name, _, ends in searches] \
+        == [("_first_pass", k), ("_search", 0)]
 
 
 def test_one_seed_reaching_two_ends_augments_one_path(monkeypatch):
-    # 1 -> 2, 1 -> 3: both ends trace back to the left in-node of 1
+    # 1 -> 2, 1 -> 3: both ends trace back to the left in-node of 1.  The
+    # first pass's search from 1 stops at the first end it reaches, and the
+    # search after it finds the flow maximum
     g = make_graph(3, directed=[(1, 2), (1, 3)])
+    right_out = [library_node(g.m, v, 2, 1) for v in (2, 3)]  # the right out-nodes of 2 and 3
     searches = _recorded_searches(monkeypatch)
     assert min_t_separator(g, {1}, {2, 3}).rank == 1
-    (via, ends), (_, last) = searches
-    right_out = [library_node(g.m, v, 2, 1) for v in (2, 3)]  # the right out-nodes of 2 and 3
-    assert via[right_out[0]] != -1 and via[right_out[1]] != -1
-    assert len(ends) == 1 and last == []
+    (first, via, ends), (name, _, last) = searches
+    assert (first, name) == ("_first_pass", "_search")
+    assert [via[y] != -1 for y in right_out].count(True) == 1 and ends in ([y] for y in right_out)
+    assert last == []
+    # a breadth-first search reaches both ends, and keeps one
+    via = separation._blank(g, {2, 3})
+    _, ends, reached = separation._search({}, g, [-1] * (3 * (g.m + 1)), via, {1}, {2, 3}, 2)
+    assert sorted(reached) == right_out and len(ends) == 1
 
 
 @pytest.mark.parametrize("cls", [DAG, UNDIRECTED, MIXED])
 def test_a_query_runs_at_most_rank_plus_one_searches(monkeypatch, cls):
+    # the first pass and the searches after it, counted together
     rng = random.Random(f"searches per query/{cls}")
     searches = _recorded_searches(monkeypatch)
     fewer = 0
@@ -529,6 +600,7 @@ def test_a_query_runs_at_most_rank_plus_one_searches(monkeypatch, cls):
         searches.clear()
         res = min_t_separator(g, A, B)
         assert res == min_t_separator_reference(g, A, B), (A, B)
+        assert searches[0][0] == "_first_pass", (A, B)
         assert len(searches) <= res.rank + 1, (A, B)
         fewer += len(searches) < res.rank + 1
     assert fewer >= 50, fewer
@@ -536,19 +608,13 @@ def test_a_query_runs_at_most_rank_plus_one_searches(monkeypatch, cls):
 
 def test_searches_enter_no_right_level_outside_the_ancestors_of_b(monkeypatch):
     # a trek ends in a directed path down into B, so the right in-node of a
-    # vertex v outside an(B) leads to no end of the search
+    # vertex v outside an(B) leads to no end of the first pass or a search
     orders = []
-    real = separation._search
-
-    def recorded(*args):
-        order, ends, reached = real(*args)
-        orders.append(order)
-        return order, ends, reached
-
-    monkeypatch.setattr(separation, "_search", recorded)
+    _watch_searches(monkeypatch, lambda name, args, out: orders.append((name, out[0])))
     rng = random.Random("pruned right levels")
     chain = make_graph(8, directed=[(v, v + 1) for v in range(1, 8)])
     cases = [(chain, {1, 5}, {3})]
+    searched = Counter()
     for seed in range(30):  # low ids form U, and directed edges point up in id
         g = random_graph(MIXED, 12, seed, 0.3)
         cases.append((g, set(rng.sample(range(1, 13), 3)), set(rng.sample(range(1, 5), 2))))
@@ -560,8 +626,49 @@ def test_searches_enter_no_right_level_outside_the_ancestors_of_b(monkeypatch):
         orders.clear()
         min_t_separator(g, A, B)
         is_t_separating(g, A, B, SeparationTriple())
-        assert orders and not any(outside.intersection(order) for order in orders), (A, B)
-    assert pruned >= 200
+        assert orders and not any(outside.intersection(order) for _, order in orders), (A, B)
+        searched.update(name for name, _ in orders)
+    assert pruned >= 200 and searched.keys() == {"_first_pass", "_search"}, searched
+
+
+def _pass_treks(g, via, ends):
+    """The paths of the first pass, traced back through via from its ends, as
+    (vertex, level) states from the seed to the end."""
+    treks = []
+    for x in ends:
+        trek = []
+        while x != -2:
+            v, level, side = library_state(g.m, x)
+            if side == 0:
+                trek.append((v, level))
+            x = via[x]
+        treks.append(tuple(trek[::-1]))
+    return treks
+
+
+@pytest.mark.parametrize("cls", [DAG, UNDIRECTED, MIXED])
+def test_the_first_pass_is_maximal(cls):
+    # its paths are treks from A to B that share no state, and once their
+    # states are deleted no seed they leave reaches an end they leave, by
+    # the explicit network's search
+    rng = random.Random(f"first pass/{cls}")
+    short = 0
+    for _ in range(400):
+        n = rng.randint(2, 14)
+        g = random_graph(cls, n, rng.randrange(10**6), rng.choice((0.2, 0.4, 0.6)))
+        A, B = _sample(rng, n, 1, 6), _sample(rng, n, 1, 6)
+        via = separation._blank(g, B)
+        treks = _pass_treks(g, via, separation._first_pass({}, g, via, A, B)[1])
+        arcs = forward_arcs_reference(g)
+        states = [state for trek in treks for state in trek]
+        assert len(states) == len(set(states)), treks
+        for trek in treks:
+            assert trek[0][0] in A and trek[0][1] == 0 and trek[-1][0] in B and trek[-1][1] == 2
+            for (v, level), (w, next_level) in zip(trek, trek[1:]):
+                assert 2 * (3 * (w - 1) + next_level) in arcs[3 * (v - 1) + level], trek
+        assert leaves_no_trek_reference(g, A, B, treks), (g, A, B, treks)
+        short += len(treks) < min(len(A), len(B))
+    assert short >= 50, short
 
 
 def test_tsep_choke():
