@@ -532,15 +532,21 @@ def simple_trek_rule_covariance(g: MixedGraph, p: ParamAssignment,
     return total
 
 
+def _equal_sized(g: MixedGraph, A, B, names="A and B") -> tuple[list[int], list[int]]:
+    """A and B as sorted vertex lists, checked as vertex sets of g of one size."""
+    _require_vertices(g, {*A, *B})
+    As, Bs = sorted(set(A)), sorted(set(B))
+    if len(As) != len(Bs):
+        raise ValueError(f"{names} must have equal size")
+    return As, Bs
+
+
 def gvl_minor_two_ways(g: MixedGraph, p: ParamAssignment, R, S) -> tuple[int, int]:
     """Minor of Lambda^{-1} two ways: exact determinant vs the signed sum
     over vertex-disjoint directed path systems from R to S."""
     if graph_class(g) != DAG:
         raise ValueError("path-determinant expansion is defined for DAGs")
-    _require_vertices(g, {*R, *S})
-    Rs, Ss = sorted(set(R)), sorted(set(S))
-    if len(Rs) != len(Ss):
-        raise ValueError("R and S must have equal size")
+    Rs, Ss = _equal_sized(g, R, S, "R and S")
     det_side = submatrix_for(lambda_inverse(g, p), Rs, Ss).det()
 
     into = {s: _directed_paths_into(g, s) for s in Ss}
@@ -561,10 +567,7 @@ def cauchy_binet_two_ways(g: MixedGraph, p: ParamAssignment, A, B
     """det Sigma_{A,B} vs its phi_S-weighted expansion over column subsets S."""
     if graph_class(g) != DAG or g.u_set:
         raise ValueError("the phi_S expansion is defined for DAGs with no U vertex")
-    _require_vertices(g, {*A, *B})
-    As, Bs = sorted(set(A)), sorted(set(B))
-    if len(As) != len(Bs):
-        raise ValueError("A and B must have equal size")
+    As, Bs = _equal_sized(g, A, B)
     sigma = build_covariance(g, p)
     lhs = submatrix_for(sigma, As, Bs).det()
     lam_inv = lambda_inverse(g, p)
@@ -589,10 +592,7 @@ def undirected_minor_check(g: MixedGraph, p: ParamAssignment, A, B) -> tuple[int
     """
     if graph_class(g) != UNDIRECTED:
         raise ValueError("expects a purely undirected graph")
-    _require_vertices(g, {*A, *B})
-    As, Bs = sorted(set(A)), sorted(set(B))
-    if len(As) != len(Bs):
-        raise ValueError("A and B must have equal size")
+    As, Bs = _equal_sized(g, A, B)
     sigma = build_covariance(g, p)
     minor = submatrix_for(sigma, As, Bs).det()
 

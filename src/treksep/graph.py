@@ -221,6 +221,17 @@ def _vertex_id(v, what="vertex id") -> int:
         raise InvalidGraphError([f"{what} {v!r} is not an integer"]) from None
 
 
+def _edge(e) -> tuple[int, int]:
+    """e as a pair of plain ints: e unpacks into two ids, and is not a str."""
+    try:
+        if isinstance(e, str):  # "12" would unpack into the ids 1 and 2
+            raise TypeError
+        i, j = e
+    except (TypeError, ValueError):
+        raise InvalidGraphError([f"edge {e!r} is not a pair of vertex ids"]) from None
+    return _vertex_id(i), _vertex_id(j)
+
+
 def make_graph(m, directed=(), undirected=(), bidirected=(), u=None, w=None) -> MixedGraph:
     """Build and validate a MixedGraph, inferring the U/W partition.
 
@@ -229,16 +240,17 @@ def make_graph(m, directed=(), undirected=(), bidirected=(), u=None, w=None) -> 
     directed edge can point from W into U.  Everything else lands in W,
     which matches the pure-DAG convention of a diagonal Phi over all
     vertices.  Raises InvalidGraphError on any rule violation, and before
-    building anything when m is not an integer in 1..MAX_VERTICES or an
-    edge, u or w id is not an integer.  m and the ids convert by one rule.
+    building anything when m is not an integer in 1..MAX_VERTICES, an edge
+    is a str or does not unpack into two ids, or an edge, u or w id is not
+    an integer.  m and the ids convert by one rule.
     """
     m = _vertex_id(m, "vertex count")
     problem = _vertex_count_problem(m)
     if problem:
         raise InvalidGraphError([problem])
-    edges = (frozenset((_vertex_id(i), _vertex_id(j)) for i, j in directed),
-             frozenset(_norm_pair(_vertex_id(i), _vertex_id(j)) for i, j in undirected),
-             frozenset(_norm_pair(_vertex_id(i), _vertex_id(j)) for i, j in bidirected))
+    edges = (frozenset(map(_edge, directed)),
+             frozenset(_norm_pair(*_edge(e)) for e in undirected),
+             frozenset(_norm_pair(*_edge(e)) for e in bidirected))
     u, w = (set(map(_vertex_id, ids or ())) for ids in (u, w))
     in_range = set(range(1, m + 1)).issuperset(chain.from_iterable(chain(*edges)))
     return _build(m, *edges, u, w, in_range)

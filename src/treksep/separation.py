@@ -45,15 +45,11 @@ A node that a search entered and left behind reaches no end but through a
 path, so once the paths' states are deleted no seed they leave reaches an
 end they leave; a pass that finds no path leaves a zero flow that is
 maximum, and the query searches no further.  Breadth-first searches from
-all of A (`_search`) finish the flow, and the last gives the cut.  Each
-augments several paths: every end it reaches leads back through `via` to
-one seed, and it keeps the ends whose seeds differ.  Each node has one
-`via`, so paths from distinct seeds share no node, and augmenting one path
-changes the flow only at its own in-nodes: the others stay augmenting.  A
-search stops once it keeps min(|A|, |B|) minus the flow value ends, as no
-more can be augmented, so a query of rank r runs at most r + 1 searches,
-the pass included, and most often 2 (Ford-Fulkerson with a cheap blocking
-step: no level graph, and depth first on the zero flow only).
+all of A (`_search`) finish the flow: each stops at the first end it
+reaches and that one path is augmented, and the search that reaches no end
+gives the cut.  Unless it finds nothing, and so is the query's only
+search, the pass augments at least one unit, so a query of rank r runs at
+most r + 1 searches, the pass included.
 
 An in-node's only arc out is its split arc, so it carries at most one
 unit, which came in by one arc, and the whole flow is one int per
@@ -306,30 +302,26 @@ def _first_pass(arcs, g: MixedGraph, via, A, B):
     return order, found
 
 
-def _search(arcs, g: MixedGraph, prv, via, A, B, want):
+def _search(arcs, g: MixedGraph, prv, via, A, B):
     """Breadth-first search of the residual network from the left in-nodes of A.
 
     arcs holds the arc entries of g listed so far, prv the flow and via the
     `via` to start from, which the search fills in (module doc): via[x] is
     the node that first reached node x (-1 if unreached, -2 for a left
-    in-node of A, -3 for a node never to enter).  Returns (order, ends,
-    reached): order lists the reached nodes that were queued, ends lists
-    augmenting paths with distinct seeds, by the right out-node of B each
-    ends at, and reached lists every end reached, kept or not.  The search
-    sets via only at the in-node and out-node of each node of order and of
-    reached.
+    in-node of A, -3 for a node never to enter).  Returns (order, end):
+    order lists the reached nodes that were queued, and end is the right
+    out-node of B at which the first augmenting path reached ends, or None
+    if none is reached.  The search sets via only at the in-node and
+    out-node of each node of order and of end.
 
     A free in-node is marked with its out-node, and only the out-node is
     queued.  An out-node missing from arcs gets its entry from `_listed`
-    when it is dequeued.  A reached end is not queued; it is kept unless a
-    kept end traces back through `via` to the same seed.  The search
-    returns once the out-node that reached the `want`-th kept end has
-    listed its arcs, or when its queue empties.
+    when it is dequeued.  The search returns at the first end it reaches,
+    or when its queue empties.
     """
     M = g.m + 1
     T = 3 * M  # the middle out-node of vertex 0
     ends = {T + 2 * M + b for b in B}
-    seeds, found, reached = set(), [], []
     order = [M + a for a in A]
     for u in order:
         via[u] = -2
@@ -343,7 +335,6 @@ def _search(arcs, g: MixedGraph, prv, via, A, B, want):
             entry = arcs.get(u)
             if entry is None:  # dequeued for the first time: list its entry
                 entry = _listed(arcs, g, u)
-            full = False
             for x in entry:
                 if via[x] == -1:
                     via[x] = u
@@ -352,19 +343,9 @@ def _search(arcs, g: MixedGraph, prv, via, A, B, want):
                         continue
                     y = x + T  # a free split arc: on to its out-node
                     via[y] = x
-                    if y not in ends:
-                        order.append(y)
-                        continue
-                    reached.append(y)
-                    s = u
-                    while via[s] >= 0:  # back to the seed
-                        s = via[s]
-                    if s not in seeds:
-                        seeds.add(s)
-                        found.append(y)
-                        full = len(found) == want
-            if full:
-                return order, found, reached
+                    if y in ends:
+                        return order, y
+                    order.append(y)
             continue
         # an in-node (a seed, or one carrying a unit): its free split arc, or
         # back to where its unit came from
@@ -373,7 +354,7 @@ def _search(arcs, g: MixedGraph, prv, via, A, B, want):
         if x >= 0 and via[x] == -1:
             via[x] = u
             order.append(x)
-    return order, found, reached
+    return order, None
 
 
 def min_t_separator(g: MixedGraph, A, B) -> RankResult:
@@ -385,11 +366,9 @@ def min_t_separator(g: MixedGraph, A, B) -> RankResult:
     M = g.m + 1
     R, T = 2 * M, 3 * M
     arcs, prv, via = {}, [-1] * T, _blank(g, B)
-    most = min(len(A), len(B))  # the seeds, and the ends, bound the flow
     value = 0
     wrote = set()  # the in-nodes whose unit an augmentation set
     order, ends = _first_pass(arcs, g, via, A, B)
-    reached = []  # the pass's ends are in its order
     while ends:
         for x in ends:  # every augmenting path carries one unit
             while x != -2:
@@ -399,10 +378,11 @@ def min_t_separator(g: MixedGraph, A, B) -> RankResult:
                     wrote.add(x)
                 x = u
         value += len(ends)
-        for x in order + reached:  # back to the blank via
+        for x in order + ends:  # back to the blank via
             x %= T
             via[x] = via[x + T] = -1
-        order, ends, reached = _search(arcs, g, prv, via, A, B, most - value)
+        order, end = _search(arcs, g, prv, via, A, B)
+        ends = [] if end is None else [end]
 
     fed = [prv[k] for k in wrote].count(-2)
     if fed != value:
@@ -630,7 +610,7 @@ def _ci_reached(arcs, g: MixedGraph, AC, C) -> int:
         prv[c] = T + M + c
         prv[R + c] = T + c
     out = 0
-    for x in _search(arcs, g, prv, [-1] * (2 * T), AC, (), 0)[0]:
+    for x in _search(arcs, g, prv, [-1] * (2 * T), AC, ())[0]:
         if x > T + R:  # a right out-node: with no end to stop it, each one reached is queued
             out |= 1 << (x - T - R)
     return out

@@ -137,6 +137,21 @@ def test_make_graph_refuses_a_non_integral_id(kwargs, bad):
     assert exc.value.violations == [f"vertex id {bad!r} is not an integer"]
 
 
+@pytest.mark.parametrize("kwargs,bad", [
+    (dict(directed=["12"]), "12"),  # unpacked, a str would build the edge 1 -> 2
+    (dict(undirected=["23"]), "23"),
+    (dict(directed=[(1, 2, 3)]), (1, 2, 3)),
+    (dict(bidirected=[(1,)]), (1,)),
+    (dict(directed=[5]), 5),
+    (dict(undirected=[()]), ()),
+], ids=repr)
+def test_make_graph_refuses_an_edge_that_is_not_a_pair(kwargs, bad):
+    # refused before anything is built, even after a valid edge
+    with pytest.raises(InvalidGraphError) as exc:
+        make_graph(3, **{kind: [(1, 3), *edges] for kind, edges in kwargs.items()})
+    assert exc.value.violations == [f"edge {bad!r} is not a pair of vertex ids"]
+
+
 @pytest.mark.parametrize("m,problem", [
     *((m, f"vertex count {m!r} is not an integer") for m in (2.5, 3.0, None, "x", "2.5", [3],
                                                                    "+3", "3_0", "٣")),
