@@ -40,7 +40,7 @@ from collections import namedtuple
 from itertools import combinations
 
 from .graph import (DAG, UNDIRECTED, MixedGraph, _ancestor_walk, _closure, _require_vertices,
-                    graph_class, topological_order)
+                    _subdivision_ids, graph_class, topological_order)
 from .treks import (DEFAULT_CAP, _directed_paths_into, _disjoint_systems,
                     _undirected_middles, enumerate_simple_treks)
 
@@ -612,14 +612,10 @@ def translate_subdivision_parameters(g: MixedGraph,
     phi_ij = phi_vv * lam_vi * lam_vj, and each diagonal phi_ii picks up
     phi_vv * lam_vi^2 for every bidirected edge at i.  With these values the
     original covariance equals the subdivision covariance restricted to the
-    original vertices, exactly.
+    original vertices, exactly.  v is numbered by `graph._subdivision_ids`,
+    as `bidirected_subdivision` numbers it.
     """
-    fresh = {}
-    next_id = g.m
-    for edge in sorted(g.bidirected_edges):
-        next_id += 1
-        fresh[edge] = next_id
-
+    fresh = _subdivision_ids(g)
     lam = {e: p_sub.lam[e] for e in g.directed_edges}
     phi = {}
     for (i, j), v in fresh.items():

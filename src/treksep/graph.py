@@ -21,7 +21,8 @@ Where each check lives:
   integral), stores undirected and bidirected pairs as i < j, and checks
   the range of m before building anything and then, on the whole set, the
   range of the edge ids.
-- `_build`, behind both, lists the parents and children of the directed
+- `_build`, behind both and `bidirected_subdivision`, makes every graph
+  of the package.  It lists the parents and children of the directed
   edges in one pass and infers U (declared U vertices and the ends of
   undirected edges, closed under directed ancestors) and W (the rest of
   1..m, plus any declared W id outside it).  U is closed under directed
@@ -45,17 +46,19 @@ but `separation._trek_steps` reads: the parent and child lists that
 undirected and bidirected neighbour lists (`_undirected_lists`,
 `_bidirected_lists`), which `_neighbours` lists on first read, so that a
 parse does not pay for them.
-A graph made directly through `MixedGraph(...)` lists its parents and
-children on first read too.  `_closure` climbs the parent lists, for
-`_build`'s U and the an(B) of a query, and descends the child lists for the
-vertices below a trek's turns; `_ancestor_walk` climbs the parent lists for
-the oracle's an(v), in the order its sweep needs.
+A graph made directly through `MixedGraph(...)`, which only code outside
+the package does, lists its parents and children on first read too.
+`_closure` climbs the parent lists, for `_build`'s U and the an(B) of a
+query, and descends the child lists for the vertices below a trek's turns;
+`_ancestor_walk` climbs the parent lists for the oracle's an(v), in the
+order its sweep needs.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict
+from collections.abc import Mapping, Set
 from functools import cached_property
 from itertools import chain, starmap
 from operator import eq, index
@@ -221,10 +224,15 @@ def _vertex_id(v, what="vertex id") -> int:
         raise InvalidGraphError([f"{what} {v!r} is not an integer"]) from None
 
 
+# What `_edge` refuses though it may unpack into two ids: "12" and b"12" would
+# unpack into 1 and 2 or 49 and 50, and a set or a mapping has no order.
+_NOT_EDGES = (str, bytes, bytearray, Set, Mapping)
+
+
 def _edge(e) -> tuple[int, int]:
-    """e as a pair of plain ints: e unpacks into two ids, and is not a str."""
+    """e as a pair of plain ints: e unpacks into two ids, in an order it keeps."""
     try:
-        if isinstance(e, str):  # "12" would unpack into the ids 1 and 2
+        if isinstance(e, _NOT_EDGES):
             raise TypeError
         i, j = e
     except (TypeError, ValueError):
@@ -241,8 +249,9 @@ def make_graph(m, directed=(), undirected=(), bidirected=(), u=None, w=None) -> 
     which matches the pure-DAG convention of a diagonal Phi over all
     vertices.  Raises InvalidGraphError on any rule violation, and before
     building anything when m is not an integer in 1..MAX_VERTICES, an edge
-    is a str or does not unpack into two ids, or an edge, u or w id is not
-    an integer.  m and the ids convert by one rule.
+    is a string of characters or bytes, a set or a mapping, or does not
+    unpack into two ids, or an edge, u or w id is not an integer.  m and the
+    ids convert by one rule.
     """
     m = _vertex_id(m, "vertex count")
     problem = _vertex_count_problem(m)
@@ -452,28 +461,25 @@ def _ancestor_walk(v: int, parents) -> list[int]:
     return order
 
 
-def bidirected_subdivision(g: MixedGraph) -> MixedGraph:
-    """Replace each bidirected edge i <-> j by a fresh vertex with edges into i and j.
+def _subdivision_ids(g: MixedGraph) -> dict[tuple[int, int], int]:
+    """Each bidirected edge of g -> its fresh vertex in the subdivision:
+    m+1, m+2, ... in the sorted order of the (i, j) pairs."""
+    return {e: v for v, e in enumerate(sorted(g.bidirected_edges), start=g.m + 1)}
 
-    Fresh vertices get ids m+1, m+2, ... following the lexicographic order of
-    the (i, j) pairs, so the result is deterministic.
+
+def bidirected_subdivision(g: MixedGraph) -> MixedGraph:
+    """Replace each bidirected edge i <-> j by a fresh W vertex with edges into i and j.
+
+    `_subdivision_ids` numbers the fresh vertices.  `_build` checks the result
+    like any graph: an edge from W into U, a bidirected edge in U or a directed
+    cycle in g raises InvalidGraphError.  Every id of g must lie in 1..m.
     """
+    fresh = _subdivision_ids(g)
     directed = set(g.directed_edges)
-    new_w = set(g.w_set)
-    next_id = g.m
-    for i, j in sorted(g.bidirected_edges):
-        next_id += 1
-        new_w.add(next_id)
-        directed.add((next_id, i))
-        directed.add((next_id, j))
-    return MixedGraph(
-        m=next_id,
-        u_set=g.u_set,
-        w_set=frozenset(new_w),
-        directed_edges=frozenset(directed),
-        undirected_edges=g.undirected_edges,
-        bidirected_edges=frozenset(),
-    )
+    for (i, j), v in fresh.items():
+        directed.update(((v, i), (v, j)))
+    return _build(g.m + len(fresh), frozenset(directed), g.undirected_edges, frozenset(),
+                  g.u_set, g.w_set.union(fresh.values()), True)
 
 
 def parse_graph(text: str) -> MixedGraph:

@@ -12,6 +12,7 @@ import random
 from collections import namedtuple
 from functools import cache, partial
 from itertools import chain, combinations
+from operator import index
 
 from . import algebra, instances, separation
 from .graph import (DAG, MIXED, UNDIRECTED, MixedGraph, bidirected_subdivision,
@@ -59,7 +60,7 @@ def max_graphs(max_vertices: int) -> int:
 
 class SuiteConfig(namedtuple("SuiteConfig", "seed max_vertices graph_count trials_per_instance",
                              defaults=(31415, 6, 200, algebra.DEFAULT_TRIALS))):
-    """The suite's shape; each field is checked against its bound here."""
+    """The suite's shape; each count is checked here to be an integer within its bound."""
 
     __slots__ = ()
     seed: int
@@ -70,6 +71,12 @@ class SuiteConfig(namedtuple("SuiteConfig", "seed max_vertices graph_count trial
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        for name in ("max_vertices", "graph_count", "trials_per_instance"):
+            value = getattr(self, name)
+            try:
+                index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.max_vertices < MIN_VERTICES:
             raise ValueError(f"max_vertices must be at least {MIN_VERTICES}")
         if self.max_vertices > MAX_VERTICES:

@@ -9,7 +9,11 @@ edges, the line ends that `parse_graph_reference` splits at (only \n,
 an optional `-`, as `_read_int_reference` matches them), so that
 `tests/test_parse_differential.py` compares the library against code it
 shares nothing with but the graph type, the exceptions and the
-vertex-count rule.
+vertex-count rule.  `bidirected_subdivision_reference` is
+`bidirected_subdivision` as it stood before it built its graph through
+`_build`, copied verbatim apart from the suffix, so that
+`tests/test_graph.py` checks the numbering and the edge order of the
+subdivision against it.
 """
 
 from __future__ import annotations
@@ -232,3 +236,27 @@ def parse_graph_reference(text: str) -> MixedGraph:
         raise ParseError(1, "vertices listed under both `u` and `w`: "
                          + ",".join(str(v) for v in sorted(both)))
     return make_graph_reference(m, directed, undirected, bidirected, u=explicit_u, w=explicit_w)
+
+
+def bidirected_subdivision_reference(g: MixedGraph) -> MixedGraph:
+    """Replace each bidirected edge i <-> j by a fresh vertex with edges into i and j.
+
+    Fresh vertices get ids m+1, m+2, ... following the lexicographic order of
+    the (i, j) pairs, so the result is deterministic.
+    """
+    directed = set(g.directed_edges)
+    new_w = set(g.w_set)
+    next_id = g.m
+    for i, j in sorted(g.bidirected_edges):
+        next_id += 1
+        new_w.add(next_id)
+        directed.add((next_id, i))
+        directed.add((next_id, j))
+    return MixedGraph(
+        m=next_id,
+        u_set=g.u_set,
+        w_set=frozenset(new_w),
+        directed_edges=frozenset(directed),
+        undirected_edges=g.undirected_edges,
+        bidirected_edges=frozenset(),
+    )

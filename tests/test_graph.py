@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from graph_reference import _closure_reference, _kahn_reference
+from graph_reference import (_closure_reference, _kahn_reference,
+                             bidirected_subdivision_reference)
 from treksep import graph
 from treksep.graph import (DAG, MIXED, UNDIRECTED, InvalidGraphError,
                            MixedGraph, ParseError, _ancestor_walk,
@@ -144,12 +145,22 @@ def test_make_graph_refuses_a_non_integral_id(kwargs, bad):
     (dict(bidirected=[(1,)]), (1,)),
     (dict(directed=[5]), 5),
     (dict(undirected=[()]), ()),
+    # each unpacks into two ids, b"12" into 49 and 50 and the others into 1
+    # and 2, a set's in the order it iterates
+    *(({kind: [bad]}, bad) for kind in ("directed", "undirected", "bidirected")
+      for bad in (b"12", bytearray(b"\x01\x02"), {1: 0, 2: 0}, {2, 1}, frozenset({1, 2}))),
 ], ids=repr)
 def test_make_graph_refuses_an_edge_that_is_not_a_pair(kwargs, bad):
     # refused before anything is built, even after a valid edge
     with pytest.raises(InvalidGraphError) as exc:
         make_graph(3, **{kind: [(1, 3), *edges] for kind, edges in kwargs.items()})
     assert exc.value.violations == [f"edge {bad!r} is not a pair of vertex ids"]
+
+
+def test_make_graph_takes_any_ordered_pair_as_an_edge():
+    for kind in ("directed", "undirected", "bidirected"):
+        assert make_graph(3, **{kind: [range(1, 3), [2, 3]]}) \
+            == make_graph(3, **{kind: [(1, 2), (2, 3)]})
 
 
 @pytest.mark.parametrize("m,problem", [
@@ -338,6 +349,44 @@ def test_subdivision_mixed_example():
     assert g2.directed_edges == {(5, 1), (5, 2), (1, 3), (2, 4)}
 
 
+def test_subdivision_matches_the_reference_and_is_valid():
+    # built through _build, the subdivision equals the hand-built one, and
+    # each of its sets iterates in the same order
+    subdivided = 0
+    for seed in range(300):
+        for cls in (DAG, UNDIRECTED, MIXED):
+            g = random_graph(cls, 4 + seed % 13, seed, 0.4)
+            h, ref = bidirected_subdivision(g), bidirected_subdivision_reference(g)
+            assert h == ref and validate(h) == []
+            for field in ("u_set", "w_set", "directed_edges", "undirected_edges",
+                          "bidirected_edges"):
+                assert list(getattr(h, field)) == list(getattr(ref, field)), (cls, seed, field)
+            subdivided += bool(g.bidirected_edges)
+    assert subdivided >= 200, subdivided
+
+
+@pytest.mark.parametrize("g,violations", [
+    (MixedGraph(3, frozenset({3}), frozenset({1, 2}), frozenset({(1, 3)}), frozenset(),
+                frozenset({(1, 2)})),
+     ["vertex 1 cannot be in both U and W", "vertex 4 cannot be in both U and W",
+      "U->W direction violated: directed edge 1 -> 3 points from W into U"]),
+    (MixedGraph(3, frozenset({1, 2, 3}), frozenset(), frozenset(), frozenset({(1, 2)}),
+                frozenset({(2, 3)})),
+     ["vertex 4 cannot be in both U and W",
+      "U->W direction violated: directed edge 4 -> 2 points from W into U",
+      "U->W direction violated: directed edge 4 -> 3 points from W into U"]),
+    (MixedGraph(3, frozenset(), frozenset({1, 2, 3}), frozenset({(1, 2), (2, 1)}), frozenset(),
+                frozenset({(2, 3)})),
+     ["directed cycle: 1,2"]),
+], ids=["W into U", "bidirected in U", "cycle"])
+def test_subdivision_of_an_invalid_graph_raises(g, violations):
+    # a graph made directly, outside make_graph: _build checks its subdivision
+    assert validate(g)
+    with pytest.raises(InvalidGraphError) as exc:
+        bidirected_subdivision(g)
+    assert exc.value.violations == violations
+
+
 def test_subdivision_noop_on_dag():
     g = choke_graph()
     assert bidirected_subdivision(g) == g
@@ -423,9 +472,12 @@ def test_directed_index_lists_the_directed_edges(monkeypatch):
         listed.clear()
         built = [parse_graph(serialize(g)), parse_graph(_relabelled_text(g, rng)),
                  make_graph(g.m, g.directed_edges, g.undirected_edges,
-                            g.bidirected_edges, u=g.u_set)]
+                            g.bidirected_edges, u=g.u_set),
+                 bidirected_subdivision(g)]
         assert len(listed) == len(built)
-        direct = [bidirected_subdivision(g),
+        s = built[3]
+        direct = [MixedGraph(s.m, s.u_set, s.w_set, s.directed_edges, s.undirected_edges,
+                             s.bidirected_edges),
                   MixedGraph(g.m, g.u_set, g.w_set, g.directed_edges, g.undirected_edges,
                              g.bidirected_edges)]
         for h, kept in [(h, True) for h in built] + [(h, False) for h in direct]:

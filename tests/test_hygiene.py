@@ -6,7 +6,9 @@ goes unreferenced, no module-level function or method has a parameter (but
 read only from the tests, and no module uses an `assert` statement, which
 `python -O` strips.  In `separation`, one function alone reads the
 adjacency index lists that become arc entries, so that the first pass and
-the breadth-first search share one listing.
+the breadth-first search share one listing.  One call in the package makes
+a `MixedGraph`, the one in `graph._build`, so that every graph the package
+makes is checked on one path.
 
 `__init__.py` is exempt from the import check, since its imports are the
 package's re-exports, and its re-exports are no reads for the public-name
@@ -170,6 +172,17 @@ def attribute_readers(source: str, names) -> list:
 INDEX_LISTS = {"_child_lists", "_undirected_lists", "_bidirected_lists"}
 
 
+def callers(source: str, name: str) -> list:
+    """The module-level function or class ("<module>" for code outside them)
+    of each call of name in source, by its name or as an attribute."""
+    out = []
+    for node in ast.parse(source).body:
+        label = getattr(node, "name", "<module>")
+        out.extend(label for sub in ast.walk(node) if isinstance(sub, ast.Call)
+                   and name in (getattr(sub.func, "id", None), getattr(sub.func, "attr", None)))
+    return sorted(out)
+
+
 def assert_lines(source: str) -> list:
     """Line of each `assert` statement."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
@@ -229,6 +242,19 @@ def test_only_the_lister_reads_the_index_lists_in_separation():
     assert attribute_readers(source, INDEX_LISTS) == [
         ("_listed", "_bidirected_lists"), ("_listed", "_child_lists"),
         ("_listed", "_undirected_lists")]
+
+
+def test_checker_lists_each_caller_of_a_name():
+    source = ("import g\nG = g.Graph(1)\n\n"
+              "def _f():\n    return Graph(1), Graph(2), Graph\n\n"
+              "class C:\n    def __repr__(self):\n        return f'Graph({self})'\n")
+    assert callers(source, "Graph") == ["<module>", "_f", "_f"]
+
+
+def test_only_build_makes_a_graph():
+    calls = [(path.name, label) for path in PACKAGE
+             for label in callers(path.read_text(encoding="utf-8"), "MixedGraph")]
+    assert calls == [("graph.py", "_build")]
 
 
 def test_checker_flags_an_assert_statement():

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import re
 from itertools import combinations, product
 
 import pytest
@@ -56,6 +57,19 @@ def test_config_validation():
         with pytest.raises(ValueError, match="^max_vertices must be at most 16$"):
             SuiteConfig(max_vertices=n)
     assert SuiteConfig(max_vertices=16).max_vertices == 16
+
+
+@pytest.mark.parametrize("field,value", [
+    ("graph_count", 2.5), ("max_vertices", 6.5), ("trials_per_instance", 1.5),
+    ("graph_count", 3.0), ("max_vertices", "6"), ("trials_per_instance", None),
+], ids=repr)
+def test_suite_config_refuses_a_count_that_is_not_an_integer(field, value):
+    # refused when made, not by range() or randint() in the middle of a run
+    message = "^" + re.escape(f"{field} must be an integer, got {value!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        SuiteConfig(**{field: value})
+    with pytest.raises(ValueError, match=message):
+        SuiteConfig()._replace(**{field: value})
 
 
 def test_suite_config_bounds_the_graphs():
