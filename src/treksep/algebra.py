@@ -38,6 +38,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from itertools import combinations
+from operator import index
 
 from .graph import (DAG, UNDIRECTED, MixedGraph, _ancestor_walk, _closure, _require_vertices,
                     _subdivision_ids, graph_class, topological_order)
@@ -305,8 +306,13 @@ def generic_rank_oracle(g: MixedGraph, A, B, seed: int,
     that reaches the bound is exact, not only probable: a minor nonzero mod
     PRIME is nonzero as a polynomial, so a trial's rank bounds the generic
     rank from below, and the bound from above.  A vertex outside 1..m, or
-    fewer than one trial, raises ValueError; an empty A or B answers 0.
+    a count of trials that is not an integer or is below 1, raises
+    ValueError; an empty A or B answers 0.
     """
+    try:
+        index(trials)
+    except TypeError:
+        raise ValueError(f"trials must be an integer, got {trials!r}") from None
     if trials < 1:
         raise ValueError("trials must be at least 1")
     p = PRIME

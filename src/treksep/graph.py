@@ -470,10 +470,15 @@ def _subdivision_ids(g: MixedGraph) -> dict[tuple[int, int], int]:
 def bidirected_subdivision(g: MixedGraph) -> MixedGraph:
     """Replace each bidirected edge i <-> j by a fresh W vertex with edges into i and j.
 
-    `_subdivision_ids` numbers the fresh vertices.  `_build` checks the result
-    like any graph: an edge from W into U, a bidirected edge in U or a directed
-    cycle in g raises InvalidGraphError.  Every id of g must lie in 1..m.
+    `_subdivision_ids` numbers the fresh vertices.  An edge id of g outside
+    1..m, which a fresh vertex could take, raises InvalidGraphError with
+    `validate`'s list first.  `_build` checks the result like any graph: an
+    edge from W into U, a bidirected edge in U or a directed cycle in g
+    raises InvalidGraphError.
     """
+    edges = (g.directed_edges, g.undirected_edges, g.bidirected_edges)
+    if not set(g.vertices).issuperset(chain.from_iterable(chain(*edges))):
+        raise InvalidGraphError(validate(g))
     fresh = _subdivision_ids(g)
     directed = set(g.directed_edges)
     for (i, j), v in fresh.items():

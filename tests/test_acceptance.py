@@ -3,8 +3,9 @@
 Everything is deterministic given the default suite seed.  Exact rational
 equality throughout; the rank cross-checks demand 100% agreement between
 the min-cut pipeline and the algebraic oracle.  The last test runs the
-criteria at a small configuration, and the tests of the library's input and
-invariant checks, under `python -O`, which strips `assert` statements.
+criteria at a small configuration under `python -O`; `test_hygiene` shows
+that the package compiles to the same code there and never reads
+`sys.flags`.
 """
 
 import os
@@ -80,24 +81,17 @@ def test_criterion_10_menger_duality():
 
 _OPTIMIZED_GATE = """
 import sys
-import pytest
 from treksep import verify
 report = verify.run_suite(verify.SuiteConfig(graph_count=20, max_vertices=5))
 print("optimize", sys.flags.optimize, "checks", len(report.checks),
-      "failures", report.total_failures, flush=True)
-sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[1:]]))
+      "failures", report.total_failures)
 """
 
-# The tests of the checks the library raises on bad input or a broken invariant.
-_INVARIANT_MODULES = ("test_graph.py", "test_separation.py", "test_treks.py", "test_verify.py")
 
-
-def test_gate_and_invariant_tests_pass_under_python_O(tmp_path):
-    tests = Path(__file__).resolve().parent
+def test_gate_passes_under_python_O(tmp_path):
     src = str(Path(verify.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_GATE,
-                           *(str(tests / name) for name in _INVARIANT_MODULES)],
-                          capture_output=True, text=True, timeout=300, cwd=tmp_path,
+    done = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_GATE],
+                          capture_output=True, text=True, timeout=60, cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": src})
-    assert done.returncode == 0, done.stdout[-3000:] + done.stderr
-    assert done.stdout.splitlines()[0] == "optimize 1 checks 10 failures 0"
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "optimize 1 checks 10 failures 0\n"

@@ -378,7 +378,15 @@ def test_subdivision_matches_the_reference_and_is_valid():
     (MixedGraph(3, frozenset(), frozenset({1, 2, 3}), frozenset({(1, 2), (2, 1)}), frozenset(),
                 frozenset({(2, 3)})),
      ["directed cycle: 1,2"]),
-], ids=["W into U", "bidirected in U", "cycle"])
+    # a stray id past m, which a fresh vertex would take or which indexes past
+    # the child lists, is refused before any fresh vertex is numbered
+    (MixedGraph(3, frozenset(), frozenset({1, 2, 3}), frozenset({(4, 3)}), frozenset(),
+                frozenset({(1, 2)})),
+     ["directed edge (4,3): vertex 4 out of range [1,3]"]),
+    (MixedGraph(3, frozenset(), frozenset({1, 2, 3}), frozenset({(9, 3)}), frozenset(),
+                frozenset({(1, 2)})),
+     ["directed edge (9,3): vertex 9 out of range [1,3]"]),
+], ids=["W into U", "bidirected in U", "cycle", "id m+1", "id 9"])
 def test_subdivision_of_an_invalid_graph_raises(g, violations):
     # a graph made directly, outside make_graph: _build checks its subdivision
     assert validate(g)

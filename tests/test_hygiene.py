@@ -2,13 +2,15 @@
 `tests/` (the references and the `tests/data` scripts too), imports a name
 it never uses.  In the package, no module-level private function or class
 goes unreferenced, no module-level function or method has a parameter (but
-`self` or `cls`) it never reads, no public function, method or property is
-read only from the tests, and no module uses an `assert` statement, which
-`python -O` strips.  In `separation`, one function alone reads the
-adjacency index lists that become arc entries, so that the first pass and
-the breadth-first search share one listing.  One call in the package makes
-a `MixedGraph`, the one in `graph._build`, so that every graph the package
-makes is checked on one path.
+`self` or `cls`) it never reads, and no public function, method or property
+is read only from the tests.  Each module compiles to the same code at
+optimize 0 and 1, which rules out an `assert` statement and a `__debug__`
+branch, and no module reads `sys.flags`: those are all that `python -O`
+changes, so the package runs the same code under it.  In `separation`, one
+function alone reads the adjacency index lists that become arc entries, so
+that the first pass and the breadth-first search share one listing.  One
+call in the package makes a `MixedGraph`, the one in `graph._build`, so
+that every graph the package makes is checked on one path.
 
 `__init__.py` is exempt from the import check, since its imports are the
 package's re-exports, and its re-exports are no reads for the public-name
@@ -183,10 +185,20 @@ def callers(source: str, name: str) -> list:
     return sorted(out)
 
 
-def assert_lines(source: str) -> list:
-    """Line of each `assert` statement."""
+def same_code_under_O(source: str) -> bool:
+    """Does source compile to the same code object at optimize 0 and 1?  The
+    second drops every `assert` and reads `__debug__` as False."""
+    plain, optimized = (compile(source, "<source>", "exec", optimize=level) for level in (0, 1))
+    return plain == optimized
+
+
+def sys_flags_reads(source: str) -> list:
+    """Line of each read of `sys.flags`, as an attribute or by `from sys import flags`."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Assert))
+                  if isinstance(node, ast.Attribute) and node.attr == "flags"
+                  and getattr(node.value, "id", None) == "sys"
+                  or isinstance(node, ast.ImportFrom) and node.module == "sys"
+                  and any(alias.name == "flags" for alias in node.names))
 
 
 def test_checker_flags_an_unused_import():
@@ -258,8 +270,18 @@ def test_only_build_makes_a_graph():
 
 
 def test_checker_flags_an_assert_statement():
-    source = "def f(x):\n    assert x > 0\n    return x\n\nassert f(1)\nok = 'assert'\n"
-    assert assert_lines(source) == [2, 5]
+    assert not same_code_under_O("def f(x):\n    assert x > 0\n    return x\n")
+    assert same_code_under_O("def f(x):\n    return x\n\nok = 'assert'\n")
+
+
+def test_checker_flags_a_debug_branch():
+    assert not same_code_under_O("def f(x):\n    if __debug__:\n        x += 1\n    return x\n")
+
+
+def test_checker_flags_a_read_of_sys_flags():
+    source = ("import sys\nfrom sys import argv\nX = sys.flags.optimize\n"
+              "from sys import flags\nY = options.flags\n")
+    assert sys_flags_reads(source) == [3, 4]
 
 
 def test_checker_flags_a_public_name_no_module_reads():
@@ -297,7 +319,13 @@ def test_no_unread_parameters_of_private_functions(path):
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_assert_statements(path):
-    assert assert_lines(path.read_text(encoding="utf-8")) == []
+    # nor a `__debug__` branch: the module is the same code under `python -O`
+    assert same_code_under_O(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_read_of_sys_flags(path):
+    assert sys_flags_reads(path.read_text(encoding="utf-8")) == []
 
 
 # The runs of `treksep` that CI's installed-script step makes itself: each

@@ -11,17 +11,13 @@ PRIME = 2^61 - 1.  Under small primes K is often singular; the oracle's
 answer then stays one-sided, never above the min cut.
 """
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import oracle_reference
 from oracle_reference import generic_rank_oracle_reference
-from test_algebra import ORACLE_RANGE_TABLE, singular_k_trials
+from test_algebra import singular_k_trials
 from treksep import algebra
 from treksep.algebra import generic_rank_oracle
 from treksep.graph import DAG, MIXED, UNDIRECTED, make_graph
@@ -112,46 +108,3 @@ def test_oracle_equals_min_cut_at_scale(cls, n, density, seed):
     for A, B in queries:
         assert generic_rank_oracle(g, A, B, seed) == min_t_separator(g, A, B).rank, \
             (cls, n, seed, A, B)
-
-
-_OPTIMIZED_ORACLE = """
-import sys
-import oracle_reference
-import test_oracle_differential as t
-from test_algebra import ORACLE_RANGE_TABLE
-from treksep import algebra
-from treksep.graph import make_graph
-
-for prime in (5, 7, 11):
-    algebra.PRIME = oracle_reference.PRIME = prime
-    for cls in t.CLASSES:
-        for g, A, B, s in t._queries(cls, 3, prime, max_n=12):
-            print("oracle", prime, algebra.generic_rank_oracle(g, A, B, s, 1),
-                  oracle_reference.generic_rank_oracle_reference(g, A, B, s, 1))
-g = make_graph(3, directed=[(1, 2), (2, 3)])
-for A, B, _ in ORACLE_RANGE_TABLE:
-    try:
-        print("returned", algebra.generic_rank_oracle(g, A, B, 0))
-    except ValueError as exc:
-        print("ValueError:", exc)
-print("optimize", sys.flags.optimize)
-"""
-
-
-def test_oracle_checks_hold_under_python_O():
-    tests = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(Path(algebra.__file__).resolve().parents[1]), str(tests)])
-    outputs = []
-    for flags in ([], ["-O"]):
-        done = subprocess.run([sys.executable, *flags, "-c", _OPTIMIZED_ORACLE],
-                              capture_output=True, text=True, timeout=120,
-                              env={**os.environ, "PYTHONPATH": path})
-        assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout.splitlines())
-    plain, optimized = outputs
-    assert (plain[-1], optimized[-1]) == ("optimize 0", "optimize 1")
-    assert plain[:-1] == optimized[:-1]
-    oracle_lines = [line.split() for line in plain if line.startswith("oracle ")]
-    assert len(oracle_lines) == 27 and all(w[2] == w[3] for w in oracle_lines)
-    assert [line for line in plain if line.startswith(("ValueError", "returned"))] == \
-        [f"ValueError: {message}" for _, _, message in ORACLE_RANGE_TABLE]
